@@ -4,7 +4,9 @@
 //! gate (`cargo test … parallel_build_matches` at `AREST_WORKERS=1`
 //! and `4`): a campaign committed to the ledger and loaded back must
 //! serve byte-identical JSON to the freshly built store, whatever the
-//! worker count. The other tests pin the delta semantics: same build
+//! worker count. `parallel_build_matches_golden_payload_digest` rides
+//! the same gate and pins the quick campaign's payload digest against
+//! `tests/golden/`. The other tests pin the delta semantics: same build
 //! twice → byte-identical payloads and an empty delta; a different
 //! campaign → both announcements and withdrawals.
 
@@ -58,6 +60,45 @@ fn parallel_build_matches_ledger_roundtrip() {
     assert_eq!(snapshot_from_store(&fresh), run.snapshot);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The quick campaign's pinned ledger payload digest.
+const GOLDEN_DIGEST: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/quick_payload_digest.txt");
+
+/// Pins what the quick campaign commits, not just that worker counts
+/// agree: a change to generation, probing or detection that moves any
+/// served byte moves this digest. Regenerate deliberately with
+/// `AREST_GOLDEN_WRITE=1 cargo test -p arest-experiments --test
+/// ledger_roundtrip parallel_build_matches_golden` and review why.
+#[test]
+fn parallel_build_matches_golden_payload_digest() {
+    let digests: Vec<u64> = [1, 4]
+        .into_iter()
+        .map(|workers| {
+            let config = PipelineConfig { workers: Some(workers), ..PipelineConfig::quick() };
+            let dataset = Dataset::build(config);
+            let dir = scratch_dir(&format!("golden-{workers}"));
+            let ledger = Ledger::open(&dir).expect("open ledger");
+            let receipt =
+                commit_dataset(&ledger, &dataset, &config, 1_750_000_000).expect("commit");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+            receipt.payload_digest
+        })
+        .collect();
+    assert_eq!(digests[0], digests[1], "workers 1 and 4 committed different payloads");
+    let rendered = format!("{:#018x}\n", digests[0]);
+
+    if std::env::var("AREST_GOLDEN_WRITE").is_ok_and(|v| v == "1") {
+        std::fs::write(GOLDEN_DIGEST, &rendered).expect("write golden digest");
+        return;
+    }
+    let pinned = std::fs::read_to_string(GOLDEN_DIGEST).expect("golden digest file exists");
+    assert_eq!(
+        rendered.trim(),
+        pinned.trim(),
+        "quick-campaign payload digest moved (regenerate deliberately with AREST_GOLDEN_WRITE=1)"
+    );
 }
 
 #[test]
