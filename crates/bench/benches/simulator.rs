@@ -55,8 +55,7 @@ fn chain_net(mode: &str) -> (Network, RouterId, Ipv4Addr) {
         "ip" => {}
         "ldp" => {
             let domain = LdpDomain::build(
-                &topo,
-                &members,
+                &DomainSpf::for_members(&topo, &members),
                 &[LdpFec { prefix: customer, egress }],
                 &mut pools,
                 true,
@@ -79,7 +78,12 @@ fn chain_net(mode: &str) -> (Network, RouterId, Ipv4Addr) {
                 node_sid_base: 100,
                 install_node_ftn: false,
             };
-            let domain = SrDomain::build(&topo, &spec, &mut pools);
+            let domain = SrDomain::build(
+                &topo,
+                &spec,
+                &DomainSpf::for_members(&topo, &spec.members),
+                &mut pools,
+            );
             net_tables = Some(domain.into_tables());
         }
         other => panic!("unknown mode {other}"),
@@ -148,5 +152,23 @@ fn bench_internet_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_probe, bench_full_trace, bench_internet_generation);
+/// Informational: the IGP oracle's all-pairs SPF on the largest
+/// Table 5 AS at the default scale, and a two-replica generation,
+/// where per-AS SPF is most of the deploy phase.
+fn bench_spf(c: &mut Criterion) {
+    let internet = generate(&GenConfig::default());
+    let largest = internet.plans.iter().max_by_key(|p| p.routers.len()).expect("60 ASes");
+    let topo = internet.net.topo();
+    let mut group = c.benchmark_group("spf");
+    group.sample_size(10);
+    group.bench_function(format!("domain_for_as_{}_routers", largest.routers.len()), |b| {
+        b.iter(|| DomainSpf::for_as(topo, black_box(largest.asn)));
+    });
+    group.bench_function("generate_catalog_scale_2", |b| {
+        b.iter(|| generate(black_box(&GenConfig { catalog_scale: 2, ..GenConfig::default() })));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_probe, bench_full_trace, bench_internet_generation, bench_spf);
 criterion_main!(benches);

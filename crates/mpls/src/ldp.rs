@@ -13,7 +13,6 @@
 
 use crate::pool::DynamicLabelPool;
 use crate::tables::{Ftn, Lfib, LfibAction, PushInstruction};
-use arest_topo::graph::Topology;
 use arest_topo::ids::RouterId;
 use arest_topo::prefix::Prefix;
 use arest_topo::spf::DomainSpf;
@@ -42,8 +41,9 @@ pub struct LdpDomain {
 }
 
 impl LdpDomain {
-    /// Builds the converged LDP state for `members` over the IGP
-    /// shortest paths, allocating labels from each router's `pool`.
+    /// Builds the converged LDP state for the members of `spf` over
+    /// their IGP shortest paths, allocating labels from each router's
+    /// `pool`.
     ///
     /// With `php` (the default deployment), the egress advertises
     /// implicit NULL and the penultimate hop pops; without it, the
@@ -53,14 +53,13 @@ impl LdpDomain {
     /// an egress, are skipped silently — matching LDP's behaviour of
     /// simply not installing unreachable bindings.
     pub fn build(
-        topo: &Topology,
-        members: &[RouterId],
+        spf: &DomainSpf,
         fecs: &[LdpFec],
         pools: &mut HashMap<RouterId, DynamicLabelPool>,
         php: bool,
     ) -> LdpDomain {
+        let members = spf.members();
         let member_set: HashSet<RouterId> = members.iter().copied().collect();
-        let spf = DomainSpf::for_members(topo, members);
 
         let mut domain = LdpDomain {
             members: members.to_vec(),
@@ -159,6 +158,7 @@ impl LdpDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arest_topo::graph::Topology;
     use arest_topo::ids::AsNumber;
     use arest_topo::vendor::Vendor;
     use std::net::Ipv4Addr;
@@ -197,8 +197,12 @@ mod tests {
     fn php_chain_swaps_then_pops() {
         let (topo, r, prefix) = chain();
         let mut pools = pools(&r);
-        let domain =
-            LdpDomain::build(&topo, &r, &[LdpFec { prefix, egress: r[3] }], &mut pools, true);
+        let domain = LdpDomain::build(
+            &DomainSpf::for_members(&topo, &r),
+            &[LdpFec { prefix, egress: r[3] }],
+            &mut pools,
+            true,
+        );
 
         // Egress advertises implicit NULL.
         assert_eq!(domain.binding(r[3], prefix), Some(None));
@@ -236,8 +240,12 @@ mod tests {
     fn no_php_egress_pops_locally() {
         let (topo, r, prefix) = chain();
         let mut pools = pools(&r);
-        let domain =
-            LdpDomain::build(&topo, &r, &[LdpFec { prefix, egress: r[3] }], &mut pools, false);
+        let domain = LdpDomain::build(
+            &DomainSpf::for_members(&topo, &r),
+            &[LdpFec { prefix, egress: r[3] }],
+            &mut pools,
+            false,
+        );
         let l3 = domain.binding(r[3], prefix).unwrap().unwrap();
         assert_eq!(domain.lfib(r[3]).unwrap().lookup(l3), Some(LfibAction::PopLocal));
         // Penultimate hop now swaps to the egress label instead of popping.
@@ -260,8 +268,7 @@ mod tests {
         let _ = &mut topo;
         let mut pools = pools(&r);
         let domain = LdpDomain::build(
-            &topo,
-            &r,
+            &DomainSpf::for_members(&topo, &r),
             &[LdpFec { prefix, egress: r[3] }, LdpFec { prefix: prefix2, egress: r[3] }],
             &mut pools,
             true,
@@ -278,8 +285,12 @@ mod tests {
         let (topo, r, prefix) = chain();
         let outsider = RouterId(99);
         let mut pools = pools(&r);
-        let domain =
-            LdpDomain::build(&topo, &r, &[LdpFec { prefix, egress: outsider }], &mut pools, true);
+        let domain = LdpDomain::build(
+            &DomainSpf::for_members(&topo, &r),
+            &[LdpFec { prefix, egress: outsider }],
+            &mut pools,
+            true,
+        );
         assert!(domain.binding(r[0], prefix).is_none());
         assert!(domain.ftn(r[0]).unwrap().is_empty());
     }
@@ -296,8 +307,12 @@ mod tests {
         );
         r.push(lonely);
         let mut pools = pools(&r);
-        let domain =
-            LdpDomain::build(&topo, &r, &[LdpFec { prefix, egress: r[3] }], &mut pools, true);
+        let domain = LdpDomain::build(
+            &DomainSpf::for_members(&topo, &r),
+            &[LdpFec { prefix, egress: r[3] }],
+            &mut pools,
+            true,
+        );
         assert!(domain.binding(lonely, prefix).is_none());
         assert!(domain.lfib(lonely).unwrap().is_empty());
     }

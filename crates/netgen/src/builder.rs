@@ -33,6 +33,27 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
+/// The SPFs computed for one AS, one per distinct member set: the
+/// AS-wide IGP first, then any LDP or SR subset. LDP, its SR mirror,
+/// RSVP-TE path selection and the SR domain all follow the same IGP
+/// shortest paths, so a member set is never computed twice.
+struct SpfCache(Vec<DomainSpf>);
+
+impl SpfCache {
+    /// The SPF over exactly `members`, computed on first request.
+    fn over(&mut self, topo: &Topology, members: &[RouterId]) -> DomainSpf {
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if let Some(spf) = self.0.iter().find(|spf| spf.members() == sorted) {
+            return spf.clone();
+        }
+        let spf = DomainSpf::for_members(topo, &sorted);
+        self.0.push(spf.clone());
+        spf
+    }
+}
+
 /// The per-AS plan produced by phase 1.
 #[derive(Debug, Clone)]
 pub struct AsPlan {
@@ -362,8 +383,25 @@ pub fn deploy_as(
         plane.snmp_responsive = rng.random_bool(profile.snmp_rate);
     }
 
-    // IGP oracle + anchored customer prefixes.
-    net.register_igp(plan.asn, DomainSpf::for_as(net.topo(), plan.asn));
+    // IGP oracle + anchored customer prefixes. The plan's routers are
+    // exactly the AS's, so no scan of the whole topology is needed.
+    let registry = arest_obs::global();
+    let igp = {
+        let _timer = registry.timer("netgen.deploy.igp.us");
+        DomainSpf::for_members(net.topo(), &plan.routers)
+    };
+    debug_assert!(
+        {
+            let mut in_as: Vec<RouterId> =
+                net.topo().routers_in_as(plan.asn).map(|r| r.id).collect();
+            in_as.sort_unstable();
+            in_as == igp.members()
+        },
+        "the plan's routers are not exactly the routers of {}",
+        plan.asn
+    );
+    net.register_igp(plan.asn, igp.clone());
+    let mut spfs = SpfCache(vec![igp]);
     for &(prefix, anchor) in &plan.customers {
         net.anchor_prefix(prefix, anchor);
     }
@@ -396,6 +434,8 @@ pub fn deploy_as(
     // ---- Classic LDP domain ----
     let mut vpn_fecs: Vec<(Prefix, RouterId)> = Vec::new();
     if plan.ldp_members.len() >= 2 {
+        let _timer = registry.timer("netgen.deploy.ldp.us");
+        let ldp_spf = spfs.over(net.topo(), &plan.ldp_members);
         let mut fecs: Vec<LdpFec> = Vec::new();
         for &(prefix, anchor) in &plan.customers {
             if ldp_set.contains(&anchor) {
@@ -411,7 +451,7 @@ pub fn deploy_as(
                 fecs.push(LdpFec { prefix, egress });
             }
         }
-        let domain = LdpDomain::build(net.topo(), &plan.ldp_members, &fecs, &mut pools, true);
+        let domain = LdpDomain::build(&ldp_spf, &fecs, &mut pools, true);
 
         // LDP→SR mirroring: LDP routers tunnel toward SR-side customer
         // prefixes, terminating at the junction (RFC 8661). Built
@@ -425,7 +465,7 @@ pub fn deploy_as(
                 .map(|(p, _)| *p)
                 .collect();
             let mirror_fecs = mirrored_ldp_fecs(&sr_side, j);
-            LdpDomain::build(net.topo(), &plan.ldp_members, &mirror_fecs, &mut pools, false)
+            LdpDomain::build(&ldp_spf, &mirror_fecs, &mut pools, false)
         });
 
         // VPN-style inner labels: deep classic stacks (the LSO noise
@@ -492,7 +532,8 @@ pub fn deploy_as(
     // footnote 2). Their traces are indistinguishable from LDP —
     // hop-varying dynamic labels — which is the point.
     if !sr_exists && plan.ldp_members.len() >= 3 {
-        let spf = DomainSpf::for_members(net.topo(), &plan.ldp_members);
+        let _timer = registry.timer("netgen.deploy.rsvp_te.us");
+        let ldp_spf = spfs.over(net.topo(), &plan.ldp_members);
         let head = *plan.ldp_members.first().expect("non-empty");
         let te_fecs: Vec<(Prefix, RouterId)> = plan
             .customers
@@ -502,7 +543,7 @@ pub fn deploy_as(
             .copied()
             .collect();
         for (prefix, anchor) in te_fecs {
-            let Some(path) = spf.tree(head).and_then(|t| t.path(anchor)) else {
+            let Some(path) = ldp_spf.path(head, anchor) else {
                 continue;
             };
             if path.len() < 2 {
@@ -524,6 +565,7 @@ pub fn deploy_as(
 
     // ---- SR-MPLS domain ----
     if sr_exists {
+        let _timer = registry.timer("netgen.deploy.sr.us");
         let srgb = LabelBlock::new(profile.srgb_base, 8_000);
         let srlb = LabelBlock::from_range(15_000, 15_999);
         let mut configs: HashMap<RouterId, SrNodeConfig> = plan
@@ -608,7 +650,8 @@ pub fn deploy_as(
             node_sid_base: 100,
             install_node_ftn: false,
         };
-        let domain = SrDomain::build(net.topo(), &spec, &mut pools);
+        let sr_spf = spfs.over(net.topo(), &plan.sr_members);
+        let domain = SrDomain::build(net.topo(), &spec, &sr_spf, &mut pools);
 
         // TE policies and service SIDs at the SR borders.
         let sr_borders: Vec<RouterId> =

@@ -194,6 +194,9 @@ pub fn generate(config: &GenConfig) -> Internet {
 pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet {
     let registry = arest_obs::global();
     let _timer = registry.timer("netgen.generate.us");
+    // Sub-phase timers (`netgen.phase.*.us`) split the build; each is
+    // dropped where its phase ends.
+    let phase = registry.timer("netgen.phase.plan.us");
     let mut topo = Topology::new();
 
     // ---- Phase 1: AS topologies ----
@@ -212,7 +215,10 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         }
     }
 
+    drop(phase);
+
     // ---- Provider wiring ----
+    let phase = registry.timer("netgen.phase.providers.us");
     // Stubs and content providers buy transit from sizeable
     // transit/Tier-1 ASes; transit ASes peer upward with Tier-1s.
     let provider_pool: Vec<usize> = plans
@@ -258,7 +264,10 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         }
     }
 
+    drop(phase);
+
     // ---- Vantage points ----
+    let phase = registry.timer("netgen.phase.vps.us");
     // Each VP's gateway links to one border of every AS (VP-specific
     // choice, so different VPs enter through different ASBRs).
     let mut vp_alloc = PairAlloc::new(172, 20);
@@ -291,7 +300,10 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         }
     }
 
+    drop(phase);
+
     // ---- Phase 2: planes ----
+    let phase = registry.timer("netgen.phase.deploy.us");
     // The deploy set: every AS for a full run; for a slice, the
     // selected ASes plus their providers. Membership is an idempotent
     // OR, so the provider map's iteration order cannot matter.
@@ -329,7 +341,11 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         ground_truth.ldp_prefixes.extend(deployed.ldp_prefixes);
     }
 
-    // Exit maps + direct border routes for transit.
+    drop(phase);
+
+    // Exit maps + direct border routes for transit, then the VP
+    // gateway FIBs below: all routing state outside the IGP domains.
+    let phase = registry.timer("netgen.phase.exits.us");
     for (ci, provs) in &providers {
         let customer = &plans[*ci];
         for (pi, p_border) in provs {
@@ -395,7 +411,10 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         });
     }
 
+    drop(phase);
+
     // ---- BGP view and ownership ----
+    let phase = registry.timer("netgen.phase.bgp.us");
     let mut routes = Vec::new();
     let mut ownership = Vec::new();
     for (ai, plan) in plans.iter().enumerate() {
@@ -436,6 +455,8 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
             ownership.push((Prefix::host(addr), net.topo().router(iface.router).asn));
         }
     }
+
+    drop(phase);
 
     if registry.is_enabled() {
         // Generation is cold (once per run), so registering here

@@ -230,8 +230,7 @@ impl Network {
             // to link subnets, which is why probing an interface
             // address rides plain IP — the property TNT's revelation
             // techniques (DPR/BRPR) exploit to expose hidden tunnels.
-            let push = plane.ftn.lookup(pkt.ip.dst_addr).cloned();
-            if let Some(push) = push {
+            if let Some(push) = plane.ftn.lookup(pkt.ip.dst_addr) {
                 if !push.labels.is_empty() {
                     let lse_ttl = if plane.ttl_propagate { pkt.ip.ttl } else { 255 };
                     for &label in push.labels.iter().rev() {
@@ -647,8 +646,7 @@ mod tests {
             .map(|&m| (m, DynamicLabelPool::classic(u64::from(m.0) * 13 + 5)))
             .collect();
         let domain = LdpDomain::build(
-            &topo,
-            &members,
+            &DomainSpf::for_members(&topo, &members),
             &[LdpFec { prefix: fec, egress: r[3] }],
             &mut pools,
             php,
@@ -760,7 +758,12 @@ mod tests {
             node_sid_base: 100,
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         let mut net = Network::new(topo);
         install_ip_routes(&mut net, &r);
         let (lfibs, ftns) = domain.into_tables();
@@ -1009,7 +1012,12 @@ mod tests {
             install_node_ftn: false,
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         let tilfa = arest_sr::tilfa::compute_tilfa(&topo, &domain);
 
         let mut net = Network::new(topo);

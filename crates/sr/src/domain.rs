@@ -77,7 +77,9 @@ pub struct SrDomain {
 }
 
 impl SrDomain {
-    /// Builds the converged domain state.
+    /// Builds the converged domain state over `spf`, the IGP shortest
+    /// paths among exactly `spec.members` (shared with any other user
+    /// of the same member set).
     ///
     /// `pools` supplies dynamic labels for adjacency SIDs on members
     /// without an SRLB.
@@ -88,10 +90,15 @@ impl SrDomain {
     pub fn build(
         topo: &Topology,
         spec: &SrDomainSpec,
+        spf: &DomainSpf,
         pools: &mut HashMap<RouterId, DynamicLabelPool>,
     ) -> SrDomain {
         let member_set: HashSet<RouterId> = spec.members.iter().copied().collect();
-        let spf = DomainSpf::for_members(topo, &spec.members);
+        assert!(
+            spf.members().len() == member_set.len()
+                && spf.members().iter().all(|r| member_set.contains(r)),
+            "the SPF must cover exactly the SR members"
+        );
 
         // Automatic node SIDs: loopback /32 prefix SIDs in member order.
         let mut node_index = HashMap::new();
@@ -213,7 +220,7 @@ impl SrDomain {
             adj_sids,
             lfibs,
             ftns,
-            spf,
+            spf: spf.clone(),
             php: spec.php,
         }
     }
@@ -320,7 +327,12 @@ pub(crate) mod tests {
             node_sid_base: 100,
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         (topo, routers, domain)
     }
 
@@ -410,7 +422,12 @@ pub(crate) mod tests {
         };
         let mut pools: HashMap<RouterId, DynamicLabelPool> =
             routers.iter().map(|&r| (r, DynamicLabelPool::sr_aware(u64::from(r.0)))).collect();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
 
         // Node SID of R3 has index 8. R1 sees 16,008; R2 sees 13,008.
         let at_r1 = domain.node_label_at(routers[1], routers[3]).unwrap();
@@ -464,7 +481,12 @@ pub(crate) mod tests {
         };
         let mut pools: HashMap<RouterId, DynamicLabelPool> =
             [a, b].into_iter().map(|r| (r, DynamicLabelPool::sr_aware(u64::from(r.0)))).collect();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         let iface = topo.adjacencies(a).next().unwrap().1;
         let adj = domain.adj_sid(a, iface).unwrap();
         assert!(adj.value() >= arest_mpls::pool::SR_AWARE_POOL_START);
@@ -490,7 +512,12 @@ pub(crate) mod tests {
             node_sid_base: 100,
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         let push = domain.ftn(r[0]).unwrap().lookup(Ipv4Addr::new(203, 0, 113, 42)).unwrap();
         assert_eq!(push.labels, vec![Label::new(16_900).unwrap()]);
     }

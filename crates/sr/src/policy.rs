@@ -174,6 +174,7 @@ mod tests {
     use crate::block::{cisco_srgb, cisco_srlb};
     use crate::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
     use arest_topo::ids::AsNumber;
+    use arest_topo::spf::DomainSpf;
     use arest_topo::vendor::Vendor;
     use std::collections::HashMap;
     use std::net::Ipv4Addr;
@@ -216,7 +217,12 @@ mod tests {
             node_sid_base: 101, // A=101 … H=108, echoing Fig. 3's numbering
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         (topo, routers, domain)
     }
 

@@ -23,7 +23,6 @@ use arest_mpls::tables::PushInstruction;
 use arest_topo::graph::Topology;
 use arest_topo::ids::{IfaceId, RouterId};
 use arest_topo::prefix::Prefix;
-use arest_topo::spf::SpfTree;
 use std::collections::{HashMap, HashSet};
 
 /// Per-domain repair table: `(PLR, protected egress interface)` →
@@ -70,9 +69,9 @@ pub fn compute_tilfa(topo: &Topology, domain: &SrDomain) -> TilfaTable {
             }
             // The post-convergence view: shortest paths without the
             // protected link.
-            let tree =
-                SpfTree::compute_avoiding(topo, plr, |r| member_set.contains(&r), Some(link));
-            let Some(path) = tree.path(neighbour) else {
+            let Some(path) =
+                domain.spf().tree_avoiding(plr, link).and_then(|tree| tree.path(neighbour))
+            else {
                 continue; // cut edge: unprotectable
             };
             // Encode the path as an adjacency-SID chain. The policy
@@ -119,6 +118,7 @@ mod tests {
     use crate::block::{cisco_srgb, cisco_srlb};
     use crate::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
     use arest_topo::ids::AsNumber;
+    use arest_topo::spf::DomainSpf;
     use arest_topo::vendor::Vendor;
     use std::net::Ipv4Addr;
 
@@ -158,7 +158,12 @@ mod tests {
             install_node_ftn: true,
         };
         let mut pools = std::collections::HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         (topo, r, domain)
     }
 
@@ -235,7 +240,12 @@ mod tests {
             install_node_ftn: true,
         };
         let mut pools = std::collections::HashMap::new();
-        let domain = SrDomain::build(&topo, &spec, &mut pools);
+        let domain = SrDomain::build(
+            &topo,
+            &spec,
+            &DomainSpf::for_members(&topo, &spec.members),
+            &mut pools,
+        );
         let table = compute_tilfa(&topo, &domain);
         assert!(table.is_empty(), "chains have only cut edges");
     }

@@ -2,37 +2,270 @@
 //!
 //! Both IS-IS and OSPF reduce, for this reproduction's purposes, to
 //! "every router knows the shortest path to every other router in its
-//! domain". [`SpfTree`] computes that from one source; [`DomainSpf`]
-//! caches a tree per router so the data plane can ask "next hop from
-//! *here* toward X" in O(1).
+//! domain". [`DomainSpf`] computes that for every member of a domain
+//! so the data plane can ask "next hop from *here* toward X" in O(1);
+//! [`SpfTree`] is the single-source form.
 //!
 //! Ties are broken deterministically (lowest predecessor router id)
-//! for the *primary* next hop, and all equal-cost first hops are
-//! retained ([`SpfTree::next_hops`]) so the data plane can do ECMP:
-//! per-flow hashing over that set is exactly the load-balancing
+//! for the *primary* next hop, and up to [`MAX_ECMP`] equal-cost first
+//! hops are retained ([`SpfTree::next_hops`]) so the data plane can do
+//! ECMP: per-flow hashing over that set is exactly the load-balancing
 //! behaviour Paris traceroute's flow-stable probing exists to tame.
+//!
+//! # Representation
+//!
+//! A domain's members are sorted by [`RouterId`] into dense *slots*,
+//! and their in-domain adjacencies are laid out once as a CSR list
+//! (per-slot offsets into one flat edge array, each router's edges in
+//! [`Topology::adjacencies`] order). Every (source, destination) pair
+//! is one 16-byte cell: distance, predecessor slot, and the ECMP set
+//! as up to four 16-bit indices into the *source's* edge list. The
+//! Dijkstra inner loop therefore neither hashes nor allocates, and
+//! because slot order is `RouterId` order, the heap's `(dist, slot)`
+//! order and the predecessor tie-break are exactly those of a
+//! `(dist, RouterId)` formulation.
 
 use crate::graph::Topology;
-use crate::ids::{AsNumber, IfaceId, RouterId};
+use crate::ids::{AsNumber, IfaceId, LinkId, RouterId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Cap on retained equal-cost first hops per destination (real
 /// routers bound their ECMP fan-out similarly).
-const MAX_ECMP: usize = 4;
+pub const MAX_ECMP: usize = 4;
+
+/// "No slot": an unset predecessor, or a router outside the domain.
+const NONE: u32 = u32::MAX;
+/// An unused entry of a cell's ECMP set.
+const NO_HOP: u16 = u16::MAX;
+
+/// One in-domain adjacency in the CSR edge array.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    link: LinkId,
+    iface: IfaceId,
+    to: u32,
+    cost: u32,
+}
+
+/// A domain's members in slots plus its CSR adjacency list — built
+/// once per domain, shared by every source's Dijkstra.
+#[derive(Debug)]
+struct Graph {
+    /// Members sorted by id; a member's index is its slot.
+    members: Vec<RouterId>,
+    /// `slot_of[id - base]` is the slot of router `id`, or [`NONE`].
+    base: u32,
+    slot_of: Vec<u32>,
+    /// Slot `s`'s edges are `edges[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Graph {
+    /// Snapshots the live adjacencies among `members` (duplicates and
+    /// order are irrelevant).
+    ///
+    /// # Panics
+    /// Panics if a router has 65,535 or more in-domain adjacencies:
+    /// ECMP sets index a source's edges with 16 bits.
+    fn new(topo: &Topology, mut members: Vec<RouterId>) -> Graph {
+        members.sort_unstable();
+        members.dedup();
+        let base = members.first().map_or(0, |r| r.0);
+        let span = members.last().map_or(0, |r| (r.0 - base) as usize + 1);
+        let mut slot_of = vec![NONE; span];
+        for (slot, r) in members.iter().enumerate() {
+            slot_of[(r.0 - base) as usize] = slot as u32;
+        }
+        let mut graph = Graph { members, base, slot_of, offsets: vec![0], edges: Vec::new() };
+        for &u in &graph.members {
+            let start = graph.edges.len();
+            for (link, iface, _, v, cost) in topo.adjacencies(u) {
+                if let Some(to) = graph.slot(v) {
+                    graph.edges.push(Edge { link, iface, to, cost });
+                }
+            }
+            let degree = graph.edges.len() - start;
+            assert!(degree < usize::from(NO_HOP), "{u} has {degree} in-domain adjacencies");
+            graph.offsets.push(graph.edges.len() as u32);
+        }
+        graph
+    }
+
+    fn slot(&self, r: RouterId) -> Option<u32> {
+        let i = r.0.checked_sub(self.base)? as usize;
+        self.slot_of.get(i).copied().filter(|&s| s != NONE)
+    }
+
+    fn out_edges(&self, slot: u32) -> &[Edge] {
+        let s = slot as usize;
+        &self.edges[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+}
+
+/// One (source, destination) entry of a shortest-path tree.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    dist: u32,
+    /// Slot of the primary predecessor; [`NONE`] when unreached (and
+    /// at the source itself).
+    pred: u32,
+    /// Equal-cost first hops as indices into the source's edges,
+    /// primary first, [`NO_HOP`]-padded.
+    hops: [u16; MAX_ECMP],
+}
+
+const UNREACHED: Cell = Cell { dist: u32::MAX, pred: NONE, hops: [NO_HOP; MAX_ECMP] };
+
+/// Runs Dijkstra from slot `src` into `row` (one cell per slot, all
+/// [`UNREACHED`] on entry), skipping `avoid`. `heap` is scratch space
+/// reused across sources.
+fn dijkstra(
+    graph: &Graph,
+    src: u32,
+    avoid: Option<LinkId>,
+    row: &mut [Cell],
+    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
+) {
+    row[src as usize].dist = 0;
+    heap.clear();
+    heap.push(Reverse((0, src)));
+
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if row[u as usize].dist != d {
+            continue; // stale heap entry
+        }
+        let via_u = row[u as usize].hops;
+        for (k, e) in graph.out_edges(u).iter().enumerate() {
+            // Nothing improves on the source, and a zero-cost link
+            // back into it must not grow an ECMP set there.
+            if e.to == src || Some(e.link) == avoid {
+                continue;
+            }
+            let first_hops = if u == src {
+                let mut own = [NO_HOP; MAX_ECMP];
+                own[0] = k as u16;
+                own
+            } else {
+                via_u
+            };
+            let nd = d.saturating_add(e.cost);
+            let cell = &mut row[e.to as usize];
+            if cell.pred == NONE || nd < cell.dist {
+                *cell = Cell { dist: nd, pred: u, hops: first_hops };
+                heap.push(Reverse((nd, e.to)));
+            } else if nd == cell.dist {
+                // Equal cost: merge the first-hop sets (ECMP) and keep
+                // the primary deterministic by preferring the smaller
+                // predecessor. A zero-cost tie may come from a router
+                // settled after (and through) the one it reaches;
+                // adopting it could close a predecessor cycle, so only
+                // positive-cost ties move the primary.
+                if u < cell.pred && e.cost > 0 {
+                    cell.pred = u;
+                    cell.hops = merge_hops(first_hops, cell.hops);
+                } else {
+                    cell.hops = merge_hops(cell.hops, first_hops);
+                }
+            }
+        }
+    }
+}
+
+/// `first` then `then`, deduplicated keeping first occurrences and
+/// capped at [`MAX_ECMP`].
+fn merge_hops(first: [u16; MAX_ECMP], then: [u16; MAX_ECMP]) -> [u16; MAX_ECMP] {
+    let mut out = [NO_HOP; MAX_ECMP];
+    let mut len = 0;
+    for hop in first.into_iter().chain(then).filter(|&h| h != NO_HOP) {
+        if len == MAX_ECMP {
+            break;
+        }
+        if !out[..len].contains(&hop) {
+            out[len] = hop;
+            len += 1;
+        }
+    }
+    out
+}
+
+/// The equal-cost first hops `(egress interface, neighbour)` toward one
+/// destination, primary first — an inline set of at most [`MAX_ECMP`]
+/// entries that dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NextHops {
+    len: usize,
+    hops: [(IfaceId, RouterId); MAX_ECMP],
+}
+
+impl NextHops {
+    const EMPTY: NextHops = NextHops { len: 0, hops: [(IfaceId(0), RouterId(0)); MAX_ECMP] };
+}
+
+impl Deref for NextHops {
+    type Target = [(IfaceId, RouterId)];
+
+    fn deref(&self) -> &[(IfaceId, RouterId)] {
+        &self.hops[..self.len]
+    }
+}
+
+/// Read access to one source's row of cells.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    graph: &'a Graph,
+    src: u32,
+    cells: &'a [Cell],
+}
+
+impl Row<'_> {
+    /// The reached cell of `dst`, with its slot.
+    fn cell(&self, dst: RouterId) -> Option<(u32, &Cell)> {
+        let slot = self.graph.slot(dst)?;
+        let cell = &self.cells[slot as usize];
+        (slot == self.src || cell.pred != NONE).then_some((slot, cell))
+    }
+
+    fn distance(&self, dst: RouterId) -> Option<u32> {
+        self.cell(dst).map(|(_, c)| c.dist)
+    }
+
+    fn next_hops(&self, dst: RouterId) -> NextHops {
+        let mut out = NextHops::EMPTY;
+        if let Some((_, cell)) = self.cell(dst) {
+            let edges = self.graph.out_edges(self.src);
+            for &k in cell.hops.iter().take_while(|&&k| k != NO_HOP) {
+                let e = edges[usize::from(k)];
+                out.hops[out.len] = (e.iface, self.graph.members[e.to as usize]);
+                out.len += 1;
+            }
+        }
+        out
+    }
+
+    fn path(&self, dst: RouterId) -> Option<Vec<RouterId>> {
+        let (mut cur, _) = self.cell(dst)?;
+        let mut path = vec![dst];
+        while cur != self.src {
+            cur = self.cells[cur as usize].pred;
+            path.push(self.graph.members[cur as usize]);
+        }
+        path.reverse();
+        Some(path)
+    }
+}
 
 /// The shortest-path tree rooted at one router.
 #[derive(Debug, Clone)]
 pub struct SpfTree {
     /// The root of the tree.
     pub source: RouterId,
-    dist: HashMap<RouterId, u32>,
-    /// For each reachable router: every equal-cost first hop from the
-    /// source (egress interface + neighbour), deterministically
-    /// ordered; index 0 is the primary.
-    next: HashMap<RouterId, Vec<(IfaceId, RouterId)>>,
-    /// Immediate predecessor on the primary shortest path.
-    pred: HashMap<RouterId, RouterId>,
+    graph: Arc<Graph>,
+    src: u32,
+    cells: Vec<Cell>,
 }
 
 impl SpfTree {
@@ -43,128 +276,59 @@ impl SpfTree {
         source: RouterId,
         in_domain: impl Fn(RouterId) -> bool,
     ) -> SpfTree {
-        SpfTree::compute_avoiding(topo, source, in_domain, None)
+        // The source always gets a slot; edges into it are never
+        // relaxed, so it need not satisfy `in_domain` itself.
+        let members =
+            topo.routers().map(|r| r.id).filter(|&r| in_domain(r) || r == source).collect();
+        SpfTree::over(Arc::new(Graph::new(topo, members)), source, None)
     }
 
-    /// Like [`SpfTree::compute`], additionally excluding one link —
-    /// the post-convergence view TI-LFA repair paths are built from.
-    pub fn compute_avoiding(
-        topo: &Topology,
-        source: RouterId,
-        in_domain: impl Fn(RouterId) -> bool,
-        avoid: Option<crate::ids::LinkId>,
-    ) -> SpfTree {
-        let mut dist: HashMap<RouterId, u32> = HashMap::new();
-        let mut next: HashMap<RouterId, Vec<(IfaceId, RouterId)>> = HashMap::new();
-        let mut pred: HashMap<RouterId, RouterId> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(u32, RouterId)>> = BinaryHeap::new();
+    fn over(graph: Arc<Graph>, source: RouterId, avoid: Option<LinkId>) -> SpfTree {
+        let src = graph.slot(source).expect("the source is a domain member");
+        let mut cells = vec![UNREACHED; graph.members.len()];
+        dijkstra(&graph, src, avoid, &mut cells, &mut BinaryHeap::new());
+        SpfTree { source, graph, src, cells }
+    }
 
-        dist.insert(source, 0);
-        heap.push(Reverse((0, source)));
-
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if dist.get(&u).copied() != Some(d) {
-                continue; // stale heap entry
-            }
-            for (link, local_if, _, v, cost) in topo.adjacencies(u) {
-                if !in_domain(v) || Some(link) == avoid {
-                    continue;
-                }
-                let nd = d.saturating_add(cost);
-                let first_hops_via_u =
-                    if u == source { vec![(local_if, v)] } else { next[&u].clone() };
-                match dist.get(&v) {
-                    None => {
-                        dist.insert(v, nd);
-                        pred.insert(v, u);
-                        next.insert(v, first_hops_via_u);
-                        heap.push(Reverse((nd, v)));
-                    }
-                    Some(&old) if nd < old => {
-                        dist.insert(v, nd);
-                        pred.insert(v, u);
-                        next.insert(v, first_hops_via_u);
-                        heap.push(Reverse((nd, v)));
-                    }
-                    Some(&old) if nd == old => {
-                        // Equal cost: merge the first-hop sets (ECMP)
-                        // and keep the primary deterministic by
-                        // preferring the smaller predecessor id.
-                        if pred.get(&v).is_some_and(|&p| u < p) {
-                            pred.insert(v, u);
-                            let mut merged = first_hops_via_u;
-                            merged.extend(next[&v].iter().copied());
-                            dedup_hops(&mut merged);
-                            next.insert(v, merged);
-                        } else {
-                            let hops = next.get_mut(&v).expect("set on first visit");
-                            hops.extend(first_hops_via_u);
-                            dedup_hops(hops);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        SpfTree { source, dist, next, pred }
+    fn row(&self) -> Row<'_> {
+        Row { graph: &self.graph, src: self.src, cells: &self.cells }
     }
 
     /// IGP distance to `dst`, if reachable.
     pub fn distance(&self, dst: RouterId) -> Option<u32> {
-        self.dist.get(&dst).copied()
+        self.row().distance(dst)
     }
 
     /// The primary first hop from the source toward `dst` (control
     /// planes install this one). `None` when unreachable or
     /// `dst == source`.
     pub fn next_hop(&self, dst: RouterId) -> Option<(IfaceId, RouterId)> {
-        self.next.get(&dst).and_then(|hops| hops.first().copied())
+        self.row().next_hops(dst).first().copied()
     }
 
     /// All equal-cost first hops toward `dst`, primary first. The data
     /// plane hashes a flow over this set (ECMP).
-    pub fn next_hops(&self, dst: RouterId) -> &[(IfaceId, RouterId)] {
-        self.next.get(&dst).map_or(&[], Vec::as_slice)
+    pub fn next_hops(&self, dst: RouterId) -> NextHops {
+        self.row().next_hops(dst)
     }
 
     /// The full router path `source..=dst`, or `None` if unreachable.
     pub fn path(&self, dst: RouterId) -> Option<Vec<RouterId>> {
-        if dst == self.source {
-            return Some(vec![dst]);
-        }
-        self.dist.get(&dst)?;
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != self.source {
-            cur = *self.pred.get(&cur)?;
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Routers reachable from the source (including itself).
-    pub fn reachable(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.dist.keys().copied()
+        self.row().path(dst)
     }
 }
 
-/// Order-preserving dedup with the ECMP fan-out cap.
-fn dedup_hops(hops: &mut Vec<(IfaceId, RouterId)>) {
-    let mut seen = std::collections::HashSet::new();
-    hops.retain(|hop| seen.insert(*hop));
-    hops.truncate(MAX_ECMP);
-}
-
-/// Per-domain all-sources SPF cache.
+/// Per-domain all-sources SPF.
 ///
-/// A "domain" is the set of routers sharing one IGP — in this
-/// reproduction, one AS (plus, for SR, the subset that is SR-capable
-/// is filtered at the control-plane layer, not here).
+/// A "domain" is the set of routers sharing one IGP — one AS, or the
+/// LDP- or SR-capable subset of one. Cloning is cheap (the tables are
+/// shared), so one computation can serve the simulator's IGP oracle
+/// and every control plane built over the same member set.
 #[derive(Debug, Clone)]
 pub struct DomainSpf {
-    trees: HashMap<RouterId, SpfTree>,
+    graph: Arc<Graph>,
+    /// `n × n` cells, row-major by source slot.
+    cells: Arc<Vec<Cell>>,
 }
 
 impl DomainSpf {
@@ -180,34 +344,61 @@ impl DomainSpf {
         // SPF recomputation is the IGP-convergence cost of the control
         // plane — cold, so inline registration is fine.
         let registry = arest_obs::global();
+        let graph = Graph::new(topo, members.to_vec());
+        let n = graph.members.len();
         if registry.is_enabled() {
             registry.counter("topo.spf.domains").inc();
-            registry.counter("topo.spf.trees").add(members.len() as u64);
+            registry.counter("topo.spf.trees").add(n as u64);
         }
-        let set: std::collections::HashSet<RouterId> = members.iter().copied().collect();
-        let trees =
-            members.iter().map(|&r| (r, SpfTree::compute(topo, r, |x| set.contains(&x)))).collect();
-        DomainSpf { trees }
+        let mut cells = vec![UNREACHED; n * n];
+        let mut heap = BinaryHeap::new();
+        if n > 0 {
+            for (src, row) in cells.chunks_exact_mut(n).enumerate() {
+                dijkstra(&graph, src as u32, None, row, &mut heap);
+            }
+        }
+        DomainSpf { graph: Arc::new(graph), cells: Arc::new(cells) }
     }
 
-    /// The SPF tree rooted at `router`, if it belongs to the domain.
-    pub fn tree(&self, router: RouterId) -> Option<&SpfTree> {
-        self.trees.get(&router)
+    /// The domain's members, sorted by id.
+    pub fn members(&self) -> &[RouterId] {
+        &self.graph.members
+    }
+
+    fn row(&self, from: RouterId) -> Option<Row<'_>> {
+        let src = self.graph.slot(from)?;
+        let n = self.graph.members.len();
+        let start = src as usize * n;
+        Some(Row { graph: &self.graph, src, cells: &self.cells[start..start + n] })
     }
 
     /// Primary next hop from `from` toward `to` within the domain.
     pub fn next_hop(&self, from: RouterId, to: RouterId) -> Option<(IfaceId, RouterId)> {
-        self.trees.get(&from)?.next_hop(to)
+        self.next_hops(from, to).first().copied()
     }
 
     /// All equal-cost next hops from `from` toward `to` (ECMP set).
-    pub fn next_hops(&self, from: RouterId, to: RouterId) -> &[(IfaceId, RouterId)] {
-        self.trees.get(&from).map_or(&[], |t| t.next_hops(to))
+    pub fn next_hops(&self, from: RouterId, to: RouterId) -> NextHops {
+        self.row(from).map_or(NextHops::EMPTY, |row| row.next_hops(to))
     }
 
     /// IGP distance between two domain routers.
     pub fn distance(&self, from: RouterId, to: RouterId) -> Option<u32> {
-        self.trees.get(&from)?.distance(to)
+        self.row(from)?.distance(to)
+    }
+
+    /// The primary router path `from..=to` within the domain.
+    pub fn path(&self, from: RouterId, to: RouterId) -> Option<Vec<RouterId>> {
+        self.row(from)?.path(to)
+    }
+
+    /// The tree from `source` with `link` excluded — the
+    /// post-convergence view TI-LFA repair paths are built from — over
+    /// the adjacencies this domain was computed on. `None` when
+    /// `source` is not a member.
+    pub fn tree_avoiding(&self, source: RouterId, link: LinkId) -> Option<SpfTree> {
+        self.graph.slot(source)?;
+        Some(SpfTree::over(Arc::clone(&self.graph), source, Some(link)))
     }
 }
 
@@ -308,8 +499,9 @@ mod tests {
         let members = [r[0], r[1]];
         let spf = DomainSpf::for_members(&topo, &members);
         assert_eq!(spf.distance(r[0], r[1]), Some(1));
-        assert_eq!(spf.tree(r[0]).unwrap().distance(r[3]), None);
-        assert!(spf.tree(r[3]).is_none());
+        assert_eq!(spf.distance(r[0], r[3]), None);
+        assert_eq!(spf.distance(r[3], r[3]), None, "D has no tree");
+        assert_eq!(spf.members(), &members);
     }
 
     #[test]
@@ -322,6 +514,52 @@ mod tests {
         let tree = SpfTree::compute(&topo, r[3], |_| true);
         assert_eq!(tree.distance(r[4]), Some(3), "D-F-G-E after failure");
         assert_eq!(tree.path(r[4]).unwrap(), vec![r[3], r[5], r[6], r[4]]);
+    }
+
+    #[test]
+    fn tree_avoiding_matches_a_recompute_without_the_link() {
+        let (mut topo, r) = fig3_topology();
+        let spf = DomainSpf::for_as(&topo, AsNumber(65_001));
+        let repaired = spf.tree_avoiding(r[3], crate::ids::LinkId(3)).unwrap();
+        topo.set_link_up(crate::ids::LinkId(3), false);
+        let recomputed = SpfTree::compute(&topo, r[3], |_| true);
+        for &dst in &r {
+            assert_eq!(repaired.distance(dst), recomputed.distance(dst));
+            assert_eq!(repaired.next_hops(dst), recomputed.next_hops(dst));
+            assert_eq!(repaired.path(dst), recomputed.path(dst));
+        }
+        assert!(spf.tree_avoiding(RouterId(99), crate::ids::LinkId(3)).is_none());
+    }
+
+    #[test]
+    fn zero_cost_link_back_into_the_source_is_ignored() {
+        // A -0- B -1- C: B sits at distance 0 from A, so relaxing B's
+        // link back into A ties A's own distance. The source has no
+        // first hops to merge into; the relaxation must be skipped.
+        // From C, A's zero-cost link back into B ties B's distance
+        // with a smaller predecessor; taking it would make A and B
+        // each other's predecessor.
+        let mut topo = Topology::new();
+        let asn = AsNumber(65_003);
+        let r: Vec<RouterId> = (0..3)
+            .map(|i| {
+                topo.add_router(
+                    format!("z{i}"),
+                    asn,
+                    Vendor::Cisco,
+                    Ipv4Addr::new(10, 253, 1, i + 1),
+                )
+            })
+            .collect();
+        topo.add_link(r[0], Ipv4Addr::new(10, 253, 2, 1), r[1], Ipv4Addr::new(10, 253, 2, 2), 0);
+        topo.add_link(r[1], Ipv4Addr::new(10, 253, 3, 1), r[2], Ipv4Addr::new(10, 253, 3, 2), 1);
+        let spf = DomainSpf::for_as(&topo, asn);
+        assert_eq!(spf.distance(r[0], r[0]), Some(0));
+        assert!(spf.next_hops(r[0], r[0]).is_empty());
+        assert_eq!(spf.distance(r[0], r[1]), Some(0));
+        assert_eq!(spf.distance(r[0], r[2]), Some(1));
+        assert_eq!(spf.path(r[0], r[2]), Some(vec![r[0], r[1], r[2]]));
+        assert_eq!(spf.path(r[2], r[0]), Some(vec![r[2], r[1], r[0]]));
     }
 
     #[test]

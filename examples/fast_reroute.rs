@@ -90,7 +90,8 @@ fn converge(topo: Topology, routers: &[RouterId], customer: Prefix) -> Network {
         install_node_ftn: true,
     };
     let mut pools: HashMap<RouterId, DynamicLabelPool> = HashMap::new();
-    let domain = SrDomain::build(&topo, &spec, &mut pools);
+    let domain =
+        SrDomain::build(&topo, &spec, &DomainSpf::for_members(&topo, &spec.members), &mut pools);
     let mut net = Network::new(topo);
     net.register_igp(ASN, DomainSpf::for_as(net.topo(), ASN));
     net.anchor_prefix(customer, egress);
@@ -173,7 +174,12 @@ fn main() {
             install_node_ftn: true,
         };
         let mut pools = HashMap::new();
-        let domain = SrDomain::build(net.topo(), &spec, &mut pools);
+        let domain = SrDomain::build(
+            net.topo(),
+            &spec,
+            &DomainSpf::for_members(net.topo(), &spec.members),
+            &mut pools,
+        );
         let tilfa = arest_suite::sr::tilfa::compute_tilfa(net.topo(), &domain);
         for ((plr, protected), repair) in tilfa.iter() {
             net.plane_mut(*plr).install_protection(*protected, repair.clone());

@@ -63,7 +63,8 @@ fn main() {
         install_node_ftn: true,
     };
     let mut pools: HashMap<RouterId, DynamicLabelPool> = HashMap::new();
-    let domain = SrDomain::build(&topo, &spec, &mut pools);
+    let domain =
+        SrDomain::build(&topo, &spec, &DomainSpf::for_members(&topo, &spec.members), &mut pools);
 
     // ---- 3. Wire the control plane into the simulator ----
     let mut net = Network::new(topo);

@@ -85,9 +85,13 @@ fn build(n: usize, chords: &[(usize, usize)], php: bool) -> (Network, Vec<Router
             (r, DynamicLabelPool::new(floor, floor + 999, u64::from(r.0) * 17 + 5))
         })
         .collect();
-    let (lfibs, ftns) =
-        LdpDomain::build(&topo, &members, &[LdpFec { prefix: customer, egress }], &mut pools, php)
-            .into_tables();
+    let (lfibs, ftns) = LdpDomain::build(
+        &DomainSpf::for_members(&topo, &members),
+        &[LdpFec { prefix: customer, egress }],
+        &mut pools,
+        php,
+    )
+    .into_tables();
 
     let mut net = Network::new(topo);
     net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));

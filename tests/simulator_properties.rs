@@ -65,8 +65,7 @@ fn build(
         Plane::Ip => None,
         Plane::Ldp { php } => Some(
             LdpDomain::build(
-                &topo,
-                &members,
+                &DomainSpf::for_members(&topo, &members),
                 &[LdpFec { prefix: customer, egress }],
                 &mut pools,
                 php,
@@ -89,7 +88,15 @@ fn build(
                 node_sid_base: 100,
                 install_node_ftn: false,
             };
-            Some(SrDomain::build(&topo, &spec, &mut pools).into_tables())
+            Some(
+                SrDomain::build(
+                    &topo,
+                    &spec,
+                    &DomainSpf::for_members(&topo, &spec.members),
+                    &mut pools,
+                )
+                .into_tables(),
+            )
         }
     };
 

@@ -39,8 +39,7 @@ fn ldp_testbed() -> (Network, Vec<RouterId>, Ipv4Addr) {
     let mut pools: HashMap<RouterId, DynamicLabelPool> =
         members.iter().map(|&r| (r, DynamicLabelPool::classic(u64::from(r.0)))).collect();
     let domain = LdpDomain::build(
-        &topo,
-        &members,
+        &DomainSpf::for_members(&topo, &members),
         &[LdpFec { prefix: customer, egress: *routers.last().unwrap() }],
         &mut pools,
         false, // no PHP: every LSR quotes
