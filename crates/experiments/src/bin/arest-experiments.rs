@@ -22,7 +22,9 @@
 //!                    detect path instead of the columnar arena
 //!   --stream         print one progress row per finished AS, in
 //!                    completion order, while the catalog builds
-//!   --out <dir>      also write each report to <dir>/<id>.txt
+//!   --out <dir>      also write each report to <dir>/<id>.txt; the
+//!                    bench modes write their BENCH_*.json there
+//!                    (default: the working directory)
 //!   --obs            enable observability (same as AREST_OBS=1)
 //!   --trace-out <dir> write span-trace artifacts into <dir>
 //!                    (implies --obs)
@@ -192,11 +194,11 @@ fn main() {
         return;
     }
     if ids.iter().any(|i| i == "bench-ledger") {
-        bench_ledger(config, ledger_dir.as_deref());
+        bench_ledger(config, ledger_dir.as_deref(), out_dir.as_deref());
         return;
     }
     if ids.iter().any(|i| i == "bench-incremental") {
-        bench_incremental(config);
+        bench_incremental(config, out_dir.as_deref());
         return;
     }
     if ids.iter().any(|i| i == "serve") {
@@ -205,11 +207,11 @@ fn main() {
         return;
     }
     if ids.iter().any(|i| i == "bench-serve") {
-        bench_serve(config, &listen, clients, requests, ledger_dir.as_deref());
+        bench_serve(config, &listen, clients, requests, ledger_dir.as_deref(), out_dir.as_deref());
         return;
     }
     if ids.iter().any(|i| i == "bench-pipeline") {
-        let dataset = bench_pipeline(config);
+        let dataset = bench_pipeline(config, out_dir.as_deref());
         if let Some(dir) = &ledger_dir {
             commit_to_ledger(dir, &dataset, &config, out_dir.as_deref());
         }
@@ -444,7 +446,7 @@ fn diff_runs(dir: &str, a: u64, b: u64, out_dir: Option<&str>) {
 /// `bench-ledger` mode: builds one dataset, then times commit, load,
 /// and diff against a ledger directory (`--ledger`, or a throwaway
 /// under the system temp dir) and writes `BENCH_ledger.json`.
-fn bench_ledger(config: PipelineConfig, ledger_dir: Option<&str>) {
+fn bench_ledger(config: PipelineConfig, ledger_dir: Option<&str>, out_dir: Option<&str>) {
     eprintln!(
         "building dataset (scale {}, {} VPs, {} targets/AS, seed {})…",
         config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
@@ -511,8 +513,7 @@ fn bench_ledger(config: PipelineConfig, ledger_dir: Option<&str>) {
     json.push_str(&format!("  \"load_us\": {},\n", stanza(&mut load_us)));
     json.push_str(&format!("  \"diff_us\": {}\n", stanza(&mut diff_us)));
     json.push_str("}\n");
-    std::fs::write("BENCH_ledger.json", &json).expect("write BENCH_ledger.json");
-    eprintln!("wrote BENCH_ledger.json");
+    write_bench(out_dir, "BENCH_ledger.json", &json);
 
     if cleanup {
         let _ = std::fs::remove_dir_all(&scratch);
@@ -524,7 +525,7 @@ fn bench_ledger(config: PipelineConfig, ledger_dir: Option<&str>) {
 /// base and writes the cost-vs-slice-fraction curve as
 /// `BENCH_incremental.json`. The 100% slice doubles as an identity
 /// check: its merged payload digest must equal the full rebuild's.
-fn bench_incremental(mut config: PipelineConfig) {
+fn bench_incremental(mut config: PipelineConfig, out_dir: Option<&str>) {
     config.reprobe = SliceSpec::Full;
     config.base_serial = None;
     // The curve measures the *marginal* cost of re-probing a slice, so
@@ -604,8 +605,7 @@ fn bench_incremental(mut config: PipelineConfig) {
     json.push_str("  \"slices\": [\n");
     json.push_str(&rows.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_incremental.json", &json).expect("write BENCH_incremental.json");
-    eprintln!("wrote BENCH_incremental.json");
+    write_bench(out_dir, "BENCH_incremental.json", &json);
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
@@ -702,6 +702,7 @@ fn bench_serve(
     clients: usize,
     requests: usize,
     ledger_dir: Option<&str>,
+    out_dir: Option<&str>,
 ) {
     eprintln!(
         "building dataset (scale {}, {} VPs, {} targets/AS, seed {})…",
@@ -807,8 +808,18 @@ fn bench_serve(
         ));
     }
     json.push_str("  }\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    eprintln!("wrote BENCH_serve.json");
+    write_bench(out_dir, "BENCH_serve.json", &json);
+}
+
+/// Writes one bench report into `out_dir` (or the working directory),
+/// so a smoke run pointed at a scratch `--out` never overwrites the
+/// committed numbers.
+fn write_bench(out_dir: Option<&str>, name: &str, json: &str) {
+    let dir = out_dir.unwrap_or(".");
+    std::fs::create_dir_all(dir).expect("create output dir");
+    let path = format!("{dir}/{name}");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 /// Drains the span ring buffer and writes the `--trace-out` artifacts:
@@ -861,7 +872,7 @@ fn write_run_report(out_dir: Option<&str>) {
 /// printing per-phase timings and writing `BENCH_pipeline.json`.
 /// Returns the last dataset built, so `--trace-out` can render its
 /// detection provenance.
-fn bench_pipeline(config: PipelineConfig) -> Dataset {
+fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
     let parallel_workers = config.workers.unwrap_or_else(arest_tnt::pool::worker_count).max(1);
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
@@ -1001,8 +1012,7 @@ fn bench_pipeline(config: PipelineConfig) -> Dataset {
         json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    eprintln!("wrote BENCH_pipeline.json");
+    write_bench(out_dir, "BENCH_pipeline.json", &json);
     last_dataset.expect("bench-pipeline always builds at least once")
 }
 

@@ -12,10 +12,12 @@
 //! `docs/API.md` and its replay test depend on that.
 
 use crate::pipeline::{AsResult, Dataset};
-use arest_serve::store::{AddrRecord, AsSummary, Detection, ProvenanceInfo, SummaryInfo};
+use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
+use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
 use arest_serve::{FlagCounts, Store};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// How a catalog confirmation source serves (lower-case, the survey
 /// §3 vocabulary).
@@ -52,12 +54,14 @@ fn as_summary(dataset: &Dataset, result: &AsResult) -> AsSummary {
 }
 
 /// Every detection of one AS, attached to each address its segment
-/// covers. Traces and segments are walked in stored (deterministic)
-/// order, so each address's detection list is reproducible.
+/// covers: one shared record per segment, cloned as an `Arc` into
+/// every covered address. Traces and segments are walked in stored
+/// (deterministic) order, so each address's detection list is
+/// reproducible.
 fn attach_detections(result: &AsResult, records: &mut BTreeMap<Ipv4Addr, AddrRecord>) {
     for (trace, segments) in result.detections() {
         for segment in segments {
-            let provenance = ProvenanceInfo {
+            let provenance = ProvenanceRecord {
                 trigger_hop: segment.provenance.trigger_hop as u64,
                 run_len: segment.provenance.run_len as u64,
                 distinct_addrs: segment.provenance.distinct_addrs as u64,
@@ -68,7 +72,7 @@ fn attach_detections(result: &AsResult, records: &mut BTreeMap<Ipv4Addr, AddrRec
                 suffix_matched: segment.provenance.suffix_matched,
                 chain: segment.provenance.chain(),
             };
-            let detection = Detection {
+            let detection = Arc::new(DetectionRecord {
                 asn: result.asn.0,
                 vp: trace.vp.to_string(),
                 dst: trace.dst.to_string(),
@@ -79,11 +83,11 @@ fn attach_detections(result: &AsResult, records: &mut BTreeMap<Ipv4Addr, AddrRec
                 label: segment.label.value(),
                 suffix_based: segment.suffix_based,
                 provenance,
-            };
+            });
             for hop in &trace.hops[segment.start..=segment.end] {
                 let Some(addr) = hop.addr else { continue };
                 if let Some(record) = records.get_mut(&addr) {
-                    record.detections.push(detection.clone());
+                    record.detections.push(Arc::clone(&detection));
                 }
             }
         }

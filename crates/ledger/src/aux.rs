@@ -51,9 +51,14 @@ pub const AUX_VERSION: u16 = 1;
 /// Fixed sidecar header size in bytes.
 pub const AUX_HEADER_LEN: usize = 36;
 
-/// Structural ceiling on list lengths — far above any real campaign,
-/// low enough that a corrupted count cannot drive a huge allocation.
-const MAX_ENTRIES: usize = 1 << 24;
+/// Minimum encoded sizes of one list entry, in bytes: a carried ASN
+/// is one varint; a raw-trace pair two; a cache entry an address plus
+/// its `has_ttl` byte. [`Reader::entries`] bounds each count by the
+/// bytes left over its entry's minimum size, so no count can pre-size
+/// a list beyond what the payload could actually hold.
+const MIN_CARRIED_BYTES: usize = 1;
+const MIN_RAW_TRACE_BYTES: usize = 2;
+const MIN_CACHE_BYTES: usize = 5;
 
 /// Carry-forward metadata for one committed serial.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -109,21 +114,21 @@ fn encode_aux_payload(aux: &AuxRecord) -> Vec<u8> {
 fn decode_aux_payload(payload: &[u8]) -> LedgerResult<AuxRecord> {
     let mut r = Reader::new(payload);
     let base_serial = if r.bool()? { Some(r.varint()?) } else { None };
-    let n_carried = r.count(MAX_ENTRIES)?;
+    let n_carried = r.entries(MIN_CARRIED_BYTES)?;
     let mut carried = Vec::with_capacity(n_carried);
     for _ in 0..n_carried {
         let asn = u32::try_from(r.varint()?)
             .map_err(|_| LedgerError::Malformed("carried ASN exceeds 32 bits"))?;
         carried.push(asn);
     }
-    let n_as = r.count(MAX_ENTRIES)?;
+    let n_as = r.entries(MIN_RAW_TRACE_BYTES)?;
     let mut raw_traces = Vec::with_capacity(n_as);
     for _ in 0..n_as {
         let asn = u32::try_from(r.varint()?)
             .map_err(|_| LedgerError::Malformed("raw-trace ASN exceeds 32 bits"))?;
         raw_traces.push((asn, r.varint()?));
     }
-    let n_cache = r.count(MAX_ENTRIES)?;
+    let n_cache = r.entries(MIN_CACHE_BYTES)?;
     let mut cache = Vec::with_capacity(n_cache);
     for _ in 0..n_cache {
         let octets: [u8; 4] = r.take(4)?.try_into().expect("take(4) returns exactly four bytes");
@@ -139,17 +144,21 @@ fn decode_aux_payload(payload: &[u8]) -> LedgerResult<AuxRecord> {
 /// Serializes a complete sidecar file: header + payload.
 #[must_use]
 pub fn encode_aux_file(aux: &AuxRecord, serial: u64) -> Vec<u8> {
-    let payload = encode_aux_payload(aux);
+    frame(&encode_aux_payload(aux), serial)
+}
+
+/// Prefixes `payload` with its checksummed sidecar header.
+fn frame(payload: &[u8], serial: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(AUX_HEADER_LEN + payload.len());
     out.extend_from_slice(&AUX_MAGIC);
     out.extend_from_slice(&AUX_VERSION.to_be_bytes());
     out.extend_from_slice(&[0, 0]); // checksum placeholder
     out.extend_from_slice(&serial.to_be_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_be_bytes());
+    out.extend_from_slice(&fnv64(payload).to_be_bytes());
     let checksum = arest_wire::checksum::checksum(&out[..AUX_HEADER_LEN]);
     out[10..12].copy_from_slice(&checksum.to_be_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out
 }
 
@@ -257,5 +266,38 @@ mod tests {
             decode_aux_file(&bytes, Some(9)),
             Err(LedgerError::SerialMismatch { file: 9, header: 4 })
         ));
+    }
+
+    #[test]
+    fn forged_cache_count_is_malformed_before_any_allocation() {
+        // No base, no carried ASNs, no raw-trace pairs, then a cache
+        // count of 10^6 with nothing behind it: the smallest sidecar
+        // (36-byte header + 6-byte payload) that claims a million
+        // entries, with a correct checksum and payload digest.
+        let mut payload = vec![0u8, 0, 0];
+        put_varint(&mut payload, 1_000_000);
+        let bytes = frame(&payload, 1);
+        assert_eq!(bytes.len(), 42);
+        assert!(matches!(
+            decode_aux_file(&bytes, Some(1)),
+            Err(LedgerError::Malformed("count exceeds the bytes left"))
+        ));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // Each list may claim at most as many entries as the bytes left
+        // could hold at that entry's minimum size.
+        for (prefix, min) in [(vec![0u8], 1usize), (vec![0, 0], 2), (vec![0, 0, 0], 5)] {
+            for (claimed, ok) in [(1u64, true), (2, false)] {
+                let mut payload = prefix.clone();
+                put_varint(&mut payload, claimed);
+                payload.resize(payload.len() + min, 0);
+                let result = decode_aux_file(&frame(&payload, 1), None);
+                let malformed_count =
+                    matches!(result, Err(LedgerError::Malformed("count exceeds the bytes left")));
+                assert_eq!(!malformed_count, ok, "prefix {prefix:?} claiming {claimed}");
+            }
+        }
     }
 }

@@ -134,7 +134,9 @@ impl Ledger {
             payload_len: 0,    // stamped by encode_file
             payload_digest: 0, // stamped by encode_file
         };
+        let encode_started = Instant::now();
         let bytes = encode_file(snapshot, &meta);
+        record_us(&METRICS.encode_us, encode_started.elapsed());
         let payload_digest = decode_header(&bytes, Some(serial))?.payload_digest;
         let path = self.path_of(serial);
         let tmp = self.dir.join(format!(".run-{serial}.arest.tmp"));
@@ -255,7 +257,9 @@ impl Ledger {
         let mut span = TRACER.span("ledger.diff");
         let from = self.load(a)?;
         let to = self.load(b)?;
+        let compute_started = Instant::now();
         let delta = delta::compute(from.meta, &from.snapshot, to.meta, &to.snapshot);
+        record_us(&METRICS.delta_us, compute_started.elapsed());
         METRICS.diffs.inc();
         record_us(&METRICS.diff_us, started.elapsed());
         span.record("from", a);

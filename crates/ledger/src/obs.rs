@@ -31,6 +31,12 @@ pub(crate) struct Metrics {
     pub(crate) load_us: Histogram,
     /// `ledger.diff.us` — two loads + delta computation latency.
     pub(crate) diff_us: Histogram,
+    /// `ledger.encode.us` — snapshot encoding latency, the part of a
+    /// commit before the write.
+    pub(crate) encode_us: Histogram,
+    /// `ledger.delta.us` — delta computation latency alone, the part
+    /// of a diff after both loads.
+    pub(crate) delta_us: Histogram,
 }
 
 pub(crate) static METRICS: LazyLock<Metrics> = LazyLock::new(|| {
@@ -44,6 +50,8 @@ pub(crate) static METRICS: LazyLock<Metrics> = LazyLock::new(|| {
         commit_us: registry.histogram("ledger.commit.us"),
         load_us: registry.histogram("ledger.load.us"),
         diff_us: registry.histogram("ledger.diff.us"),
+        encode_us: registry.histogram("ledger.encode.us"),
+        delta_us: registry.histogram("ledger.delta.us"),
     }
 });
 

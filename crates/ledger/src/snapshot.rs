@@ -1,11 +1,17 @@
 //! The snapshot payload: what one committed campaign looks like on
 //! disk, and the interned binary encoding that keeps it compact.
 //!
-//! The types mirror the serving layer's store rows (`arest-serve`
-//! bridges between the two) but live here as plain owned data so the
-//! ledger sits *below* the daemon in the crate graph: per-AS
-//! summaries, per-address evidence, every detection with its full
-//! provenance chain, and the campaign totals.
+//! These are the campaign's result rows. They live here, *below* the
+//! daemon in the crate graph, and `arest-serve` serves them directly:
+//! its address rows hold the same shared [`DetectionRecord`]s. The
+//! snapshot carries per-AS summaries, per-address evidence, every
+//! detection with its full provenance chain, and the campaign totals.
+//!
+//! A detection is one segment of one trace and covers several
+//! addresses. In memory it exists once, as an `Arc<DetectionRecord>`
+//! that every covering [`AddrEntry`] shares; decoding hands out clones
+//! of one `Arc` per detection-table row, so loading, merging, and
+//! diffing never deep-copy a record per address.
 //!
 //! ## Encoding
 //!
@@ -32,6 +38,7 @@ use crate::codec::{put_bool, put_str, put_varint, Reader};
 use crate::error::{LedgerError, LedgerResult};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Detection counts by flag, strongest first (paper order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -113,8 +120,7 @@ pub struct ProvenanceRecord {
 }
 
 /// One detected segment with full provenance. `Eq + Hash` so the
-/// encoder can intern the copies the serving rows repeat per covered
-/// address.
+/// encoder can intern equal records held in distinct `Arc`s.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DetectionRecord {
     /// The ASN the trace was restricted to.
@@ -151,8 +157,9 @@ pub struct AddrEntry {
     /// How the fingerprint was obtained (`snmp`/`ttl`).
     pub fingerprint_source: Option<String>,
     /// Every detection whose segment covers this address, in stored
-    /// (deterministic) order.
-    pub detections: Vec<DetectionRecord>,
+    /// (deterministic) order. A record is shared by every address its
+    /// segment covers.
+    pub detections: Vec<Arc<DetectionRecord>>,
 }
 
 /// Campaign-wide totals, as committed.
@@ -198,28 +205,44 @@ impl RunSnapshot {
     }
 }
 
-/// First-use-order string interner.
+/// First-use-order string interner over borrowed strings.
 #[derive(Default)]
-struct StringTable {
-    strings: Vec<String>,
-    index: HashMap<String, u64>,
+struct StringTable<'a> {
+    strings: Vec<&'a str>,
+    index: HashMap<&'a str, u64>,
 }
 
-impl StringTable {
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&i) = self.index.get(s) {
-            return i;
+impl<'a> StringTable<'a> {
+    fn intern(&mut self, s: &'a str) -> u64 {
+        let next = self.strings.len() as u64;
+        let i = *self.index.entry(s).or_insert(next);
+        if i == next {
+            self.strings.push(s);
         }
-        let i = self.strings.len() as u64;
-        self.strings.push(s.to_string());
-        self.index.insert(s.to_string(), i);
         i
     }
 
     /// `None` encodes as 0, `Some(s)` as index + 1.
-    fn intern_opt(&mut self, s: Option<&str>) -> u64 {
+    fn intern_opt(&mut self, s: Option<&'a str>) -> u64 {
         s.map_or(0, |s| self.intern(s) + 1)
     }
+}
+
+/// One detection-table row with its string indices resolved.
+struct DetectionRow<'a> {
+    record: &'a DetectionRecord,
+    vp: u64,
+    dst: u64,
+    flag: u64,
+    fingerprint: u64,
+    chain: u64,
+}
+
+/// One address row with its string indices resolved.
+struct AddrRow {
+    fingerprint: u64,
+    fingerprint_source: u64,
+    detections: Vec<u64>,
 }
 
 fn put_flags(out: &mut Vec<u8>, flags: &FlagTotals) {
@@ -229,42 +252,49 @@ fn put_flags(out: &mut Vec<u8>, flags: &FlagTotals) {
 }
 
 /// Encodes `snapshot` into payload bytes (no header).
+///
+/// Detections intern by `Arc` identity first; a pointer miss falls
+/// back to content equality, so equal records in distinct `Arc`s
+/// still share one table row and the bytes depend only on content.
 #[must_use]
 pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
     let mut strings = StringTable::default();
-    let mut detections: Vec<&DetectionRecord> = Vec::new();
-    let mut detection_index: HashMap<&DetectionRecord, u64> = HashMap::new();
+    let mut detections: Vec<DetectionRow<'_>> = Vec::new();
+    let mut by_ptr: HashMap<*const DetectionRecord, u64> = HashMap::new();
+    let mut by_content: HashMap<&DetectionRecord, u64> = HashMap::new();
 
     // Pass 1: intern in deterministic traversal order.
-    for record in &snapshot.ases {
-        strings.intern(&record.name);
-        strings.intern(&record.astype);
-        strings.intern(&record.confirmation);
-    }
-    let mut addr_detections: Vec<Vec<u64>> = Vec::with_capacity(snapshot.addrs.len());
+    let as_rows: Vec<[u64; 3]> = snapshot
+        .ases
+        .iter()
+        .map(|a| {
+            [strings.intern(&a.name), strings.intern(&a.astype), strings.intern(&a.confirmation)]
+        })
+        .collect();
+    let mut addr_rows: Vec<AddrRow> = Vec::with_capacity(snapshot.addrs.len());
     for entry in &snapshot.addrs {
-        if let Some(f) = &entry.fingerprint {
-            strings.intern(f);
-        }
-        if let Some(s) = &entry.fingerprint_source {
-            strings.intern(s);
-        }
+        let fingerprint = strings.intern_opt(entry.fingerprint.as_deref());
+        let fingerprint_source = strings.intern_opt(entry.fingerprint_source.as_deref());
         let mut indices = Vec::with_capacity(entry.detections.len());
-        for detection in &entry.detections {
-            let index = *detection_index.entry(detection).or_insert_with(|| {
-                strings.intern(&detection.vp);
-                strings.intern(&detection.dst);
-                strings.intern(&detection.flag);
-                if let Some(f) = &detection.provenance.fingerprint {
-                    strings.intern(f);
-                }
-                strings.intern(&detection.provenance.chain);
-                detections.push(detection);
-                (detections.len() - 1) as u64
+        for shared in &entry.detections {
+            let index = *by_ptr.entry(Arc::as_ptr(shared)).or_insert_with(|| {
+                let record: &DetectionRecord = shared;
+                *by_content.entry(record).or_insert_with(|| {
+                    let p = &record.provenance;
+                    detections.push(DetectionRow {
+                        record,
+                        vp: strings.intern(&record.vp),
+                        dst: strings.intern(&record.dst),
+                        flag: strings.intern(&record.flag),
+                        fingerprint: strings.intern_opt(p.fingerprint.as_deref()),
+                        chain: strings.intern(&p.chain),
+                    });
+                    (detections.len() - 1) as u64
+                })
             });
             indices.push(index);
         }
-        addr_detections.push(indices);
+        addr_rows.push(AddrRow { fingerprint, fingerprint_source, detections: indices });
     }
 
     // Pass 2: emit.
@@ -275,11 +305,12 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
     }
 
     put_varint(&mut out, detections.len() as u64);
-    for d in detections {
+    for row in &detections {
+        let d = row.record;
         put_varint(&mut out, u64::from(d.asn));
-        put_varint(&mut out, strings.intern(&d.vp));
-        put_varint(&mut out, strings.intern(&d.dst));
-        put_varint(&mut out, strings.intern(&d.flag));
+        put_varint(&mut out, row.vp);
+        put_varint(&mut out, row.dst);
+        put_varint(&mut out, row.flag);
         out.push(d.stars);
         put_varint(&mut out, d.start);
         put_varint(&mut out, d.end);
@@ -291,19 +322,19 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
         put_varint(&mut out, p.distinct_addrs);
         put_varint(&mut out, p.lses_consulted);
         put_varint(&mut out, p.effective_depth);
-        put_varint(&mut out, strings.intern_opt(p.fingerprint.as_deref()));
+        put_varint(&mut out, row.fingerprint);
         put_bool(&mut out, p.label_in_vendor_range);
         put_bool(&mut out, p.suffix_matched);
-        put_varint(&mut out, strings.intern(&p.chain));
+        put_varint(&mut out, row.chain);
     }
 
     put_varint(&mut out, snapshot.ases.len() as u64);
-    for a in &snapshot.ases {
+    for (a, names) in snapshot.ases.iter().zip(&as_rows) {
         out.push(a.id);
         put_varint(&mut out, u64::from(a.asn));
-        put_varint(&mut out, strings.intern(&a.name));
-        put_varint(&mut out, strings.intern(&a.astype));
-        put_varint(&mut out, strings.intern(&a.confirmation));
+        for &index in names {
+            put_varint(&mut out, index);
+        }
         put_bool(&mut out, a.analyzed);
         put_varint(&mut out, a.targets_probed);
         put_varint(&mut out, a.traces);
@@ -313,13 +344,13 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
     }
 
     put_varint(&mut out, snapshot.addrs.len() as u64);
-    for (entry, indices) in snapshot.addrs.iter().zip(&addr_detections) {
+    for (entry, row) in snapshot.addrs.iter().zip(&addr_rows) {
         out.extend_from_slice(&entry.addr.octets());
         put_varint(&mut out, u64::from(entry.asn));
-        put_varint(&mut out, strings.intern_opt(entry.fingerprint.as_deref()));
-        put_varint(&mut out, strings.intern_opt(entry.fingerprint_source.as_deref()));
-        put_varint(&mut out, indices.len() as u64);
-        for &i in indices {
+        put_varint(&mut out, row.fingerprint);
+        put_varint(&mut out, row.fingerprint_source);
+        put_varint(&mut out, row.detections.len() as u64);
+        for &i in &row.detections {
             put_varint(&mut out, i);
         }
     }
@@ -409,7 +440,7 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
             suffix_matched: reader.bool()?,
             chain: table_str(&strings, reader.varint()?, "provenance chain index out of range")?,
         };
-        detections.push(DetectionRecord {
+        detections.push(Arc::new(DetectionRecord {
             asn,
             vp,
             dst,
@@ -420,7 +451,7 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
             label,
             suffix_based,
             provenance,
-        });
+        }));
     }
 
     let as_count = reader.count(limit)?;
@@ -462,11 +493,11 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
         let mut listed = Vec::with_capacity(index_count.min(4096));
         for _ in 0..index_count {
             let index = reader.varint()?;
-            let detection: &DetectionRecord = usize::try_from(index)
+            let detection = usize::try_from(index)
                 .ok()
                 .and_then(|i| detections.get(i))
                 .ok_or(LedgerError::Malformed("detection index out of range"))?;
-            listed.push(detection.clone());
+            listed.push(Arc::clone(detection));
         }
         addrs.push(AddrEntry { addr, asn, fingerprint, fingerprint_source, detections: listed });
     }
@@ -516,7 +547,7 @@ pub(crate) mod tests {
                 chain: "trigger_hop=2 run_len=3".to_string(),
             },
         };
-        let weak = DetectionRecord {
+        let weak = Arc::new(DetectionRecord {
             flag: "LSO".to_string(),
             stars: 1,
             label: 30_001,
@@ -528,7 +559,8 @@ pub(crate) mod tests {
                 ..detection.provenance.clone()
             },
             ..detection.clone()
-        };
+        });
+        let detection = Arc::new(detection);
         RunSnapshot {
             ases: vec![
                 AsRecord {
@@ -564,7 +596,7 @@ pub(crate) mod tests {
                     asn: 64512,
                     fingerprint: Some("Cisco".to_string()),
                     fingerprint_source: Some("snmp".to_string()),
-                    detections: vec![detection.clone(), weak],
+                    detections: vec![Arc::clone(&detection), weak],
                 },
                 AddrEntry {
                     addr: Ipv4Addr::new(10, 0, 0, 2),

@@ -16,6 +16,7 @@ use arest_ledger::{CommitOptions, Ledger, LedgerError, RunMeta, HEADER_LEN};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// SplitMix64: the deterministic stream behind the generated
 /// snapshots.
@@ -77,15 +78,15 @@ fn generated_snapshot(seed: u64) -> RunSnapshot {
     for i in 0..as_count {
         let asn = 64_500 + i as u32;
         let addr_count = mix.below(4) as usize;
-        let shared = generated_detection(&mut mix, asn);
+        let shared = Arc::new(generated_detection(&mut mix, asn));
         let mut as_flags = FlagTotals::default();
         for a in 0..addr_count {
             let mut detections = Vec::new();
             if mix.below(2) == 0 {
-                detections.push(shared.clone());
+                detections.push(Arc::clone(&shared));
             }
             if mix.below(3) == 0 {
-                detections.push(generated_detection(&mut mix, asn));
+                detections.push(Arc::new(generated_detection(&mut mix, asn)));
             }
             for d in &detections {
                 match d.flag.as_str() {

@@ -9,19 +9,16 @@
 //! inverses up to the store's derived indices: a snapshot committed
 //! from a store and loaded back serves byte-identical bodies, which
 //! the `parallel_build_matches_ledger_roundtrip` determinism test
-//! rides.
+//! rides. Both sides hold the same shared `Arc<DetectionRecord>`
+//! rows, so the bridge copies pointers, never detections.
 //!
 //! Digests render as 16-digit zero-padded hex **strings**, never JSON
 //! numbers — a u64 digest routinely exceeds 2⁵³ and would silently
 //! lose precision in any IEEE-754-backed consumer.
 
 use crate::json::Json;
-use crate::store::{
-    AddrRecord, AsSummary, Detection, FlagCounts, ProvenanceInfo, Store, SummaryInfo,
-};
-use arest_ledger::snapshot::{
-    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
-};
+use crate::store::{AddrRecord, AsSummary, FlagCounts, Store, SummaryInfo};
+use arest_ledger::snapshot::{AddrEntry, AsRecord, FlagTotals, RunSnapshot, RunTotals};
 use arest_ledger::{AuxRecord, DetectionDelta, RunMeta, StoredRun, HEADER_LEN};
 use std::collections::HashMap;
 
@@ -31,56 +28,6 @@ fn totals_of(flags: &FlagCounts) -> FlagTotals {
 
 fn counts_of(flags: &FlagTotals) -> FlagCounts {
     FlagCounts { cvr: flags.cvr, co: flags.co, lsvr: flags.lsvr, lvr: flags.lvr, lso: flags.lso }
-}
-
-fn record_of(d: &Detection) -> DetectionRecord {
-    DetectionRecord {
-        asn: d.asn,
-        vp: d.vp.clone(),
-        dst: d.dst.clone(),
-        flag: d.flag.clone(),
-        stars: d.stars,
-        start: d.start,
-        end: d.end,
-        label: d.label,
-        suffix_based: d.suffix_based,
-        provenance: ProvenanceRecord {
-            trigger_hop: d.provenance.trigger_hop,
-            run_len: d.provenance.run_len,
-            distinct_addrs: d.provenance.distinct_addrs,
-            lses_consulted: d.provenance.lses_consulted,
-            effective_depth: d.provenance.effective_depth,
-            fingerprint: d.provenance.fingerprint.clone(),
-            label_in_vendor_range: d.provenance.label_in_vendor_range,
-            suffix_matched: d.provenance.suffix_matched,
-            chain: d.provenance.chain.clone(),
-        },
-    }
-}
-
-fn detection_of(r: &DetectionRecord) -> Detection {
-    Detection {
-        asn: r.asn,
-        vp: r.vp.clone(),
-        dst: r.dst.clone(),
-        flag: r.flag.clone(),
-        stars: r.stars,
-        start: r.start,
-        end: r.end,
-        label: r.label,
-        suffix_based: r.suffix_based,
-        provenance: ProvenanceInfo {
-            trigger_hop: r.provenance.trigger_hop,
-            run_len: r.provenance.run_len,
-            distinct_addrs: r.provenance.distinct_addrs,
-            lses_consulted: r.provenance.lses_consulted,
-            effective_depth: r.provenance.effective_depth,
-            fingerprint: r.provenance.fingerprint.clone(),
-            label_in_vendor_range: r.provenance.label_in_vendor_range,
-            suffix_matched: r.provenance.suffix_matched,
-            chain: r.provenance.chain.clone(),
-        },
-    }
 }
 
 /// Flattens a serving store into the plain rows a commit persists.
@@ -110,7 +57,7 @@ pub fn snapshot_from_store(store: &Store) -> RunSnapshot {
             asn: record.asn,
             fingerprint: record.fingerprint.clone(),
             fingerprint_source: record.fingerprint_source.clone(),
-            detections: record.detections.iter().map(record_of).collect(),
+            detections: record.detections.clone(),
         })
         .collect();
     let s = store.summary();
@@ -164,7 +111,7 @@ pub fn store_from_snapshot(snapshot: &RunSnapshot) -> Store {
             as_name: names.get(&entry.asn).map_or("unknown", |n| n).to_string(),
             fingerprint: entry.fingerprint.clone(),
             fingerprint_source: entry.fingerprint_source.clone(),
-            detections: entry.detections.iter().map(detection_of).collect(),
+            detections: entry.detections.clone(),
         })
         .collect();
     let t = &snapshot.totals;
@@ -370,6 +317,17 @@ mod tests {
         // And re-flattening yields the identical snapshot (stable
         // content digest).
         assert_eq!(snapshot_from_store(&rebuilt), snapshot);
+    }
+
+    #[test]
+    fn the_bridge_shares_detections_instead_of_copying_them() {
+        let store = tiny();
+        let addr = "10.0.0.1".parse().unwrap();
+        let served = &store.addr(addr).unwrap().detections[0];
+        let snapshot = snapshot_from_store(&store);
+        assert!(std::sync::Arc::ptr_eq(served, &snapshot.addrs[0].detections[0]));
+        let rebuilt = store_from_snapshot(&snapshot);
+        assert!(std::sync::Arc::ptr_eq(served, &rebuilt.addr(addr).unwrap().detections[0]));
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use json::Json;
 pub use load::{LoadConfig, LoadReport};
 pub use router::{route, Route, RouteError};
 pub use server::{Server, ShutdownHandle};
-pub use store::{AddrRecord, AsSummary, Detection, FlagCounts, Store, SummaryInfo};
+pub use store::{AddrRecord, AsSummary, FlagCounts, Store, SummaryInfo};
 pub use store_cell::{LedgerStamp, RunOrigin, StoreCell, StoreVersion};

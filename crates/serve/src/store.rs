@@ -5,7 +5,10 @@
 //! defines its own plain-data view of a completed dataset: per-AS
 //! summaries, per-address evidence records carrying the full
 //! provenance chain of every detection that touched the address, and
-//! the dataset-wide totals. `arest_experiments::serve_store` is the
+//! the dataset-wide totals. Detections are the ledger's
+//! [`DetectionRecord`] rows, shared as `Arc`s by every address their
+//! segment covers, so committing a store or serving a loaded snapshot
+//! never copies them. `arest_experiments::serve_store` is the
 //! one converter that fills it from a built `Dataset`; tests build
 //! tiny stores by hand.
 //!
@@ -13,8 +16,10 @@
 //! bodies `docs/API.md` quotes have exactly one source of truth.
 
 use crate::json::Json;
+use arest_ledger::snapshot::DetectionRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Detection counts by flag, strongest first (paper order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,91 +138,34 @@ impl AsSummary {
     }
 }
 
-/// The provenance chain of one detection, flattened for serving.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProvenanceInfo {
-    /// Index of the hop that triggered the detection.
-    pub trigger_hop: u64,
-    /// Length of the matched label run.
-    pub run_len: u64,
-    /// Distinct replying addresses across the segment.
-    pub distinct_addrs: u64,
-    /// Label-stack entries the detector examined.
-    pub lses_consulted: u64,
-    /// Stack depth after entropy-pair exclusion.
-    pub effective_depth: u64,
-    /// The consulted fingerprint verdict, when any.
-    pub fingerprint: Option<String>,
-    /// Whether the label mapped into the vendor's SR range.
-    pub label_in_vendor_range: bool,
-    /// Whether decimal-suffix matching was needed.
-    pub suffix_matched: bool,
-    /// The one-line `key=value` chain (`Provenance::chain()`).
-    pub chain: String,
-}
-
-impl ProvenanceInfo {
-    /// The nested `provenance` JSON object.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("trigger_hop", Json::U64(self.trigger_hop)),
-            ("run_len", Json::U64(self.run_len)),
-            ("distinct_addrs", Json::U64(self.distinct_addrs)),
-            ("lses_consulted", Json::U64(self.lses_consulted)),
-            ("effective_depth", Json::U64(self.effective_depth)),
-            ("fingerprint", Json::opt_str(self.fingerprint.as_deref())),
-            ("label_in_vendor_range", Json::Bool(self.label_in_vendor_range)),
-            ("suffix_matched", Json::Bool(self.suffix_matched)),
-            ("chain", Json::str(&self.chain)),
-        ])
-    }
-}
-
-/// One detection touching an address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Detection {
-    /// The ASN the trace was restricted to.
-    pub asn: u32,
-    /// Vantage point that ran the trace.
-    pub vp: String,
-    /// Probe destination of the trace.
-    pub dst: String,
-    /// The flag that fired (`CVR`/`CO`/`LSVR`/`LVR`/`LSO`).
-    pub flag: String,
-    /// Signal strength in stars (§4).
-    pub stars: u8,
-    /// First hop index of the segment.
-    pub start: u64,
-    /// Last hop index (inclusive).
-    pub end: u64,
-    /// The active label that triggered the flag.
-    pub label: u32,
-    /// Whether suffix-based matching was needed.
-    pub suffix_based: bool,
-    /// The evidence chain.
-    pub provenance: ProvenanceInfo,
-}
-
-impl Detection {
-    /// One element of the `detections` array.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("vp", Json::str(&self.vp)),
-            ("dst", Json::str(&self.dst)),
-            ("flag", Json::str(&self.flag)),
-            ("stars", Json::U64(u64::from(self.stars))),
-            (
-                "hops",
-                Json::obj(vec![("start", Json::U64(self.start)), ("end", Json::U64(self.end))]),
-            ),
-            ("label", Json::U64(u64::from(self.label))),
-            ("suffix_based", Json::Bool(self.suffix_based)),
-            ("provenance", self.provenance.json()),
-        ])
-    }
+/// One element of an address's `detections` array.
+#[must_use]
+pub fn detection_json(d: &DetectionRecord) -> Json {
+    let p = &d.provenance;
+    Json::obj(vec![
+        ("asn", Json::U64(u64::from(d.asn))),
+        ("vp", Json::str(&d.vp)),
+        ("dst", Json::str(&d.dst)),
+        ("flag", Json::str(&d.flag)),
+        ("stars", Json::U64(u64::from(d.stars))),
+        ("hops", Json::obj(vec![("start", Json::U64(d.start)), ("end", Json::U64(d.end))])),
+        ("label", Json::U64(u64::from(d.label))),
+        ("suffix_based", Json::Bool(d.suffix_based)),
+        (
+            "provenance",
+            Json::obj(vec![
+                ("trigger_hop", Json::U64(p.trigger_hop)),
+                ("run_len", Json::U64(p.run_len)),
+                ("distinct_addrs", Json::U64(p.distinct_addrs)),
+                ("lses_consulted", Json::U64(p.lses_consulted)),
+                ("effective_depth", Json::U64(p.effective_depth)),
+                ("fingerprint", Json::opt_str(p.fingerprint.as_deref())),
+                ("label_in_vendor_range", Json::Bool(p.label_in_vendor_range)),
+                ("suffix_matched", Json::Bool(p.suffix_matched)),
+                ("chain", Json::str(&p.chain)),
+            ]),
+        ),
+    ])
 }
 
 /// Everything known about one address (the `GET /api/addr/{ip}` body).
@@ -233,8 +181,10 @@ pub struct AddrRecord {
     pub fingerprint: Option<String>,
     /// How the fingerprint was obtained (`snmp`/`ttl`).
     pub fingerprint_source: Option<String>,
-    /// Every detection whose segment covers this address.
-    pub detections: Vec<Detection>,
+    /// Every detection whose segment covers this address. Records are
+    /// the ledger's own rows, shared with every other address the
+    /// segment covers and with any snapshot built from this store.
+    pub detections: Vec<Arc<DetectionRecord>>,
 }
 
 impl AddrRecord {
@@ -247,7 +197,7 @@ impl AddrRecord {
             ("as_name", Json::str(&self.as_name)),
             ("fingerprint", Json::opt_str(self.fingerprint.as_deref())),
             ("fingerprint_source", Json::opt_str(self.fingerprint_source.as_deref())),
-            ("detections", Json::Arr(self.detections.iter().map(Detection::json).collect())),
+            ("detections", Json::Arr(self.detections.iter().map(|d| detection_json(d)).collect())),
         ])
     }
 }
@@ -421,6 +371,7 @@ impl Store {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use arest_ledger::snapshot::ProvenanceRecord;
 
     /// A two-AS, one-address store the unit tests share.
     pub(crate) fn tiny() -> Store {
@@ -461,7 +412,7 @@ pub(crate) mod tests {
             as_name: "Test Net".to_string(),
             fingerprint: Some("Cisco".to_string()),
             fingerprint_source: Some("snmp".to_string()),
-            detections: vec![Detection {
+            detections: vec![Arc::new(DetectionRecord {
                 asn: 64512,
                 vp: "vp00".to_string(),
                 dst: "10.0.0.9".to_string(),
@@ -471,7 +422,7 @@ pub(crate) mod tests {
                 end: 3,
                 label: 16001,
                 suffix_based: false,
-                provenance: ProvenanceInfo {
+                provenance: ProvenanceRecord {
                     trigger_hop: 1,
                     run_len: 3,
                     distinct_addrs: 3,
@@ -482,7 +433,7 @@ pub(crate) mod tests {
                     suffix_matched: false,
                     chain: "trigger_hop=1 run_len=3".to_string(),
                 },
-            }],
+            })],
         };
         let summary = SummaryInfo {
             ases: 2,

@@ -6,8 +6,9 @@
 //! runs it on an `arest_conc::thread::scope` thread, so the whole
 //! suite parallelizes without port clashes.
 
+use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
 use arest_serve::load::one_shot;
-use arest_serve::store::{AddrRecord, AsSummary, Detection, ProvenanceInfo, SummaryInfo};
+use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
 use arest_serve::{FlagCounts, Server, ShutdownHandle, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
@@ -52,7 +53,7 @@ fn fixture() -> Arc<Store> {
         as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
-        detections: vec![Detection {
+        detections: vec![Arc::new(DetectionRecord {
             asn: 64512,
             vp: "vp00".to_string(),
             dst: "10.0.0.9".to_string(),
@@ -62,7 +63,7 @@ fn fixture() -> Arc<Store> {
             end: 3,
             label: 16001,
             suffix_based: false,
-            provenance: ProvenanceInfo {
+            provenance: ProvenanceRecord {
                 trigger_hop: 1,
                 run_len: 3,
                 distinct_addrs: 3,
@@ -73,7 +74,7 @@ fn fixture() -> Arc<Store> {
                 suffix_matched: false,
                 chain: "trigger_hop=1 run_len=3".to_string(),
             },
-        }],
+        })],
     };
     let summary = SummaryInfo {
         ases: 2,

@@ -9,10 +9,11 @@
 //! this test exercises the same `StoreCell` end-to-end through real
 //! sockets, the watcher thread, and the ledger directory.
 
+use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
 use arest_ledger::{CommitOptions, Ledger};
 use arest_serve::ledger_bridge::{snapshot_from_store, store_from_snapshot};
 use arest_serve::ledger_watch::{refresh, watch};
-use arest_serve::store::{AddrRecord, AsSummary, Detection, ProvenanceInfo, SummaryInfo};
+use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
 use arest_serve::{FlagCounts, Server, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, TcpStream};
@@ -61,7 +62,7 @@ fn generation_store(generation: u64) -> Store {
         as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
-        detections: vec![Detection {
+        detections: vec![Arc::new(DetectionRecord {
             asn: 64512,
             vp: "vp00".to_string(),
             dst: "10.0.0.9".to_string(),
@@ -71,7 +72,7 @@ fn generation_store(generation: u64) -> Store {
             end: 3,
             label: 16001,
             suffix_based: false,
-            provenance: ProvenanceInfo {
+            provenance: ProvenanceRecord {
                 trigger_hop: 1,
                 run_len: 3,
                 distinct_addrs: 3,
@@ -82,7 +83,7 @@ fn generation_store(generation: u64) -> Store {
                 suffix_matched: false,
                 chain: "trigger_hop=1 run_len=3".to_string(),
             },
-        }],
+        })],
     };
     let summary = SummaryInfo {
         ases: ases.len() as u64,
@@ -226,5 +227,38 @@ fn a_serial_committed_mid_session_swaps_in_without_dropping_a_request() {
         runner.join().expect("server thread");
     });
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Load → serve → re-flatten keeps one record per detection-table
+/// row: two addresses covered by the same segment hold the same `Arc`
+/// at every step, so no layer quietly reintroduces per-address copies.
+#[test]
+fn a_loaded_run_shares_each_detection_across_its_addresses() {
+    let store = generation_store(1);
+    let first = store.addr(Ipv4Addr::new(10, 0, 0, 1)).expect("seeded address").clone();
+    let second = AddrRecord { addr: Ipv4Addr::new(10, 0, 0, 2), ..first.clone() };
+    let store = Store::new(store.ases().to_vec(), vec![first, second], store.summary().clone());
+
+    let dir =
+        std::env::temp_dir().join(format!("arest-ledger-serve-sharing-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ledger = Ledger::open(&dir).expect("open ledger");
+    let snapshot = snapshot_from_store(&store);
+    ledger.commit(&snapshot, &CommitOptions::default()).expect("commit");
+    let loaded = ledger.load(1).expect("load").snapshot;
+    let served = store_from_snapshot(&loaded);
+    let reflattened = snapshot_from_store(&served);
+    assert_eq!(reflattened, snapshot);
+
+    let pair = |a: &[Arc<arest_ledger::DetectionRecord>],
+                b: &[Arc<arest_ledger::DetectionRecord>]| {
+        Arc::ptr_eq(&a[0], &b[0])
+    };
+    assert!(pair(&loaded.addrs[0].detections, &loaded.addrs[1].detections), "load");
+    let row = |ip: [u8; 4]| served.addr(Ipv4Addr::from(ip)).expect("served address");
+    assert!(pair(&row([10, 0, 0, 1]).detections, &row([10, 0, 0, 2]).detections), "serve");
+    assert!(pair(&reflattened.addrs[0].detections, &reflattened.addrs[1].detections), "bridge");
+    assert!(pair(&loaded.addrs[0].detections, &reflattened.addrs[1].detections), "round trip");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -34,10 +34,15 @@ cargo test -p arest-serve --features model-check --quiet --test model_store_cell
 echo "==> cargo doc (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# Bench smoke runs write their BENCH_*.json into a scratch --out, so a
+# smoke run never overwrites the committed numbers in the tree.
+BENCH_OUT=$(mktemp -d)
+
 echo "==> bench-pipeline smoke run (timings informational, not gated)"
-cargo run --release -p arest-experiments --bin arest-experiments -- --quick bench-pipeline
-test -s BENCH_pipeline.json
-grep -q '"columnar_vs_nested_speedup"' BENCH_pipeline.json
+cargo run --release -p arest-experiments --bin arest-experiments -- \
+    --quick --out "$BENCH_OUT" bench-pipeline
+test -s "$BENCH_OUT/BENCH_pipeline.json"
+grep -q '"columnar_vs_nested_speedup"' "$BENCH_OUT/BENCH_pipeline.json"
 
 echo "==> netgen catalog-scale smoke run (10x replication)"
 cargo run --release -p arest-netgen --bin netgen -- --scale 10 --scale-factor 0.01 --vps 2 \
@@ -85,10 +90,10 @@ rm -rf "$SERVE_LOG" "$SERVE_OUT"
 
 echo "==> bench-serve smoke run (load generator + latency report)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick bench-serve --clients 2 --requests 25
-test -s BENCH_serve.json
-grep -q '"requests_per_second"' BENCH_serve.json
-grep -q '"p99"' BENCH_serve.json
+    --quick --out "$BENCH_OUT" bench-serve --clients 2 --requests 25
+test -s "$BENCH_OUT/BENCH_serve.json"
+grep -q '"requests_per_second"' "$BENCH_OUT/BENCH_serve.json"
+grep -q '"p99"' "$BENCH_OUT/BENCH_serve.json"
 
 echo "==> ledger smoke run (two campaigns, history, announce/withdraw diff)"
 LEDGER_DIR=$(mktemp -d)
@@ -111,10 +116,10 @@ rm -rf "$LEDGER_DIR" "$DELTA_DIR"
 
 echo "==> bench-ledger smoke run (commit/load/diff latency report)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick bench-ledger
-test -s BENCH_ledger.json
-grep -q '"commit_us"' BENCH_ledger.json
-grep -q '"snapshot_bytes"' BENCH_ledger.json
+    --quick --out "$BENCH_OUT" bench-ledger
+test -s "$BENCH_OUT/BENCH_ledger.json"
+grep -q '"commit_us"' "$BENCH_OUT/BENCH_ledger.json"
+grep -q '"snapshot_bytes"' "$BENCH_OUT/BENCH_ledger.json"
 
 echo "==> incremental smoke run (full campaign, 1-AS re-probe, carry-forward delta)"
 INCR_DIR=$(mktemp -d)
@@ -133,8 +138,9 @@ rm -rf "$INCR_DIR" "$INCR_OUT"
 
 echo "==> bench-incremental smoke run (cost-vs-slice-fraction curve)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --workers 4 bench-incremental
-test -s BENCH_incremental.json
-grep -q '"digest_matches_full": true' BENCH_incremental.json
+    --quick --workers 4 --out "$BENCH_OUT" bench-incremental
+test -s "$BENCH_OUT/BENCH_incremental.json"
+grep -q '"digest_matches_full": true' "$BENCH_OUT/BENCH_incremental.json"
+rm -rf "$BENCH_OUT"
 
 echo "==> all checks passed"
