@@ -18,8 +18,6 @@
 //!   --seed <n>       generator seed (default 2025)
 //!   --workers <n>    worker threads (default: AREST_WORKERS / cores)
 //!   --catalog-scale <n>  replicate the 60-AS catalog n times
-//!   --nested         keep streaming tails on the nested (row-major)
-//!                    detect path instead of the columnar arena
 //!   --stream         print one progress row per finished AS, in
 //!                    completion order, while the catalog builds
 //!   --out <dir>      also write each report to <dir>/<id>.txt; the
@@ -68,16 +66,12 @@
 //! full rebuild) and writes `BENCH_incremental.json`, asserting that
 //! the 100% slice reproduces the full rebuild's payload digest.
 //!
-//! `bench-pipeline` builds the dataset in **three** configurations —
-//! the staged five-barrier baseline, the streaming dataflow on the
-//! nested detect path, and the streaming dataflow on the columnar
-//! arena — at one worker and at `--workers` (or the machine's
-//! parallelism), then writes `BENCH_pipeline.json` with per-phase
-//! seconds, each run's detect path and fingerprint/detect work
-//! figures, its peak resident raw-trace count, the parallel speedup,
-//! the streaming-vs-staged ratio, the columnar-vs-nested speedup on
-//! the layout-sensitive work, and the host core count (a single-core
-//! host gets an explicit caveat). `--catalog-scale` is the throughput
+//! `bench-pipeline` builds the dataset at one worker and at
+//! `--workers` (or the machine's parallelism), then writes
+//! `BENCH_pipeline.json` with per-phase seconds, each run's
+//! fingerprint/detect work figures and peak resident raw-trace count,
+//! the parallel speedup, and the host core count (a single-core host
+//! gets an explicit caveat). `--catalog-scale` is the throughput
 //! axis: 10 replicas ≈ the paper's catalog at 10× scale.
 //!
 //! With observability on (`--obs` or `AREST_OBS=1`), every mode —
@@ -107,11 +101,23 @@
 //! `inferno`), and `RUN_REPORT_provenance.txt` (one evidence-chain
 //! line per AReST detection).
 
-use arest_experiments::pipeline::{BuildMode, BuildStats, Dataset, PipelineConfig, SliceSpec};
+use arest_experiments::pipeline::{BuildStats, Dataset, PipelineConfig, SliceSpec};
 use arest_experiments::{run_experiment, ALL_EXPERIMENTS};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::time::Instant;
+
+/// The non-experiment words the command line accepts in place of ids.
+const MODES: [&str; 8] = [
+    "all",
+    "bench-pipeline",
+    "serve",
+    "bench-serve",
+    "bench-ledger",
+    "bench-incremental",
+    "history",
+    "diff",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -138,7 +144,6 @@ fn main() {
             "--catalog-scale" => {
                 config.gen.catalog_scale = expect_value(&mut iter, "--catalog-scale");
             }
-            "--nested" => config.columnar = false,
             "--stream" => stream = true,
             "--listen" => {
                 listen = iter.next().unwrap_or_else(|| usage("--listen needs addr:port"));
@@ -177,6 +182,17 @@ fn main() {
         if config.slice_mask().is_some_and(|mask| !mask.contains(&true)) {
             fail(&format!("--reprobe as{asn}: ASN {asn} is not in this campaign's catalog"));
         }
+    }
+    // Refuse typos before anything expensive runs. `diff` takes the
+    // two serials after it as arguments, not ids.
+    let diff_args = ids.iter().position(|i| i == "diff").map_or(0..0, |pos| pos + 1..pos + 3);
+    let unknown = ids.iter().enumerate().find(|&(pos, id)| {
+        !diff_args.contains(&pos)
+            && !MODES.contains(&id.as_str())
+            && !ALL_EXPERIMENTS.contains(&id.as_str())
+    });
+    if let Some((_, id)) = unknown {
+        fail(&format!("unknown experiment id: {id} (see --help)"));
     }
     if ids.iter().any(|i| i == "history") {
         let dir = ledger_dir.as_deref().unwrap_or_else(|| usage("history needs --ledger <dir>"));
@@ -231,12 +247,11 @@ fn main() {
         config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
     );
     let started = Instant::now();
-    let dataset = if stream {
-        // Incremental consumption: one row per finished AS, in
-        // completion order, while the rest of the catalog is still
-        // being measured.
-        let mut done = 0usize;
-        let (dataset, _) = Dataset::build_streaming_seeded(config, &seed_cache, |result| {
+    // With --stream, one row per finished AS, in completion order,
+    // while the rest of the catalog is still being measured.
+    let mut done = 0usize;
+    let (dataset, _) = Dataset::build_streaming_seeded(config, &seed_cache, |result| {
+        if stream {
             done += 1;
             eprintln!(
                 "  [{done:>2}] AS#{:<2} asn{}: {} intra-AS traces, {} addresses",
@@ -245,13 +260,8 @@ fn main() {
                 result.restricted.len(),
                 result.discovered.len(),
             );
-        });
-        dataset
-    } else if seed_cache.is_empty() {
-        Dataset::build(config)
-    } else {
-        Dataset::build_streaming_seeded(config, &seed_cache, |_| {}).0
-    };
+        }
+    });
     eprintln!(
         "dataset ready in {:.1}s: {} raw traces, {} routers",
         started.elapsed().as_secs_f64(),
@@ -264,17 +274,13 @@ fn main() {
     }
 
     for id in &ids {
-        match run_experiment(id, &dataset) {
-            Some(report) => {
-                let rendered = report.render();
-                println!("{rendered}");
-                if let Some(dir) = &out_dir {
-                    let path = format!("{dir}/{id}.txt");
-                    let mut file = std::fs::File::create(&path).expect("create report file");
-                    file.write_all(rendered.as_bytes()).expect("write report");
-                }
-            }
-            None => eprintln!("unknown experiment id: {id} (see --help)"),
+        let report = run_experiment(id, &dataset).expect("ids were checked before the build");
+        let rendered = report.render();
+        println!("{rendered}");
+        if let Some(dir) = &out_dir {
+            let path = format!("{dir}/{id}.txt");
+            let mut file = std::fs::File::create(&path).expect("create report file");
+            file.write_all(rendered.as_bytes()).expect("write report");
         }
     }
     if let Some(dir) = &ledger_dir {
@@ -866,10 +872,8 @@ fn write_run_report(out_dir: Option<&str>) {
     eprintln!("wrote {txt_path} and {csv_path}");
 }
 
-/// Builds the same dataset in all three configurations (staged
-/// baseline, streaming on the nested detect path, streaming on the
-/// columnar arena) at one worker and at the requested worker count,
-/// printing per-phase timings and writing `BENCH_pipeline.json`.
+/// Builds the same dataset at one worker and at the requested worker
+/// count, printing per-phase timings and writing `BENCH_pipeline.json`.
 /// Returns the last dataset built, so `--trace-out` can render its
 /// detection provenance.
 fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
@@ -881,96 +885,44 @@ fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
         worker_counts.push(parallel_workers);
     }
 
-    // (mode, columnar tail?, detect-path label). The staged baseline
-    // runs the nested per-trace code behind its barriers, so it shares
-    // the "nested" label; the two streaming runs differ only in the
-    // tail's memory layout.
-    let variants = [
-        (BuildMode::Staged, false, "nested"),
-        (BuildMode::Streaming, false, "nested"),
-        (BuildMode::Streaming, true, "columnar"),
-    ];
-
-    let mut runs: Vec<(BuildStats, &'static str)> = Vec::new();
+    let mut runs: Vec<BuildStats> = Vec::new();
     let mut last_dataset: Option<Dataset> = None;
     for &workers in &worker_counts {
-        for (mode, columnar, path) in variants {
-            let run_config = PipelineConfig { workers: Some(workers), columnar, ..config };
-            eprintln!(
-                "bench-pipeline: {} build, {path} detect (scale {}, catalog ×{}, {} VPs, \
-                 seed {}) with {workers} worker(s)…",
-                mode.as_str(),
-                run_config.gen.scale,
-                run_config.gen.catalog_scale,
-                run_config.gen.vp_count,
-                run_config.gen.seed
-            );
-            let (dataset, stats) = match mode {
-                BuildMode::Staged => Dataset::build_staged_with_stats(run_config),
-                BuildMode::Streaming => Dataset::build_with_stats(run_config),
-            };
-            eprintln!(
-                "  total {:.2}s ({} raw traces, peak resident {}, fingerprint work {:.3}s, \
-                 detect work {:.3}s)",
-                stats.total.as_secs_f64(),
-                dataset.raw_trace_count,
-                stats.peak_resident_traces,
-                stats.fingerprint_work.as_secs_f64(),
-                stats.detect_work.as_secs_f64(),
-            );
-            for (name, duration) in stats.stages() {
-                eprintln!("    {name:<12}{:.3}s", duration.as_secs_f64());
-            }
-            runs.push((stats, path));
-            last_dataset = Some(dataset);
+        let run_config = PipelineConfig { workers: Some(workers), ..config };
+        eprintln!(
+            "bench-pipeline: build (scale {}, catalog ×{}, {} VPs, seed {}) with {workers} \
+             worker(s)…",
+            run_config.gen.scale,
+            run_config.gen.catalog_scale,
+            run_config.gen.vp_count,
+            run_config.gen.seed
+        );
+        let (dataset, stats) = Dataset::build_with_stats(run_config);
+        eprintln!(
+            "  total {:.2}s ({} raw traces, peak resident {}, fingerprint work {:.3}s, \
+             detect work {:.3}s)",
+            stats.total.as_secs_f64(),
+            dataset.raw_trace_count,
+            stats.peak_resident_traces,
+            stats.fingerprint_work.as_secs_f64(),
+            stats.detect_work.as_secs_f64(),
+        );
+        for (name, duration) in stats.stages() {
+            eprintln!("    {name:<12}{:.3}s", duration.as_secs_f64());
         }
+        runs.push(stats);
+        last_dataset = Some(dataset);
     }
 
-    let run_of = |mode: BuildMode, path: &str, workers: usize| {
-        runs.iter()
-            .find(|(s, p)| s.mode == mode && *p == path && s.workers == workers)
-            .map(|(s, _)| s)
-    };
-    let total_of = |mode: BuildMode, path: &str, workers: usize| {
-        run_of(mode, path, workers).map(|s| s.total.as_secs_f64())
-    };
-    // Parallel scaling of the (default, columnar) streaming dataflow.
-    let speedup = match (
-        total_of(BuildMode::Streaming, "columnar", 1),
-        total_of(BuildMode::Streaming, "columnar", parallel_workers),
-    ) {
-        (Some(serial), Some(parallel)) => serial / parallel.max(f64::EPSILON),
-        _ => 1.0,
-    };
-    // Staged vs (columnar) streaming at the same (highest) worker
-    // count. > 1.0 means the dataflow beats the barriers.
-    let streaming_vs_staged = match (
-        total_of(BuildMode::Staged, "nested", parallel_workers),
-        total_of(BuildMode::Streaming, "columnar", parallel_workers),
-    ) {
-        (Some(staged), Some(streaming)) => staged / streaming.max(f64::EPSILON),
-        _ => 1.0,
-    };
-    // The tentpole figure: summed fingerprint+detect work, nested vs
-    // columnar streaming tails at the highest worker count. Work
-    // figures are layout-sensitive but scheduling-insensitive, so the
-    // ratio isolates the arena's effect from probing wall clock.
-    let work_of = |path: &str| {
-        run_of(BuildMode::Streaming, path, parallel_workers)
-            .map(|s| s.fingerprint_work.as_secs_f64() + s.detect_work.as_secs_f64())
-    };
-    let columnar_vs_nested = match (work_of("nested"), work_of("columnar")) {
-        (Some(nested), Some(columnar)) => nested / columnar.max(f64::EPSILON),
+    // Parallel scaling: the one-worker total over the last run's.
+    let speedup = match (runs.first(), runs.last()) {
+        (Some(serial), Some(parallel)) => {
+            serial.total.as_secs_f64() / parallel.total.as_secs_f64().max(f64::EPSILON)
+        }
         _ => 1.0,
     };
     eprintln!(
-        "streaming speedup at {parallel_workers} worker(s): {speedup:.2}x \
-         (host has {available} core(s))"
-    );
-    eprintln!("streaming vs staged at {parallel_workers} worker(s): {streaming_vs_staged:.2}x");
-    eprintln!(
-        "columnar vs nested detect+fingerprint work at {parallel_workers} worker(s): \
-         {columnar_vs_nested:.2}x"
+        "speedup at {parallel_workers} worker(s): {speedup:.2}x (host has {available} core(s))"
     );
 
     // Hand-rolled JSON, like the rest of the suite (no serde).
@@ -985,16 +937,9 @@ fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
     }
     json.push_str(&format!("  \"catalog_scale\": {},\n", config.gen.catalog_scale));
     json.push_str(&format!("  \"speedup\": {speedup:.4},\n"));
-    json.push_str(&format!("  \"streaming_vs_staged_speedup\": {streaming_vs_staged:.4},\n"));
-    json.push_str(&format!("  \"columnar_vs_nested_speedup\": {columnar_vs_nested:.4},\n"));
     json.push_str("  \"runs\": [\n");
-    for (i, (stats, path)) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"mode\": \"{}\", \"detect_path\": \"{path}\", \
-             \"stages\": {{",
-            stats.workers,
-            stats.mode.as_str()
-        ));
+    for (i, stats) in runs.iter().enumerate() {
+        json.push_str(&format!("    {{\"workers\": {}, \"stages\": {{", stats.workers));
         for (j, (name, duration)) in stats.stages().iter().enumerate() {
             if j > 0 {
                 json.push_str(", ");
@@ -1028,7 +973,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: arest-experiments [--quick] [--scale F] [--vps N] [--targets N] [--seed N] \
-         [--workers N] [--catalog-scale N] [--nested] [--stream] [--out DIR] [--obs] \
+         [--workers N] [--catalog-scale N] [--stream] [--out DIR] [--obs] \
          [--trace-out DIR] [--listen A:P] [--clients N] [--requests N] [--ledger DIR] \
          [--reprobe SLICE] [--base SERIAL] [--ledger-poll-ms N] \
          <ids…|all|bench-pipeline|serve|bench-serve|bench-ledger|bench-incremental|\

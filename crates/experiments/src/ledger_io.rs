@@ -37,12 +37,18 @@ use std::net::Ipv4Addr;
 /// they choose *how much of* a campaign to recompute, not what the
 /// campaign is, so a full run and any slice re-probe of it share one
 /// digest — the compatibility check an incremental merge enforces.
+///
+/// The rendering still carries the retired `columnar: true` layout
+/// knob in its old position, so runs committed before the knob was
+/// removed keep their digest and stay valid incremental bases.
 #[must_use]
 pub fn config_digest(config: &PipelineConfig) -> u64 {
     let mut canonical = *config;
     canonical.reprobe = SliceSpec::Full;
     canonical.base_serial = None;
-    fnv64(format!("{canonical:?}").as_bytes())
+    let rendered =
+        format!("{canonical:?}").replacen(", reprobe: ", ", columnar: true, reprobe: ", 1);
+    fnv64(rendered.as_bytes())
 }
 
 /// Digest of the built-in 60-AS catalog the campaign measured.
@@ -226,6 +232,13 @@ mod tests {
         sliced.reprobe = SliceSpec::Percent(5);
         sliced.base_serial = Some(7);
         assert_eq!(config_digest(&base), config_digest(&sliced));
+    }
+
+    #[test]
+    fn config_digest_matches_runs_committed_before_the_layout_knob_went() {
+        // The quick campaign's digest as committed (and shown in
+        // docs/API.md) while `PipelineConfig` still had the field.
+        assert_eq!(config_digest(&PipelineConfig::quick()), 0x93c2_9535_c202_15ce);
     }
 
     #[test]

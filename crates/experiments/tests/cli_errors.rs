@@ -80,6 +80,15 @@ fn an_asn_outside_the_catalog_is_refused_before_building() {
 }
 
 #[test]
+fn an_unknown_experiment_id_is_refused_before_building() {
+    let out = run(&["--quick", "bogus"]);
+    assert_friendly(&out, "unknown experiment id: bogus");
+    // A valid id next to the typo does not rescue the run.
+    let out = run(&["--quick", "headline", "bogus2"]);
+    assert_friendly(&out, "unknown experiment id: bogus2");
+}
+
+#[test]
 fn an_incremental_run_against_a_missing_base_fails_friendly() {
     let dir = scratch_dir("missing-base");
     let out = run(&[

@@ -83,10 +83,8 @@ fn trace_out_emits_valid_chrome_trace_flamegraph_and_provenance() {
 #[test]
 fn bench_stage_timings_agree_with_span_durations() {
     let dir = scratch_dir("trace-bench");
-    // `--workers 1` makes bench-pipeline build exactly once per
-    // configuration (staged baseline, nested streaming, columnar
-    // streaming), so the span ring holds exactly the pipeline.stage.*
-    // spans of those three builds.
+    // `--workers 1` makes bench-pipeline build exactly once, so the
+    // span ring holds exactly that build's pipeline.stage.* spans.
     let status = Command::new(env!("CARGO_BIN_EXE_arest-experiments"))
         .args(["--quick", "--workers", "1", "--trace-out"])
         .arg(&dir)
@@ -98,51 +96,27 @@ fn bench_stage_timings_agree_with_span_durations() {
 
     let bench = Json::parse(&read(&dir.join("BENCH_pipeline.json"))).expect("bench json");
     let runs = bench.get("runs").and_then(Json::as_arr).expect("runs array");
-    assert_eq!(runs.len(), 3, "staged + nested streaming + columnar streaming at --workers 1");
-    let mode_of = |run: &Json| run.get("mode").and_then(Json::as_str).map(str::to_owned);
-    let path_of = |run: &Json| run.get("detect_path").and_then(Json::as_str).map(str::to_owned);
-    assert_eq!(mode_of(&runs[0]).as_deref(), Some("staged"));
-    assert_eq!(mode_of(&runs[1]).as_deref(), Some("streaming"));
-    assert_eq!(mode_of(&runs[2]).as_deref(), Some("streaming"));
-    assert_eq!(path_of(&runs[0]).as_deref(), Some("nested"));
-    assert_eq!(path_of(&runs[1]).as_deref(), Some("nested"));
-    assert_eq!(path_of(&runs[2]).as_deref(), Some("columnar"));
+    assert_eq!(runs.len(), 1, "one streaming build at --workers 1");
+    let run = &runs[0];
     assert!(
         bench.get("catalog_scale").and_then(Json::as_f64).is_some_and(|s| s >= 1.0),
         "bench records the catalog scale"
     );
     assert!(
-        bench.get("columnar_vs_nested_speedup").and_then(Json::as_f64).is_some_and(|s| s > 0.0),
-        "bench records the columnar-vs-nested work ratio"
+        bench.get("speedup").and_then(Json::as_f64).is_some_and(|s| s > 0.0),
+        "bench records the parallel speedup"
     );
-    for run in runs {
-        let peak = run.get("peak_resident_traces").and_then(Json::as_f64);
-        assert!(peak.is_some_and(|p| p > 0.0), "each run reports its residency watermark");
-        for key in ["fingerprint_seconds", "detect_seconds"] {
-            let work = run.get(key).and_then(Json::as_f64);
-            assert!(work.is_some_and(|w| w >= 0.0), "each run reports {key}");
-        }
+    let peak = run.get("peak_resident_traces").and_then(Json::as_f64);
+    assert!(peak.is_some_and(|p| p > 0.0), "the run reports its residency watermark");
+    for key in ["fingerprint_seconds", "detect_seconds"] {
+        let work = run.get(key).and_then(Json::as_f64);
+        assert!(work.is_some_and(|w| w >= 0.0), "the run reports {key}");
     }
-
-    // The stage names differ per mode (five barriers vs
-    // generate+stream), and `generate` shows up in both builds — so
-    // sum the bench seconds per stage name across runs and compare
-    // against the span durations summed the same way.
-    let mut bench_stage_us: Vec<(String, f64)> = Vec::new();
-    for run in runs {
-        let stages = match run.get("stages") {
-            Some(Json::Obj(entries)) => entries,
-            other => panic!("stages object missing: {other:?}"),
-        };
-        assert!(!stages.is_empty(), "bench must report stages");
-        for (name, seconds) in stages {
-            let us = seconds.as_f64().expect("stage seconds") * 1e6;
-            match bench_stage_us.iter_mut().find(|(n, _)| n == name) {
-                Some((_, total)) => *total += us,
-                None => bench_stage_us.push((name.clone(), us)),
-            }
-        }
-    }
+    let stages = match run.get("stages") {
+        Some(Json::Obj(entries)) => entries,
+        other => panic!("stages object missing: {other:?}"),
+    };
+    assert!(!stages.is_empty(), "bench must report stages");
 
     let trace = Json::parse(&read(&dir.join("trace.json"))).expect("trace json");
     let events = trace.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
@@ -154,7 +128,8 @@ fn bench_stage_timings_agree_with_span_durations() {
             .sum()
     };
 
-    for (name, bench_us) in &bench_stage_us {
+    for (name, seconds) in stages {
+        let bench_us = seconds.as_f64().expect("stage seconds") * 1e6;
         let from_spans = span_us(&format!("pipeline.stage.{name}"));
         assert!(from_spans > 0.0, "no pipeline.stage.{name} span recorded");
         let tolerance = (bench_us * 0.25).max(150_000.0);

@@ -1,10 +1,9 @@
 //! A shared, sharded, memoizing fingerprint cache.
 //!
-//! The staged pipeline fingerprinted every address in one global
-//! barrier pass. The streaming pipeline instead asks for evidence the
-//! moment an AS's campaign completes — many ASes, concurrently, often
-//! for the *same* address (borders are shared). This cache makes that
-//! cheap and deterministic:
+//! The streaming pipeline asks for evidence the moment an AS's
+//! campaign completes — many ASes, concurrently, often for the *same*
+//! address (borders are shared). This cache makes that cheap and
+//! deterministic:
 //!
 //! * **compute-once** — the expensive half of the TTL signature (the
 //!   echo-reply probe) is memoized per address; the write lock is held
@@ -87,8 +86,7 @@ pub struct FingerprintCache<'net> {
 
 impl<'net> FingerprintCache<'net> {
     /// Creates an empty cache probing through `entry` from `src` (the
-    /// pipeline uses its first vantage point, as the staged
-    /// fingerprint pass did).
+    /// pipeline uses its first vantage point).
     pub fn new(net: &'net Network, entry: RouterId, src: Ipv4Addr) -> FingerprintCache<'net> {
         // Force the counter statics now, while construction is still
         // single-threaded. A `LazyLock`'s one-time initialization
@@ -136,8 +134,8 @@ impl<'net> FingerprintCache<'net> {
     /// Full fusion evidence for one address: SNMPv3 exactness first
     /// (§5 precedence, no probe needed), then the TTL signature built
     /// from the memoized echo probe and the caller's time-exceeded
-    /// reply TTL. Counts into the same `fingerprint.*` series as the
-    /// batch API.
+    /// reply TTL. Counts into the same `fingerprint.*` series as
+    /// [`crate::combined::fingerprint_addresses`].
     pub fn evidence(
         &self,
         addr: Ipv4Addr,
@@ -166,77 +164,6 @@ impl<'net> FingerprintCache<'net> {
         }
     }
 
-    /// Batched fusion evidence over an address column with its aligned
-    /// time-exceeded reply TTLs (the shape the columnar trace arena's
-    /// `collect_addrs` emits). Semantically identical to calling
-    /// [`FingerprintCache::evidence`] per address — same memoization,
-    /// same probe-once guarantee, same counter totals — but addresses
-    /// are bucketed by shard first, so a whole batch takes each shard
-    /// lock at most twice (one read pass for hits, one write pass for
-    /// the misses) instead of locking per address.
-    pub fn evidence_batch(
-        &self,
-        addrs: &[Ipv4Addr],
-        te_reply_ttls: &[u8],
-        snmp: &SnmpDataset,
-    ) -> Vec<Option<(VendorEvidence, FingerprintSource)>> {
-        assert_eq!(addrs.len(), te_reply_ttls.len(), "address and TE TTL columns must align");
-        let fusion = &*crate::combined::METRICS;
-        let metrics = &*METRICS;
-        let mut out: Vec<Option<(VendorEvidence, FingerprintSource)>> = vec![None; addrs.len()];
-        let mut by_shard: Vec<Vec<usize>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for (i, &addr) in addrs.iter().enumerate() {
-            fusion.addresses.inc();
-            if let Some(vendor) = snmp.lookup(addr) {
-                fusion.snmp_hits.inc();
-                out[i] = Some((VendorEvidence::Exact(vendor), FingerprintSource::Snmp));
-            } else {
-                by_shard[u32::from(addr) as usize % SHARDS].push(i);
-            }
-        }
-        for (shard, indices) in self.shards.iter().zip(&by_shard) {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut misses: Vec<usize> = Vec::new();
-            {
-                let guard = shard.read().expect("fingerprint shard lock");
-                for &i in indices {
-                    match guard.get(&addrs[i]) {
-                        Some(&ttl) => {
-                            metrics.hits.inc();
-                            out[i] = fuse_echo(ttl, te_reply_ttls[i]);
-                        }
-                        None => misses.push(i),
-                    }
-                }
-            }
-            if misses.is_empty() {
-                continue;
-            }
-            let mut guard = shard.write().expect("fingerprint shard lock");
-            for &i in &misses {
-                // Re-check under the write lock: another thread (or a
-                // duplicate earlier in this batch) may have probed the
-                // address since the read pass.
-                let ttl = match guard.get(&addrs[i]) {
-                    Some(&ttl) => {
-                        metrics.hits.inc();
-                        ttl
-                    }
-                    None => {
-                        metrics.misses.inc();
-                        let ttl = ping_echo_ttl(self.net, self.entry, self.src, addrs[i]);
-                        guard.insert(addrs[i], ttl);
-                        ttl
-                    }
-                };
-                out[i] = fuse_echo(ttl, te_reply_ttls[i]);
-            }
-        }
-        out
-    }
-
     /// Number of addresses with a memoized echo probe (for stats and
     /// tests; SNMPv3-resolved addresses never reach the probe step and
     /// are not cached).
@@ -262,7 +189,7 @@ impl<'net> FingerprintCache<'net> {
     /// failures (`None` echo TTL) are *not* installed — a non-answer is
     /// not evidence worth trusting across runs — and an address already
     /// memoized this run keeps its fresh value; both count as `stale`.
-    /// Safe to race against [`FingerprintCache::evidence_batch`]: every
+    /// Safe to race against [`FingerprintCache::evidence`]: every
     /// insert happens under the shard's write lock with the same
     /// occupied-entry re-check, so an address is never probed *and*
     /// rehydrated.
@@ -289,29 +216,6 @@ impl<'net> FingerprintCache<'net> {
             }
         }
         stats
-    }
-}
-
-/// The TTL half of the fusion rule over a memoized echo TTL, with the
-/// same outcome counting as [`FingerprintCache::evidence`].
-fn fuse_echo(
-    echo_ttl: Option<u8>,
-    te_reply_ttl: u8,
-) -> Option<(VendorEvidence, FingerprintSource)> {
-    let fusion = &*crate::combined::METRICS;
-    let Some(echo_ttl) = echo_ttl else {
-        fusion.unresolved.inc();
-        return None;
-    };
-    match ttl_evidence(echo_ttl, te_reply_ttl) {
-        Some(evidence) => {
-            fusion.ttl_hits.inc();
-            Some((evidence, FingerprintSource::Ttl))
-        }
-        None => {
-            fusion.unresolved.inc();
-            None
-        }
     }
 }
 
@@ -379,28 +283,6 @@ mod tests {
                 "cache and batch fusion must agree on {addr}"
             );
         }
-    }
-
-    #[test]
-    fn evidence_batch_matches_per_address_calls() {
-        let (net, lo) = testbed();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let mut snmp = SnmpDataset::new();
-        snmp.insert(lo[1], Vendor::Juniper);
-        let serial = FingerprintCache::new(&net, RouterId(0), src);
-        let expected: Vec<_> = lo.iter().map(|&a| serial.evidence(a, 250, &snmp)).collect();
-        let batched = FingerprintCache::new(&net, RouterId(0), src);
-        let te: Vec<u8> = vec![250; lo.len()];
-        assert_eq!(batched.evidence_batch(&lo, &te, &snmp), expected);
-        assert_eq!(batched.memoized(), serial.memoized());
-        // A repeat batch — and intra-batch duplicates — hit the cache
-        // instead of probing again.
-        let doubled: Vec<Ipv4Addr> = lo.iter().chain(&lo).copied().collect();
-        let te2: Vec<u8> = vec![250; doubled.len()];
-        let twice = batched.evidence_batch(&doubled, &te2, &snmp);
-        assert_eq!(&twice[..lo.len()], &expected[..]);
-        assert_eq!(&twice[lo.len()..], &expected[..]);
-        assert_eq!(batched.memoized(), serial.memoized(), "no re-probe on duplicates");
     }
 
     #[test]

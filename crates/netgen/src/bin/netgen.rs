@@ -11,7 +11,7 @@
 //!   --sr-adoption <f>   fraction of SR-capable ASes deploying (default 1.0)
 //!
 //! Prints one summary line per replica plus workspace totals. The
-//! catalog-scale knob is the throughput axis for the columnar
+//! catalog-scale knob is the throughput axis for the pipeline
 //! benchmarks: replica 0 is always the Table 5 catalog verbatim, so
 //! `--scale 1` output is byte-identical to the default pipeline input.
 //! ```

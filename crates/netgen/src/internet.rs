@@ -42,7 +42,7 @@ pub struct GenConfig {
     /// further replica re-instantiates the 60 profiles under fresh
     /// ASNs (`asn + 1_000_000·r`), disjoint address space, and its own
     /// deterministic RNG streams. This is the throughput axis for the
-    /// columnar-vs-nested benchmarks: 10× catalog, same per-AS shape.
+    /// pipeline benchmarks: 10× catalog, same per-AS shape.
     /// Capped at 63 by the address plan (`plan_as_replica`).
     pub catalog_scale: usize,
 }

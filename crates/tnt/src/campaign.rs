@@ -86,11 +86,11 @@ fn trace_unit(
 /// Runs one `(AS, VP)` campaign unit under an explicit parent span —
 /// the public entry point the streaming pipeline schedules directly
 /// (one unit per vantage point per AS) instead of going through a
-/// whole-batch [`run_campaigns_spanned`] barrier.
+/// whole-batch [`run_campaigns`] barrier.
 ///
-/// Opens a `tnt.campaign.unit` span parented to `parent` (normally
-/// the AS's `tnt.campaign` span context, which is `Copy` and can ride
-/// inside a pool work unit) and returns the VP's traces in its
+/// Opens a `tnt.campaign.unit` span parented to `parent` (the AS's
+/// flow or campaign span context, which is `Copy` and can ride inside
+/// a pool work unit) and returns the VP's traces in its
 /// shuffled target order.
 pub fn campaign_unit(
     net: &Network,
@@ -125,31 +125,19 @@ pub fn run_campaign(
 /// Returns one trace vector per target list, each grouped by VP in VP
 /// order — element `i` is exactly what `run_campaign` would return
 /// for `target_lists[i]`, regardless of worker count.
+///
+/// Each non-empty target list opens a `tnt.campaign` span that stays
+/// open for the whole batch; every `(AS, VP)` unit opens a
+/// `tnt.campaign.unit` span explicitly parented to its campaign's
+/// [`SpanContext`] — the context is `Copy` and rides inside the work
+/// unit, so a unit stolen by another pool worker still lands under the
+/// right campaign in the reconstructed tree.
 pub fn run_campaigns(
     net: &Network,
     vps: &[VantagePoint],
     target_lists: &[Vec<Ipv4Addr>],
     config: &CampaignConfig,
     workers: usize,
-) -> Vec<Vec<Trace>> {
-    run_campaigns_spanned(net, vps, target_lists, config, workers, SpanContext::NONE)
-}
-
-/// [`run_campaigns`] parented under an explicit span context.
-///
-/// Each non-empty target list opens a `tnt.campaign` span (child of
-/// `parent`) that stays open for the whole batch; every `(AS, VP)`
-/// unit opens a `tnt.campaign.unit` span explicitly parented to its
-/// campaign's [`SpanContext`] — the context is `Copy` and rides inside
-/// the work unit, so a unit stolen by another pool worker still lands
-/// under the right campaign in the reconstructed tree.
-pub fn run_campaigns_spanned(
-    net: &Network,
-    vps: &[VantagePoint],
-    target_lists: &[Vec<Ipv4Addr>],
-    config: &CampaignConfig,
-    workers: usize,
-    parent: SpanContext,
 ) -> Vec<Vec<Trace>> {
     let tracer = &*crate::obs::TRACER;
     let campaign_spans: Vec<Option<Span>> = target_lists
@@ -159,7 +147,7 @@ pub fn run_campaigns_spanned(
             if targets.is_empty() {
                 return None;
             }
-            let mut span = tracer.span_with_parent("tnt.campaign", parent);
+            let mut span = tracer.span("tnt.campaign");
             span.record("as_idx", as_idx);
             span.record("targets", targets.len());
             Some(span)

@@ -97,9 +97,8 @@ impl Trace {
 /// list plus the **first-seen** time-exceeded reply TTL per address
 /// (trace order, hop order — the TE component of the TTL signature).
 ///
-/// This is the single address-collection step shared by the staged and
-/// streaming pipelines; the sort makes any downstream split or probe
-/// order deterministic.
+/// This is the pipeline's single address-collection step; the sort
+/// makes any downstream split or probe order deterministic.
 ///
 /// The map is pre-sized from the total hop count (an upper bound on
 /// distinct addresses) so insertion never rehash-grows, and the sorted

@@ -14,8 +14,6 @@
 //! * [`icmp`] — ICMP messages, including the RFC 4884 extension
 //!   structure and the RFC 4950 MPLS Label Stack object through which
 //!   real routers expose LSEs to traceroute.
-//! * [`bitmap`] — a packed validity bitmap shared by the columnar
-//!   (struct-of-arrays) trace stores built on top of these formats.
 //!
 //! Each protocol offers two layers, following the idiom of smoltcp:
 //! a `Packet<T: AsRef<[u8]>>` wrapper giving checked field access over
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitmap;
 pub mod checksum;
 pub mod error;
 pub mod icmp;
@@ -33,7 +30,6 @@ pub mod ipv4;
 pub mod mpls;
 pub mod udp;
 
-pub use bitmap::Bitmap;
 pub use error::{WireError, WireResult};
 pub use icmp::{IcmpMessage, IcmpPacket, IcmpType, MplsExtension};
 pub use ipv4::{Ipv4Packet, Ipv4Repr, Protocol};

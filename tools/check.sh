@@ -34,21 +34,29 @@ cargo test -p arest-serve --features model-check --quiet --test model_store_cell
 echo "==> cargo doc (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# Bench smoke runs write their BENCH_*.json into a scratch --out, so a
-# smoke run never overwrites the committed numbers in the tree.
-BENCH_OUT=$(mktemp -d)
+# Smoke runs write their BENCH_*.json, RUN_REPORT.* and trace artifacts
+# into BENCH_OUT, so a smoke run never overwrites the committed numbers
+# in the tree. A caller (CI) may name the directory to keep them; it is
+# then left in place. Otherwise a temp dir is used and removed.
+if [[ -n "${BENCH_OUT:-}" ]]; then
+    mkdir -p "$BENCH_OUT"
+    OWN_BENCH_OUT=0
+else
+    BENCH_OUT=$(mktemp -d)
+    OWN_BENCH_OUT=1
+fi
 
 echo "==> bench-pipeline smoke run (timings informational, not gated)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
     --quick --out "$BENCH_OUT" bench-pipeline
 test -s "$BENCH_OUT/BENCH_pipeline.json"
-grep -q '"columnar_vs_nested_speedup"' "$BENCH_OUT/BENCH_pipeline.json"
+grep -q '"speedup"' "$BENCH_OUT/BENCH_pipeline.json"
 
 echo "==> netgen catalog-scale smoke run (10x replication)"
 cargo run --release -p arest-netgen --bin netgen -- --scale 10 --scale-factor 0.01 --vps 2 \
     | grep -q "total: 600 ASes"
 
-echo "==> columnar-detect smoke run (quick build on the arena tail)"
+echo "==> catalog-scale smoke run (quick build at catalog x2)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
     --quick --catalog-scale 2 headline >/dev/null
 
@@ -58,12 +66,13 @@ cargo run --release -p arest-experiments --bin arest-experiments -- \
 
 echo "==> observability smoke run (RUN_REPORT + trace artifacts)"
 AREST_OBS=1 cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --trace-out trace-artifacts headline audit >/dev/null
-test -s RUN_REPORT.txt
-test -s RUN_REPORT.csv
-test -s trace-artifacts/trace.json
-test -s trace-artifacts/trace.folded
-test -s trace-artifacts/RUN_REPORT_provenance.txt
+    --quick --out "$BENCH_OUT" --trace-out "$BENCH_OUT/trace-artifacts" \
+    headline audit >/dev/null
+test -s "$BENCH_OUT/RUN_REPORT.txt"
+test -s "$BENCH_OUT/RUN_REPORT.csv"
+test -s "$BENCH_OUT/trace-artifacts/trace.json"
+test -s "$BENCH_OUT/trace-artifacts/trace.folded"
+test -s "$BENCH_OUT/trace-artifacts/RUN_REPORT_provenance.txt"
 
 echo "==> tracing example smoke run"
 cargo run --release --example tracing >/dev/null
@@ -141,6 +150,8 @@ cargo run --release -p arest-experiments --bin arest-experiments -- \
     --quick --workers 4 --out "$BENCH_OUT" bench-incremental
 test -s "$BENCH_OUT/BENCH_incremental.json"
 grep -q '"digest_matches_full": true' "$BENCH_OUT/BENCH_incremental.json"
-rm -rf "$BENCH_OUT"
+if [[ $OWN_BENCH_OUT == 1 ]]; then
+    rm -rf "$BENCH_OUT"
+fi
 
 echo "==> all checks passed"
