@@ -629,6 +629,12 @@ fn percentile(values: &mut [u64], pct: usize) -> u64 {
     values[rank - 1]
 }
 
+/// The daemon's store over the flattened `dataset`.
+fn serving_store(dataset: &Dataset) -> std::sync::Arc<arest_serve::Store> {
+    let snapshot = arest_experiments::serve_store::snapshot(dataset);
+    std::sync::Arc::new(arest_serve::Store::new(std::sync::Arc::new(snapshot)))
+}
+
 /// Builds the dataset, flattens it into the serving store, and runs
 /// the `arest-serve` HTTP daemon on `listen` until SIGINT requests a
 /// graceful shutdown (in-flight requests complete, then this
@@ -647,7 +653,7 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
     );
     let started = Instant::now();
     let dataset = Dataset::build(config);
-    let store = std::sync::Arc::new(arest_experiments::serve_store::build(&dataset));
+    let store = serving_store(&dataset);
     eprintln!(
         "dataset ready in {:.1}s: {} ASes, {} addresses, {} raw traces",
         started.elapsed().as_secs_f64(),
@@ -715,7 +721,7 @@ fn bench_serve(
         config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
     );
     let dataset = Dataset::build(config);
-    let store = std::sync::Arc::new(arest_experiments::serve_store::build(&dataset));
+    let store = serving_store(&dataset);
     if let Some(dir) = ledger_dir {
         commit_to_ledger(dir, &dataset, &config, None);
     }

@@ -1,12 +1,11 @@
 //! Committing completed campaigns to an `arest-ledger` directory.
 //!
 //! The ledger stores plain snapshot rows; this module is the glue
-//! that flattens a built [`Dataset`] through the serving store
-//! (`serve_store::build`, the one canonical flattening) into a
-//! [`RunSnapshot`] and commits it, stamped
-//! with digests of the pipeline configuration and the AS catalog so
-//! `arest-experiments diff` can tell "the Internet changed" from "the
-//! campaign changed".
+//! that flattens a built [`Dataset`] into a [`RunSnapshot`]
+//! (`serve_store::snapshot`, the one canonical flattening, which the
+//! daemon serves too) and commits it, stamped with digests of the
+//! pipeline configuration and the AS catalog so `arest-experiments
+//! diff` can tell "the Internet changed" from "the campaign changed".
 //!
 //! Two commit paths exist. [`commit_dataset`] persists a full run
 //! plus its carry-forward sidecar (per-AS raw trace counts and the
@@ -21,11 +20,11 @@
 //! base payload exactly.
 
 use crate::pipeline::{Dataset, PipelineConfig, SliceSpec};
-use arest_ledger::snapshot::{AddrEntry, FlagTotals, RunSnapshot, RunTotals};
+use crate::serve_store::snapshot;
+use arest_ledger::snapshot::{AddrEntry, RunSnapshot, RunTotals};
 use arest_ledger::{
     fnv64, AuxRecord, CommitOptions, CommitReceipt, Ledger, LedgerError, LedgerResult,
 };
-use arest_serve::ledger_bridge::snapshot_from_store;
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -87,8 +86,7 @@ pub fn commit_dataset(
     config: &PipelineConfig,
     committed_unix: u64,
 ) -> LedgerResult<CommitReceipt> {
-    let store = crate::serve_store::build(dataset);
-    let snapshot = snapshot_from_store(&store);
+    let snapshot = snapshot(dataset);
     let options = CommitOptions {
         committed_unix,
         config_digest: config_digest(config),
@@ -137,12 +135,13 @@ pub fn commit_incremental(
         return Err(LedgerError::Malformed("base run measured a different AS catalog"));
     }
 
-    let store = crate::serve_store::build(dataset);
-    let fresh = snapshot_from_store(&store);
+    let fresh = snapshot(dataset);
     if base.snapshot.ases.len() != fresh.ases.len() {
         return Err(LedgerError::Malformed("base run covers a different catalog size"));
     }
     let mask = config.slice_mask().unwrap_or_else(|| vec![true; fresh.ases.len()]);
+    // A slice's fresh run only hears from the VPs its selected ASes
+    // answered; the campaign-wide figure is the wider view.
     let vantage_points = fresh.totals.vantage_points.max(base.snapshot.totals.vantage_points);
 
     // Per-AS merge in catalog order: fresh where re-probed, the base
@@ -179,27 +178,8 @@ pub fn commit_incremental(
     }
     let addrs: Vec<AddrEntry> = merged_addrs.into_values().collect();
 
-    let mut flags = FlagTotals::default();
-    for a in &ases {
-        flags.cvr += a.flags.cvr;
-        flags.co += a.flags.co;
-        flags.lsvr += a.flags.lsvr;
-        flags.lvr += a.flags.lvr;
-        flags.lso += a.flags.lso;
-    }
-    let totals = RunTotals {
-        ases: ases.len() as u64,
-        analyzed: ases.iter().filter(|a| a.analyzed).count() as u64,
-        sr_deployed: ases.iter().filter(|a| a.flags.strong() > 0).count() as u64,
-        addresses: addrs.len() as u64,
-        fingerprinted: addrs.iter().filter(|a| a.fingerprint.is_some()).count() as u64,
-        raw_traces: raw_traces.iter().map(|(_, raw)| raw).sum(),
-        intra_as_traces: ases.iter().map(|a| a.traces).sum(),
-        // A slice's fresh run only hears from the VPs its selected
-        // ASes answered; the campaign-wide figure is the wider view.
-        vantage_points,
-        flags,
-    };
+    let raw = raw_traces.iter().map(|(_, raw)| raw).sum();
+    let totals = RunTotals::new(&ases, &addrs, raw, vantage_points);
     let merged = RunSnapshot { ases, addrs, totals };
 
     let aux = AuxRecord {

@@ -1,20 +1,21 @@
-//! Converts a built [`Dataset`] into the plain-data
-//! [`arest_serve::Store`] the HTTP daemon answers from.
+//! Flattens a built [`Dataset`] into the [`RunSnapshot`] rows that
+//! both the ledger commits and the HTTP daemon serves.
 //!
-//! This is the one place the serving layer meets the pipeline types:
-//! `arest-serve` stays dependency-free (it sits beside `arest-obs` and
-//! `arest-tnt` in the crate graph), and this module flattens the
-//! campaign output — per-AS results, fingerprint evidence, detection
-//! provenance — into the store's rows. Everything is assembled in
-//! catalog order from deterministic inputs, so for a fixed
-//! [`crate::PipelineConfig`] the store (and therefore every JSON body
-//! the daemon serves) is byte-identical across runs and worker counts;
+//! [`snapshot`] is the one place the result rows meet the pipeline
+//! types: it flattens the campaign output — per-AS results,
+//! fingerprint evidence, detection provenance — into the ledger's
+//! rows, and `arest_serve::Store` indexes them without copying.
+//! Everything is assembled in catalog order from deterministic
+//! inputs, so for a fixed [`crate::PipelineConfig`] the snapshot (and
+//! therefore every payload digest and every JSON body the daemon
+//! serves) is byte-identical across runs and worker counts;
 //! `docs/API.md` and its replay test depend on that.
 
 use crate::pipeline::{AsResult, Dataset};
-use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
-use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
-use arest_serve::{FlagCounts, Store};
+use arest_ledger::snapshot::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
+};
+use arest_serve::Store;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -29,16 +30,16 @@ fn confirmation_str(confirmation: arest_netgen::Confirmation) -> &'static str {
     }
 }
 
-/// One AS's serving summary.
-fn as_summary(dataset: &Dataset, result: &AsResult) -> AsSummary {
+/// One AS's summary row.
+fn as_record(dataset: &Dataset, result: &AsResult) -> AsRecord {
     let profile = arest_netgen::catalog::by_id(result.id);
-    let mut flags = FlagCounts::default();
+    let mut flags = FlagTotals::default();
     for segment in result.all_segments() {
         flags.add(&segment.flag.to_string());
     }
     let fingerprinted =
         result.discovered.iter().filter(|addr| dataset.fingerprints.contains_key(addr)).count();
-    AsSummary {
+    AsRecord {
         id: result.id,
         asn: result.asn.0,
         name: profile.map_or("unknown", |p| p.name).to_string(),
@@ -58,7 +59,7 @@ fn as_summary(dataset: &Dataset, result: &AsResult) -> AsSummary {
 /// every covered address. Traces and segments are walked in stored
 /// (deterministic) order, so each address's detection list is
 /// reproducible.
-fn attach_detections(result: &AsResult, records: &mut BTreeMap<Ipv4Addr, AddrRecord>) {
+fn attach_detections(result: &AsResult, entries: &mut BTreeMap<Ipv4Addr, AddrEntry>) {
     for (trace, segments) in result.detections() {
         for segment in segments {
             let provenance = ProvenanceRecord {
@@ -86,31 +87,31 @@ fn attach_detections(result: &AsResult, records: &mut BTreeMap<Ipv4Addr, AddrRec
             });
             for hop in &trace.hops[segment.start..=segment.end] {
                 let Some(addr) = hop.addr else { continue };
-                if let Some(record) = records.get_mut(&addr) {
-                    record.detections.push(Arc::clone(&detection));
+                if let Some(entry) = entries.get_mut(&addr) {
+                    entry.detections.push(Arc::clone(&detection));
                 }
             }
         }
     }
 }
 
-/// Flattens a completed dataset into the daemon's read-only store.
+/// Flattens a completed dataset into the rows the ledger commits and
+/// the daemon serves: the one `Dataset → RunSnapshot` conversion.
 #[must_use]
-pub fn build(dataset: &Dataset) -> Store {
-    let summaries: Vec<AsSummary> =
-        dataset.results.iter().map(|result| as_summary(dataset, result)).collect();
+pub fn snapshot(dataset: &Dataset) -> RunSnapshot {
+    let ases: Vec<AsRecord> =
+        dataset.results.iter().map(|result| as_record(dataset, result)).collect();
 
-    // Address records: catalog order, first-wins when two ASes both
+    // Address rows: catalog order, first-wins when two ASes both
     // discovered an address (mirrors `Store::by_asn` tie-breaking).
-    let mut records: BTreeMap<Ipv4Addr, AddrRecord> = BTreeMap::new();
-    for (result, summary) in dataset.results.iter().zip(&summaries) {
+    let mut entries: BTreeMap<Ipv4Addr, AddrEntry> = BTreeMap::new();
+    for result in &dataset.results {
         for &addr in &result.discovered {
-            records.entry(addr).or_insert_with(|| {
+            entries.entry(addr).or_insert_with(|| {
                 let evidence = dataset.fingerprints.get(&addr);
-                AddrRecord {
+                AddrEntry {
                     addr,
                     asn: result.asn.0,
-                    as_name: summary.name.clone(),
                     fingerprint: evidence.map(|(vendor, _)| vendor.to_string()),
                     fingerprint_source: evidence.map(|(_, source)| match source {
                         arest_fingerprint::combined::FingerprintSource::Ttl => "ttl".to_string(),
@@ -122,29 +123,24 @@ pub fn build(dataset: &Dataset) -> Store {
         }
     }
     for result in &dataset.results {
-        attach_detections(result, &mut records);
+        attach_detections(result, &mut entries);
     }
+    let addrs: Vec<AddrEntry> = entries.into_values().collect();
 
-    let mut flags = FlagCounts::default();
-    for summary in &summaries {
-        flags.cvr += summary.flags.cvr;
-        flags.co += summary.flags.co;
-        flags.lsvr += summary.flags.lsvr;
-        flags.lvr += summary.flags.lvr;
-        flags.lso += summary.flags.lso;
-    }
-    let summary = SummaryInfo {
-        ases: summaries.len() as u64,
-        analyzed: summaries.iter().filter(|s| s.analyzed).count() as u64,
-        sr_deployed: summaries.iter().filter(|s| s.sr_deployed()).count() as u64,
-        addresses: records.len() as u64,
-        fingerprinted: records.values().filter(|r| r.fingerprint.is_some()).count() as u64,
-        raw_traces: dataset.raw_trace_count as u64,
-        intra_as_traces: dataset.results.iter().map(|r| r.restricted.len() as u64).sum(),
-        vantage_points: dataset.per_vp_discovered.len() as u64,
-        flags,
-    };
-    Store::new(summaries, records.into_values().collect(), summary)
+    let raw_traces = dataset.raw_trace_count as u64;
+    let vantage_points = dataset.per_vp_discovered.len() as u64;
+    let totals = RunTotals::new(&ases, &addrs, raw_traces, vantage_points);
+    RunSnapshot { ases, addrs, totals }
+}
+
+/// A serving store over [`snapshot`]`(dataset)`.
+///
+/// Kept only because the `perfbench` harness, which may not change
+/// with this crate, calls it (its `experiments.serve_store_s`
+/// metric); in-tree code calls [`snapshot`] and `Store::new`.
+#[must_use]
+pub fn build(dataset: &Dataset) -> Store {
+    Store::new(Arc::new(snapshot(dataset)))
 }
 
 #[cfg(test)]
@@ -153,34 +149,45 @@ mod tests {
     use crate::pipeline::PipelineConfig;
 
     fn quick_store() -> Store {
-        build(&Dataset::build(PipelineConfig::quick()))
+        Store::new(Arc::new(snapshot(&Dataset::build(PipelineConfig::quick()))))
     }
 
     #[test]
     fn store_mirrors_the_dataset_shape() {
         let dataset = Dataset::build(PipelineConfig::quick());
-        let store = build(&dataset);
+        let store = Store::new(Arc::new(snapshot(&dataset)));
         assert_eq!(store.ases().len(), dataset.results.len());
         assert_eq!(store.summary().raw_traces, dataset.raw_trace_count as u64);
+        let per_as_raw: usize = dataset.results.iter().map(|r| r.raw_traces).sum();
+        assert_eq!(dataset.raw_trace_count, per_as_raw, "raw traces are the per-AS sum");
         assert_eq!(store.summary().vantage_points, dataset.per_vp_discovered.len() as u64);
         let addresses: std::collections::HashSet<_> =
             dataset.results.iter().flat_map(|r| r.discovered.iter().copied()).collect();
         assert_eq!(store.summary().addresses, addresses.len() as u64);
+        assert!(
+            store.snapshot().addrs.windows(2).all(|w| w[0].addr < w[1].addr),
+            "address rows are strictly increasing"
+        );
     }
 
     #[test]
     fn every_as_resolves_by_asn() {
         let store = quick_store();
-        for summary in store.ases() {
-            let hit = store.by_asn(summary.asn).expect("asn lookup");
-            assert_eq!(hit.id, summary.id);
+        for record in store.ases() {
+            let hit = store.by_asn(record.asn).expect("asn lookup");
+            assert_eq!(hit.id, record.id);
+            assert_eq!(store.as_name(record.asn), record.name);
+        }
+        for entry in store.addrs() {
+            let hit = store.addr(entry.addr).expect("addr lookup");
+            assert!(std::ptr::eq(hit, entry));
         }
     }
 
     #[test]
     fn detections_carry_provenance_chains() {
         let dataset = Dataset::build(PipelineConfig::quick());
-        let rebuilt = build(&dataset);
+        let rebuilt = Store::new(Arc::new(snapshot(&dataset)));
         assert!(
             rebuilt.ases().iter().any(|s| s.flags.total() > 0),
             "the quick dataset detects something"
@@ -213,8 +220,7 @@ mod tests {
     fn build_is_deterministic() {
         let a = quick_store();
         let b = quick_store();
-        assert_eq!(a.summary(), b.summary());
-        assert_eq!(a.ases(), b.ases());
+        assert_eq!(a.snapshot(), b.snapshot());
         let status_a = a.status_json(2, arest_serve::Json::Null).render();
         let status_b = b.status_json(2, arest_serve::Json::Null).render();
         assert_eq!(status_a, status_b);

@@ -46,7 +46,7 @@
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig};
 use arest_ledger::{CommitOptions, FlagTotals, Ledger, RunSnapshot};
-use arest_serve::ledger_bridge::snapshot_from_store;
+use arest_serve::Store;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -99,7 +99,8 @@ fn documented_examples_match_served_bytes() {
 
     let config = PipelineConfig::quick();
     let dataset = Dataset::build(config);
-    let store = Arc::new(arest_experiments::serve_store::build(&dataset));
+    let current = Arc::new(arest_experiments::serve_store::snapshot(&dataset));
+    let store = Arc::new(Store::new(Arc::clone(&current)));
 
     // A two-run ledger with pinned commit timestamps: run 1 is the
     // synthetic previous campaign, run 2 the quick campaign itself.
@@ -107,7 +108,6 @@ fn documented_examples_match_served_bytes() {
         std::env::temp_dir().join(format!("arest-api-md-ledger-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ledger_dir);
     let ledger = Arc::new(Ledger::open(&ledger_dir).expect("open ledger"));
-    let current = snapshot_from_store(&store);
     let options = |committed_unix| CommitOptions {
         committed_unix,
         config_digest: arest_experiments::ledger_io::config_digest(&config),

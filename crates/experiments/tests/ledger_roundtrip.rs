@@ -14,9 +14,10 @@ use arest_experiments::ledger_io::{commit_dataset, commit_incremental};
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
 use arest_experiments::serve_store;
 use arest_ledger::{Ledger, HEADER_LEN};
-use arest_serve::ledger_bridge::{snapshot_from_store, store_from_snapshot};
+use arest_serve::store::{addr_json, as_json};
 use arest_serve::Store;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -30,10 +31,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn all_bodies(store: &Store) -> String {
     let mut out = store.summary_json().render();
     for a in store.ases() {
-        out.push_str(&a.json().render());
+        out.push_str(&as_json(a).render());
     }
     for r in store.addrs() {
-        out.push_str(&r.json().render());
+        out.push_str(&addr_json(r, store.as_name(r.asn)).render());
     }
     out
 }
@@ -42,7 +43,7 @@ fn all_bodies(store: &Store) -> String {
 fn parallel_build_matches_ledger_roundtrip() {
     let config = PipelineConfig::quick();
     let dataset = Dataset::build(config);
-    let fresh = serve_store::build(&dataset);
+    let fresh = Store::new(Arc::new(serve_store::snapshot(&dataset)));
 
     let dir = scratch_dir("determinism");
     let ledger = Ledger::open(&dir).expect("open ledger");
@@ -50,14 +51,12 @@ fn parallel_build_matches_ledger_roundtrip() {
     let run = ledger.load(receipt.serial).expect("load committed run");
     assert_eq!(run.meta.payload_digest, receipt.payload_digest);
 
-    // The snapshot is lossless for everything the server renders: a
-    // store rebuilt from the loaded snapshot serves byte-identical
-    // bodies to the store flattened straight from the dataset.
-    let reloaded = store_from_snapshot(&run.snapshot);
+    // The snapshot round-trips exactly, so a store over the loaded
+    // snapshot serves byte-identical bodies to the store over the
+    // snapshot flattened straight from the dataset.
+    assert_eq!(**fresh.snapshot(), run.snapshot);
+    let reloaded = Store::new(Arc::new(run.snapshot));
     assert_eq!(all_bodies(&fresh), all_bodies(&reloaded));
-
-    // And the snapshot itself round-trips exactly.
-    assert_eq!(snapshot_from_store(&fresh), run.snapshot);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -172,7 +172,7 @@ fn as_facts(ases: &[AsRecord]) -> HashMap<u32, (bool, &str)> {
     let mut facts: HashMap<u32, (bool, &str)> = HashMap::with_capacity(ases.len());
     for a in ases {
         let fact = facts.entry(a.asn).or_insert((false, &a.name));
-        fact.0 |= a.flags.strong() > 0;
+        fact.0 |= a.sr_deployed();
     }
     facts
 }

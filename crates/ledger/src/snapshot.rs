@@ -38,6 +38,7 @@ use crate::codec::{put_bool, put_str, put_varint, Reader};
 use crate::error::{LedgerError, LedgerResult};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 /// Detection counts by flag, strongest first (paper order).
@@ -56,6 +57,18 @@ pub struct FlagTotals {
 }
 
 impl FlagTotals {
+    /// Counts one detection by its flag name (`CVR`/`CO`/`LSVR`/`LVR`;
+    /// anything else counts as `LSO`).
+    pub fn add(&mut self, flag: &str) {
+        match flag {
+            "CVR" => self.cvr += 1,
+            "CO" => self.co += 1,
+            "LSVR" => self.lsvr += 1,
+            "LVR" => self.lvr += 1,
+            _ => self.lso += 1,
+        }
+    }
+
     /// All detections.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -66,6 +79,16 @@ impl FlagTotals {
     #[must_use]
     pub fn strong(&self) -> u64 {
         self.cvr + self.co + self.lsvr + self.lvr
+    }
+}
+
+impl AddAssign for FlagTotals {
+    fn add_assign(&mut self, other: FlagTotals) {
+        self.cvr += other.cvr;
+        self.co += other.co;
+        self.lsvr += other.lsvr;
+        self.lvr += other.lvr;
+        self.lso += other.lso;
     }
 }
 
@@ -94,6 +117,14 @@ pub struct AsRecord {
     pub fingerprinted: u64,
     /// Detection counts by flag.
     pub flags: FlagTotals,
+}
+
+impl AsRecord {
+    /// Whether any strong flag fired — the paper's SR-deployed verdict.
+    #[must_use]
+    pub fn sr_deployed(&self) -> bool {
+        self.flags.strong() > 0
+    }
 }
 
 /// The provenance chain of one detection.
@@ -185,24 +216,45 @@ pub struct RunTotals {
     pub flags: FlagTotals,
 }
 
+impl RunTotals {
+    /// The campaign totals of `ases` and `addrs` (one entry per
+    /// distinct address). `raw_traces` and `vantage_points` are not
+    /// derivable from the rows, so the caller supplies them.
+    #[must_use]
+    pub fn new(
+        ases: &[AsRecord],
+        addrs: &[AddrEntry],
+        raw_traces: u64,
+        vantage_points: u64,
+    ) -> RunTotals {
+        let mut flags = FlagTotals::default();
+        for a in ases {
+            flags += a.flags;
+        }
+        RunTotals {
+            ases: ases.len() as u64,
+            analyzed: ases.iter().filter(|a| a.analyzed).count() as u64,
+            sr_deployed: ases.iter().filter(|a| a.sr_deployed()).count() as u64,
+            addresses: addrs.len() as u64,
+            fingerprinted: addrs.iter().filter(|a| a.fingerprint.is_some()).count() as u64,
+            raw_traces,
+            intra_as_traces: ases.iter().map(|a| a.traces).sum(),
+            vantage_points,
+            flags,
+        }
+    }
+}
+
 /// One completed campaign, ready to commit or freshly loaded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunSnapshot {
     /// Per-AS summaries in catalog order.
     pub ases: Vec<AsRecord>,
-    /// Per-address evidence in address order.
+    /// Per-address evidence in strictly increasing address order (the
+    /// decoder rejects anything else, so lookups may binary-search).
     pub addrs: Vec<AddrEntry>,
     /// Campaign totals.
     pub totals: RunTotals,
-}
-
-impl RunSnapshot {
-    /// Flattens every distinct detection in the snapshot, keyed the
-    /// way the delta computation needs them.
-    #[must_use]
-    pub fn detection_count(&self) -> usize {
-        self.addrs.iter().map(|a| a.detections.len()).sum()
-    }
 }
 
 /// First-use-order string interner over borrowed strings.
@@ -343,6 +395,10 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
         put_flags(&mut out, &a.flags);
     }
 
+    debug_assert!(
+        snapshot.addrs.windows(2).all(|w| w[0].addr < w[1].addr),
+        "address rows must be strictly increasing"
+    );
     put_varint(&mut out, snapshot.addrs.len() as u64);
     for (entry, row) in snapshot.addrs.iter().zip(&addr_rows) {
         out.extend_from_slice(&entry.addr.octets());
@@ -481,6 +537,9 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
     for _ in 0..addr_count {
         let octets: [u8; 4] = reader.take(4)?.try_into().expect("take(4) returned 4 bytes");
         let addr = Ipv4Addr::from(octets);
+        if addrs.last().is_some_and(|prev: &AddrEntry| prev.addr >= addr) {
+            return Err(LedgerError::Malformed("address rows out of order"));
+        }
         let asn = narrow(reader.varint()?, "address ASN exceeds 32 bits")?;
         let fingerprint =
             table_opt_str(&strings, reader.varint()?, "address fingerprint index out of range")?;
@@ -650,6 +709,21 @@ pub(crate) mod tests {
     fn empty_snapshot_round_trips() {
         let empty = RunSnapshot::default();
         assert_eq!(decode_payload(&encode_payload(&empty)).expect("decode"), empty);
+    }
+
+    #[test]
+    fn out_of_order_address_rows_are_malformed() {
+        let mut bytes = encode_payload(&sample());
+        // The two address rows run from 10.0.0.1's octets to the
+        // totals, which are 13 one-byte varints in the sample.
+        let find = |octets: [u8; 4]| bytes.windows(4).rposition(|w| w == octets).expect("row");
+        let (first, second, totals) = (find([10, 0, 0, 1]), find([10, 0, 0, 2]), bytes.len() - 13);
+        let swapped = [&bytes[second..totals], &bytes[first..second]].concat();
+        bytes[first..totals].copy_from_slice(&swapped);
+        assert!(matches!(
+            decode_payload(&bytes),
+            Err(LedgerError::Malformed("address rows out of order"))
+        ));
     }
 
     #[test]

@@ -89,13 +89,7 @@ fn generated_snapshot(seed: u64) -> RunSnapshot {
                 detections.push(Arc::new(generated_detection(&mut mix, asn)));
             }
             for d in &detections {
-                match d.flag.as_str() {
-                    "CVR" => as_flags.cvr += 1,
-                    "CO" => as_flags.co += 1,
-                    "LSVR" => as_flags.lsvr += 1,
-                    "LVR" => as_flags.lvr += 1,
-                    _ => as_flags.lso += 1,
-                }
+                as_flags.add(&d.flag);
             }
             let vendor = VENDORS[mix.below(3) as usize];
             addrs.push(AddrEntry {
@@ -130,11 +124,7 @@ fn generated_snapshot(seed: u64) -> RunSnapshot {
         intra_as_traces: mix.below(100),
         vantage_points: 1 + mix.below(8),
         flags: ases.iter().fold(FlagTotals::default(), |mut acc, a| {
-            acc.cvr += a.flags.cvr;
-            acc.co += a.flags.co;
-            acc.lsvr += a.flags.lsvr;
-            acc.lvr += a.flags.lvr;
-            acc.lso += a.flags.lso;
+            acc += a.flags;
             acc
         }),
     };

@@ -5,17 +5,18 @@
 //! complete, checksummed file into the directory, so polling is safe:
 //! the watcher either sees the new `run-<serial>.arest` in full or
 //! not at all. When [`refresh`] observes a serial newer than the one
-//! the [`StoreCell`] serves, it loads and verifies the file, rebuilds
-//! the serving store, and swaps it in — requests in flight keep the
-//! version they loaded, the next request gets the new one, and the
-//! cell's monotonicity check makes racing watchers harmless.
+//! the [`StoreCell`] serves, it loads and verifies the file, indexes
+//! the loaded snapshot as the serving store, and swaps it in —
+//! requests in flight keep the version they loaded, the next request
+//! gets the new one, and the cell's monotonicity check makes racing
+//! watchers harmless.
 //!
 //! Verification failures (a corrupt file, a mid-rename glimpse on a
 //! non-POSIX filesystem) leave the current version serving and are
 //! retried on the next poll; the ledger's own `ledger.errors` counter
 //! records them.
 
-use crate::ledger_bridge::store_from_snapshot;
+use crate::store::Store;
 use crate::store_cell::{LedgerStamp, RunOrigin, StoreCell, StoreVersion};
 use arest_ledger::{Ledger, LedgerResult};
 use std::sync::Arc;
@@ -43,15 +44,14 @@ pub fn refresh(cell: &StoreCell, ledger: &Ledger) -> LedgerResult<Option<u64>> {
             carried,
         }
     });
-    let version = StoreVersion {
-        store: Arc::new(store_from_snapshot(&run.snapshot)),
-        stamp: Some(LedgerStamp {
-            serial: run.meta.serial,
-            payload_digest: run.meta.payload_digest,
-            committed_unix: run.meta.committed_unix,
-            origin,
-        }),
+    let stamp = LedgerStamp {
+        serial: run.meta.serial,
+        payload_digest: run.meta.payload_digest,
+        committed_unix: run.meta.committed_unix,
+        origin,
     };
+    let version =
+        StoreVersion { store: Arc::new(Store::new(Arc::new(run.snapshot))), stamp: Some(stamp) };
     Ok(cell.swap(version).then_some(latest))
 }
 
@@ -72,8 +72,7 @@ pub fn watch(cell: &StoreCell, ledger: &Ledger, poll: Duration, stop: &(dyn Fn()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger_bridge::snapshot_from_store;
-    use crate::store::tests::tiny;
+    use crate::store::tests::{tiny, tiny_snapshot};
     use arest_ledger::CommitOptions;
     use std::path::PathBuf;
 
@@ -94,14 +93,14 @@ mod tests {
         assert_eq!(refresh(&cell, &ledger).expect("refresh"), None);
 
         let options = CommitOptions { committed_unix: 1_750_000_000, ..Default::default() };
-        ledger.commit(&snapshot_from_store(&tiny()), &options).expect("commit");
+        ledger.commit(&tiny_snapshot(), &options).expect("commit");
         assert_eq!(refresh(&cell, &ledger).expect("refresh"), Some(1));
         assert_eq!(cell.serial(), Some(1));
 
         // Already current: idempotent.
         assert_eq!(refresh(&cell, &ledger).expect("refresh"), None);
 
-        ledger.commit(&snapshot_from_store(&tiny()), &options).expect("commit");
+        ledger.commit(&tiny_snapshot(), &options).expect("commit");
         assert_eq!(refresh(&cell, &ledger).expect("refresh"), Some(2));
         assert_eq!(cell.serial(), Some(2));
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -113,12 +112,12 @@ mod tests {
         let ledger = Ledger::open(&dir).expect("open");
         let cell = StoreCell::bare(Arc::new(tiny()));
         let options = CommitOptions::default();
-        ledger.commit(&snapshot_from_store(&tiny()), &options).expect("commit");
+        ledger.commit(&tiny_snapshot(), &options).expect("commit");
         refresh(&cell, &ledger).expect("refresh");
 
         // Serial 2 lands bit-flipped: refresh errors, the cell stays
         // on serial 1.
-        let receipt = ledger.commit(&snapshot_from_store(&tiny()), &options).expect("commit");
+        let receipt = ledger.commit(&tiny_snapshot(), &options).expect("commit");
         let mut bytes = std::fs::read(&receipt.path).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;

@@ -34,11 +34,12 @@
 //! what lets `docs/API.md` quote example responses verbatim and have a
 //! test (`api_md.rs` in `arest-experiments`) hold them to it.
 //!
-//! The crate knows nothing about campaign types: `arest-experiments`
-//! converts its `Dataset` into the plain [`store::Store`] rows and
-//! hands them over, keeping the dependency arrow pointing the same way
-//! as every other crate here (`serve` sits beside `obs`/`tnt`, not
-//! above the pipeline).
+//! The crate knows nothing about campaign types: it serves the
+//! ledger's [`arest_ledger::RunSnapshot`] rows, which
+//! `arest-experiments` flattens a `Dataset` into (and the ledger
+//! loads from disk), keeping the dependency arrow pointing the same
+//! way as every other crate here (`serve` sits beside `obs`/`tnt`,
+//! not above the pipeline).
 #![warn(missing_docs)]
 
 pub mod dispatch;
@@ -58,5 +59,5 @@ pub use json::Json;
 pub use load::{LoadConfig, LoadReport};
 pub use router::{route, Route, RouteError};
 pub use server::{Server, ShutdownHandle};
-pub use store::{AddrRecord, AsSummary, FlagCounts, Store, SummaryInfo};
+pub use store::Store;
 pub use store_cell::{LedgerStamp, RunOrigin, StoreCell, StoreVersion};

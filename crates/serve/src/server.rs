@@ -22,7 +22,7 @@ use crate::http::{self, ParseError, Parsed, Request, Response};
 use crate::json::Json;
 use crate::ledger_bridge;
 use crate::router::{self, Route, RouteError};
-use crate::store::Store;
+use crate::store::{self, Store};
 use crate::store_cell::{StoreCell, StoreVersion};
 use arest_ledger::{Ledger, LedgerError};
 use arest_obs::{Counter, Histogram, Registry};
@@ -379,11 +379,14 @@ impl<'r> Server<'r> {
         match route {
             Route::Summary => Response::json(200, version.store.summary_json().render()),
             Route::As(asn) => match version.store.by_asn(asn) {
-                Some(summary) => Response::json(200, summary.json().render()),
+                Some(record) => Response::json(200, store::as_json(record).render()),
                 None => Response::error(404, "AS not in dataset"),
             },
             Route::Addr(ip) => match version.store.addr(ip) {
-                Some(record) => Response::json(200, record.json().render()),
+                Some(entry) => {
+                    let as_name = version.store.as_name(entry.asn);
+                    Response::json(200, store::addr_json(entry, as_name).render())
+                }
                 None => Response::error(404, "address not in dataset"),
             },
             Route::Runs => self.handle_runs(),

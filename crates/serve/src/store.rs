@@ -1,141 +1,61 @@
 //! The read-only deployment store the daemon serves.
 //!
-//! `arest-serve` cannot depend on `arest-experiments` (the experiment
-//! harness is the crate that *embeds* the server), so the store
-//! defines its own plain-data view of a completed dataset: per-AS
-//! summaries, per-address evidence records carrying the full
-//! provenance chain of every detection that touched the address, and
-//! the dataset-wide totals. Detections are the ledger's
-//! [`DetectionRecord`] rows, shared as `Arc`s by every address their
-//! segment covers, so committing a store or serving a loaded snapshot
-//! never copies them. `arest_experiments::serve_store` is the
-//! one converter that fills it from a built `Dataset`; tests build
-//! tiny stores by hand.
+//! A [`Store`] is an index over one committed [`RunSnapshot`]: the
+//! ledger's own per-AS, per-address and totals rows, shared behind an
+//! `Arc`, plus an ASN → row map. Address lookups binary-search the
+//! snapshot's address rows, which the ledger keeps in strictly
+//! increasing order. Building a store from a snapshot (a fresh build
+//! flattened by `arest_experiments::serve_store::snapshot`, or a run
+//! the watcher loaded) copies no row.
 //!
-//! All JSON rendering lives here, next to the data it renders, so the
-//! bodies `docs/API.md` quotes have exactly one source of truth.
+//! All JSON rendering lives here, as free functions over the ledger
+//! rows, so the bodies `docs/API.md` quotes have exactly one source of
+//! truth.
 
 use crate::json::Json;
-use arest_ledger::snapshot::DetectionRecord;
-use std::collections::{BTreeMap, HashMap};
+use arest_ledger::snapshot::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, RunSnapshot, RunTotals,
+};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Detection counts by flag, strongest first (paper order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlagCounts {
-    /// Consecutive & Vendor Range (★5).
-    pub cvr: u64,
-    /// Consecutive Only (★4).
-    pub co: u64,
-    /// Label Stack & Vendor Range (★4).
-    pub lsvr: u64,
-    /// Label & Vendor Range (★3).
-    pub lvr: u64,
-    /// Label Stack Only (★1).
-    pub lso: u64,
+/// The `detections` JSON object: totals plus the per-flag breakdown,
+/// strongest flag first (paper order).
+fn flags_json(flags: &FlagTotals) -> Json {
+    Json::obj(vec![
+        ("total", Json::U64(flags.total())),
+        ("strong", Json::U64(flags.strong())),
+        (
+            "by_flag",
+            Json::obj(vec![
+                ("CVR", Json::U64(flags.cvr)),
+                ("CO", Json::U64(flags.co)),
+                ("LSVR", Json::U64(flags.lsvr)),
+                ("LVR", Json::U64(flags.lvr)),
+                ("LSO", Json::U64(flags.lso)),
+            ]),
+        ),
+    ])
 }
 
-impl FlagCounts {
-    /// Adds one detection by its flag name (`CVR`/`CO`/`LSVR`/`LVR`/`LSO`).
-    pub fn add(&mut self, flag: &str) {
-        match flag {
-            "CVR" => self.cvr += 1,
-            "CO" => self.co += 1,
-            "LSVR" => self.lsvr += 1,
-            "LVR" => self.lvr += 1,
-            _ => self.lso += 1,
-        }
-    }
-
-    /// All detections.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.cvr + self.co + self.lsvr + self.lvr + self.lso
-    }
-
-    /// Detections on strong flags (everything but LSO, §6.3).
-    #[must_use]
-    pub fn strong(&self) -> u64 {
-        self.cvr + self.co + self.lsvr + self.lvr
-    }
-
-    /// The `by_flag` JSON object.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("CVR", Json::U64(self.cvr)),
-            ("CO", Json::U64(self.co)),
-            ("LSVR", Json::U64(self.lsvr)),
-            ("LVR", Json::U64(self.lvr)),
-            ("LSO", Json::U64(self.lso)),
-        ])
-    }
-
-    /// The full `detections` JSON object (totals plus the breakdown).
-    #[must_use]
-    pub fn detections_json(&self) -> Json {
-        Json::obj(vec![
-            ("total", Json::U64(self.total())),
-            ("strong", Json::U64(self.strong())),
-            ("by_flag", self.json()),
-        ])
-    }
-}
-
-/// One AS's deployment summary (the `GET /api/as/{asn}` body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsSummary {
-    /// The paper's catalog identifier (`#1`–`#60`).
-    pub id: u8,
-    /// The autonomous system number.
-    pub asn: u32,
-    /// Operator name.
-    pub name: String,
-    /// Hierarchy class (`Stub`/`Content`/`Transit`/`Tier-1`).
-    pub astype: String,
-    /// External SR confirmation source (`cisco`/`survey`/`none`).
-    pub confirmation: String,
-    /// Whether the AS cleared the ≥ 100-address analysis threshold
-    /// (§5) in *this* dataset.
-    pub analyzed: bool,
-    /// Anaximander targets probed per vantage point.
-    pub targets_probed: u64,
-    /// Intra-AS traces kept after restriction.
-    pub traces: u64,
-    /// Distinct addresses annotated to the AS.
-    pub addresses: u64,
-    /// Addresses with a vendor fingerprint.
-    pub fingerprinted: u64,
-    /// Detection counts by flag.
-    pub flags: FlagCounts,
-}
-
-impl AsSummary {
-    /// Whether any strong flag fired — the paper's SR-deployed verdict.
-    #[must_use]
-    pub fn sr_deployed(&self) -> bool {
-        self.flags.strong() > 0
-    }
-
-    /// The `GET /api/as/{asn}` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::U64(u64::from(self.id))),
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("name", Json::str(&self.name)),
-            ("type", Json::str(&self.astype)),
-            ("confirmation", Json::str(&self.confirmation)),
-            ("analyzed", Json::Bool(self.analyzed)),
-            ("sr_deployed", Json::Bool(self.sr_deployed())),
-            ("targets_probed", Json::U64(self.targets_probed)),
-            ("traces", Json::U64(self.traces)),
-            ("addresses", Json::U64(self.addresses)),
-            ("fingerprinted_addresses", Json::U64(self.fingerprinted)),
-            ("detections", self.flags.detections_json()),
-        ])
-    }
+/// The `GET /api/as/{asn}` response body.
+#[must_use]
+pub fn as_json(a: &AsRecord) -> Json {
+    Json::obj(vec![
+        ("id", Json::U64(u64::from(a.id))),
+        ("asn", Json::U64(u64::from(a.asn))),
+        ("name", Json::str(&a.name)),
+        ("type", Json::str(&a.astype)),
+        ("confirmation", Json::str(&a.confirmation)),
+        ("analyzed", Json::Bool(a.analyzed)),
+        ("sr_deployed", Json::Bool(a.sr_deployed())),
+        ("targets_probed", Json::U64(a.targets_probed)),
+        ("traces", Json::U64(a.traces)),
+        ("addresses", Json::U64(a.addresses)),
+        ("fingerprinted_addresses", Json::U64(a.fingerprinted)),
+        ("detections", flags_json(&a.flags)),
+    ])
 }
 
 /// One element of an address's `detections` array.
@@ -168,132 +88,98 @@ pub fn detection_json(d: &DetectionRecord) -> Json {
     ])
 }
 
-/// Everything known about one address (the `GET /api/addr/{ip}` body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AddrRecord {
-    /// The address.
-    pub addr: Ipv4Addr,
-    /// The AS it was annotated to.
-    pub asn: u32,
-    /// That AS's operator name.
-    pub as_name: String,
-    /// Vendor fingerprint, when one was obtained.
-    pub fingerprint: Option<String>,
-    /// How the fingerprint was obtained (`snmp`/`ttl`).
-    pub fingerprint_source: Option<String>,
-    /// Every detection whose segment covers this address. Records are
-    /// the ledger's own rows, shared with every other address the
-    /// segment covers and with any snapshot built from this store.
-    pub detections: Vec<Arc<DetectionRecord>>,
+/// The `GET /api/addr/{ip}` response body. `as_name` is the operator
+/// name of the AS the address is annotated to ([`Store::as_name`]).
+#[must_use]
+pub fn addr_json(entry: &AddrEntry, as_name: &str) -> Json {
+    Json::obj(vec![
+        ("addr", Json::str(entry.addr.to_string())),
+        ("asn", Json::U64(u64::from(entry.asn))),
+        ("as_name", Json::str(as_name)),
+        ("fingerprint", Json::opt_str(entry.fingerprint.as_deref())),
+        ("fingerprint_source", Json::opt_str(entry.fingerprint_source.as_deref())),
+        ("detections", Json::Arr(entry.detections.iter().map(|d| detection_json(d)).collect())),
+    ])
 }
 
-impl AddrRecord {
-    /// The `GET /api/addr/{ip}` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("addr", Json::str(self.addr.to_string())),
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("as_name", Json::str(&self.as_name)),
-            ("fingerprint", Json::opt_str(self.fingerprint.as_deref())),
-            ("fingerprint_source", Json::opt_str(self.fingerprint_source.as_deref())),
-            ("detections", Json::Arr(self.detections.iter().map(|d| detection_json(d)).collect())),
-        ])
-    }
-}
-
-/// Dataset-wide totals (the `GET /api/summary` body).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SummaryInfo {
-    /// ASes in the catalog.
-    pub ases: u64,
-    /// ASes clearing the analysis threshold.
-    pub analyzed: u64,
-    /// ASes with at least one strong detection.
-    pub sr_deployed: u64,
-    /// Distinct addresses across all ASes.
-    pub addresses: u64,
-    /// Addresses with a vendor fingerprint.
-    pub fingerprinted: u64,
-    /// Traces collected before restriction.
-    pub raw_traces: u64,
-    /// Intra-AS traces kept after restriction.
-    pub intra_as_traces: u64,
-    /// Vantage points that contributed traces.
-    pub vantage_points: u64,
-    /// Detection counts by flag, dataset-wide.
-    pub flags: FlagCounts,
-}
-
-impl SummaryInfo {
-    /// The `GET /api/summary` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("ases", Json::U64(self.ases)),
-            ("analyzed", Json::U64(self.analyzed)),
-            ("sr_deployed", Json::U64(self.sr_deployed)),
-            ("addresses", Json::U64(self.addresses)),
-            ("fingerprinted_addresses", Json::U64(self.fingerprinted)),
-            ("raw_traces", Json::U64(self.raw_traces)),
-            ("intra_as_traces", Json::U64(self.intra_as_traces)),
-            ("vantage_points", Json::U64(self.vantage_points)),
-            ("detections", self.flags.detections_json()),
-        ])
-    }
+/// The campaign totals object: the `GET /api/summary` body before its
+/// `per_as` rollup, and the `totals` of `GET /api/runs/{serial}`.
+#[must_use]
+pub fn totals_json(t: &RunTotals) -> Json {
+    Json::obj(vec![
+        ("ases", Json::U64(t.ases)),
+        ("analyzed", Json::U64(t.analyzed)),
+        ("sr_deployed", Json::U64(t.sr_deployed)),
+        ("addresses", Json::U64(t.addresses)),
+        ("fingerprinted_addresses", Json::U64(t.fingerprinted)),
+        ("raw_traces", Json::U64(t.raw_traces)),
+        ("intra_as_traces", Json::U64(t.intra_as_traces)),
+        ("vantage_points", Json::U64(t.vantage_points)),
+        ("detections", flags_json(&t.flags)),
+    ])
 }
 
 /// The complete read-only store: what [`crate::Server`] answers from.
 #[derive(Debug, Clone)]
 pub struct Store {
-    ases: Vec<AsSummary>,
+    snapshot: Arc<RunSnapshot>,
     by_asn: HashMap<u32, usize>,
-    addrs: BTreeMap<Ipv4Addr, AddrRecord>,
-    summary: SummaryInfo,
 }
 
 impl Store {
-    /// Builds a store. `ases` keeps its order (catalog order, when
-    /// converted from a dataset); when the same ASN appears twice
-    /// (replicated catalogs), the first entry wins ASN lookups.
+    /// Indexes `snapshot` for serving. When the same ASN appears twice
+    /// (replicated catalogs), the first AS row wins ASN lookups.
     #[must_use]
-    pub fn new(ases: Vec<AsSummary>, addrs: Vec<AddrRecord>, summary: SummaryInfo) -> Store {
-        let mut by_asn = HashMap::new();
-        for (index, summary) in ases.iter().enumerate() {
-            by_asn.entry(summary.asn).or_insert(index);
+    pub fn new(snapshot: Arc<RunSnapshot>) -> Store {
+        let mut by_asn = HashMap::with_capacity(snapshot.ases.len());
+        for (index, record) in snapshot.ases.iter().enumerate() {
+            by_asn.entry(record.asn).or_insert(index);
         }
-        let addrs = addrs.into_iter().map(|record| (record.addr, record)).collect();
-        Store { ases, by_asn, addrs, summary }
+        Store { snapshot, by_asn }
     }
 
-    /// All AS summaries, in insertion (catalog) order.
+    /// The snapshot this store indexes.
     #[must_use]
-    pub fn ases(&self) -> &[AsSummary] {
-        &self.ases
+    pub fn snapshot(&self) -> &Arc<RunSnapshot> {
+        &self.snapshot
+    }
+
+    /// All AS rows, in catalog order.
+    #[must_use]
+    pub fn ases(&self) -> &[AsRecord] {
+        &self.snapshot.ases
     }
 
     /// Looks an AS up by ASN.
     #[must_use]
-    pub fn by_asn(&self, asn: u32) -> Option<&AsSummary> {
-        self.by_asn.get(&asn).map(|&index| &self.ases[index])
+    pub fn by_asn(&self, asn: u32) -> Option<&AsRecord> {
+        self.by_asn.get(&asn).map(|&index| &self.snapshot.ases[index])
     }
 
-    /// Looks an address record up.
+    /// The operator name of `asn`, or `"unknown"` for an ASN outside
+    /// the AS rows.
     #[must_use]
-    pub fn addr(&self, ip: Ipv4Addr) -> Option<&AddrRecord> {
-        self.addrs.get(&ip)
+    pub fn as_name(&self, asn: u32) -> &str {
+        self.by_asn(asn).map_or("unknown", |a| &a.name)
     }
 
-    /// All address records, in address order. The bench harness and
-    /// the `docs/API.md` generator use this to pick real addresses.
-    pub fn addrs(&self) -> impl Iterator<Item = &AddrRecord> {
-        self.addrs.values()
-    }
-
-    /// The dataset-wide totals.
+    /// Looks an address row up.
     #[must_use]
-    pub fn summary(&self) -> &SummaryInfo {
-        &self.summary
+    pub fn addr(&self, ip: Ipv4Addr) -> Option<&AddrEntry> {
+        let addrs = &self.snapshot.addrs;
+        addrs.binary_search_by_key(&ip, |entry| entry.addr).ok().map(|index| &addrs[index])
+    }
+
+    /// All address rows, in address order. The bench harness and the
+    /// `docs/API.md` generator use this to pick real addresses.
+    pub fn addrs(&self) -> impl Iterator<Item = &AddrEntry> {
+        self.snapshot.addrs.iter()
+    }
+
+    /// The campaign totals.
+    #[must_use]
+    pub fn summary(&self) -> &RunTotals {
+        &self.snapshot.totals
     }
 
     /// The `GET /api/summary` response body: the campaign totals plus
@@ -304,7 +190,7 @@ impl Store {
     #[must_use]
     pub fn summary_json(&self) -> Json {
         let per_as = self
-            .ases
+            .ases()
             .iter()
             .map(|a| {
                 Json::obj(vec![
@@ -317,8 +203,8 @@ impl Store {
                 ])
             })
             .collect();
-        let Json::Obj(mut fields) = self.summary.json() else {
-            unreachable!("SummaryInfo::json renders an object")
+        let Json::Obj(mut fields) = totals_json(self.summary()) else {
+            unreachable!("totals_json renders an object")
         };
         fields.push(("per_as".to_string(), Json::Arr(per_as)));
         Json::Obj(fields)
@@ -331,6 +217,7 @@ impl Store {
     /// stays byte-stable.
     #[must_use]
     pub fn status_json(&self, workers: usize, ledger: Json) -> Json {
+        let t = self.summary();
         Json::obj(vec![
             ("service", Json::str("arest-serve")),
             ("status", Json::str("serving")),
@@ -357,11 +244,11 @@ impl Store {
             (
                 "dataset",
                 Json::obj(vec![
-                    ("ases", Json::U64(self.summary.ases)),
-                    ("analyzed", Json::U64(self.summary.analyzed)),
-                    ("addresses", Json::U64(self.summary.addresses)),
-                    ("raw_traces", Json::U64(self.summary.raw_traces)),
-                    ("vantage_points", Json::U64(self.summary.vantage_points)),
+                    ("ases", Json::U64(t.ases)),
+                    ("analyzed", Json::U64(t.analyzed)),
+                    ("addresses", Json::U64(t.addresses)),
+                    ("raw_traces", Json::U64(t.raw_traces)),
+                    ("vantage_points", Json::U64(t.vantage_points)),
                 ]),
             ),
         ])
@@ -373,13 +260,11 @@ pub(crate) mod tests {
     use super::*;
     use arest_ledger::snapshot::ProvenanceRecord;
 
-    /// A two-AS, one-address store the unit tests share.
-    pub(crate) fn tiny() -> Store {
-        let mut flags = FlagCounts::default();
-        flags.add("CVR");
-        flags.add("LSO");
+    /// A two-AS, one-address snapshot the unit tests share.
+    pub(crate) fn tiny_snapshot() -> RunSnapshot {
+        let flags = FlagTotals { cvr: 1, lso: 1, ..FlagTotals::default() };
         let ases = vec![
-            AsSummary {
+            AsRecord {
                 id: 1,
                 asn: 64512,
                 name: "Test Net".to_string(),
@@ -392,7 +277,7 @@ pub(crate) mod tests {
                 fingerprinted: 1,
                 flags,
             },
-            AsSummary {
+            AsRecord {
                 id: 2,
                 asn: 64513,
                 name: "Quiet Net".to_string(),
@@ -403,13 +288,12 @@ pub(crate) mod tests {
                 traces: 0,
                 addresses: 0,
                 fingerprinted: 0,
-                flags: FlagCounts::default(),
+                flags: FlagTotals::default(),
             },
         ];
-        let addr = AddrRecord {
+        let addr = AddrEntry {
             addr: Ipv4Addr::new(10, 0, 0, 1),
             asn: 64512,
-            as_name: "Test Net".to_string(),
             fingerprint: Some("Cisco".to_string()),
             fingerprint_source: Some("snmp".to_string()),
             detections: vec![Arc::new(DetectionRecord {
@@ -435,7 +319,7 @@ pub(crate) mod tests {
                 },
             })],
         };
-        let summary = SummaryInfo {
+        let totals = RunTotals {
             ases: 2,
             analyzed: 1,
             sr_deployed: 1,
@@ -446,7 +330,12 @@ pub(crate) mod tests {
             vantage_points: 4,
             flags,
         };
-        Store::new(ases, vec![addr], summary)
+        RunSnapshot { ases, addrs: vec![addr], totals }
+    }
+
+    /// [`tiny_snapshot`], indexed.
+    pub(crate) fn tiny() -> Store {
+        Store::new(Arc::new(tiny_snapshot()))
     }
 
     #[test]
@@ -456,6 +345,7 @@ pub(crate) mod tests {
         assert!(store.by_asn(65000).is_none());
         assert!(store.addr(Ipv4Addr::new(10, 0, 0, 1)).is_some());
         assert!(store.addr(Ipv4Addr::new(10, 9, 9, 9)).is_none());
+        assert!(store.addr(Ipv4Addr::new(0, 0, 0, 0)).is_none());
     }
 
     #[test]
@@ -471,7 +361,7 @@ pub(crate) mod tests {
     #[test]
     fn as_json_carries_the_documented_keys_in_order() {
         let store = tiny();
-        let body = store.by_asn(64512).unwrap().json().render();
+        let body = as_json(store.by_asn(64512).unwrap()).render();
         let keys: Vec<usize> = [
             "\"id\"",
             "\"asn\"",
@@ -495,12 +385,28 @@ pub(crate) mod tests {
     #[test]
     fn addr_json_nests_the_full_provenance_chain() {
         let store = tiny();
-        let body = store.addr(Ipv4Addr::new(10, 0, 0, 1)).unwrap().json().render();
-        for needle in
-            ["\"provenance\"", "\"trigger_hop\"", "\"chain\"", "\"stars\": 5", "\"flag\": \"CVR\""]
-        {
+        let entry = store.addr(Ipv4Addr::new(10, 0, 0, 1)).unwrap();
+        let body = addr_json(entry, store.as_name(entry.asn)).render();
+        for needle in [
+            "\"as_name\": \"Test Net\"",
+            "\"provenance\"",
+            "\"trigger_hop\"",
+            "\"chain\"",
+            "\"stars\": 5",
+            "\"flag\": \"CVR\"",
+        ] {
             assert!(body.contains(needle), "missing {needle} in\n{body}");
         }
+    }
+
+    #[test]
+    fn unknown_asns_get_a_placeholder_name() {
+        let mut snapshot = tiny_snapshot();
+        snapshot.addrs[0].asn = 65_000;
+        let store = Store::new(Arc::new(snapshot));
+        let entry = store.addr(Ipv4Addr::new(10, 0, 0, 1)).unwrap();
+        assert_eq!(store.as_name(entry.asn), "unknown");
+        assert!(addr_json(entry, store.as_name(entry.asn)).render().contains("\"unknown\""));
     }
 
     #[test]
@@ -530,13 +436,13 @@ pub(crate) mod tests {
 
     #[test]
     fn duplicate_asns_resolve_to_the_first_entry() {
-        let store = tiny();
-        let mut ases = store.ases().to_vec();
-        let mut duplicate = ases[1].clone();
+        let mut snapshot = tiny_snapshot();
+        let mut duplicate = snapshot.ases[1].clone();
         duplicate.asn = 64512;
         duplicate.name = "Replica".to_string();
-        ases.push(duplicate);
-        let rebuilt = Store::new(ases, Vec::new(), SummaryInfo::default());
-        assert_eq!(rebuilt.by_asn(64512).unwrap().name, "Test Net");
+        snapshot.ases.push(duplicate);
+        let store = Store::new(Arc::new(snapshot));
+        assert_eq!(store.by_asn(64512).unwrap().name, "Test Net");
+        assert_eq!(store.as_name(64512), "Test Net");
     }
 }

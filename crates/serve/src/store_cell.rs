@@ -126,11 +126,11 @@ impl StoreCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Store, SummaryInfo};
+    use crate::store::Store;
 
     fn stamped(serial: u64) -> StoreVersion {
         StoreVersion {
-            store: Arc::new(Store::new(Vec::new(), Vec::new(), SummaryInfo::default())),
+            store: Arc::new(Store::new(Arc::default())),
             stamp: Some(LedgerStamp {
                 serial,
                 payload_digest: serial * 31,
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn bare_cells_accept_any_stamped_version_but_no_bare_one() {
-        let store = Arc::new(Store::new(Vec::new(), Vec::new(), SummaryInfo::default()));
+        let store = Arc::new(Store::new(Arc::default()));
         let cell = StoreCell::bare(Arc::clone(&store));
         assert_eq!(cell.serial(), None);
         assert!(!cell.swap(StoreVersion { store, stamp: None }));

@@ -6,10 +6,11 @@
 //! runs it on an `arest_conc::thread::scope` thread, so the whole
 //! suite parallelizes without port clashes.
 
-use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
+use arest_ledger::snapshot::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
+};
 use arest_serve::load::one_shot;
-use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
-use arest_serve::{FlagCounts, Server, ShutdownHandle, Store};
+use arest_serve::{Server, ShutdownHandle, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -17,10 +18,9 @@ use std::time::Duration;
 
 /// A two-AS, one-address store, built from the public constructors.
 fn fixture() -> Arc<Store> {
-    let mut flags = FlagCounts::default();
-    flags.add("CVR");
+    let flags = FlagTotals { cvr: 1, ..FlagTotals::default() };
     let ases = vec![
-        AsSummary {
+        AsRecord {
             id: 1,
             asn: 64512,
             name: "Test Net".to_string(),
@@ -33,7 +33,7 @@ fn fixture() -> Arc<Store> {
             fingerprinted: 1,
             flags,
         },
-        AsSummary {
+        AsRecord {
             id: 2,
             asn: 64513,
             name: "Quiet Net".to_string(),
@@ -44,13 +44,12 @@ fn fixture() -> Arc<Store> {
             traces: 0,
             addresses: 0,
             fingerprinted: 0,
-            flags: FlagCounts::default(),
+            flags: FlagTotals::default(),
         },
     ];
-    let addr = AddrRecord {
+    let addr = AddrEntry {
         addr: Ipv4Addr::new(10, 0, 0, 1),
         asn: 64512,
-        as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
         detections: vec![Arc::new(DetectionRecord {
@@ -76,7 +75,7 @@ fn fixture() -> Arc<Store> {
             },
         })],
     };
-    let summary = SummaryInfo {
+    let totals = RunTotals {
         ases: 2,
         analyzed: 1,
         sr_deployed: 1,
@@ -87,7 +86,7 @@ fn fixture() -> Arc<Store> {
         vantage_points: 4,
         flags,
     };
-    Arc::new(Store::new(ases, vec![addr], summary))
+    Arc::new(Store::new(Arc::new(RunSnapshot { ases, addrs: vec![addr], totals })))
 }
 
 /// Binds a fresh server, runs it on a scope thread, hands the test

@@ -9,24 +9,23 @@
 //! this test exercises the same `StoreCell` end-to-end through real
 //! sockets, the watcher thread, and the ledger directory.
 
-use arest_ledger::snapshot::{DetectionRecord, ProvenanceRecord};
+use arest_ledger::snapshot::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
+};
 use arest_ledger::{CommitOptions, Ledger};
-use arest_serve::ledger_bridge::{snapshot_from_store, store_from_snapshot};
 use arest_serve::ledger_watch::{refresh, watch};
-use arest_serve::store::{AddrRecord, AsSummary, SummaryInfo};
-use arest_serve::{FlagCounts, Server, Store};
+use arest_serve::{Server, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A small store whose contents vary with `generation`, so the two
+/// A small snapshot whose contents vary with `generation`, so the two
 /// committed snapshots serve visibly different `/api/summary` bodies.
-fn generation_store(generation: u64) -> Store {
-    let mut flags = FlagCounts::default();
-    flags.add("CVR");
-    let mut ases = vec![AsSummary {
+fn generation_snapshot(generation: u64) -> RunSnapshot {
+    let flags = FlagTotals { cvr: 1, ..FlagTotals::default() };
+    let mut ases = vec![AsRecord {
         id: 1,
         asn: 64512,
         name: "Test Net".to_string(),
@@ -40,9 +39,7 @@ fn generation_store(generation: u64) -> Store {
         flags,
     }];
     if generation > 1 {
-        let mut late = FlagCounts::default();
-        late.add("LSO");
-        ases.push(AsSummary {
+        ases.push(AsRecord {
             id: 2,
             asn: 64513,
             name: "Late Net".to_string(),
@@ -53,13 +50,12 @@ fn generation_store(generation: u64) -> Store {
             traces: 2,
             addresses: 1,
             fingerprinted: 0,
-            flags: late,
+            flags: FlagTotals { lso: 1, ..FlagTotals::default() },
         });
     }
-    let addr = AddrRecord {
+    let addr = AddrEntry {
         addr: Ipv4Addr::new(10, 0, 0, 1),
         asn: 64512,
-        as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
         detections: vec![Arc::new(DetectionRecord {
@@ -85,7 +81,7 @@ fn generation_store(generation: u64) -> Store {
             },
         })],
     };
-    let summary = SummaryInfo {
+    let totals = RunTotals {
         ases: ases.len() as u64,
         analyzed: ases.len() as u64,
         sr_deployed: 1,
@@ -96,17 +92,16 @@ fn generation_store(generation: u64) -> Store {
         vantage_points: 4,
         flags,
     };
-    Store::new(ases, vec![addr], summary)
+    RunSnapshot { ases, addrs: vec![addr], totals }
 }
 
 fn commit_generation(ledger: &Ledger, generation: u64) {
-    let snapshot = snapshot_from_store(&generation_store(generation));
     let options = CommitOptions {
         committed_unix: 1_750_000_000 + generation,
         config_digest: 7,
         catalog_digest: 9,
     };
-    ledger.commit(&snapshot, &options).expect("commit generation");
+    ledger.commit(&generation_snapshot(generation), &options).expect("commit generation");
 }
 
 /// Reads one full response from `stream` into `buf`, returning its
@@ -156,13 +151,14 @@ fn a_serial_committed_mid_session_swaps_in_without_dropping_a_request() {
     // store is rebuilt from the loaded snapshot, so expectations go
     // through the same load path.
     let body_of = |serial: u64| {
-        store_from_snapshot(&ledger.load(serial).expect("load").snapshot).summary_json().render()
+        let loaded = ledger.load(serial).expect("load").snapshot;
+        Store::new(Arc::new(loaded)).summary_json().render()
     };
     let body_v1 = body_of(1);
 
     let registry = arest_obs::Registry::new();
-    let mut server = Server::bind("127.0.0.1:0", Arc::new(generation_store(1)), &registry, Some(2))
-        .expect("bind");
+    let store = Arc::new(Store::new(Arc::new(generation_snapshot(1))));
+    let mut server = Server::bind("127.0.0.1:0", store, &registry, Some(2)).expect("bind");
     server.attach_ledger(Arc::clone(&ledger));
     let cell = server.store_cell();
     assert_eq!(refresh(&cell, &ledger).expect("initial refresh"), Some(1));
@@ -230,35 +226,35 @@ fn a_serial_committed_mid_session_swaps_in_without_dropping_a_request() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Load → serve → re-flatten keeps one record per detection-table
-/// row: two addresses covered by the same segment hold the same `Arc`
-/// at every step, so no layer quietly reintroduces per-address copies.
+/// Load → serve → commit keeps one record per detection-table row:
+/// two addresses covered by the same segment hold the same `Arc` at
+/// every step, so no layer quietly reintroduces per-address copies.
 #[test]
 fn a_loaded_run_shares_each_detection_across_its_addresses() {
-    let store = generation_store(1);
-    let first = store.addr(Ipv4Addr::new(10, 0, 0, 1)).expect("seeded address").clone();
-    let second = AddrRecord { addr: Ipv4Addr::new(10, 0, 0, 2), ..first.clone() };
-    let store = Store::new(store.ases().to_vec(), vec![first, second], store.summary().clone());
+    let mut snapshot = generation_snapshot(1);
+    let second = AddrEntry { addr: Ipv4Addr::new(10, 0, 0, 2), ..snapshot.addrs[0].clone() };
+    snapshot.addrs.push(second);
 
     let dir =
         std::env::temp_dir().join(format!("arest-ledger-serve-sharing-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ledger = Ledger::open(&dir).expect("open ledger");
-    let snapshot = snapshot_from_store(&store);
     ledger.commit(&snapshot, &CommitOptions::default()).expect("commit");
     let loaded = ledger.load(1).expect("load").snapshot;
-    let served = store_from_snapshot(&loaded);
-    let reflattened = snapshot_from_store(&served);
-    assert_eq!(reflattened, snapshot);
+    assert_eq!(loaded, snapshot);
+    let served = Store::new(Arc::new(loaded));
+    // The served snapshot commits again unchanged (same content digest).
+    let recommitted = ledger.commit(served.snapshot(), &CommitOptions::default()).expect("commit");
+    assert_eq!(recommitted.payload_digest, ledger.meta(1).expect("meta").payload_digest);
 
     let pair = |a: &[Arc<arest_ledger::DetectionRecord>],
                 b: &[Arc<arest_ledger::DetectionRecord>]| {
         Arc::ptr_eq(&a[0], &b[0])
     };
-    assert!(pair(&loaded.addrs[0].detections, &loaded.addrs[1].detections), "load");
+    let loaded = &served.snapshot().addrs;
+    assert!(pair(&loaded[0].detections, &loaded[1].detections), "load");
     let row = |ip: [u8; 4]| served.addr(Ipv4Addr::from(ip)).expect("served address");
     assert!(pair(&row([10, 0, 0, 1]).detections, &row([10, 0, 0, 2]).detections), "serve");
-    assert!(pair(&reflattened.addrs[0].detections, &reflattened.addrs[1].detections), "bridge");
-    assert!(pair(&loaded.addrs[0].detections, &reflattened.addrs[1].detections), "round trip");
+    assert!(pair(&loaded[0].detections, &row([10, 0, 0, 2]).detections), "index");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -6,22 +6,22 @@
 //! from one serial under another serial's stamp), and concurrent
 //! swaps resolve to the **newest** serial no matter how they
 //! interleave. Each version here encodes its serial inside the store
-//! itself (`summary.ases`), so any tearing of stamp against store is
+//! itself (`summary().ases`), so any tearing of stamp against store is
 //! directly observable.
 
 #![cfg(feature = "model-check")]
 
 use arest_conc::model::Model;
-use arest_serve::store::{Store, SummaryInfo};
-use arest_serve::{LedgerStamp, StoreCell, StoreVersion};
+use arest_ledger::{RunSnapshot, RunTotals};
+use arest_serve::{LedgerStamp, Store, StoreCell, StoreVersion};
 use std::sync::Arc;
 
-/// A version whose store agrees with its stamp: `summary.ases` IS the
+/// A version whose store agrees with its stamp: `summary().ases` IS the
 /// serial, so a torn pairing is visible to the reader.
 fn version(serial: u64) -> StoreVersion {
-    let summary = SummaryInfo { ases: serial, ..SummaryInfo::default() };
+    let totals = RunTotals { ases: serial, ..RunTotals::default() };
     StoreVersion {
-        store: Arc::new(Store::new(Vec::new(), Vec::new(), summary)),
+        store: Arc::new(Store::new(Arc::new(RunSnapshot { totals, ..RunSnapshot::default() }))),
         stamp: Some(LedgerStamp {
             serial,
             payload_digest: serial.wrapping_mul(0x9e37_79b9),

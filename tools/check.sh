@@ -17,6 +17,10 @@ echo "==> cargo build --release (examples included)"
 cargo build --workspace --release --examples
 cargo build --workspace --release
 
+echo "==> benchmark harness build (read-only; a public-API break fails here)"
+cargo build --release --offline --manifest-path perfbench/harness/Cargo.toml \
+    --target-dir target/perfbench-harness
+
 echo "==> cargo test"
 cargo test --workspace --quiet
 
