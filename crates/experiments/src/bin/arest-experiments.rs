@@ -905,11 +905,12 @@ fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
         );
         let (dataset, stats) = Dataset::build_with_stats(run_config);
         eprintln!(
-            "  total {:.2}s ({} raw traces, peak resident {}, fingerprint work {:.3}s, \
-             detect work {:.3}s)",
+            "  total {:.2}s ({} raw traces, peak resident {}, probe work {:.3}s, \
+             fingerprint work {:.3}s, detect work {:.3}s)",
             stats.total.as_secs_f64(),
             dataset.raw_trace_count,
             stats.peak_resident_traces,
+            stats.probe_work.as_secs_f64(),
             stats.fingerprint_work.as_secs_f64(),
             stats.detect_work.as_secs_f64(),
         );
@@ -953,8 +954,10 @@ fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
             json.push_str(&format!("\"{name}\": {:.6}", duration.as_secs_f64()));
         }
         json.push_str(&format!(
-            "}}, \"fingerprint_seconds\": {:.6}, \"detect_seconds\": {:.6}, \
-             \"total_seconds\": {:.6}, \"peak_resident_traces\": {}}}",
+            "}}, \"probe_seconds\": {:.6}, \"fingerprint_seconds\": {:.6}, \
+             \"detect_seconds\": {:.6}, \"total_seconds\": {:.6}, \
+             \"peak_resident_traces\": {}}}",
+            stats.probe_work.as_secs_f64(),
             stats.fingerprint_work.as_secs_f64(),
             stats.detect_work.as_secs_f64(),
             stats.total.as_secs_f64(),

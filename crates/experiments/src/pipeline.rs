@@ -66,7 +66,7 @@ use arest_mapping::alias::{AliasResolver, IpIdOracle};
 use arest_mapping::anaximander::{build_target_list, AnaximanderConfig};
 use arest_mapping::bdrmap::AsAnnotator;
 use arest_mapping::bgp::{BgpRoute, BgpView};
-use arest_netgen::internet::{generate_probed, GenConfig, Internet};
+use arest_netgen::internet::{generate_pooled, GenConfig, Internet};
 use arest_obs::{Counter, Gauge, Span, SpanContext, Tracer};
 use arest_tnt::campaign::{campaign_unit, CampaignConfig, VantagePoint};
 use arest_tnt::pool::{self, Injector};
@@ -332,8 +332,11 @@ pub struct BuildStats {
     /// High watermark of raw traces resident at once, bounded by the
     /// admission window regardless of catalog size.
     pub peak_resident_traces: usize,
-    /// Summed fingerprint work: the per-AS fingerprint sections
-    /// totalled across workers via [`WorkClock`].
+    /// Summed probe work: the `(AS, VP)` campaign units totalled
+    /// across workers via [`WorkClock`].
+    pub probe_work: Duration,
+    /// Summed fingerprint work: the per-AS fingerprint sections,
+    /// accounted the same way.
     pub fingerprint_work: Duration,
     /// Summed annotate/restrict/augment/detect work, accounted the
     /// same way. Unlike the end-to-end wall clock, which probing
@@ -404,7 +407,7 @@ fn generate_phase(
 ) -> Generated {
     let stage_span = TRACER.span_with_parent("pipeline.stage.generate", parent);
     let generate_ctx = stage_span.context();
-    let internet = generate_probed(&config.gen, slice);
+    let internet = generate_pooled(&config.gen, slice, workers, generate_ctx);
 
     let view: BgpView = internet
         .routes
@@ -452,6 +455,7 @@ fn publish_build_metrics(stats: &BuildStats, raw_trace_count: usize) {
         registry.histogram(&format!("pipeline.stage.{name}.us")).record(us(duration));
     }
     registry.histogram("pipeline.total.us").record(us(stats.total));
+    registry.histogram("pipeline.work.probe.us").record(us(stats.probe_work));
     registry.histogram("pipeline.work.fingerprint.us").record(us(stats.fingerprint_work));
     registry.histogram("pipeline.work.detect.us").record(us(stats.detect_work));
     registry.counter("pipeline.builds").inc();
@@ -531,6 +535,8 @@ struct StreamEngine<'a> {
     resident: AtomicUsize,
     /// High watermark of `resident`.
     peak_resident: AtomicUsize,
+    /// Campaign-unit work summed across probe units (any worker).
+    probe_work: WorkClock,
     /// Fingerprint-section work summed across tails (any worker).
     fingerprint_work: WorkClock,
     /// Annotate/restrict/detect-section work summed across tails.
@@ -562,6 +568,7 @@ impl StreamEngine<'_> {
             let guard = flow.span.lock().expect("flow span lock");
             guard.as_ref().expect("probe units run after admission").context()
         };
+        let probe_started = Instant::now();
         let traces = campaign_unit(
             self.net,
             &self.vps[vp_idx],
@@ -569,6 +576,7 @@ impl StreamEngine<'_> {
             &self.campaign_cfg,
             flow_ctx,
         );
+        self.probe_work.add(probe_started.elapsed());
         // Relaxed: a pure statistic. RMWs on one atomic share a total
         // modification order, so the count is exact; the traces
         // themselves are published through the slot mutex below.
@@ -836,6 +844,7 @@ impl Dataset {
             window: AdmissionWindow::new(window, n_selected),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
+            probe_work: WorkClock::new(),
             fingerprint_work: WorkClock::new(),
             detect_work: WorkClock::new(),
             stream_ctx: stream_span.context(),
@@ -888,6 +897,7 @@ impl Dataset {
         // Relaxed: every worker has joined (the scope closed above),
         // so their watermark updates happen-before this load anyway.
         let peak_resident_traces = engine.peak_resident.load(Ordering::Relaxed);
+        let probe_work = engine.probe_work.total();
         let fingerprint_work = engine.fingerprint_work.total();
         let detect_work = engine.detect_work.total();
         let cache_entries = engine.cache.export();
@@ -945,6 +955,7 @@ impl Dataset {
             timings,
             total: build_started.elapsed(),
             peak_resident_traces,
+            probe_work,
             fingerprint_work,
             detect_work,
         };
@@ -1244,6 +1255,7 @@ mod tests {
         assert!(summed <= stats.total, "phases are disjoint slices of the build");
         assert!(stats.timings.stream > Duration::ZERO, "the dataflow cannot be instantaneous");
         assert!(stats.peak_resident_traces <= ds.raw_trace_count);
+        assert!(stats.probe_work > Duration::ZERO, "probe units must log probe work");
         assert!(stats.fingerprint_work > Duration::ZERO, "tails must log fingerprint work");
         assert!(stats.detect_work > Duration::ZERO, "tails must log detect work");
     }

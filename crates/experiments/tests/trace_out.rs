@@ -108,7 +108,7 @@ fn bench_stage_timings_agree_with_span_durations() {
     );
     let peak = run.get("peak_resident_traces").and_then(Json::as_f64);
     assert!(peak.is_some_and(|p| p > 0.0), "the run reports its residency watermark");
-    for key in ["fingerprint_seconds", "detect_seconds"] {
+    for key in ["probe_seconds", "fingerprint_seconds", "detect_seconds"] {
         let work = run.get(key).and_then(Json::as_f64);
         assert!(work.is_some_and(|w| w >= 0.0), "the run reports {key}");
     }
@@ -127,6 +127,39 @@ fn bench_stage_timings_agree_with_span_durations() {
             .map(|e| e.get("dur").and_then(Json::as_f64).expect("dur"))
             .sum()
     };
+
+    // Generation traces by phase and by AS: every netgen phase hangs
+    // off the generate stage, and the deploy phase holds one unit per
+    // deployed AS (the quick catalog deploys all 60), each naming its
+    // ASN.
+    let arg = |e: &Json, key: &str| e.get("args").and_then(|a| a.get(key)).and_then(Json::as_f64);
+    let named = |name: &str| -> Vec<&Json> {
+        events.iter().filter(|e| e.get("name").and_then(Json::as_str) == Some(name)).collect()
+    };
+    let generate = named("pipeline.stage.generate");
+    assert_eq!(generate.len(), 1, "one build, one generate stage");
+    let generate_id = arg(generate[0], "span_id").expect("generate span id");
+    for phase in ["plan", "providers", "vps", "deploy", "exits", "bgp"] {
+        let spans = named(&format!("netgen.phase.{phase}"));
+        assert_eq!(spans.len(), 1, "one netgen.phase.{phase} span");
+        assert_eq!(arg(spans[0], "parent_id"), Some(generate_id), "{phase} under generate");
+    }
+    let deploy_id = arg(named("netgen.phase.deploy")[0], "span_id").expect("deploy span id");
+    let install = named("netgen.phase.install");
+    assert_eq!(install.len(), 1, "one serial install");
+    assert_eq!(arg(install[0], "parent_id"), Some(deploy_id), "install under deploy");
+    let units = named("netgen.deploy.unit");
+    assert_eq!(units.len(), 60, "one deploy unit per AS");
+    let mut asns: Vec<u64> = units
+        .iter()
+        .map(|u| {
+            assert_eq!(arg(u, "parent_id"), Some(deploy_id), "deploy units under deploy");
+            arg(u, "asn").expect("deploy unit records its ASN") as u64
+        })
+        .collect();
+    asns.sort_unstable();
+    asns.dedup();
+    assert_eq!(asns.len(), 60, "each AS deploys exactly once");
 
     for (name, seconds) in stages {
         let bench_us = seconds.as_f64().expect("stage seconds") * 1e6;

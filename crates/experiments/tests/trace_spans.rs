@@ -56,6 +56,10 @@ fn parallel_build_matches_span_tree_structure() {
     );
     assert!(structure.contains("pipeline.as.tail("), "each flow must close with its tail span");
     assert!(
+        structure.contains("netgen.phase.deploy(netgen.deploy.unit,"),
+        "per-AS deploy units must nest under the deploy phase"
+    );
+    assert!(
         structure.contains("pipeline.detect.unit(core.detect.trace"),
         "detection spans must nest under their work unit"
     );

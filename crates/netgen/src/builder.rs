@@ -1,22 +1,30 @@
 //! Builds one AS: topology, control planes, and configuration.
 //!
-//! Generation is two-phase because all ASes share one [`Topology`]
-//! (the Internet is a single graph):
+//! Generation runs plan → compute → install, because all ASes share
+//! one [`Topology`] (the Internet is a single graph):
 //!
-//! 1. [`plan_as`] adds the AS's routers and links to the topology and
-//!    records the plan — BFS order, borders, SR/LDP membership, the
-//!    SR/LDP junction, customer prefixes;
-//! 2. [`deploy_as`] (after the whole graph exists and the
-//!    [`Network`] wraps it) compiles and installs the control planes:
-//!    LDP with optional VPN-style stacked FECs, the SR domain with
-//!    mapping-server SIDs and LDP mirroring for interworking, TE and
-//!    service-SID policies, visibility and management-plane knobs.
+//! 1. **plan** — [`plan_as`] adds the AS's routers and links to the
+//!    topology and records the plan: BFS order, borders, SR/LDP
+//!    membership, the SR/LDP junction, customer prefixes. Serial, in
+//!    catalog order, since every AS appends to the one graph.
+//! 2. **compute** — [`compute_as`] (once the whole graph exists)
+//!    compiles the control planes into a per-AS [`DeployOutput`]: the
+//!    IGP oracle, LDP with optional VPN-style stacked FECs, the SR
+//!    domain with mapping-server SIDs and LDP mirroring for
+//!    interworking, TE and service-SID policies, visibility and
+//!    management-plane knobs. It only reads the topology and seeds
+//!    its RNGs from the ASN and router ids, so ASes compute
+//!    concurrently on the shared worker pool.
+//! 3. **install** — [`install_as`] moves each output into the
+//!    [`Network`], serially and in catalog order. An AS only ever
+//!    writes the planes of its own routers.
 
 use crate::catalog::AsProfile;
 use crate::profile::DeploymentProfile;
 use arest_mpls::ldp::{LdpDomain, LdpFec};
 use arest_mpls::pool::DynamicLabelPool;
 use arest_mpls::tables::{LfibAction, PushInstruction};
+use arest_simnet::plane::RouterPlane;
 use arest_simnet::Network;
 use arest_sr::block::LabelBlock;
 use arest_sr::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
@@ -323,7 +331,7 @@ fn grow_from(
 /// LFIB/FTN tables; the SRGB/SRLB configuration and the dynamic-pool
 /// state that produced them are gone by the time an auditor looks.
 /// This record preserves exactly what the label-space checks need.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AsLabelRecord {
     /// Per SR member, its configured SRGB.
     pub srgbs: HashMap<RouterId, LabelBlock>,
@@ -355,16 +363,51 @@ pub struct DeployedAs {
     pub label_audit: AsLabelRecord,
 }
 
-/// Phase 2: compile and install this AS's planes into the network.
+/// The planes one AS writes, keyed by router. The compute step starts
+/// each from the default plane, which is what the network holds for a
+/// router no AS has deployed yet, so the same writes give the same
+/// plane; [`install_as`] then moves them into the [`Network`].
+struct AsPlanes(HashMap<RouterId, RouterPlane>);
+
+impl AsPlanes {
+    fn new(routers: &[RouterId]) -> AsPlanes {
+        AsPlanes(routers.iter().map(|&r| (r, RouterPlane::default())).collect())
+    }
+
+    /// The plane of `r`, which must be one of the AS's own routers.
+    fn get(&mut self, r: RouterId) -> &mut RouterPlane {
+        self.0.get_mut(&r).unwrap_or_else(|| panic!("{r} is not a router of this AS"))
+    }
+}
+
+/// Everything phase 2 computes for one AS, held until the serial
+/// install moves it into the [`Network`].
+#[derive(Debug)]
+pub struct DeployOutput {
+    /// The AS-wide IGP oracle.
+    pub igp: DomainSpf,
+    /// Customer prefixes and the edge routers that terminate them.
+    pub anchors: Vec<(Prefix, RouterId)>,
+    /// The compiled plane of each of the AS's routers, in
+    /// `plan.routers` order.
+    pub planes: Vec<(RouterId, RouterPlane)>,
+    /// Ground truth and label-allocation facts.
+    pub deployed: DeployedAs,
+}
+
+/// Phase 2, compute step: compile this AS's control planes.
 ///
+/// Pure: it reads only the finished topology and the plan, and seeds
+/// every RNG from the seed, the ASN and router ids, so ASes can be
+/// computed in any order or concurrently with the same result.
 /// `transit_fecs` are external prefixes this AS carries for
 /// neighbours, each with the border router where they exit.
-pub fn deploy_as(
-    net: &mut Network,
+pub fn compute_as(
+    topo: &Topology,
     plan: &AsPlan,
     transit_fecs: &[(Prefix, RouterId)],
     seed: u64,
-) -> DeployedAs {
+) -> DeployOutput {
     let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(plan.entry.asn) << 16) ^ 0x5eed);
     let profile = &plan.profile;
 
@@ -375,36 +418,32 @@ pub fn deploy_as(
     // and varies per router, which is what mixes tunnel types within
     // one AS (Appendix C).
     let rfc4950_template = rng.random_bool(profile.p_rfc4950);
+    let mut planes = AsPlanes::new(&plan.routers);
     for &r in &plan.routers {
-        let plane = net.plane_mut(r);
+        let plane = planes.get(r);
         plane.ttl_propagate = rng.random_bool(profile.p_propagate);
         plane.rfc4950 = rfc4950_template;
         plane.answers_echo = rng.random_bool(profile.echo_rate);
         plane.snmp_responsive = rng.random_bool(profile.snmp_rate);
     }
 
-    // IGP oracle + anchored customer prefixes. The plan's routers are
-    // exactly the AS's, so no scan of the whole topology is needed.
+    // IGP oracle. The plan's routers are exactly the AS's, so no scan
+    // of the whole topology is needed.
     let registry = arest_obs::global();
     let igp = {
         let _timer = registry.timer("netgen.deploy.igp.us");
-        DomainSpf::for_members(net.topo(), &plan.routers)
+        DomainSpf::for_members(topo, &plan.routers)
     };
     debug_assert!(
         {
-            let mut in_as: Vec<RouterId> =
-                net.topo().routers_in_as(plan.asn).map(|r| r.id).collect();
+            let mut in_as: Vec<RouterId> = topo.routers_in_as(plan.asn).map(|r| r.id).collect();
             in_as.sort_unstable();
             in_as == igp.members()
         },
         "the plan's routers are not exactly the routers of {}",
         plan.asn
     );
-    net.register_igp(plan.asn, igp.clone());
-    let mut spfs = SpfCache(vec![igp]);
-    for &(prefix, anchor) in &plan.customers {
-        net.anchor_prefix(prefix, anchor);
-    }
+    let mut spfs = SpfCache(vec![igp.clone()]);
 
     // Label pools.
     let sr_exists = plan.sr_members.len() >= 2;
@@ -417,7 +456,7 @@ pub fn deploy_as(
             // Dynamic label regions are vendor-specific: Juniper
             // allocates from ~300k, Nokia SR OS from ~524k — the
             // source of the sparse high-label tail in Fig. 16.
-            let floor = match net.topo().router(r).vendor {
+            let floor = match topo.router(r).vendor {
                 Vendor::Juniper => 299_776,
                 Vendor::Nokia => 524_288,
                 _ if sr_exists => arest_mpls::pool::SR_AWARE_POOL_START,
@@ -435,7 +474,7 @@ pub fn deploy_as(
     let mut vpn_fecs: Vec<(Prefix, RouterId)> = Vec::new();
     if plan.ldp_members.len() >= 2 {
         let _timer = registry.timer("netgen.deploy.ldp.us");
-        let ldp_spf = spfs.over(net.topo(), &plan.ldp_members);
+        let ldp_spf = spfs.over(topo, &plan.ldp_members);
         let mut fecs: Vec<LdpFec> = Vec::new();
         for &(prefix, anchor) in &plan.customers {
             if ldp_set.contains(&anchor) {
@@ -478,7 +517,7 @@ pub fn deploy_as(
                 .allocate()
                 .expect("pool not exhausted");
             inner_labels.insert(prefix, vec![inner]);
-            net.plane_mut(egress).lfib.install(inner, LfibAction::PopLocal);
+            planes.get(egress).lfib.install(inner, LfibAction::PopLocal);
         }
         // RFC 6790 entropy pairs on a small share of the remaining
         // FECs: [ELI, EL] below the transport label. Pure
@@ -492,14 +531,14 @@ pub fn deploy_as(
             let el = arest_wire::mpls::Label::new(rng.random_range(100_000..1_000_000))
                 .expect("within label space");
             inner_labels.insert(prefix, vec![eli, el]);
-            let plane = net.plane_mut(egress);
+            let plane = planes.get(egress);
             plane.lfib.install(eli, LfibAction::PopLocal);
             plane.lfib.install(el, LfibAction::PopLocal);
         }
 
         let (lfibs, ftns) = domain.into_tables();
         for (router, lfib) in lfibs {
-            net.plane_mut(router).merge_lfib(lfib);
+            planes.get(router).merge_lfib(lfib);
         }
         for (router, ftn) in ftns {
             let mut adjusted: Vec<(Prefix, PushInstruction)> = Vec::new();
@@ -510,7 +549,7 @@ pub fn deploy_as(
                 }
                 adjusted.push((*prefix, push));
             }
-            let plane = net.plane_mut(router);
+            let plane = planes.get(router);
             for (prefix, push) in adjusted {
                 plane.ftn.install(prefix, push);
             }
@@ -518,10 +557,10 @@ pub fn deploy_as(
         if let Some(mirror) = mirror_domain {
             let (lfibs, ftns) = mirror.into_tables();
             for (router, lfib) in lfibs {
-                net.plane_mut(router).merge_lfib(lfib);
+                planes.get(router).merge_lfib(lfib);
             }
             for (router, ftn) in ftns {
-                net.plane_mut(router).merge_ftn(ftn);
+                planes.get(router).merge_ftn(ftn);
             }
         }
     }
@@ -533,7 +572,7 @@ pub fn deploy_as(
     // hop-varying dynamic labels — which is the point.
     if !sr_exists && plan.ldp_members.len() >= 3 {
         let _timer = registry.timer("netgen.deploy.rsvp_te.us");
-        let ldp_spf = spfs.over(net.topo(), &plan.ldp_members);
+        let ldp_spf = spfs.over(topo, &plan.ldp_members);
         let head = *plan.ldp_members.first().expect("non-empty");
         let te_fecs: Vec<(Prefix, RouterId)> = plan
             .customers
@@ -554,11 +593,11 @@ pub fn deploy_as(
                 path,
                 fec: prefix,
             };
-            if let Ok(lsp) = arest_mpls::rsvp::signal_tunnel(net.topo(), &tunnel, &mut pools) {
+            if let Ok(lsp) = arest_mpls::rsvp::signal_tunnel(topo, &tunnel, &mut pools) {
                 for (r, lfib) in lsp.lfibs {
-                    net.plane_mut(r).merge_lfib(lfib);
+                    planes.get(r).merge_lfib(lfib);
                 }
-                net.plane_mut(lsp.head).merge_ftn(lsp.ftn);
+                planes.get(lsp.head).merge_ftn(lsp.ftn);
             }
         }
     }
@@ -574,7 +613,7 @@ pub fn deploy_as(
             .map(|&r| {
                 // Juniper-style members take adjacency SIDs from the
                 // dynamic pool.
-                let has_srlb = net.topo().router(r).vendor != Vendor::Juniper;
+                let has_srlb = topo.router(r).vendor != Vendor::Juniper;
                 (r, SrNodeConfig { srgb, srlb: has_srlb.then_some(srlb) })
             })
             .collect();
@@ -587,7 +626,7 @@ pub fn deploy_as(
         // China Telecom models the multi-vendor case
         {
             let victim = plan.sr_members[plan.sr_members.len() / 2];
-            let has_srlb = net.topo().router(victim).vendor != Vendor::Juniper;
+            let has_srlb = topo.router(victim).vendor != Vendor::Juniper;
             configs.insert(
                 victim,
                 SrNodeConfig {
@@ -650,8 +689,8 @@ pub fn deploy_as(
             node_sid_base: 100,
             install_node_ftn: false,
         };
-        let sr_spf = spfs.over(net.topo(), &plan.sr_members);
-        let domain = SrDomain::build(net.topo(), &spec, &sr_spf, &mut pools);
+        let sr_spf = spfs.over(topo, &plan.sr_members);
+        let domain = SrDomain::build(topo, &spec, &sr_spf, &mut pools);
 
         // TE policies and service SIDs at the SR borders.
         let sr_borders: Vec<RouterId> =
@@ -682,8 +721,7 @@ pub fn deploy_as(
                 // ESnet ground truth confirmed (Table 3's 4.4 %).
                 let into_egress = svc
                     .then(|| {
-                        net.topo()
-                            .adjacencies(egress)
+                        topo.adjacencies(egress)
                             .find(|(_, _, _, remote, _)| {
                                 sr_set.contains(remote) && *remote != headend
                             })
@@ -713,7 +751,7 @@ pub fn deploy_as(
                         service_installs.push((egress, label));
                     }
                 }
-                if let Ok(push) = policy.compile(net.topo(), &domain) {
+                if let Ok(push) = policy.compile(topo, &domain) {
                     policy_installs.push((headend, prefix, push));
                 }
             }
@@ -721,16 +759,16 @@ pub fn deploy_as(
 
         let (lfibs, ftns) = domain.into_tables();
         for (router, lfib) in lfibs {
-            net.plane_mut(router).merge_lfib(lfib);
+            planes.get(router).merge_lfib(lfib);
         }
         for (router, ftn) in ftns {
-            net.plane_mut(router).merge_ftn(ftn);
+            planes.get(router).merge_ftn(ftn);
         }
         for (egress, label) in service_installs {
-            net.plane_mut(egress).lfib.install(label, LfibAction::PopLocal);
+            planes.get(egress).lfib.install(label, LfibAction::PopLocal);
         }
         for (headend, prefix, push) in policy_installs {
-            net.plane_mut(headend).ftn.install(prefix, push);
+            planes.get(headend).ftn.install(prefix, push);
         }
     }
 
@@ -740,9 +778,9 @@ pub fn deploy_as(
     }
     let mut deployed = DeployedAs { label_audit: label_record, ..DeployedAs::default() };
     for &r in &plan.routers {
-        let router = net.topo().router(r);
+        let router = topo.router(r);
         let addrs: Vec<Ipv4Addr> = std::iter::once(router.loopback)
-            .chain(router.ifaces.iter().map(|&i| net.topo().iface(i).addr))
+            .chain(router.ifaces.iter().map(|&i| topo.iface(i).addr))
             .collect();
         if sr_set.contains(&r) {
             deployed.sr_addresses.extend(addrs);
@@ -757,7 +795,29 @@ pub fn deploy_as(
             deployed.ldp_prefixes.push(prefix);
         }
     }
-    deployed
+    let mut planes = planes.0;
+    let planes = plan
+        .routers
+        .iter()
+        .map(|&r| (r, planes.remove(&r).expect("every router has a plane")))
+        .collect();
+    DeployOutput { igp, anchors: plan.customers.clone(), planes, deployed }
+}
+
+/// Phase 2, install step: moves one AS's [`DeployOutput`] into the
+/// network — its IGP oracle, its anchored prefixes, and its routers'
+/// planes, which replace the untouched defaults — and returns the
+/// AS's ground-truth facts. Called serially, in catalog order.
+pub fn install_as(net: &mut Network, plan: &AsPlan, output: DeployOutput) -> DeployedAs {
+    net.register_igp(plan.asn, output.igp);
+    for (prefix, anchor) in output.anchors {
+        net.anchor_prefix(prefix, anchor);
+    }
+    for (r, plane) in output.planes {
+        debug_assert!(plan.routers.contains(&r), "{} wrote the plane of foreign {r}", plan.asn);
+        *net.plane_mut(r) = plane;
+    }
+    output.deployed
 }
 
 #[cfg(test)]
@@ -765,6 +825,16 @@ mod tests {
     use super::*;
     use crate::catalog::by_id;
     use crate::profile::profile_for;
+
+    fn deploy_as(
+        net: &mut Network,
+        plan: &AsPlan,
+        transit_fecs: &[(Prefix, RouterId)],
+        seed: u64,
+    ) -> DeployedAs {
+        let output = compute_as(net.topo(), plan, transit_fecs, seed);
+        install_as(net, plan, output)
+    }
 
     fn plan(id: u8, scale: f64) -> (Topology, AsPlan) {
         let mut topo = Topology::new();

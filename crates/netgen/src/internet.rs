@@ -8,17 +8,40 @@
 //! for bdrmapIT-style annotation, and the ground-truth record the
 //! validation experiments read.
 
-use crate::builder::{deploy_as, plan_as_replica, AsLabelRecord, AsPlan};
+use crate::builder::{compute_as, install_as, plan_as_replica, AsLabelRecord, AsPlan};
 use crate::catalog::{AsProfile, AsType, CATALOG};
 use crate::profile::profile_for;
+use arest_obs::{ScopedTimer, Span, SpanContext, Tracer};
 use arest_simnet::plane::Route;
 use arest_simnet::Network;
+use arest_tnt::pool;
 use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, RouterId};
 use arest_topo::prefix::Prefix;
 use arest_topo::vendor::Vendor;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::LazyLock;
+
+/// The global registry's span tracer: generation phases and per-AS
+/// deploy units open spans through it (inert while `AREST_OBS` is off).
+static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
+
+/// One generation phase. Dropping it records the phase twice: into
+/// its `netgen.phase.*.us` histogram and as a span under the caller's.
+struct Phase {
+    span: Span,
+    _timer: ScopedTimer,
+}
+
+impl Phase {
+    fn start(timer: &'static str, span: &'static str, parent: SpanContext) -> Phase {
+        Phase {
+            span: TRACER.span_with_parent(span, parent),
+            _timer: arest_obs::global().timer(timer),
+        }
+    }
+}
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +107,7 @@ pub struct RouteSpec {
 }
 
 /// What the generator knows to be true — the validation oracle.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroundTruth {
     /// Addresses on SR-capable routers.
     pub sr_addresses: HashSet<Ipv4Addr>,
@@ -191,12 +214,29 @@ pub fn generate(config: &GenConfig) -> Internet {
 ///
 /// `probed: None` — or an all-true mask — is exactly [`generate`]:
 /// the output is byte-identical.
+///
+/// Deploys on [`pool::worker_count`] workers; see [`generate_pooled`].
 pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet {
+    generate_pooled(config, probed, pool::worker_count(), SpanContext::NONE)
+}
+
+/// [`generate_probed`] with the per-AS deploy step on `workers` pool
+/// threads, and each phase's span parented under `parent`.
+///
+/// The output does not depend on `workers`: each AS's planes are a
+/// pure function of the finished topology and its plan, and they are
+/// installed serially in catalog order.
+pub fn generate_pooled(
+    config: &GenConfig,
+    probed: Option<&[bool]>,
+    workers: usize,
+    parent: SpanContext,
+) -> Internet {
     let registry = arest_obs::global();
     let _timer = registry.timer("netgen.generate.us");
-    // Sub-phase timers (`netgen.phase.*.us`) split the build; each is
-    // dropped where its phase ends.
-    let phase = registry.timer("netgen.phase.plan.us");
+    // Each phase records its `netgen.phase.*.us` timer and its span
+    // where it is dropped.
+    let phase = Phase::start("netgen.phase.plan.us", "netgen.phase.plan", parent);
     let mut topo = Topology::new();
 
     // ---- Phase 1: AS topologies ----
@@ -218,7 +258,7 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
     drop(phase);
 
     // ---- Provider wiring ----
-    let phase = registry.timer("netgen.phase.providers.us");
+    let phase = Phase::start("netgen.phase.providers.us", "netgen.phase.providers", parent);
     // Stubs and content providers buy transit from sizeable
     // transit/Tier-1 ASes; transit ASes peer upward with Tier-1s.
     let provider_pool: Vec<usize> = plans
@@ -267,7 +307,7 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
     drop(phase);
 
     // ---- Vantage points ----
-    let phase = registry.timer("netgen.phase.vps.us");
+    let phase = Phase::start("netgen.phase.vps.us", "netgen.phase.vps", parent);
     // Each VP's gateway links to one border of every AS (VP-specific
     // choice, so different VPs enter through different ASBRs).
     let mut vp_alloc = PairAlloc::new(172, 20);
@@ -303,7 +343,7 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
     drop(phase);
 
     // ---- Phase 2: planes ----
-    let phase = registry.timer("netgen.phase.deploy.us");
+    let phase = Phase::start("netgen.phase.deploy.us", "netgen.phase.deploy", parent);
     // The deploy set: every AS for a full run; for a slice, the
     // selected ASes plus their providers. Membership is an idempotent
     // OR, so the provider map's iteration order cannot matter.
@@ -322,18 +362,31 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
             deploy
         }
     };
+    // Compute on the pool (one unit per deployed AS; results merge in
+    // submission order, which is catalog order), then install
+    // serially.
+    let units: Vec<usize> = (0..plans.len()).filter(|&ai| deploy[ai]).collect();
+    let deploy_ctx = phase.span.context();
+    let outputs = pool::run_indexed(units.clone(), workers, &|_, ai| {
+        let plan = &plans[ai];
+        let mut span = TRACER.span_with_parent("netgen.deploy.unit", deploy_ctx);
+        span.record("asn", plan.entry.asn);
+        span.record("routers", plan.routers.len());
+        let fecs = transit_fecs.get(&ai).map_or(&[][..], Vec::as_slice);
+        compute_as(&topo, plan, fecs, config.seed)
+    });
+    let install = Phase::start("netgen.phase.install.us", "netgen.phase.install", deploy_ctx);
     let mut net = Network::new(topo);
     let mut ground_truth = GroundTruth::default();
-    let mut label_records = HashMap::new();
-    for (ai, plan) in plans.iter().enumerate() {
-        // Deployment intent derives from the plan alone, so the
-        // oracle answers for skipped ASes too.
+    // Deployment intent derives from the plan alone, so the oracle
+    // answers for skipped ASes too.
+    for plan in &plans {
         ground_truth.sr_deployed.insert(plan.asn, plan.sr_members.len() >= 2);
-        if !deploy[ai] {
-            continue;
-        }
-        let fecs = transit_fecs.get(&ai).cloned().unwrap_or_default();
-        let deployed = deploy_as(&mut net, plan, &fecs, config.seed);
+    }
+    let mut label_records = HashMap::new();
+    for (ai, output) in units.into_iter().zip(outputs) {
+        let plan = &plans[ai];
+        let deployed = install_as(&mut net, plan, output);
         label_records.insert(plan.asn, deployed.label_audit);
         ground_truth.sr_addresses.extend(deployed.sr_addresses);
         ground_truth.ldp_addresses.extend(deployed.ldp_addresses);
@@ -341,11 +394,12 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
         ground_truth.ldp_prefixes.extend(deployed.ldp_prefixes);
     }
 
+    drop(install);
     drop(phase);
 
     // Exit maps + direct border routes for transit, then the VP
     // gateway FIBs below: all routing state outside the IGP domains.
-    let phase = registry.timer("netgen.phase.exits.us");
+    let phase = Phase::start("netgen.phase.exits.us", "netgen.phase.exits", parent);
     for (ci, provs) in &providers {
         let customer = &plans[*ci];
         for (pi, p_border) in provs {
@@ -414,7 +468,7 @@ pub fn generate_probed(config: &GenConfig, probed: Option<&[bool]>) -> Internet 
     drop(phase);
 
     // ---- BGP view and ownership ----
-    let phase = registry.timer("netgen.phase.bgp.us");
+    let phase = Phase::start("netgen.phase.bgp.us", "netgen.phase.bgp", parent);
     let mut routes = Vec::new();
     let mut ownership = Vec::new();
     for (ai, plan) in plans.iter().enumerate() {

@@ -129,7 +129,7 @@ pub enum DropReason {
 }
 
 /// The outcome of one probe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeReply {
     /// An ICMP time-exceeded came back.
     TimeExceeded {
