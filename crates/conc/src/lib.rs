@@ -72,8 +72,6 @@
 #![warn(missing_docs)]
 
 #[cfg(feature = "model-check")]
-pub mod hooks;
-#[cfg(feature = "model-check")]
 pub mod model;
 #[cfg(feature = "model-check")]
 mod model_atomic;

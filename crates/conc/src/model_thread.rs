@@ -26,7 +26,7 @@ type Caught<T> = Result<T, Box<dyn Any + Send + 'static>>;
 /// `tid`: visible ops gate on the token, completion and panics are
 /// reported to the scheduler, and panics never escape to the real
 /// join (the payload travels in the returned `Result` instead).
-pub(crate) fn run_modeled<T>(exec: Arc<Execution>, tid: usize, f: impl FnOnce() -> T) -> Caught<T> {
+fn run_modeled<T>(exec: Arc<Execution>, tid: usize, f: impl FnOnce() -> T) -> Caught<T> {
     set_current(Arc::clone(&exec), tid);
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     clear_current();

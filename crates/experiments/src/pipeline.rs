@@ -868,11 +868,11 @@ impl Dataset {
         let (result_tx, result_rx) = channel::bounded::<StreamedAs>(RESULT_CHANNEL_CAPACITY);
         let mut streamed: Vec<Option<StreamedAs>> = (0..n_as).map(|_| None).collect();
         let engine_ref = &engine;
-        crossbeam::thread::scope(|scope| {
+        arest_conc::thread::scope(|scope| {
             // Producer: the work-stealing pool. It owns the sender;
             // when the last unit completes the sender drops and the
             // consumer's iterator ends.
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 pool::run_dynamic(initial, workers, &|unit, injector| {
                     engine_ref.run(unit, injector, &result_tx);
                 });
@@ -889,8 +889,7 @@ impl Dataset {
                 debug_assert!(slot.is_none(), "one tail per AS");
                 *slot = Some(item);
             }
-        })
-        .expect("the crossbeam shim scope is infallible");
+        });
         drop(stream_span);
         timings.stream = stage.elapsed();
 

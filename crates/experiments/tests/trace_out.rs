@@ -312,10 +312,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte {byte:#04x} in string"));
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
+                // Consume one UTF-8 scalar, decoded from a window of at
+                // most 4 bytes (the longest scalar): validating the
+                // whole rest of the input per character made parsing
+                // quadratic in the document size.
+                let window = &bytes[*pos..bytes.len().min(*pos + 4)];
+                let valid = match std::str::from_utf8(window) {
+                    Ok(text) => text,
+                    Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
+                        .map_err(|e| e.to_string())?,
+                };
+                let ch = valid.chars().next().ok_or("invalid UTF-8 in string")?;
                 out.push(ch);
                 *pos += ch.len_utf8();
             }

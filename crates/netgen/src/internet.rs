@@ -127,11 +127,6 @@ impl GroundTruth {
     pub fn is_sr(&self, addr: Ipv4Addr) -> bool {
         self.sr_addresses.contains(&addr) || self.sr_prefixes.iter().any(|p| p.contains(addr))
     }
-
-    /// Whether the address belongs to a classic-MPLS deployment.
-    pub fn is_ldp(&self, addr: Ipv4Addr) -> bool {
-        self.ldp_addresses.contains(&addr) || self.ldp_prefixes.iter().any(|p| p.contains(addr))
-    }
 }
 
 /// The assembled synthetic Internet.

@@ -150,12 +150,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.request_shutdown();
     }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.0.shutdown_requested()
-    }
 }
 
 impl<'r> Server<'r> {

@@ -2,15 +2,14 @@
 //!
 //! The paper probes each target list from 50 geographically spread
 //! VPs, shuffling targets per VP (§5). This module reproduces that
-//! schedule as `(AS, VP)` work units: every AS campaign contributes
-//! one unit per vantage point, and all units of all campaigns are fed
-//! through the shared work-stealing pool ([`crate::pool`]) so a
-//! 60-AS build saturates the machine instead of serializing AS after
-//! AS. The merge is deterministic — traces come back grouped by AS,
-//! VP-major within an AS — so the result is identical at any worker
-//! count.
+//! schedule as `(AS, VP)` work units: [`campaign_unit`] runs one
+//! vantage point over one AS's target list in its VP-specific order.
+//! The streaming pipeline schedules those units on the shared
+//! work-stealing pool ([`crate::pool`]), so a 60-AS build saturates
+//! the machine instead of serializing AS after AS; the shuffle is
+//! keyed on the VP alone, so a unit's traces are identical at any
+//! worker count.
 
-use crate::pool;
 use crate::reveal::trace_with_revelation;
 use crate::trace::Trace;
 use crate::tracer::TraceConfig;
@@ -84,14 +83,14 @@ fn trace_unit(
 }
 
 /// Runs one `(AS, VP)` campaign unit under an explicit parent span —
-/// the public entry point the streaming pipeline schedules directly
-/// (one unit per vantage point per AS) instead of going through a
-/// whole-batch [`run_campaigns`] barrier.
+/// the entry point the streaming pipeline schedules (one unit per
+/// vantage point per AS).
 ///
 /// Opens a `tnt.campaign.unit` span parented to `parent` (the AS's
-/// flow or campaign span context, which is `Copy` and can ride inside
-/// a pool work unit) and returns the VP's traces in its
-/// shuffled target order.
+/// flow span context, which is `Copy` and can ride inside a pool work
+/// unit, so a unit stolen by any worker lands under the right AS in
+/// the reconstructed tree) and returns the VP's traces in its shuffled
+/// target order.
 pub fn campaign_unit(
     net: &Network,
     vp: &VantagePoint,
@@ -103,80 +102,6 @@ pub fn campaign_unit(
     unit_span.record("vp", &*vp.name);
     unit_span.record("targets", targets.len());
     trace_unit(net, vp, targets, config, &unit_span)
-}
-
-/// Runs one campaign: every VP traces every target, with the target
-/// order shuffled per VP (deterministically) to avoid looking like an
-/// attack, exactly as §5 describes. Returns all traces, grouped by VP
-/// in VP order.
-pub fn run_campaign(
-    net: &Network,
-    vps: &[VantagePoint],
-    targets: &[Ipv4Addr],
-    config: &CampaignConfig,
-) -> Vec<Trace> {
-    let lists = [targets.to_vec()];
-    run_campaigns(net, vps, &lists, config, pool::worker_count()).pop().unwrap_or_default()
-}
-
-/// Runs many campaigns (one target list per AS) as a single batch of
-/// `(AS, VP)` work units over a pool of `workers` threads.
-///
-/// Returns one trace vector per target list, each grouped by VP in VP
-/// order — element `i` is exactly what `run_campaign` would return
-/// for `target_lists[i]`, regardless of worker count.
-///
-/// Each non-empty target list opens a `tnt.campaign` span that stays
-/// open for the whole batch; every `(AS, VP)` unit opens a
-/// `tnt.campaign.unit` span explicitly parented to its campaign's
-/// [`SpanContext`] — the context is `Copy` and rides inside the work
-/// unit, so a unit stolen by another pool worker still lands under the
-/// right campaign in the reconstructed tree.
-pub fn run_campaigns(
-    net: &Network,
-    vps: &[VantagePoint],
-    target_lists: &[Vec<Ipv4Addr>],
-    config: &CampaignConfig,
-    workers: usize,
-) -> Vec<Vec<Trace>> {
-    let tracer = &*crate::obs::TRACER;
-    let campaign_spans: Vec<Option<Span>> = target_lists
-        .iter()
-        .enumerate()
-        .map(|(as_idx, targets)| {
-            if targets.is_empty() {
-                return None;
-            }
-            let mut span = tracer.span("tnt.campaign");
-            span.record("as_idx", as_idx);
-            span.record("targets", targets.len());
-            Some(span)
-        })
-        .collect();
-
-    let units: Vec<(usize, &VantagePoint, &[Ipv4Addr], SpanContext)> = target_lists
-        .iter()
-        .enumerate()
-        .filter(|(_, targets)| !targets.is_empty())
-        .flat_map(|(as_idx, targets)| {
-            let context = campaign_spans[as_idx].as_ref().map_or(SpanContext::NONE, Span::context);
-            vps.iter().map(move |vp| (as_idx, vp, targets.as_slice(), context))
-        })
-        .collect();
-
-    let per_unit = pool::run_indexed(units, workers, &|_, (as_idx, vp, targets, context)| {
-        (as_idx, campaign_unit(net, vp, targets, config, context))
-    });
-
-    let mut out: Vec<Vec<Trace>> = Vec::with_capacity(target_lists.len());
-    out.resize_with(target_lists.len(), Vec::new);
-    // Units are ordered AS-major, VP-minor, and `run_indexed` merges
-    // in unit order, so extending per AS reproduces the sequential
-    // concatenation exactly.
-    for (as_idx, traces) in per_unit {
-        out[as_idx].extend(traces);
-    }
-    out
 }
 
 /// Deterministic per-VP Fisher–Yates shuffle keyed on the VP address
@@ -296,34 +221,20 @@ mod tests {
         (net, vps, loopbacks)
     }
 
-    #[test]
-    fn campaigns_are_identical_at_any_worker_count() {
-        let (net, vps, loopbacks) = testbed();
-        let lists = vec![loopbacks.clone(), loopbacks[..2].to_vec()];
-        let config = CampaignConfig::default();
-        let serial = run_campaigns(&net, &vps, &lists, &config, 1);
-        for workers in [2, 4] {
-            let parallel = run_campaigns(&net, &vps, &lists, &config, workers);
-            assert_eq!(parallel, serial, "workers={workers}");
-        }
-        assert_eq!(serial.len(), 2);
-        assert_eq!(serial[0].len(), vps.len() * loopbacks.len());
-    }
-
-    #[test]
-    fn run_campaign_matches_batched_equivalent() {
-        let (net, vps, loopbacks) = testbed();
-        let config = CampaignConfig::default();
-        let single = run_campaign(&net, &vps, &loopbacks, &config);
-        let lists = vec![loopbacks];
-        let batched = run_campaigns(&net, &vps, &lists, &config, 3);
-        assert_eq!(batched[0], single);
+    /// Every VP's unit over `targets`, in VP order.
+    fn run_units(net: &Network, vps: &[VantagePoint], targets: &[Ipv4Addr]) -> Vec<Trace> {
+        vps.iter()
+            .flat_map(|vp| {
+                campaign_unit(net, vp, targets, &CampaignConfig::default(), SpanContext::NONE)
+            })
+            .collect()
     }
 
     #[test]
     fn traces_share_one_interned_vp_name_per_vp() {
         let (net, vps, loopbacks) = testbed();
-        let traces = run_campaign(&net, &vps, &loopbacks, &CampaignConfig::default());
+        let traces = run_units(&net, &vps, &loopbacks);
+        assert_eq!(traces.len(), vps.len() * loopbacks.len());
         for trace in &traces {
             let vp = vps.iter().find(|vp| vp.name == trace.vp).expect("known VP");
             assert!(
@@ -334,11 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_target_lists_yield_empty_campaigns() {
-        let (net, vps, loopbacks) = testbed();
-        let lists = vec![Vec::new(), loopbacks];
-        let out = run_campaigns(&net, &vps, &lists, &CampaignConfig::default(), 2);
-        assert!(out[0].is_empty());
-        assert!(!out[1].is_empty());
+    fn empty_target_list_yields_no_traces() {
+        let (net, vps, _) = testbed();
+        assert!(run_units(&net, &vps, &[]).is_empty());
     }
 }

@@ -38,9 +38,9 @@ pub mod trace;
 pub mod tracer;
 pub mod tunnels;
 
-pub use campaign::{run_campaign, run_campaigns, CampaignConfig, VantagePoint};
+pub use campaign::{CampaignConfig, VantagePoint};
 pub use multipath::{multipath_trace, MdaConfig, MultipathTrace};
 pub use pool::{run_indexed, worker_count};
 pub use trace::{Hop, Trace};
-pub use tracer::{ping, trace_route, TraceConfig};
+pub use tracer::{trace_route, TraceConfig};
 pub use tunnels::{classify_tunnels, TunnelObservation};

@@ -7,9 +7,9 @@
 use arest_obs::{Counter, Gauge, Histogram, Tracer};
 use std::sync::LazyLock;
 
-/// The global registry's span tracer: campaign batches, stolen
-/// (AS, VP) units, and individual traces open spans through this
-/// handle (inert while `AREST_OBS` is off).
+/// The global registry's span tracer: stolen (AS, VP) campaign
+/// units and individual traces open spans through this handle
+/// (inert while `AREST_OBS` is off).
 pub(crate) static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
 
 pub(crate) struct Metrics {
@@ -18,8 +18,6 @@ pub(crate) struct Metrics {
     pub(crate) traces: Counter,
     /// `tnt.probes` — UDP traceroute probes sent.
     pub(crate) probes: Counter,
-    /// `tnt.pings` — ICMP echo requests sent (TTL fingerprinting).
-    pub(crate) pings: Counter,
     /// `tnt.reveal.triggers` — hops whose hidden-hop estimate jumped
     /// (tunnel ending hops scheduled for revelation).
     pub(crate) reveal_triggers: Counter,
@@ -27,7 +25,8 @@ pub(crate) struct Metrics {
     pub(crate) reveal_attempts: Counter,
     /// `tnt.reveal.revealed_hops` — interior hops spliced into traces.
     pub(crate) reveal_revealed_hops: Counter,
-    /// `tnt.pool.batches` — `run_indexed` invocations.
+    /// `tnt.pool.batches` — pool batches (`run_dynamic` calls,
+    /// `run_indexed` ones included).
     pub(crate) pool_batches: Counter,
     /// `tnt.pool.units` — work units scheduled across all batches.
     pub(crate) pool_units: Counter,
@@ -44,7 +43,6 @@ pub(crate) static METRICS: LazyLock<Metrics> = LazyLock::new(|| {
     Metrics {
         traces: registry.counter("tnt.traces"),
         probes: registry.counter("tnt.probes"),
-        pings: registry.counter("tnt.pings"),
         reveal_triggers: registry.counter("tnt.reveal.triggers"),
         reveal_attempts: registry.counter("tnt.reveal.attempts"),
         reveal_revealed_hops: registry.counter("tnt.reveal.revealed_hops"),

@@ -1,14 +1,20 @@
 //! The shared work-stealing worker pool.
 //!
-//! Every parallel stage of the measurement pipeline — campaign
-//! probing, fingerprint batches, alias candidate generation, per-trace
-//! restrict→augment→detect — funnels through [`run_indexed`]: work
-//! units go into one MPMC channel, a fixed pool of workers pulls until
-//! the channel drains (idle workers "steal" whatever is next, so an
-//! expensive unit never serializes the rest behind it), and results
-//! are merged back **in submission order**. That deterministic merge
-//! is what makes a parallel build result-identical to a sequential
-//! one regardless of worker count or scheduling.
+//! Every parallel stage of the measurement pipeline — netgen's per-AS
+//! deploy, target lists, the `(AS, VP)` campaign units and each AS's
+//! fingerprint→alias→detect tail — and the HTTP server's
+//! accept/dispatch run on one scheduler, [`run_dynamic`]: work units
+//! go into one MPMC channel, a fixed pool of workers pulls until every
+//! unit (injected follow-ups included) has completed, and idle workers
+//! "steal" whatever is next, so an expensive unit never serializes the
+//! rest behind it. [`run_indexed`] is the batch form on the same loop:
+//! each result lands in its submission slot, so a parallel batch is
+//! result-identical to a sequential one regardless of worker count or
+//! scheduling.
+//!
+//! Workers are `arest_conc::thread` scoped threads (the calling thread
+//! is one of them), so the model checker explores the pool's
+//! interleavings under the `model-check` feature.
 
 use arest_conc::atomic::{AtomicUsize, Ordering};
 use arest_conc::sync::Mutex;
@@ -16,21 +22,18 @@ use crossbeam::channel;
 use std::panic;
 
 /// Drop guard balancing the `tnt.pool.queue_depth` gauge: when it
-/// drops — normal return *or* a panic unwinding out of the worker
-/// scope — it drains whatever is still buffered in the unit channel
-/// and subtracts each abandoned unit. Tying the drain to scope exit
+/// drops — normal return *or* a panic unwinding out of the pool — it
+/// drains whatever is still buffered in the unit channel and
+/// subtracts each abandoned unit. Tying the drain to scope exit
 /// itself (rather than to happy-path code after the scope) is what
 /// keeps the gauge at zero when a worker panic propagates.
-struct GaugeDrain<'a, T, F: Fn(&T) -> bool> {
-    rx: &'a channel::Receiver<T>,
-    counts: F,
-}
+struct GaugeDrain<'a, T>(&'a channel::Receiver<Msg<T>>);
 
-impl<T, F: Fn(&T) -> bool> Drop for GaugeDrain<'_, T, F> {
+impl<T> Drop for GaugeDrain<'_, T> {
     fn drop(&mut self) {
         let metrics = &*crate::obs::METRICS;
-        for msg in self.rx.try_iter() {
-            if (self.counts)(&msg) {
+        for msg in self.0.try_iter() {
+            if matches!(msg, Msg::Unit(_)) {
                 metrics.pool_queue_depth.add(-1);
             }
         }
@@ -60,10 +63,11 @@ fn worker_count_from(override_raw: Option<&str>) -> usize {
 /// returns the results **in item order**, exactly as a serial
 /// `items.into_iter().enumerate().map(|(i, x)| work(i, x))` would.
 ///
-/// Scheduling is work-stealing: units are fed through one shared
-/// channel and each worker pulls the next pending unit as soon as it
-/// finishes its current one. A worker panic is propagated to the
-/// caller with its original payload.
+/// A thin layer over [`run_dynamic`]: each `(index, item)` pair is one
+/// unit that never injects, run on `workers.min(items.len())`
+/// workers, and its result is written into the unit's slot. A worker
+/// panic aborts the remaining queue and is propagated to the caller
+/// with its original payload.
 pub fn run_indexed<T, R, F>(items: Vec<T>, workers: usize, work: &F) -> Vec<R>
 where
     T: Send,
@@ -71,73 +75,21 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let metrics = &*crate::obs::METRICS;
-    metrics.pool_batches.inc();
-    metrics.pool_units.add(n as u64);
-    if workers <= 1 || n == 1 {
-        // Sequential fast path: no channels, no threads — the single
-        // "worker" takes every unit.
-        metrics.pool_units_per_worker.record(n as u64);
-        return items.into_iter().enumerate().map(|(idx, item)| work(idx, item)).collect();
-    }
-
-    let (unit_tx, unit_rx) = channel::unbounded::<(usize, T)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-    for unit in items.into_iter().enumerate() {
-        assert!(unit_tx.send(unit).is_ok(), "queueing work units");
-    }
-    // Close the work channel so workers stop when it drains.
-    drop(unit_tx);
-    metrics.pool_queue_depth.add(n as i64);
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    // Units abandoned when workers die (panic propagation below)
-    // still count against the queue-depth gauge; this guard drains
-    // them on every exit path out of the scope, unwinding included.
-    let _drain = GaugeDrain { rx: &unit_rx, counts: |_: &(usize, T)| true };
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                let unit_rx = unit_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move |_| {
-                    let mut stolen = 0u64;
-                    for (idx, item) in unit_rx.iter() {
-                        metrics.pool_queue_depth.add(-1);
-                        stolen += 1;
-                        if result_tx.send((idx, work(idx, item))).is_err() {
-                            // The result side is gone (another worker
-                            // panicked and the drain unwound); stop
-                            // pulling — the caller's scope-exit guard
-                            // accounts for whatever is still queued.
-                            break;
-                        }
-                    }
-                    metrics.pool_units_per_worker.record(stolen);
-                })
-            })
-            .collect();
-        // Only workers hold result senders now: the drain below ends
-        // exactly when every worker is done.
-        drop(result_tx);
-        for (idx, result) in result_rx.iter() {
-            slots[idx] = Some(result);
-        }
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panic::resume_unwind(payload);
-            }
-        }
-    })
-    .unwrap_or_else(|payload| panic::resume_unwind(payload));
-
-    // Deterministic merge: results come back in index order no matter
-    // which worker computed them when.
-    slots.into_iter().map(|slot| slot.expect("every unit completes")).collect()
+    // Each slot is written once, by the worker that pulled its index,
+    // and read after every worker has joined: the locks never contend.
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_dynamic(items.into_iter().enumerate().collect(), workers.min(n), &|(idx, item), _| {
+        let result = work(idx, item);
+        *slots[idx].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .expect("every unit completes")
+        })
+        .collect()
 }
 
 /// A worker's message on the dynamic pool's shared channel: either a
@@ -181,11 +133,13 @@ impl<T> Injector<'_, T> {
 /// running unit inject follow-up units through the [`Injector`].
 /// Returns once every unit — initial and injected — has completed.
 ///
-/// Unlike [`run_indexed`] there is no result merge: units communicate
-/// through whatever channels or shared state the caller closes over
-/// (the streaming pipeline sends completed ASes into a bounded
-/// channel). Scheduling is the same work-stealing pull loop; a worker
-/// panic aborts the remaining queue and is re-raised on the caller.
+/// There is no result merge: units communicate through whatever
+/// channels or shared state the caller closes over (the streaming
+/// pipeline sends completed ASes into a bounded channel;
+/// [`run_indexed`] fills result slots). The calling thread is one of
+/// the `workers`; each pulls the next queued unit as soon as it
+/// finishes its current one. A worker panic aborts the remaining
+/// queue and is re-raised on the caller with its original payload.
 pub fn run_dynamic<T, F>(initial: Vec<T>, workers: usize, work: &F)
 where
     T: Send,
@@ -206,101 +160,51 @@ where
     }
     metrics.pool_queue_depth.add(n as i64);
 
-    // The queue-depth gauge drains on every exit path — a panicking
-    // unit unwinds through this guard with the rest of the queue
-    // still buffered.
-    let _drain = GaugeDrain { rx: &rx, counts: |msg: &Msg<T>| matches!(msg, Msg::Unit(_)) };
-
-    if workers <= 1 {
-        // Sequential fast path: one in-thread pull loop. Injected
-        // units land behind the queued ones, so the loop ends exactly
-        // when no unit injected anything more.
-        let injector = Injector { tx: &tx, pending: &pending };
-        while let Ok(Msg::Unit(unit)) = rx.try_recv() {
-            metrics.pool_queue_depth.add(-1);
-            work(unit, &injector);
-        }
-        return;
-    }
+    // The queue-depth gauge drains on every exit path, so units
+    // abandoned by a panic shutdown stop counting.
+    let _drain = GaugeDrain(&rx);
 
     // First panic payload observed by any worker; re-raised after the
     // scope joins so the caller sees the original panic.
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let pending = &pending;
-                let panicked = &panicked;
-                scope.spawn(move |_| {
-                    let injector = Injector { tx: &tx, pending };
-                    let mut stolen = 0u64;
-                    loop {
-                        match rx.recv() {
-                            Ok(Msg::Unit(unit)) => {
-                                metrics.pool_queue_depth.add(-1);
-                                stolen += 1;
-                                let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-                                    work(unit, &injector);
-                                }));
-                                match outcome {
-                                    Ok(()) => {
-                                        // The 1→0 transition happens on
-                                        // exactly one worker: it starts
-                                        // the Done cascade that walks
-                                        // every other worker out of its
-                                        // recv loop. Relaxed: the RMW
-                                        // total order alone decides who
-                                        // saw 1→0; everything the units
-                                        // wrote is published by the
-                                        // channel mutex and the scope
-                                        // join, not by this counter.
-                                        if pending.fetch_sub(1, Ordering::Relaxed) == 1 {
-                                            let _ = tx.send(Msg::Done);
-                                            break;
-                                        }
-                                    }
-                                    Err(payload) => {
-                                        let mut slot = panicked
-                                            .lock()
-                                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                        if slot.is_none() {
-                                            *slot = Some(payload);
-                                        }
-                                        drop(slot);
-                                        // Abort: cascade shutdown without
-                                        // waiting for pending to drain.
-                                        let _ = tx.send(Msg::Done);
-                                        break;
-                                    }
-                                }
-                            }
-                            // Forward the sentinel so every remaining
-                            // worker sees it, then exit.
-                            Ok(Msg::Done) => {
-                                let _ = tx.send(Msg::Done);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    metrics.pool_units_per_worker.record(stolen);
-                })
-            })
-            .collect();
-        drop(tx);
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panic::resume_unwind(payload);
+    let worker = || {
+        let injector = Injector { tx: &tx, pending: &pending };
+        let mut stolen = 0u64;
+        // Every worker leaves through a `Done`: the live `tx` means
+        // the channel never disconnects under the pull loop.
+        while let Ok(Msg::Unit(unit)) = rx.recv() {
+            metrics.pool_queue_depth.add(-1);
+            stolen += 1;
+            let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| work(unit, &injector)));
+            if let Err(payload) = outcome {
+                let mut slot = panicked.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                slot.get_or_insert(payload);
+                // Abort: cascade shutdown without waiting for pending
+                // to drain.
+                break;
+            }
+            // The 1→0 transition happens on exactly one worker: it
+            // starts the Done cascade that walks every other worker
+            // out of its pull loop. Relaxed: the RMW total order alone
+            // decides who saw 1→0; everything the units wrote is
+            // published by the channel mutex and the scope join, not
+            // by this counter.
+            if pending.fetch_sub(1, Ordering::Relaxed) == 1 {
+                break;
             }
         }
-    })
-    .unwrap_or_else(|payload| panic::resume_unwind(payload));
+        // Start or forward the sentinel so every remaining worker sees
+        // it, then exit.
+        let _ = tx.send(Msg::Done);
+        metrics.pool_units_per_worker.record(stolen);
+    };
+    arest_conc::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
+    });
 
-    // The `_drain` guard (dropped on return *and* on the unwind paths
-    // above) subtracts units abandoned by a panic shutdown, so the
-    // queue-depth gauge reads zero again on every exit.
     if let Some(payload) = panicked.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
     {
         panic::resume_unwind(payload);

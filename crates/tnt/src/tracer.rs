@@ -77,28 +77,6 @@ pub fn trace_route(
     Trace { vp: Arc::from(vp_name), src, dst, hops, reached }
 }
 
-/// Sends one ICMP echo request (used by TTL fingerprinting) and
-/// returns `(reply address, reply IP TTL)` when the target answers.
-pub fn ping(
-    net: &Network,
-    entry: RouterId,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-) -> Option<(Ipv4Addr, u8)> {
-    crate::obs::METRICS.pings.inc();
-    let spec = ProbeSpec {
-        entry,
-        src,
-        dst,
-        ttl: 64,
-        transport: TransportPayload::Echo { ident: 0x7e57, seq: 1 },
-    };
-    match net.probe(&spec) {
-        ProbeReply::EchoReply { from, reply_ttl, .. } => Some((from, reply_ttl)),
-        _ => None,
-    }
-}
-
 /// Deterministic per-probe identifier (survives in the quoted UDP
 /// checksum; used to match replies to probes).
 fn probe_ident(src: Ipv4Addr, dst: Ipv4Addr, ttl: u8) -> u16 {

@@ -55,8 +55,8 @@ fn queue_depth_gauge_drains_to_zero_when_workers_panic() {
     assert!(result.is_err(), "the worker panic must reach the caller");
     assert_eq!(gauge.get(), 0, "run_dynamic parallel panic must drain the gauge");
 
-    // run_dynamic, sequential fast path: the panic aborts the
-    // in-thread pull loop with units still queued.
+    // run_dynamic at one worker: the panic aborts the calling
+    // thread's pull loop with units still queued.
     let result = panic::catch_unwind(|| {
         run_dynamic((0..8u64).collect(), 1, &|x, _| assert_ne!(x, 2, "boom"));
     });

@@ -1,9 +1,5 @@
-//! Offline shim for the crossbeam APIs the workspace uses:
+//! Offline shim for the crossbeam channels the workspace uses:
 //!
-//! * [`thread::scope`] — scoped threads, implemented on top of
-//!   `std::thread::scope` (stable since Rust 1.63, which post-dates
-//!   crossbeam's scoped threads). Source-compatible with the call
-//!   shape `crossbeam::thread::scope(|s| { s.spawn(|_| ...); ... })`.
 //! * [`channel::unbounded`] — a multi-producer multi-consumer FIFO
 //!   channel (mutex + condvar) with crossbeam's disconnect semantics:
 //!   `recv` drains remaining messages after the last sender drops,
@@ -11,6 +7,9 @@
 //! * [`channel::bounded`] — the same channel with a capacity:
 //!   `send` blocks while the queue is full (backpressure) and wakes
 //!   when a receiver pops or every receiver disconnects.
+//!
+//! Scoped threads are not part of the shim: the workspace spawns
+//! every thread through `arest_conc::thread`.
 //!
 //! All synchronization goes through `arest-conc`: plain `std` in
 //! normal builds, cooperative scheduler-controlled primitives under
@@ -270,148 +269,6 @@ pub mod channel {
     }
 }
 
-/// Scoped threads, mirroring `crossbeam::thread`.
-///
-/// Built directly on `std::thread::scope` for the `'scope`-long scope
-/// reference workers need for nested spawning; under `model-check`
-/// each spawn additionally registers with the active `arest-conc`
-/// scheduler through its `arest_conc::hooks`, and children
-/// are joined cooperatively before the real scope join.
-pub mod thread {
-    use std::panic::{self, AssertUnwindSafe};
-    use std::thread as std_thread;
-
-    #[cfg(feature = "model-check")]
-    use arest_conc::hooks;
-
-    /// No-op stand-ins keeping the spawn/join code straight-line when
-    /// the model checker is compiled out.
-    #[cfg(not(feature = "model-check"))]
-    mod hooks {
-        pub struct SpawnToken;
-
-        impl SpawnToken {
-            pub fn tid(&self) -> usize {
-                0
-            }
-
-            pub fn run<T>(self, f: impl FnOnce() -> T) -> std::thread::Result<T> {
-                Ok(f())
-            }
-        }
-
-        pub fn register_spawn() -> Option<SpawnToken> {
-            None
-        }
-
-        pub fn join_one(_tid: usize) {}
-
-        pub fn join_all(_tids: Vec<usize>) {}
-
-        pub fn scope_body_panicked(_payload: &(dyn std::any::Any + Send)) {}
-    }
-
-    /// A scope handle passed to the closure and to every spawned
-    /// thread (crossbeam passes the scope as the closure argument so
-    /// workers can themselves spawn).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std_thread::Scope<'scope, 'env>,
-        /// Model tids of every spawned worker, for the cooperative
-        /// join at scope exit; unused outside `model-check` runs.
-        /// `Arc` rather than a borrow: a `'scope`-long reference to a
-        /// scope-local registry cannot typecheck against the
-        /// placeholder region `std::thread::scope` hands out.
-        children: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
-    }
-
-    impl<'scope, 'env> Clone for Scope<'scope, 'env> {
-        fn clone(&self) -> Self {
-            Scope { inner: self.inner, children: std::sync::Arc::clone(&self.children) }
-        }
-    }
-
-    /// Handle to a scoped worker.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std_thread::ScopedJoinHandle<'scope, std_thread::Result<T>>,
-        tid: Option<usize>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the worker; `Err` carries its panic payload.
-        pub fn join(self) -> std_thread::Result<T> {
-            if let Some(tid) = self.tid {
-                hooks::join_one(tid);
-            }
-            self.inner.join().and_then(|result| result)
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a worker inside the scope. The closure receives the
-        /// scope (crossbeam convention) so it can spawn further work.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = self.clone();
-            match hooks::register_spawn() {
-                Some(token) => {
-                    let tid = token.tid();
-                    scope
-                        .children
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(tid);
-                    ScopedJoinHandle {
-                        inner: self.inner.spawn(move || token.run(move || f(&scope))),
-                        tid: Some(tid),
-                    }
-                }
-                None => {
-                    ScopedJoinHandle { inner: self.inner.spawn(move || Ok(f(&scope))), tid: None }
-                }
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowed data can be shared with
-    /// spawned threads; all workers are joined before returning.
-    ///
-    /// `std::thread::scope` re-panics if a spawned thread panicked and
-    /// was not joined, so unlike crossbeam this never returns `Err` —
-    /// the `Result` wrapper is kept purely for call-site compatibility.
-    pub fn scope<'env, F, R>(f: F) -> std_thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        let children = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let value = std_thread::scope(|s| {
-            let scope = Scope { inner: s, children: std::sync::Arc::clone(&children) };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-            let spawned = std::mem::take(
-                &mut *children.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            match result {
-                Ok(value) => {
-                    // Cooperative join before the std scope's real
-                    // join, so model-run children are never real-joined
-                    // while parked waiting for the scheduler token.
-                    hooks::join_all(spawned);
-                    value
-                }
-                Err(payload) => {
-                    // Abort the model run first: parked children must
-                    // wake and terminate or the real join deadlocks.
-                    hooks::scope_body_panicked(payload.as_ref());
-                    panic::resume_unwind(payload)
-                }
-            }
-        });
-        Ok(value)
-    }
-}
-
 /// Seeded historical bugs, compiled only for the model checker's
 /// regression tests: each variant reintroduces a race this repository
 /// once shipped (or nearly shipped) so `tests/model.rs` can prove the
@@ -504,17 +361,6 @@ pub mod mutations {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn scope_joins_and_borrows() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = super::thread::scope(|s| {
-            let handles: Vec<_> = data.iter().map(|&x| s.spawn(move |_| x * 10)).collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        })
-        .expect("scope");
-        assert_eq!(total, 100);
-    }
-
-    #[test]
     fn channel_is_fifo_and_disconnects() {
         let (tx, rx) = super::channel::unbounded();
         for i in 0..5u32 {
@@ -549,11 +395,11 @@ mod tests {
     fn channel_delivers_each_message_once_across_consumers() {
         let (tx, rx) = super::channel::unbounded();
         let n = 100u64;
-        let consumed: Vec<u64> = super::thread::scope(|s| {
+        let consumed: Vec<u64> = arest_conc::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let rx = rx.clone();
-                    s.spawn(move |_| rx.iter().collect::<Vec<u64>>())
+                    s.spawn(move || rx.iter().collect::<Vec<u64>>())
                 })
                 .collect();
             for i in 0..n {
@@ -561,8 +407,7 @@ mod tests {
             }
             drop(tx);
             handles.into_iter().flat_map(|h| h.join().expect("worker")).collect()
-        })
-        .expect("scope");
+        });
         let mut sorted = consumed;
         sorted.sort_unstable();
         assert_eq!(sorted, (0..n).collect::<Vec<u64>>(), "every message exactly once");
@@ -578,19 +423,18 @@ mod tests {
         // the model checker.)
         for _ in 0..200 {
             let (tx, rx) = super::channel::unbounded::<u8>();
-            super::thread::scope(|s| {
+            arest_conc::thread::scope(|s| {
                 let waiters: Vec<_> = (0..2)
                     .map(|_| {
                         let rx = rx.clone();
-                        s.spawn(move |_| rx.recv())
+                        s.spawn(move || rx.recv())
                     })
                     .collect();
                 drop(tx);
                 for h in waiters {
                     assert_eq!(h.join().expect("worker"), Err(super::channel::RecvError));
                 }
-            })
-            .expect("scope");
+            });
         }
     }
 
@@ -600,11 +444,11 @@ mod tests {
         use std::time::Duration;
         let (tx, rx) = super::channel::bounded::<u32>(2);
         let sent = AtomicUsize::new(0);
-        super::thread::scope(|s| {
+        arest_conc::thread::scope(|s| {
             let producer = {
                 let tx = tx.clone();
                 let sent = &sent;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..5u32 {
                         tx.send(i).expect("send");
                         // Relaxed: a pure event count for the polling
@@ -633,8 +477,7 @@ mod tests {
             let drained: Vec<u32> = (0..5).map(|_| rx.recv().expect("recv")).collect();
             assert_eq!(drained, vec![0, 1, 2, 3, 4]);
             producer.join().expect("producer");
-        })
-        .expect("scope");
+        });
         assert!(tx.is_empty(), "fully drained");
     }
 
@@ -654,30 +497,16 @@ mod tests {
 
         let (tx, rx) = super::channel::bounded::<u32>(1);
         tx.send(0).expect("send");
-        let blocked = super::thread::scope(|s| {
-            let h = s.spawn(move |_| tx.send(1));
+        let blocked = arest_conc::thread::scope(|s| {
+            let h = s.spawn(move || tx.send(1));
             std::thread::sleep(std::time::Duration::from_millis(5));
             drop(rx);
             h.join().expect("producer")
-        })
-        .expect("scope");
+        });
         assert_eq!(
             blocked,
             Err(super::channel::SendError(1)),
             "receiver drop must wake a producer blocked on a full queue"
         );
-    }
-
-    #[test]
-    fn nested_spawn_via_scope_arg() {
-        let n = super::thread::scope(|s| {
-            let h = s.spawn(|inner| {
-                let h2 = inner.spawn(|_| 21u32);
-                h2.join().expect("inner")
-            });
-            h.join().expect("outer") * 2
-        })
-        .expect("scope");
-        assert_eq!(n, 42);
     }
 }

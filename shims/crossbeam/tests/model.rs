@@ -15,16 +15,15 @@ use crossbeam::channel::{RecvError, SendError};
 fn model_last_sender_drop_wakes_all_receivers() {
     let report = Model::default().check(|| {
         let (tx, rx) = crossbeam::channel::unbounded::<u8>();
-        crossbeam::thread::scope(|s| {
+        arest_conc::thread::scope(|s| {
             let r1 = rx.clone();
-            let h1 = s.spawn(move |_| r1.recv());
+            let h1 = s.spawn(move || r1.recv());
             let r2 = rx.clone();
-            let h2 = s.spawn(move |_| r2.recv());
+            let h2 = s.spawn(move || r2.recv());
             drop(tx);
             assert_eq!(h1.join().expect("r1"), Err(RecvError));
             assert_eq!(h2.join().expect("r2"), Err(RecvError));
-        })
-        .expect("scope");
+        });
     });
     assert!(report.complete, "schedule space not exhausted in {} runs", report.runs);
 }
@@ -37,12 +36,11 @@ fn model_bounded_send_vs_final_receiver_drop_is_atomic() {
     let report = Model::default().check(|| {
         let (tx, rx) = crossbeam::channel::bounded::<u8>(1);
         tx.send(0).expect("fill to capacity");
-        crossbeam::thread::scope(|s| {
-            let h = s.spawn(move |_| tx.send(1));
+        arest_conc::thread::scope(|s| {
+            let h = s.spawn(move || tx.send(1));
             drop(rx);
             assert_eq!(h.join().expect("producer"), Err(SendError(1)));
-        })
-        .expect("scope");
+        });
     });
     assert!(report.complete, "schedule space not exhausted in {} runs", report.runs);
 }
@@ -53,11 +51,10 @@ fn model_bounded_send_vs_final_receiver_drop_is_atomic() {
 fn model_send_always_reaches_a_blocked_receiver() {
     Model::default().check(|| {
         let (tx, rx) = crossbeam::channel::unbounded::<u8>();
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| tx.send(7).expect("send"));
+        arest_conc::thread::scope(|s| {
+            s.spawn(move || tx.send(7).expect("send"));
             assert_eq!(rx.recv(), Ok(7));
-        })
-        .expect("scope");
+        });
     });
 }
 
@@ -67,17 +64,16 @@ fn model_send_always_reaches_a_blocked_receiver() {
 fn model_bounded_backpressure_never_wedges() {
     Model::default().check(|| {
         let (tx, rx) = crossbeam::channel::bounded::<u8>(1);
-        crossbeam::thread::scope(|s| {
+        arest_conc::thread::scope(|s| {
             let t1 = tx.clone();
-            s.spawn(move |_| t1.send(1).expect("send 1"));
+            s.spawn(move || t1.send(1).expect("send 1"));
             let t2 = tx.clone();
-            s.spawn(move |_| t2.send(2).expect("send 2"));
+            s.spawn(move || t2.send(2).expect("send 2"));
             drop(tx);
             let mut got: Vec<u8> = rx.iter().collect();
             got.sort_unstable();
             assert_eq!(got, vec![1, 2]);
-        })
-        .expect("scope");
+        });
     });
 }
 
@@ -88,11 +84,10 @@ fn model_bounded_backpressure_never_wedges() {
 /// and its park — a lost wakeup.
 fn seeded_lost_wakeup() {
     let (tx, rx) = crossbeam::mutations::buggy_unbounded::<u8>();
-    crossbeam::thread::scope(|s| {
-        s.spawn(move |_| drop(tx));
+    arest_conc::thread::scope(|s| {
+        s.spawn(move || drop(tx));
         assert_eq!(rx.recv(), None);
-    })
-    .expect("scope");
+    });
 }
 
 /// Mutation regression: the checker must find the seeded bug, report
@@ -125,10 +120,9 @@ fn model_detects_seeded_lost_wakeup_with_minimal_schedule() {
 fn model_fixed_channel_survives_the_mutation_scenario() {
     Model::default().check(|| {
         let (tx, rx) = crossbeam::channel::unbounded::<u8>();
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| drop(tx));
+        arest_conc::thread::scope(|s| {
+            s.spawn(move || drop(tx));
             assert_eq!(rx.recv(), Err(RecvError));
-        })
-        .expect("scope");
+        });
     });
 }
