@@ -121,7 +121,8 @@ const MODES: [&str; 8] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = PipelineConfig::default();
+    let mut quick = false;
+    let mut config_options: Vec<(String, String)> = Vec::new();
     let mut ids: Vec<String> = Vec::new();
     let mut out_dir: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -135,14 +136,18 @@ fn main() {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" => config = PipelineConfig::quick(),
-            "--scale" => config.gen.scale = expect_value(&mut iter, "--scale"),
-            "--vps" => config.gen.vp_count = expect_value(&mut iter, "--vps"),
-            "--targets" => config.targets_per_as = expect_value(&mut iter, "--targets"),
-            "--seed" => config.gen.seed = expect_value(&mut iter, "--seed"),
-            "--workers" => config.workers = Some(expect_value(&mut iter, "--workers")),
-            "--catalog-scale" => {
-                config.gen.catalog_scale = expect_value(&mut iter, "--catalog-scale");
+            "--quick" => quick = true,
+            "--reprobe" => {
+                let spec = iter
+                    .next()
+                    .unwrap_or_else(|| usage("--reprobe needs a slice spec (all, N%, N, or asN)"));
+                config_options.push((arg, spec));
+            }
+            option if CONFIG_OPTIONS.contains(&option) => {
+                let value = iter
+                    .next()
+                    .unwrap_or_else(|| usage(&format!("{option} needs a numeric value")));
+                config_options.push((arg, value));
             }
             "--stream" => stream = true,
             "--listen" => {
@@ -153,13 +158,6 @@ fn main() {
             "--ledger" => {
                 ledger_dir = Some(iter.next().unwrap_or_else(|| usage("--ledger needs a dir")));
             }
-            "--reprobe" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage("--reprobe needs a slice spec (all, N%, N, or asN)"));
-                config.reprobe = SliceSpec::parse(&spec).unwrap_or_else(|e| usage(&e));
-            }
-            "--base" => config.base_serial = Some(expect_value(&mut iter, "--base")),
             "--ledger-poll-ms" => ledger_poll_ms = expect_value(&mut iter, "--ledger-poll-ms"),
             "--out" => out_dir = Some(iter.next().unwrap_or_else(|| usage("--out needs a dir"))),
             "--obs" => arest_obs::global().set_enabled(true),
@@ -173,6 +171,7 @@ fn main() {
             id => ids.push(id.to_string()),
         }
     }
+    let config = pipeline_config(quick, &config_options);
     if config.base_serial.is_some() && ledger_dir.is_none() {
         usage("--base needs --ledger <dir> to merge against");
     }
@@ -970,6 +969,44 @@ fn bench_pipeline(config: PipelineConfig, out_dir: Option<&str>) -> Dataset {
     last_dataset.expect("bench-pipeline always builds at least once")
 }
 
+/// The options that edit the pipeline configuration. They are applied
+/// once the whole command line is read, on top of the base `--quick`
+/// selects, so their position relative to `--quick` does not matter.
+const CONFIG_OPTIONS: [&str; 8] = [
+    "--scale",
+    "--vps",
+    "--targets",
+    "--seed",
+    "--workers",
+    "--catalog-scale",
+    "--reprobe",
+    "--base",
+];
+
+/// The pipeline configuration a command line asks for: the `--quick`
+/// base (or the default) with each `(option, value)` of
+/// [`CONFIG_OPTIONS`] applied in command-line order.
+fn pipeline_config(quick: bool, options: &[(String, String)]) -> PipelineConfig {
+    fn numeric<T: std::str::FromStr>(option: &str, value: &str) -> T {
+        value.parse().unwrap_or_else(|_| usage(&format!("{option} needs a numeric value")))
+    }
+    let mut config = if quick { PipelineConfig::quick() } else { PipelineConfig::default() };
+    for (option, value) in options {
+        match option.as_str() {
+            "--scale" => config.gen.scale = numeric(option, value),
+            "--vps" => config.gen.vp_count = numeric(option, value),
+            "--targets" => config.targets_per_as = numeric(option, value),
+            "--seed" => config.gen.seed = numeric(option, value),
+            "--workers" => config.workers = Some(numeric(option, value)),
+            "--catalog-scale" => config.gen.catalog_scale = numeric(option, value),
+            "--reprobe" => config.reprobe = SliceSpec::parse(value).unwrap_or_else(|e| usage(&e)),
+            "--base" => config.base_serial = Some(numeric(option, value)),
+            other => unreachable!("{other} is not in CONFIG_OPTIONS"),
+        }
+    }
+    config
+}
+
 fn expect_value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, flag: &str) -> T {
     iter.next()
         .and_then(|v| v.parse().ok())
@@ -992,4 +1029,47 @@ fn usage(err: &str) -> ! {
         ALL_EXPERIMENTS.join(", ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs.iter().map(|&(o, v)| (o.to_string(), v.to_string())).collect()
+    }
+
+    /// `--quick` picks the base wherever it appears on the command
+    /// line; every configuration option applies on top of it.
+    #[test]
+    fn quick_keeps_the_options_around_it() {
+        let edits = options(&[
+            ("--workers", "1"),
+            ("--seed", "77"),
+            ("--vps", "3"),
+            ("--targets", "5"),
+            ("--catalog-scale", "2"),
+            ("--reprobe", "as15169"),
+            ("--base", "4"),
+        ]);
+        let config = pipeline_config(true, &edits);
+        assert_eq!(config.workers, Some(1));
+        assert_eq!(config.gen.seed, 77);
+        assert_eq!(config.gen.vp_count, 3);
+        assert_eq!(config.targets_per_as, 5);
+        assert_eq!(config.gen.catalog_scale, 2);
+        assert_eq!(config.reprobe, SliceSpec::Asn(15_169));
+        assert_eq!(config.base_serial, Some(4));
+        // Everything not named keeps the quick base.
+        let quick = PipelineConfig::quick();
+        assert_eq!(config.gen.scale, quick.gen.scale);
+        assert_eq!(config.alias_paths_per_as, quick.alias_paths_per_as);
+        assert_eq!(pipeline_config(false, &edits).gen.scale, PipelineConfig::default().gen.scale);
+    }
+
+    #[test]
+    fn later_options_win() {
+        let config = pipeline_config(false, &options(&[("--scale", "0.1"), ("--scale", "0.2")]));
+        assert_eq!(config.gen.scale, 0.2);
+    }
 }

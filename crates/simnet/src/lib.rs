@@ -19,11 +19,40 @@
 //! * routers with RFC 4950 quote the *received* label stack in their
 //!   time-exceeded messages.
 //!
-//! Forwarding is instrumented with `arest-obs`: every completed probe
-//! accounts itself once (`simnet.probes`, `simnet.forwarded_hops`,
-//! `simnet.ttl_expired`, and per-[`DropReason`] `simnet.drop.*`
-//! counters) against the global registry — a no-op unless `AREST_OBS`
-//! enables it.
+//! ## Walk once, answer every TTL
+//!
+//! A Paris traceroute sends one flow at TTL 1, 2, …, k. Forwarding
+//! does not depend on the TTL (the flow hash ignores it and the probe
+//! ident), so [`Network::walk`] forwards the flow **once** and records,
+//! for every TTL in a range, where that probe expires — router, reply
+//! source, received label stack (the RFC 4950 quote, PopLocal
+//! included) and quoted IP TTL — or the terminal outcome the TTLs past
+//! the last expiry share: delivery, delivery by the virtual CE behind
+//! an anchor, or a [`DropReason`]. Each TTL field is carried as
+//! `min(t − off, cap)` of the probe TTL `t`, a form closed under
+//! decrement, copy-on-push, a 255 short-pipe push and the RFC 3443 pop
+//! `min`; the [`walk`] module shows why that makes the walk exact for
+//! every TTL, with no fallback. A trace costs one walk instead of
+//! ~L²/2 hop visits.
+//!
+//! What stays per probe: [`Network::reply`] builds each probe's reply
+//! with its own TTL and ident and encodes it as real ICMP bytes, and
+//! the prober parses every reply with `IcmpMessage::parse`. The RFC
+//! 4950 encoder and decoder are part of what is reproduced, so they
+//! run for every probe, not once per walk. [`Network::probe`] is a
+//! one-TTL walk, so production has one forwarding engine.
+//! [`Network::forward`], the per-TTL loop the walk replaced, remains
+//! only as the reference the differential tests compare against.
+//!
+//! ## Observability
+//!
+//! Forwarding is instrumented with `arest-obs` against the global
+//! registry — a no-op unless `AREST_OBS` enables it. Every reply
+//! accounts itself once (`simnet.probes`, `simnet.forwarded_hops` —
+//! the reply's forward depth —, `simnet.ttl_expired`, and
+//! per-[`DropReason`] `simnet.drop.*`), and every walk once
+//! (`simnet.walks`, `simnet.walk_visits` — the router visits actually
+//! made). Nothing is recorded per visit.
 //!
 //! Modules:
 //! * [`plane`] — per-router forwarding state (FIB/LFIB/FTN + ICMP and
@@ -31,6 +60,7 @@
 //! * [`packet`] — the simulated packet, probe specification, and reply
 //!   types.
 //! * [`network`] — the [`network::Network`] forwarding engine.
+//! * [`walk`] — the symbolic TTL algebra and the [`FlowWalk`] result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +69,12 @@ pub mod network;
 mod obs;
 pub mod packet;
 pub mod plane;
+pub mod walk;
 
 pub use network::Network;
 pub use packet::{DropReason, ProbeReply, ProbeSpec, SimPacket, TransportPayload};
 pub use plane::{Route, RouterPlane};
+pub use walk::FlowWalk;
 
 /// Thread-safety audit: the measurement pipeline shares one
 /// `&Network` across its worker pool, so `Network` (and everything it

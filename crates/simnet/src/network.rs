@@ -2,6 +2,7 @@
 
 use crate::packet::{DropReason, ProbeReply, ProbeSpec, SimPacket, TransportPayload};
 use crate::plane::RouterPlane;
+use crate::walk::{stack_at, Expiry, FlowWalk, Outcome, SymLse, SymStack, SymTtl, Terminal};
 use arest_mpls::tables::LfibAction;
 use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, IfaceId, RouterId};
@@ -11,6 +12,7 @@ use arest_wire::icmp::{IcmpMessage, MplsExtension};
 use arest_wire::mpls::LabelStack;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::RangeInclusive;
 
 /// Safety bound on router visits per probe; anything beyond this is a
 /// control-plane bug surfacing as a forwarding loop.
@@ -98,16 +100,230 @@ impl Network {
         &mut self.planes[r.index()]
     }
 
-    /// Injects one probe and runs it to completion.
+    /// Injects one probe and runs it to completion: a one-TTL
+    /// [`walk`](Network::walk).
     pub fn probe(&self, spec: &ProbeSpec) -> ProbeReply {
-        let reply = self.forward(spec);
+        self.reply(&self.walk(spec, spec.ttl..=spec.ttl), spec)
+    }
+
+    /// Forwards the Paris flow of `flow` once, resolving every probe
+    /// TTL in `ttls` (`flow.ttl` and the probe ident are ignored —
+    /// neither steers forwarding). Each TTL either expires at some
+    /// router, recorded with the stack that router received and the IP
+    /// TTL it quotes, or shares the walk's terminal outcome: delivery
+    /// or a [`DropReason`]. The walk stops as soon as no TTL is left
+    /// pending. See [`crate::walk`] for why this is exact.
+    pub fn walk(&self, flow: &ProbeSpec, ttls: RangeInclusive<u8>) -> FlowWalk {
+        let hi = i32::from(*ttls.end());
+        // The lowest TTL not yet resolved; pending TTLs are next..=hi.
+        let mut next = i32::from(*ttls.start());
+        let mut expiries: Vec<Expiry> = Vec::new();
+        let dst = flow.dst;
+        let mut ip = SymTtl::PROBE;
+        let mut stack: SymStack = Vec::new();
+        let mut current = flow.entry;
+        let mut incoming_iface: Option<IfaceId> = None;
+        let mut received_labeled: Option<SymStack> = None;
+        let mut hops: u8 = 0;
+        let mut visits: u32 = 0;
+        let flow_key = flow_hash(flow);
+        // Who answers for the destination is the same at every visit.
+        let dst_owner = self.topo.router_by_any_addr(dst).map(|r| r.id);
+        let anchor = self.anchors.lookup(dst).map(|(_, r)| *r);
+        let terminal = dst_owner.or(anchor);
+
+        let terminal = loop {
+            if next > hi {
+                break None;
+            }
+            if visits as usize == MAX_VISITS {
+                break Some(Terminal::Dropped(DropReason::HopBudgetExhausted));
+            }
+            visits += 1;
+            let plane = &self.planes[current.index()];
+            // Replies come from the incoming interface, or the loopback
+            // at the entry router; only expiries need the address.
+            let reply_src = move || {
+                incoming_iface
+                    .map_or(self.topo.router(current).loopback, |i| self.topo.iface(i).addr)
+            };
+
+            if let Some(&top) = stack.last() {
+                // ---- MPLS visit ----
+                // The pending TTLs whose top LSE reads ≤ 1 expire here,
+                // quoting the stack as this router received it (as in
+                // `forward`, a PopLocal keeps that stack for the next
+                // pass at the same router).
+                let action = plane.lfib.lookup(top.label);
+                let pop_local = matches!(action, Some(LfibAction::PopLocal));
+                let through = top.ttl.expiring_through().min(hi);
+                let expiring = through >= next;
+                let mut received = (expiring || pop_local)
+                    .then(|| received_labeled.take().unwrap_or_else(|| stack.clone()));
+                if expiring {
+                    let quoted = if pop_local { received.clone() } else { received.take() };
+                    expiries.push(Expiry {
+                        last_ttl: through as u8,
+                        router: current,
+                        reply_src: reply_src(),
+                        ip,
+                        received: quoted,
+                        hops,
+                    });
+                    next = through + 1;
+                    if next > hi {
+                        continue;
+                    }
+                }
+                let top = stack.last_mut().expect("stack checked non-empty");
+                top.ttl = top.ttl.decremented();
+                let out = match action {
+                    None => break Some(Terminal::Dropped(DropReason::NoLabelEntry)),
+                    Some(LfibAction::Swap { out_label, out_iface, next_router }) => {
+                        top.label = out_label;
+                        (out_iface, next_router)
+                    }
+                    Some(LfibAction::PopForward { out_iface, next_router }) => {
+                        pop_merge(&mut stack, &mut ip);
+                        (out_iface, next_router)
+                    }
+                    Some(LfibAction::PopLocal) => {
+                        pop_merge(&mut stack, &mut ip);
+                        // Reprocess at this router; remember the stack
+                        // it received so ICMP errors can quote it.
+                        received_labeled = received;
+                        continue;
+                    }
+                };
+                match self.walk_hop(current, out, &mut stack, ip) {
+                    Some((remote, next_router)) => {
+                        incoming_iface = Some(remote);
+                        current = next_router;
+                        hops += 1;
+                        received_labeled = None;
+                    }
+                    None => break Some(Terminal::Dropped(DropReason::NoRoute)),
+                }
+                continue;
+            }
+
+            // ---- IP visit ----
+            if dst_owner == Some(current) {
+                break Some(Terminal::Delivered {
+                    router: current,
+                    ip,
+                    received: received_labeled,
+                    hops,
+                });
+            }
+            // The anchor and the transit router both decrement first;
+            // the pending TTLs reading ≤ 1 expire here, quoting the IP
+            // TTL they arrived with.
+            let through = ip.expiring_through().min(hi);
+            if through >= next {
+                expiries.push(Expiry {
+                    last_ttl: through as u8,
+                    router: current,
+                    reply_src: reply_src(),
+                    ip,
+                    received: received_labeled.take(),
+                    hops,
+                });
+                next = through + 1;
+                if next > hi {
+                    continue;
+                }
+            }
+            ip = ip.decremented();
+            if anchor == Some(current) {
+                // The virtual CE beyond the anchor answers, as plain IP.
+                break Some(Terminal::Delivered {
+                    router: current,
+                    ip,
+                    received: None,
+                    hops: hops + 1,
+                });
+            }
+            let out = if let Some(push) = plane.ftn.lookup(dst) {
+                let lse_ttl = if plane.ttl_propagate { ip } else { SymTtl::constant(255) };
+                stack.extend(push.labels.iter().rev().map(|&label| SymLse { label, ttl: lse_ttl }));
+                Some((push.out_iface, push.next_router))
+            } else {
+                self.route_ip(current, dst, terminal, flow_key)
+                    .map(|r| (r.out_iface, r.next_router))
+            };
+            match out.and_then(|out| self.walk_hop(current, out, &mut stack, ip)) {
+                Some((remote, next_router)) => {
+                    incoming_iface = Some(remote);
+                    current = next_router;
+                    hops += 1;
+                    received_labeled = None;
+                }
+                None => break Some(Terminal::Dropped(DropReason::NoRoute)),
+            }
+        };
+        crate::obs::METRICS.record_walk(visits);
+        FlowWalk { flow: flow_key, entry: flow.entry, src: flow.src, dst, ttls, expiries, terminal }
+    }
+
+    /// The reply to one probe of `walk`'s flow, built and encoded for
+    /// this probe alone (its own TTL and ident) and accounted once in
+    /// `simnet.*`.
+    ///
+    /// # Panics
+    ///
+    /// If `spec` is not a probe of the walk ([`FlowWalk::serves`]): a
+    /// foreign probe must never be answered from another flow's path.
+    pub fn reply(&self, walk: &FlowWalk, spec: &ProbeSpec) -> ProbeReply {
+        assert!(walk.serves(spec), "probe {spec:?} is not on the walked flow");
+        let ttl = spec.ttl;
+        let mut pkt = spec.packet();
+        let reply = match walk.outcome(ttl) {
+            Outcome::Expired(expiry) => {
+                pkt.ip.ttl = expiry.ip.at(ttl);
+                let received = expiry.received.as_deref().map(|s| stack_at(s, ttl));
+                self.time_exceeded(expiry.router, expiry.reply_src, &pkt, received, expiry.hops)
+            }
+            Outcome::Terminal(Terminal::Delivered { router, ip, received, hops }) => {
+                pkt.ip.ttl = ip.at(ttl);
+                let received = received.as_deref().map(|s| stack_at(s, ttl));
+                self.deliver(*router, &pkt, received, *hops)
+            }
+            Outcome::Terminal(Terminal::Dropped(reason)) => ProbeReply::Silent(*reason),
+        };
         crate::obs::METRICS.record(&reply);
         reply
     }
 
-    /// The forwarding loop proper (observability accounted by the
-    /// [`probe`](Network::probe) wrapper, once per completed probe).
-    fn forward(&self, spec: &ProbeSpec) -> ProbeReply {
+    /// Crosses `out` from `current` on a walk, through the TI-LFA
+    /// repair when its link is down: `hop` plus `try_repair`, on the
+    /// symbolic stack.
+    fn walk_hop(
+        &self,
+        current: RouterId,
+        (out_iface, next_router): (IfaceId, RouterId),
+        stack: &mut SymStack,
+        ip: SymTtl,
+    ) -> Option<(IfaceId, RouterId)> {
+        if let Some(remote) = self.hop(out_iface) {
+            return Some((remote, next_router));
+        }
+        let repair = self.planes[current.index()].protection.get(&out_iface)?;
+        let remote = self.hop(repair.out_iface)?;
+        let lse_ttl = stack.last().map_or(ip, |l| l.ttl);
+        stack.extend(repair.labels.iter().rev().map(|&label| SymLse { label, ttl: lse_ttl }));
+        Some((remote, repair.next_router))
+    }
+
+    /// The per-TTL forwarding loop: one probe, forwarded from scratch
+    /// and not accounted in `simnet.*`.
+    ///
+    /// This is the **reference** the walk is tested against: the
+    /// differential tests check that [`reply`](Network::reply) on a
+    /// [`walk`](Network::walk) returns, byte for byte, what this loop
+    /// returns for each TTL. Probing goes through the walk; nothing in
+    /// production calls this.
+    pub fn forward(&self, spec: &ProbeSpec) -> ProbeReply {
         // The flow key: per-flow load balancers hash the 5-tuple. The
         // Paris design keeps it constant across a trace (ports fixed,
         // ident in the checksum), so every probe of one trace follows
@@ -254,7 +470,8 @@ impl Network {
             }
 
             // Plain IP routing.
-            match self.route_ip(current, pkt.ip.dst_addr, flow) {
+            let terminal = self.terminal_router(pkt.ip.dst_addr);
+            match self.route_ip(current, pkt.ip.dst_addr, terminal, flow) {
                 Some(route) => match self
                     .hop(route.out_iface)
                     .map(|r| (r, route.next_router))
@@ -277,15 +494,21 @@ impl Network {
     /// The IP routing decision at `current` for `dst`, in lookup
     /// order: explicit FIB entry, intra-AS IGP shortest path toward
     /// the terminal router, per-AS exit map toward the egress border,
-    /// FIB entry for the terminal router's loopback. IGP decisions
-    /// hash `flow` over the equal-cost next-hop set (ECMP).
-    fn route_ip(&self, current: RouterId, dst: Ipv4Addr, flow: u64) -> Option<crate::plane::Route> {
+    /// FIB entry for the terminal router's loopback. `terminal` is
+    /// [`terminal_router`](Network::terminal_router)`(dst)`. IGP
+    /// decisions hash `flow` over the equal-cost next-hop set (ECMP).
+    fn route_ip(
+        &self,
+        current: RouterId,
+        dst: Ipv4Addr,
+        terminal: Option<RouterId>,
+        flow: u64,
+    ) -> Option<crate::plane::Route> {
         let plane = &self.planes[current.index()];
         if let Some((_, route)) = plane.fib.lookup(dst) {
             return Some(*route);
         }
         let asn = self.topo.router(current).asn;
-        let terminal = self.terminal_router(dst);
         if let Some(terminal) = terminal {
             if self.topo.router(terminal).asn == asn {
                 if let Some(route) = self.igp_route(asn, current, terminal, flow) {
@@ -429,7 +652,7 @@ impl Network {
 }
 
 /// The 5-tuple flow hash per-flow load balancers use.
-fn flow_hash(spec: &ProbeSpec) -> u64 {
+pub(crate) fn flow_hash(spec: &ProbeSpec) -> u64 {
     let (a, b) = match spec.transport {
         TransportPayload::Udp { src_port, dst_port, .. } => (src_port, dst_port),
         TransportPayload::Echo { ident, .. } => (ident, 0),
@@ -442,6 +665,16 @@ fn flow_hash(spec: &ProbeSpec) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// [`merge_ttl_down`] on a walk: pops the symbolic top entry and
+/// merges its TTL into the exposed one.
+fn pop_merge(stack: &mut SymStack, ip: &mut SymTtl) {
+    let popped = stack.pop().expect("stack checked non-empty");
+    match stack.last_mut() {
+        Some(top) => top.ttl = top.ttl.min(popped.ttl),
+        None => *ip = ip.min(popped.ttl),
+    }
 }
 
 /// RFC 3443 TTL merge on pop: the exposed TTL (next label or the IP
@@ -467,6 +700,7 @@ mod tests {
     use arest_topo::ids::AsNumber;
     use arest_topo::prefix::Prefix;
     use arest_topo::vendor::Vendor;
+    use arest_wire::ipv4::Ipv4Packet;
     use std::collections::HashMap;
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
@@ -966,9 +1200,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tilfa_repairs_traffic_before_reconvergence() {
-        // A square SR domain: r0—r1—r2 primary, r0—r3—r2 backup.
+    /// A square SR domain: r0—r1—r2 primary, r0—r3—r2 backup, with
+    /// TI-LFA repairs installed and the customer block 100.99.0.0/24
+    /// anchored at r2. Returns the network, its routers and the
+    /// protected r1—r2 link.
+    fn tilfa_square() -> (Network, Vec<RouterId>, arest_topo::ids::LinkId) {
         let mut topo = Topology::new();
         let asn = AsNumber(65_102);
         let r: Vec<RouterId> = (0..4)
@@ -1033,7 +1269,12 @@ mod tests {
         for ((plr, protected), repair) in tilfa.iter() {
             net.plane_mut(*plr).install_protection(*protected, repair.clone());
         }
+        (net, r, protected_link.unwrap())
+    }
 
+    #[test]
+    fn tilfa_repairs_traffic_before_reconvergence() {
+        let (mut net, r, protected_link) = tilfa_square();
         let probe = |net: &Network| {
             net.probe(&ProbeSpec {
                 entry: r[0],
@@ -1049,7 +1290,7 @@ mod tests {
         // Fail r1—r2 WITHOUT reconverging: the stale LFIB at r1 points
         // into the dead link, but the TI-LFA repair carries the packet
         // around via r0—r3—r2.
-        net.topo_mut().set_link_up(protected_link.unwrap(), false);
+        net.topo_mut().set_link_up(protected_link, false);
         match probe(&net) {
             ProbeReply::DestUnreachable { forward_hops, .. } => {
                 assert!(forward_hops >= 4, "the repair detour is longer: {forward_hops}");
@@ -1137,5 +1378,177 @@ mod tests {
             }
             other => panic!("expected cross-AS delivery, got {other:?}"),
         }
+    }
+
+    // ---- Walk-once vs per-TTL forwarding (the reference) ----
+
+    fn udp_flow(entry: RouterId, dst: Ipv4Addr, src_port: u16) -> ProbeSpec {
+        ProbeSpec {
+            entry,
+            src: ip(192, 0, 2, 1),
+            dst,
+            ttl: 1,
+            transport: TransportPayload::Udp { src_port, dst_port: 33_434, ident: 1 },
+        }
+    }
+
+    /// One walk over TTL 1..=64 answers every probe byte for byte as
+    /// [`Network::forward`] does (each probe with its own ident, as a
+    /// traceroute sends them); so do one-TTL probes at the edges of
+    /// the TTL space and an echo request of the same flow.
+    fn assert_walk_matches_forward(net: &Network, flow: ProbeSpec) {
+        let walk = net.walk(&flow, 1..=64);
+        for ttl in 1..=64u8 {
+            let transport = match flow.transport {
+                TransportPayload::Udp { src_port, dst_port, .. } => {
+                    TransportPayload::Udp { src_port, dst_port, ident: 0x4000 + u16::from(ttl) }
+                }
+                echo @ TransportPayload::Echo { .. } => echo,
+            };
+            let spec = ProbeSpec { ttl, transport, ..flow };
+            assert_eq!(net.reply(&walk, &spec), net.forward(&spec), "walk, ttl {ttl}, {flow:?}");
+        }
+        for ttl in [0u8, 1, 32, 255] {
+            let spec = ProbeSpec { ttl, ..flow };
+            assert_eq!(net.probe(&spec), net.forward(&spec), "probe, ttl {ttl}, {flow:?}");
+        }
+        let echo = ProbeSpec {
+            ttl: 64,
+            transport: TransportPayload::Echo { ident: 0xf1f0, seq: 1 },
+            ..flow
+        };
+        assert_eq!(net.probe(&echo), net.forward(&echo), "echo, {flow:?}");
+    }
+
+    #[test]
+    fn walk_matches_forward_on_plain_ip() {
+        let net = plain_ip_net();
+        assert_walk_matches_forward(&net.net, udp_flow(net.r[0], net.target, 33_434));
+        // One expiry per transit router, then delivery for TTL 5..=64.
+        let walk = net.net.walk(&udp_flow(net.r[0], net.target, 33_434), 1..=64);
+        assert_eq!(walk.expiries.iter().map(|e| e.last_ttl).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert!(matches!(walk.terminal, Some(Terminal::Delivered { hops: 4, .. })));
+    }
+
+    #[test]
+    fn walk_matches_forward_on_every_ldp_visibility() {
+        for ttl_propagate in [false, true] {
+            for rfc4950 in [false, true] {
+                for php in [false, true] {
+                    let net = ldp_net(ttl_propagate, rfc4950, php);
+                    assert_walk_matches_forward(&net.net, udp_flow(net.r[0], net.target, 33_434));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_forward_through_sr() {
+        for php in [false, true] {
+            let net = sr_net(php);
+            assert_walk_matches_forward(&net.net, udp_flow(net.r[0], net.target, 33_434));
+        }
+    }
+
+    #[test]
+    fn walk_matches_forward_through_a_tilfa_repair() {
+        let (mut net, r, protected_link) = tilfa_square();
+        net.topo_mut().set_link_up(protected_link, false);
+        assert_walk_matches_forward(&net, udp_flow(r[0], ip(100, 99, 0, 7), 1));
+        assert_walk_matches_forward(&net, udp_flow(r[0], net.topo().router(r[2]).loopback, 1));
+    }
+
+    #[test]
+    fn walk_matches_forward_on_every_ecmp_flow() {
+        let (net, r, target) = diamond();
+        for src_port in 33_400..33_432 {
+            assert_walk_matches_forward(&net, udp_flow(r[0], target, src_port));
+        }
+    }
+
+    #[test]
+    fn walk_matches_forward_in_an_ip_forwarding_loop() {
+        let (topo, r) = chain(2);
+        let mut net = Network::new(topo);
+        let if0 = net.topo().adjacencies(r[0]).next().unwrap().1;
+        let if1 = net.topo().adjacencies(r[1]).next().unwrap().1;
+        net.plane_mut(r[0])
+            .install_route(Prefix::DEFAULT, Route { out_iface: if0, next_router: r[1] });
+        net.plane_mut(r[1])
+            .install_route(Prefix::DEFAULT, Route { out_iface: if1, next_router: r[0] });
+        assert_walk_matches_forward(&net, udp_flow(r[0], ip(8, 8, 8, 8), 1));
+    }
+
+    /// r0 — r1 — r2 with a short-pipe LSP that loops between r1 and r2:
+    /// the 255 LSE drains to 0, expiring every pending TTL at once.
+    fn short_pipe_label_loop() -> (Network, Vec<RouterId>) {
+        let (topo, r) = chain(3);
+        let mut net = Network::new(topo);
+        let towards = |net: &Network, from: RouterId, to: RouterId| {
+            net.topo().adjacencies(from).find(|(_, _, _, rem, _)| *rem == to).unwrap().1
+        };
+        let (to_r1, r1_to_r2, r2_to_r1) =
+            (towards(&net, r[0], r[1]), towards(&net, r[1], r[2]), towards(&net, r[2], r[1]));
+        let label = |v| arest_wire::mpls::Label::new(v).unwrap();
+        net.plane_mut(r[0]).ttl_propagate = false;
+        net.plane_mut(r[0]).ftn.install(
+            "100.88.0.0/24".parse().unwrap(),
+            arest_mpls::tables::PushInstruction {
+                labels: vec![label(20_000)],
+                out_iface: to_r1,
+                next_router: r[1],
+            },
+        );
+        net.plane_mut(r[1]).lfib.install(
+            label(20_000),
+            LfibAction::Swap { out_label: label(20_001), out_iface: r1_to_r2, next_router: r[2] },
+        );
+        net.plane_mut(r[2]).lfib.install(
+            label(20_001),
+            LfibAction::Swap { out_label: label(20_000), out_iface: r2_to_r1, next_router: r[1] },
+        );
+        (net, r)
+    }
+
+    #[test]
+    fn walk_matches_forward_when_a_short_pipe_lse_drains() {
+        let (net, r) = short_pipe_label_loop();
+        let flow = udp_flow(r[0], ip(100, 88, 0, 1), 1);
+        assert_walk_matches_forward(&net, flow);
+        // TTL 1 expires at the ingress; every other TTL where the LSE
+        // runs out, 255 forwards later, in one shared expiry.
+        let walk = net.walk(&flow, 1..=64);
+        assert_eq!(walk.expiries.len(), 2);
+        assert!(walk.terminal.is_none());
+        match net.reply(&walk, &ProbeSpec { ttl: 9, ..flow }) {
+            ProbeReply::TimeExceeded { forward_hops, raw, .. } => {
+                assert_eq!(forward_hops, 255);
+                let msg = IcmpMessage::parse(&raw).unwrap();
+                assert_eq!(msg.mpls_extension().unwrap().stack.top().unwrap().ttl, 1);
+                let quoted = Ipv4Packet::new_unchecked(msg.original_datagram().unwrap());
+                assert_eq!(quoted.ttl(), 8, "the IP TTL under the pipe is untouched");
+            }
+            other => panic!("expected the drained LSE to expire, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn walk_serves_only_its_own_flow() {
+        let net = plain_ip_net();
+        let flow = udp_flow(net.r[0], net.target, 33_434);
+        let walk = net.net.walk(&flow, 1..=8);
+        assert!(walk.serves(&ProbeSpec { ttl: 8, ..flow }));
+        assert!(!walk.serves(&ProbeSpec { ttl: 9, ..flow }), "TTL outside the walk");
+        assert!(!walk.serves(&udp_flow(net.r[0], net.target, 33_435)), "another flow");
+        assert!(!walk.serves(&ProbeSpec { dst: ip(10, 255, 10, 4), ..flow }), "another dst");
+        assert!(!walk.serves(&ProbeSpec { entry: net.r[1], ..flow }), "another entry");
+    }
+
+    #[test]
+    #[should_panic(expected = "not on the walked flow")]
+    fn replying_to_a_foreign_probe_panics() {
+        let net = plain_ip_net();
+        let walk = net.net.walk(&udp_flow(net.r[0], net.target, 33_434), 1..=8);
+        let _ = net.net.reply(&walk, &udp_flow(net.r[0], net.target, 40_000));
     }
 }

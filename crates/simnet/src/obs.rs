@@ -5,8 +5,8 @@
 //! after that, recording a reply is a handful of gate-checked relaxed
 //! atomics — and when the registry is disabled, each degenerates to a
 //! single relaxed load. The forwarding loop itself is untouched: the
-//! engine records once per completed probe from the reply it already
-//! built, never per visit.
+//! engine records once per walk and once per reply it builds, never
+//! per visit.
 
 use crate::packet::{DropReason, ProbeReply};
 use arest_obs::{Counter, Histogram};
@@ -32,6 +32,13 @@ pub(crate) struct Metrics {
     /// `simnet.drop.*` — silent probes by [`DropReason`], indexed by
     /// [`drop_slot`].
     drops: [Counter; 6],
+    /// `simnet.walks` — flow walks (one per trace, revelation
+    /// sub-trace, MDA flow or single probe).
+    walks: Counter,
+    /// `simnet.walk_visits` — router visits summed over all walks: the
+    /// forwarding work actually done, against `simnet.forwarded_hops`,
+    /// which sums each reply's forward depth.
+    walk_visits: Counter,
 }
 
 pub(crate) static METRICS: LazyLock<Metrics> = LazyLock::new(|| {
@@ -51,6 +58,8 @@ pub(crate) static METRICS: LazyLock<Metrics> = LazyLock::new(|| {
             registry.counter("simnet.drop.hop_budget_exhausted"),
             registry.counter("simnet.drop.reply_unencodable"),
         ],
+        walks: registry.counter("simnet.walks"),
+        walk_visits: registry.counter("simnet.walk_visits"),
     }
 });
 
@@ -66,6 +75,12 @@ fn drop_slot(reason: DropReason) -> usize {
 }
 
 impl Metrics {
+    /// Accounts one finished walk.
+    pub(crate) fn record_walk(&self, visits: u32) {
+        self.walks.inc();
+        self.walk_visits.add(u64::from(visits));
+    }
+
     /// Accounts one completed probe from its reply.
     pub(crate) fn record(&self, reply: &ProbeReply) {
         self.probes.inc();

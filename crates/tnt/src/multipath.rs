@@ -16,7 +16,7 @@
 use crate::trace::Hop;
 use crate::tracer::TraceConfig;
 use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload};
-use arest_simnet::Network;
+use arest_simnet::{FlowWalk, Network};
 use arest_topo::ids::RouterId;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -81,7 +81,8 @@ impl MultipathTrace {
 }
 
 /// Enumerates the ECMP branches toward `dst` by sweeping source ports
-/// per TTL.
+/// per TTL. Each flow is walked once ([`Network::walk`]); its probes at
+/// every TTL are answered off that walk.
 pub fn multipath_trace(
     net: &Network,
     entry: RouterId,
@@ -90,21 +91,28 @@ pub fn multipath_trace(
     config: &MdaConfig,
 ) -> MultipathTrace {
     let base = TraceConfig::default().flow.0;
+    let probe = |offset: u16, ttl: u8| ProbeSpec {
+        entry,
+        src,
+        dst,
+        ttl,
+        transport: TransportPayload::Udp {
+            src_port: base.wrapping_add(offset),
+            dst_port: 33_434,
+            ident: 1 + offset,
+        },
+    };
+    let walks: Vec<FlowWalk> = (0..config.flows_per_hop)
+        .map(|offset| net.walk(&probe(offset, 1), 1..=config.max_ttl))
+        .collect();
     let mut levels = Vec::new();
     let mut silent_run = 0u8;
 
     for ttl in 1..=config.max_ttl {
         let mut level = MdaLevel { ttl, branches: BTreeMap::new(), reached_destination: false };
-        for offset in 0..config.flows_per_hop {
+        for (offset, walk) in (0..config.flows_per_hop).zip(&walks) {
             let src_port = base.wrapping_add(offset);
-            let spec = ProbeSpec {
-                entry,
-                src,
-                dst,
-                ttl,
-                transport: TransportPayload::Udp { src_port, dst_port: 33_434, ident: 1 + offset },
-            };
-            match net.probe(&spec) {
+            match net.reply(walk, &probe(offset, ttl)) {
                 ProbeReply::TimeExceeded { from, .. } => {
                     level.branches.entry(from).or_default().push(src_port);
                 }
@@ -182,6 +190,68 @@ mod tests {
         let mut net = Network::new(topo);
         net.register_igp(asn, spf);
         (net, r, dst)
+    }
+
+    /// The enumeration as it ran before walk-once: one `probe` per
+    /// (TTL, flow).
+    fn per_probe_reference(
+        net: &Network,
+        entry: RouterId,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        config: &MdaConfig,
+    ) -> MultipathTrace {
+        let base = TraceConfig::default().flow.0;
+        let mut levels = Vec::new();
+        let mut silent_run = 0u8;
+        for ttl in 1..=config.max_ttl {
+            let mut level = MdaLevel { ttl, branches: BTreeMap::new(), reached_destination: false };
+            for offset in 0..config.flows_per_hop {
+                let src_port = base.wrapping_add(offset);
+                let transport =
+                    TransportPayload::Udp { src_port, dst_port: 33_434, ident: 1 + offset };
+                let reply = net.probe(&ProbeSpec { entry, src, dst, ttl, transport });
+                if let Some(from) = reply.from_addr() {
+                    level.branches.entry(from).or_default().push(src_port);
+                    level.reached_destination |= !matches!(reply, ProbeReply::TimeExceeded { .. });
+                }
+            }
+            let (done, empty) = (level.reached_destination, level.branches.is_empty());
+            levels.push(level);
+            if done {
+                break;
+            }
+            silent_run = if empty { silent_run + 1 } else { 0 };
+            if silent_run >= config.gap_limit {
+                break;
+            }
+        }
+        MultipathTrace { dst, levels }
+    }
+
+    #[test]
+    fn walked_flows_match_per_probe_enumeration() {
+        let (net, r, dst) = diamond();
+        let src = ip(192, 0, 2, 1);
+        for config in [
+            MdaConfig::default(),
+            MdaConfig { flows_per_hop: 32, max_ttl: 2, gap_limit: 1 },
+            MdaConfig { flows_per_hop: 3, ..MdaConfig::default() },
+        ] {
+            assert_eq!(
+                multipath_trace(&net, r[0], src, dst, &config),
+                per_probe_reference(&net, r[0], src, dst, &config),
+                "{config:?}"
+            );
+        }
+        // An unroutable destination: TTL 1 expires at the entry router
+        // before its route lookup, then silent levels up to the gap
+        // limit, on both sides.
+        let nowhere = ip(198, 51, 100, 1);
+        let config = MdaConfig::default();
+        let walked = multipath_trace(&net, r[0], src, nowhere, &config);
+        assert_eq!(walked.levels.len(), 1 + usize::from(config.gap_limit));
+        assert_eq!(walked, per_probe_reference(&net, r[0], src, nowhere, &config));
     }
 
     #[test]

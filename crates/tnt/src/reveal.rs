@@ -51,22 +51,13 @@ pub fn hidden_hop_estimate(hop: &Hop, position: u8) -> u8 {
     }
 }
 
-/// Runs a full TNT trace: Paris traceroute, trigger detection, and
-/// revelation of hidden tunnel interiors by direct interface probing.
-pub fn trace_with_revelation(
-    net: &Network,
-    vp_name: &str,
-    entry: RouterId,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    config: &TraceConfig,
-) -> Trace {
-    let mut trace = trace_route(net, vp_name, entry, src, dst, config);
-
-    // Detect the hops where the hidden estimate jumps: those are
-    // tunnel ending hops with interior content upstream of them.
+/// The hops where the hidden-hop estimate jumps — tunnel ending hops
+/// with interior content upstream of them — as `(hop index, address)`
+/// in path order. Each address is the destination of one revelation
+/// sub-trace.
+pub fn revelation_triggers(trace: &Trace) -> Vec<(usize, Ipv4Addr)> {
     let mut prev_hidden = 0u8;
-    let mut revelations: Vec<(usize, Ipv4Addr)> = Vec::new();
+    let mut revelations = Vec::new();
     for (idx, hop) in trace.hops.iter().enumerate() {
         if !hop.responded() {
             continue;
@@ -79,7 +70,21 @@ pub fn trace_with_revelation(
         }
         prev_hidden = hidden;
     }
+    revelations
+}
 
+/// Runs a full TNT trace: Paris traceroute, trigger detection, and
+/// revelation of hidden tunnel interiors by direct interface probing.
+pub fn trace_with_revelation(
+    net: &Network,
+    vp_name: &str,
+    entry: RouterId,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    config: &TraceConfig,
+) -> Trace {
+    let mut trace = trace_route(net, vp_name, entry, src, dst, config);
+    let revelations = revelation_triggers(&trace);
     if revelations.is_empty() {
         return trace;
     }

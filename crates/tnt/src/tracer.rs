@@ -31,6 +31,10 @@ impl Default for TraceConfig {
 
 /// Runs one Paris traceroute (without revelation — see
 /// [`crate::reveal`] for the full TNT behaviour).
+///
+/// The trace's flow is forwarded once ([`Network::walk`] over TTL
+/// 1..=`max_ttl`); each probe's reply then comes off that walk, still
+/// encoded with the probe's own ident and parsed from its ICMP bytes.
 pub fn trace_route(
     net: &Network,
     vp_name: &str,
@@ -44,22 +48,23 @@ pub fn trace_route(
     let mut hops = Vec::new();
     let mut reached = false;
     let mut silent_run = 0u8;
+    let probe = |ttl: u8, ident: u16| ProbeSpec {
+        entry,
+        src,
+        dst,
+        ttl,
+        transport: TransportPayload::Udp {
+            src_port: config.flow.0,
+            dst_port: config.flow.1,
+            ident,
+        },
+    };
+    let walk = net.walk(&probe(1, 0), 1..=config.max_ttl);
 
     for ttl in 1..=config.max_ttl {
         let ident = probe_ident(src, dst, ttl);
-        let spec = ProbeSpec {
-            entry,
-            src,
-            dst,
-            ttl,
-            transport: TransportPayload::Udp {
-                src_port: config.flow.0,
-                dst_port: config.flow.1,
-                ident,
-            },
-        };
         metrics.probes.inc();
-        let reply = net.probe(&spec);
+        let reply = net.reply(&walk, &probe(ttl, ident));
         let hop = hop_from_reply(&reply, ttl, ident, src, dst);
         let responded = hop.responded();
         let done = hop.is_destination;
@@ -135,8 +140,11 @@ fn hop_from_reply(reply: &ProbeReply, ttl: u8, ident: u16, src: Ipv4Addr, dst: I
                     let ip = Ipv4Packet::new_unchecked(quoted);
                     hop.quoted_ip_ttl = Some(ip.ttl());
                 }
-                if let Some(ext) = msg.mpls_extension() {
-                    hop.stack = Some(Arc::new(ext.stack.clone()));
+                // Move the decoded stack out of the message; no clone.
+                if let IcmpMessage::TimeExceeded { extension: Some(ext), .. }
+                | IcmpMessage::DestUnreachable { extension: Some(ext), .. } = msg
+                {
+                    hop.stack = Some(Arc::new(ext.stack));
                 }
             }
             Err(_) => return Hop::silent(ttl),

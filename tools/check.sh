@@ -81,6 +81,18 @@ test -s "$BENCH_OUT/trace-artifacts/RUN_REPORT_provenance.txt"
 echo "==> tracing example smoke run"
 cargo run --release --example tracing >/dev/null
 
+echo "==> arest-trace smoke run (Paris + TNT revelation, then MDA enumeration)"
+# arest-trace is the only caller of multipath_trace. Output goes to a
+# file before grepping, as for `history` below.
+TRACE_LOG=$(mktemp -d)
+cargo run --release -p arest-experiments --bin arest-trace > "$TRACE_LOG/plain.txt"
+grep -q '^traceroute to .* (reached):' "$TRACE_LOG/plain.txt"
+grep -q 'AReST: ' "$TRACE_LOG/plain.txt"
+cargo run --release -p arest-experiments --bin arest-trace -- --mda > "$TRACE_LOG/mda.txt"
+grep -q '^MDA toward .* (max width [1-9][0-9]*):' "$TRACE_LOG/mda.txt"
+grep -q '(16 flows)' "$TRACE_LOG/mda.txt"
+rm -rf "$TRACE_LOG"
+
 echo "==> arest-serve smoke run (ephemeral port, live /status + /metrics)"
 SERVE_LOG=$(mktemp)
 SERVE_OUT=$(mktemp -d)    # serve forces --obs; keep its RUN_REPORT out of the tree
