@@ -4,8 +4,10 @@
 //! there is no wall-clock interval to report for those stages. What it
 //! does have is per-AS work sections executing on pool workers; a
 //! [`WorkClock`] sums their durations across threads, giving
-//! `bench-pipeline` a per-stage work figure that, unlike the wall
-//! clock, does not depend on how the pool scheduled the sections.
+//! [`BuildStats`](crate::pipeline::BuildStats) and the
+//! `pipeline.work.*.us` metrics a per-stage work figure that, unlike
+//! the wall clock, does not depend on how the pool scheduled the
+//! sections.
 //!
 //! Like [`crate::admission::AdmissionWindow`], the struct is free of
 //! pipeline types so its one invariant — concurrent additions are

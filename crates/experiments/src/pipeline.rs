@@ -346,8 +346,9 @@ pub struct BuildStats {
 
 impl BuildStats {
     /// `(name, duration)` pairs for the build's phases, in pipeline
-    /// order. The names match the `pipeline.stage.{name}` span names,
-    /// so bench artifacts and span trees can be cross-checked.
+    /// order. The names match the `pipeline.stage.{name}` span names
+    /// and `pipeline.stage.{name}.us` histograms, so the `RUN_REPORT`
+    /// timings and span trees can be cross-checked.
     pub fn stages(&self) -> [(&'static str, Duration); 2] {
         [("generate", self.timings.generate), ("stream", self.timings.stream)]
     }

@@ -52,18 +52,13 @@ fn knobs_and_artifacts_are_documented() {
         "AREST_OBS",
         "AREST_WORKERS",
         "RUN_REPORT",
-        "bench-pipeline",
-        "bench-serve",
         "--listen",
-        "BENCH_serve.json",
         "docs/API.md",
         "--trace-out",
         "RUN_REPORT_provenance",
         "trace.json",
         "trace.folded",
         "--ledger",
-        "bench-ledger",
-        "BENCH_ledger.json",
         "RUN_REPORT_delta.txt",
         "history",
     ] {

@@ -151,18 +151,22 @@ fn base_then_slice(
 
 /// The tentpole identity: a 100%-slice incremental run must produce a
 /// payload byte-identical to a from-scratch full rebuild — the merge
-/// path adds nothing and loses nothing.
+/// path adds nothing and loses nothing. A 25% slice mixes fresh and
+/// carried ASes in one merge and must reproduce the same bytes.
 #[test]
 fn parallel_build_matches_a_full_slice_incremental_rebuild() {
-    let (ledger, dir, base, merged) = base_then_slice("full-slice", SliceSpec::Percent(100));
-    assert_eq!(merged.fresh.len(), 60, "a 100% slice re-probes every catalog AS");
-    assert!(merged.carried.is_empty());
-    assert_eq!(merged.receipt.payload_digest, base.payload_digest);
+    for (percent, fresh) in [(100, 60), (25, 15)] {
+        let tag = format!("slice-{percent}");
+        let (ledger, dir, base, merged) = base_then_slice(&tag, SliceSpec::Percent(percent));
+        assert_eq!(merged.fresh.len(), fresh, "a {percent}% slice of the 60-AS catalog");
+        assert_eq!(merged.carried.len(), 60 - fresh);
+        assert_eq!(merged.receipt.payload_digest, base.payload_digest, "{percent}% slice");
 
-    let bytes_a = std::fs::read(ledger.path_of(base.serial)).expect("read base");
-    let bytes_b = std::fs::read(ledger.path_of(merged.receipt.serial)).expect("read merged");
-    assert_eq!(bytes_a[HEADER_LEN..], bytes_b[HEADER_LEN..]);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+        let bytes_a = std::fs::read(ledger.path_of(base.serial)).expect("read base");
+        let bytes_b = std::fs::read(ledger.path_of(merged.receipt.serial)).expect("read merged");
+        assert_eq!(bytes_a[HEADER_LEN..], bytes_b[HEADER_LEN..]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
 
 /// A 0% slice probes nothing: the commit is pure carry-forward and
@@ -204,6 +208,7 @@ fn parallel_build_matches_carried_ases_with_empty_deltas() {
         );
     }
     assert!(delta.is_empty(), "deterministic re-probe must change nothing");
+    assert_eq!(merged.receipt.payload_digest, base.payload_digest);
 
     // The merged run's sidecar records its provenance, so it can serve
     // as the base of the *next* incremental run.

@@ -2,8 +2,8 @@
 //! trace-event JSON that actually parses (validated by the
 //! recursive-descent parser below, not by eyeballing), a collapsed
 //! flamegraph stack file, and `RUN_REPORT_provenance.txt` — and the
-//! stage timings in `BENCH_pipeline.json` must agree with the
-//! span-derived stage durations within tolerance.
+//! `pipeline.stage.*.us` timings in `RUN_REPORT.csv` must agree with
+//! the span-derived stage durations within tolerance.
 //!
 //! These tests spawn the binary in subprocesses, so they never touch
 //! this process's global registry and can share one test binary.
@@ -81,42 +81,35 @@ fn trace_out_emits_valid_chrome_trace_flamegraph_and_provenance() {
 }
 
 #[test]
-fn bench_stage_timings_agree_with_span_durations() {
-    let dir = scratch_dir("trace-bench");
-    // `--workers 1` makes bench-pipeline build exactly once, so the
-    // span ring holds exactly that build's pipeline.stage.* spans.
+fn run_report_stage_timings_agree_with_span_durations() {
+    let dir = scratch_dir("trace-stages");
+    // One build, so the span ring holds exactly that build's
+    // pipeline.stage.* spans and each stage histogram one sample.
     let status = Command::new(env!("CARGO_BIN_EXE_arest-experiments"))
         .args(["--quick", "--workers", "1", "--trace-out"])
         .arg(&dir)
-        .arg("bench-pipeline")
-        .current_dir(&dir)
+        .arg("--out")
+        .arg(&dir)
+        .arg("headline")
+        .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn arest-experiments");
     assert!(status.success(), "runner failed: {status}");
 
-    let bench = Json::parse(&read(&dir.join("BENCH_pipeline.json"))).expect("bench json");
-    let runs = bench.get("runs").and_then(Json::as_arr).expect("runs array");
-    assert_eq!(runs.len(), 1, "one streaming build at --workers 1");
-    let run = &runs[0];
-    assert!(
-        bench.get("catalog_scale").and_then(Json::as_f64).is_some_and(|s| s >= 1.0),
-        "bench records the catalog scale"
-    );
-    assert!(
-        bench.get("speedup").and_then(Json::as_f64).is_some_and(|s| s > 0.0),
-        "bench records the parallel speedup"
-    );
-    let peak = run.get("peak_resident_traces").and_then(Json::as_f64);
-    assert!(peak.is_some_and(|p| p > 0.0), "the run reports its residency watermark");
-    for key in ["probe_seconds", "fingerprint_seconds", "detect_seconds"] {
-        let work = run.get(key).and_then(Json::as_f64);
-        assert!(work.is_some_and(|w| w >= 0.0), "the run reports {key}");
-    }
-    let stages = match run.get("stages") {
-        Some(Json::Obj(entries)) => entries,
-        other => panic!("stages object missing: {other:?}"),
-    };
-    assert!(!stages.is_empty(), "bench must report stages");
+    // `histogram,pipeline.stage.{name}.us,,count,sum,…` rows.
+    let csv = read(&dir.join("RUN_REPORT.csv"));
+    let stages: Vec<(String, f64)> = csv
+        .lines()
+        .filter_map(|line| {
+            let fields: Vec<&str> = line.split(',').collect();
+            let name = fields.get(1)?.strip_prefix("pipeline.stage.")?.strip_suffix(".us")?;
+            assert_eq!(fields[0], "histogram", "{line}");
+            assert_eq!(fields[3], "1", "one build, one sample: {line}");
+            Some((name.to_string(), fields[4].parse().expect("stage sum")))
+        })
+        .collect();
+    let names: Vec<&str> = stages.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["generate", "stream"], "RUN_REPORT.csv must report both stages");
 
     let trace = Json::parse(&read(&dir.join("trace.json"))).expect("trace json");
     let events = trace.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
@@ -161,14 +154,13 @@ fn bench_stage_timings_agree_with_span_durations() {
     asns.dedup();
     assert_eq!(asns.len(), 60, "each AS deploys exactly once");
 
-    for (name, seconds) in stages {
-        let bench_us = seconds.as_f64().expect("stage seconds") * 1e6;
+    for (name, report_us) in stages {
         let from_spans = span_us(&format!("pipeline.stage.{name}"));
         assert!(from_spans > 0.0, "no pipeline.stage.{name} span recorded");
-        let tolerance = (bench_us * 0.25).max(150_000.0);
+        let tolerance = (report_us * 0.25).max(150_000.0);
         assert!(
-            (bench_us - from_spans).abs() <= tolerance,
-            "stage {name}: bench says {bench_us:.0}us, spans say {from_spans:.0}us \
+            (report_us - from_spans).abs() <= tolerance,
+            "stage {name}: RUN_REPORT says {report_us:.0}us, spans say {from_spans:.0}us \
              (tolerance {tolerance:.0}us)"
         );
     }

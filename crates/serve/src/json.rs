@@ -1,14 +1,13 @@
 //! The in-tree JSON encoder every endpoint body goes through.
 //!
-//! The suite's artifact writers hand-roll their JSON inline
-//! (`BENCH_pipeline.json`, the trace exporter); an HTTP API needs the
-//! opposite discipline — one encoder, one escaping routine, one
-//! layout — so that `docs/API.md` can quote bodies verbatim and a
-//! test can assert them byte-for-byte. The encoder is deliberately
-//! small: objects are ordered pairs (insertion order is rendering
-//! order), numbers are integers (the API serves counts, never
-//! floats), and rendering is pretty-printed with two-space indents so
-//! the documented examples read as a manual.
+//! The suite's artifact writers hand-roll their JSON inline (the
+//! trace exporter); an HTTP API needs the opposite discipline — one
+//! encoder, one escaping routine, one layout — so that `docs/API.md`
+//! can quote bodies verbatim and a test can assert them byte-for-byte.
+//! The encoder is deliberately small: objects are ordered pairs
+//! (insertion order is rendering order), numbers are integers (the API
+//! serves counts, never floats), and rendering is pretty-printed with
+//! two-space indents so the documented examples read as a manual.
 
 use std::fmt::Write as _;
 

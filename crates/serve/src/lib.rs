@@ -56,7 +56,6 @@ pub mod store_cell;
 
 pub use dispatch::{DispatchCore, DispatchStats};
 pub use json::Json;
-pub use load::{LoadConfig, LoadReport};
 pub use router::{route, Route, RouteError};
 pub use server::{Server, ShutdownHandle};
 pub use store::Store;

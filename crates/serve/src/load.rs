@@ -1,163 +1,13 @@
-//! The `bench-serve` load generator: N pool-driven keep-alive clients
-//! hammering a mixed endpoint schedule.
+//! A one-request HTTP client for the daemon's own tests.
 //!
-//! Each client owns one keep-alive connection and walks the target
-//! schedule round-robin from a per-client offset, so concurrent
-//! clients hit different endpoints at any instant. Latency is
-//! recorded per request into `arest-obs` histograms
-//! (`serve.bench.latency.us` overall plus one per endpoint label),
-//! from which the caller reads p50/p95/p99 for `BENCH_serve.json`.
+//! [`one_shot`] sends raw request bytes over a fresh connection and
+//! reads one complete response; the `http_torture` suite and the
+//! `docs/API.md` replay in `arest-experiments` use it to talk to an
+//! in-process server.
 
-use crate::router;
-use arest_obs::Registry;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
-
-/// Load-run parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadConfig {
-    /// Concurrent keep-alive clients.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-}
-
-/// What one load run did.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadReport {
-    /// Requests that completed with status 200.
-    pub ok: u64,
-    /// Requests that failed (non-200, I/O error, unparseable reply).
-    pub failed: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
-}
-
-impl LoadReport {
-    /// Total requests attempted.
-    #[must_use]
-    pub fn requests(&self) -> u64 {
-        self.ok + self.failed
-    }
-
-    /// Completed requests per wall-clock second.
-    #[must_use]
-    pub fn requests_per_second(&self) -> f64 {
-        let seconds = self.elapsed.as_secs_f64();
-        if seconds <= 0.0 {
-            0.0
-        } else {
-            self.requests() as f64 / seconds
-        }
-    }
-}
-
-/// The metric label a schedule target records under: the route's
-/// label when it resolves, `other` for deliberate error targets.
-#[must_use]
-pub fn target_label(target: &str) -> &'static str {
-    router::route(target).map_or("other", router::Route::label)
-}
-
-/// Runs the load: `config.clients` concurrent keep-alive clients,
-/// each issuing `config.requests_per_client` requests round-robin
-/// over `targets`. Latencies land in `registry` histograms
-/// (`serve.bench.latency.us` and `.{endpoint}`); the registry should
-/// be enabled, or the percentiles will read zero.
-pub fn run(
-    addr: SocketAddr,
-    targets: &[String],
-    config: &LoadConfig,
-    registry: &Registry,
-) -> LoadReport {
-    assert!(!targets.is_empty(), "the endpoint schedule must not be empty");
-    let overall = registry.histogram("serve.bench.latency.us");
-    let per_endpoint: Vec<_> = targets
-        .iter()
-        .map(|t| registry.histogram(&format!("serve.bench.latency.us.{}", target_label(t))))
-        .collect();
-
-    let started = Instant::now();
-    let outcomes = arest_tnt::pool::run_indexed(
-        (0..config.clients).collect(),
-        config.clients.max(1),
-        &|_, client| {
-            let mut ok = 0u64;
-            let mut failed = 0u64;
-            let mut conn = Client::connect(addr);
-            for request in 0..config.requests_per_client {
-                let slot = (client + request) % targets.len();
-                let target = &targets[slot];
-                let t0 = Instant::now();
-                let status = match conn.as_mut() {
-                    Some(client) => client.get(target),
-                    None => None,
-                };
-                let elapsed = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-                match status {
-                    Some(200) => {
-                        ok += 1;
-                        overall.record(elapsed);
-                        per_endpoint[slot].record(elapsed);
-                    }
-                    _ => {
-                        failed += 1;
-                        // Reconnect once; keep-alive may have raced a
-                        // server-side close.
-                        conn = Client::connect(addr);
-                    }
-                }
-            }
-            (ok, failed)
-        },
-    );
-    let (ok, failed) = outcomes.iter().fold((0, 0), |(ok, failed), &(o, f)| (ok + o, failed + f));
-    LoadReport { ok, failed, elapsed: started.elapsed() }
-}
-
-/// A minimal blocking HTTP/1.1 client over one keep-alive connection.
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Option<Client> {
-        let stream = TcpStream::connect(addr).ok()?;
-        stream.set_nodelay(true).ok()?;
-        stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-        Some(Client { stream, buf: Vec::new() })
-    }
-
-    /// Issues one GET and reads the full response. Returns the status
-    /// code, or `None` on any I/O or framing failure.
-    fn get(&mut self, target: &str) -> Option<u16> {
-        let request = format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n");
-        self.stream.write_all(request.as_bytes()).ok()?;
-        let (status, body_len, head_len) = loop {
-            if let Some((status, body_len, head_len)) = parse_response_head(&self.buf) {
-                break (status, body_len, head_len);
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return None,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(_) => return None,
-            }
-        };
-        while self.buf.len() < head_len + body_len {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return None,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(_) => return None,
-            }
-        }
-        self.buf.drain(..head_len + body_len);
-        Some(status)
-    }
-}
+use std::time::Duration;
 
 /// Parses a response head: `(status, content_length, head_bytes)`.
 /// `None` while incomplete.
@@ -177,7 +27,7 @@ fn parse_response_head(buf: &[u8]) -> Option<(u16, usize, usize)> {
     Some((status, content_length, head_end + 4))
 }
 
-/// Exposed for the torture tests: issues one request over a fresh
+/// Exposed for the tests: issues one request over a fresh
 /// connection and returns `(status, headers, body)`.
 #[doc(hidden)]
 pub fn one_shot(addr: SocketAddr, raw_request: &[u8]) -> Option<(u16, String, String)> {
@@ -226,22 +76,5 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body_len, 2);
         assert_eq!(head_len, raw.len() - 2);
-    }
-
-    #[test]
-    fn target_labels_classify_the_schedule() {
-        assert_eq!(target_label("/api/summary"), "summary");
-        assert_eq!(target_label("/api/as/293"), "as");
-        assert_eq!(target_label("/api/addr/10.0.0.1"), "addr");
-        assert_eq!(target_label("/metrics"), "metrics");
-        assert_eq!(target_label("/status"), "status");
-        assert_eq!(target_label("/nope"), "other");
-    }
-
-    #[test]
-    fn report_arithmetic() {
-        let report = LoadReport { ok: 99, failed: 1, elapsed: std::time::Duration::from_secs(2) };
-        assert_eq!(report.requests(), 100);
-        assert!((report.requests_per_second() - 50.0).abs() < f64::EPSILON);
     }
 }

@@ -199,7 +199,7 @@ impl Network {
                     Some((remote, next_router)) => {
                         incoming_iface = Some(remote);
                         current = next_router;
-                        hops += 1;
+                        hops = hops.saturating_add(1);
                         received_labeled = None;
                     }
                     None => break Some(Terminal::Dropped(DropReason::NoRoute)),
@@ -241,7 +241,7 @@ impl Network {
                     router: current,
                     ip,
                     received: None,
-                    hops: hops + 1,
+                    hops: hops.saturating_add(1),
                 });
             }
             let out = if let Some(push) = plane.ftn.lookup(dst) {
@@ -256,7 +256,7 @@ impl Network {
                 Some((remote, next_router)) => {
                     incoming_iface = Some(remote);
                     current = next_router;
-                    hops += 1;
+                    hops = hops.saturating_add(1);
                     received_labeled = None;
                 }
                 None => break Some(Terminal::Dropped(DropReason::NoRoute)),
@@ -370,7 +370,7 @@ impl Network {
                             Some((remote, next)) => {
                                 incoming_iface = Some(remote);
                                 current = next;
-                                hops += 1;
+                                hops = hops.saturating_add(1);
                                 received_labeled = None;
                             }
                             None => return ProbeReply::Silent(DropReason::NoRoute),
@@ -387,7 +387,7 @@ impl Network {
                             Some((remote, next)) => {
                                 incoming_iface = Some(remote);
                                 current = next;
-                                hops += 1;
+                                hops = hops.saturating_add(1);
                                 received_labeled = None;
                             }
                             None => return ProbeReply::Silent(DropReason::NoRoute),
@@ -429,7 +429,7 @@ impl Network {
                     pkt.ip.ttl = received_ttl;
                     return self.time_exceeded(current, reply_src, &pkt, received_labeled, hops);
                 }
-                return self.deliver(current, &pkt, None, hops + 1);
+                return self.deliver(current, &pkt, None, hops.saturating_add(1));
             }
             let received_ttl = pkt.ip.ttl;
             pkt.ip.ttl = pkt.ip.ttl.saturating_sub(1);
@@ -461,7 +461,7 @@ impl Network {
                     Some((remote, next)) => {
                         incoming_iface = Some(remote);
                         current = next;
-                        hops += 1;
+                        hops = hops.saturating_add(1);
                         received_labeled = None;
                         continue;
                     }
@@ -480,7 +480,7 @@ impl Network {
                     Some((remote, next)) => {
                         incoming_iface = Some(remote);
                         current = next;
-                        hops += 1;
+                        hops = hops.saturating_add(1);
                         received_labeled = None;
                     }
                     None => return ProbeReply::Silent(DropReason::NoRoute),
@@ -1479,40 +1479,70 @@ mod tests {
         assert_walk_matches_forward(&net, udp_flow(r[0], ip(8, 8, 8, 8), 1));
     }
 
-    /// r0 — r1 — r2 with a short-pipe LSP that loops between r1 and r2:
-    /// the 255 LSE drains to 0, expiring every pending TTL at once.
-    fn short_pipe_label_loop() -> (Network, Vec<RouterId>) {
-        let (topo, r) = chain(3);
+    /// A chain r0 — … whose first `lead` routers route 100.88.0.0/24
+    /// as plain IP to r[lead], which pushes a short-pipe LSP that loops
+    /// between the next two routers: the 255 LSE drains to 0, expiring
+    /// every pending TTL at once, `lead + 255` links from the entry.
+    fn short_pipe_label_loop(lead: usize) -> (Network, Vec<RouterId>) {
+        let (topo, r) = chain(lead + 3);
         let mut net = Network::new(topo);
         let towards = |net: &Network, from: RouterId, to: RouterId| {
             net.topo().adjacencies(from).find(|(_, _, _, rem, _)| *rem == to).unwrap().1
         };
-        let (to_r1, r1_to_r2, r2_to_r1) =
-            (towards(&net, r[0], r[1]), towards(&net, r[1], r[2]), towards(&net, r[2], r[1]));
+        let prefix: Prefix = "100.88.0.0/24".parse().unwrap();
         let label = |v| arest_wire::mpls::Label::new(v).unwrap();
-        net.plane_mut(r[0]).ttl_propagate = false;
-        net.plane_mut(r[0]).ftn.install(
-            "100.88.0.0/24".parse().unwrap(),
+        for pair in r[..=lead].windows(2) {
+            let out_iface = towards(&net, pair[0], pair[1]);
+            net.plane_mut(pair[0]).install_route(prefix, Route { out_iface, next_router: pair[1] });
+        }
+        let (ler, a, b) = (r[lead], r[lead + 1], r[lead + 2]);
+        let (ler_to_a, a_to_b, b_to_a) =
+            (towards(&net, ler, a), towards(&net, a, b), towards(&net, b, a));
+        net.plane_mut(ler).ttl_propagate = false;
+        net.plane_mut(ler).ftn.install(
+            prefix,
             arest_mpls::tables::PushInstruction {
                 labels: vec![label(20_000)],
-                out_iface: to_r1,
-                next_router: r[1],
+                out_iface: ler_to_a,
+                next_router: a,
             },
         );
-        net.plane_mut(r[1]).lfib.install(
+        net.plane_mut(a).lfib.install(
             label(20_000),
-            LfibAction::Swap { out_label: label(20_001), out_iface: r1_to_r2, next_router: r[2] },
+            LfibAction::Swap { out_label: label(20_001), out_iface: a_to_b, next_router: b },
         );
-        net.plane_mut(r[2]).lfib.install(
+        net.plane_mut(b).lfib.install(
             label(20_001),
-            LfibAction::Swap { out_label: label(20_000), out_iface: r2_to_r1, next_router: r[1] },
+            LfibAction::Swap { out_label: label(20_000), out_iface: b_to_a, next_router: a },
         );
         (net, r)
     }
 
+    /// With the loop's ingress one IP hop past the entry, the LSE
+    /// expires 256 links from the entry: the forward depth saturates at
+    /// 255 instead of overflowing, and the reply TTL reads 0.
+    #[test]
+    fn walk_matches_forward_when_a_deep_short_pipe_lse_drains() {
+        let (net, r) = short_pipe_label_loop(1);
+        let flow = udp_flow(r[0], ip(100, 88, 0, 1), 1);
+        assert_walk_matches_forward(&net, flow);
+        // TTL 1 and 2 expire on the IP hops; every other TTL in the loop.
+        let walk = net.walk(&flow, 1..=64);
+        assert_eq!(walk.expiries.len(), 3);
+        for ttl in 3..=64 {
+            match net.reply(&walk, &ProbeSpec { ttl, ..flow }) {
+                ProbeReply::TimeExceeded { forward_hops, reply_ttl, .. } => {
+                    assert_eq!(forward_hops, 255, "ttl {ttl}");
+                    assert_eq!(reply_ttl, 0, "ttl {ttl}");
+                }
+                other => panic!("expected the drained LSE to expire, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn walk_matches_forward_when_a_short_pipe_lse_drains() {
-        let (net, r) = short_pipe_label_loop();
+        let (net, r) = short_pipe_label_loop(0);
         let flow = udp_flow(r[0], ip(100, 88, 0, 1), 1);
         assert_walk_matches_forward(&net, flow);
         // TTL 1 expires at the ingress; every other TTL where the LSE

@@ -129,6 +129,10 @@ pub enum DropReason {
 }
 
 /// The outcome of one probe.
+///
+/// `forward_hops` saturates at 255: a probe that crosses more links
+/// (possible in a label forwarding loop under a short-pipe LSE, up to
+/// the hop budget) reports 255, and its `reply_ttl` reads 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeReply {
     /// An ICMP time-exceeded came back.

@@ -38,9 +38,9 @@ cargo test -p arest-serve --features model-check --quiet --test model_store_cell
 echo "==> cargo doc (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# Smoke runs write their BENCH_*.json, RUN_REPORT.* and trace artifacts
-# into BENCH_OUT, so a smoke run never overwrites the committed numbers
-# in the tree. A caller (CI) may name the directory to keep them; it is
+# Smoke runs write their RUN_REPORT.* and trace artifacts into
+# BENCH_OUT, so a smoke run never overwrites the committed reports in
+# the tree. A caller (CI) may name the directory to keep them; it is
 # then left in place. Otherwise a temp dir is used and removed.
 if [[ -n "${BENCH_OUT:-}" ]]; then
     mkdir -p "$BENCH_OUT"
@@ -50,11 +50,14 @@ else
     OWN_BENCH_OUT=1
 fi
 
-echo "==> bench-pipeline smoke run (timings informational, not gated)"
+echo "==> removed bench modes are refused before any build (perfbench/ is the benchmark)"
+REFUSED_LOG=$(mktemp)
+REFUSED_STATUS=0
 cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --out "$BENCH_OUT" bench-pipeline
-test -s "$BENCH_OUT/BENCH_pipeline.json"
-grep -q '"speedup"' "$BENCH_OUT/BENCH_pipeline.json"
+    --quick bench-pipeline 2>"$REFUSED_LOG" || REFUSED_STATUS=$?
+test "$REFUSED_STATUS" -eq 1
+grep -q 'unknown experiment id' "$REFUSED_LOG"
+rm -f "$REFUSED_LOG"
 
 echo "==> netgen catalog-scale smoke run (10x replication)"
 cargo run --release -p arest-netgen --bin netgen -- --scale 10 --scale-factor 0.01 --vps 2 \
@@ -113,13 +116,6 @@ wait "$SERVE_PID"    # graceful SIGINT drain must exit 0
 test -s "$SERVE_OUT/RUN_REPORT.txt"
 rm -rf "$SERVE_LOG" "$SERVE_OUT"
 
-echo "==> bench-serve smoke run (load generator + latency report)"
-cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --out "$BENCH_OUT" bench-serve --clients 2 --requests 25
-test -s "$BENCH_OUT/BENCH_serve.json"
-grep -q '"requests_per_second"' "$BENCH_OUT/BENCH_serve.json"
-grep -q '"p99"' "$BENCH_OUT/BENCH_serve.json"
-
 echo "==> ledger smoke run (two campaigns, history, announce/withdraw diff)"
 LEDGER_DIR=$(mktemp -d)
 cargo run --release -p arest-experiments --bin arest-experiments -- \
@@ -139,13 +135,6 @@ grep -q '^withdraw ' "$DELTA_DIR/stdout.txt"
 test -s "$DELTA_DIR/RUN_REPORT_delta.txt"
 rm -rf "$LEDGER_DIR" "$DELTA_DIR"
 
-echo "==> bench-ledger smoke run (commit/load/diff latency report)"
-cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --out "$BENCH_OUT" bench-ledger
-test -s "$BENCH_OUT/BENCH_ledger.json"
-grep -q '"commit_us"' "$BENCH_OUT/BENCH_ledger.json"
-grep -q '"snapshot_bytes"' "$BENCH_OUT/BENCH_ledger.json"
-
 echo "==> incremental smoke run (full campaign, 1-AS re-probe, carry-forward delta)"
 INCR_DIR=$(mktemp -d)
 INCR_OUT=$(mktemp -d)
@@ -161,11 +150,6 @@ grep -q 'incremental against run 1: 1 fresh, 59 carried' "$INCR_OUT/stderr.txt"
 grep -q 'no detection-level differences' "$INCR_OUT/RUN_REPORT_delta.txt"
 rm -rf "$INCR_DIR" "$INCR_OUT"
 
-echo "==> bench-incremental smoke run (cost-vs-slice-fraction curve)"
-cargo run --release -p arest-experiments --bin arest-experiments -- \
-    --quick --workers 4 --out "$BENCH_OUT" bench-incremental
-test -s "$BENCH_OUT/BENCH_incremental.json"
-grep -q '"digest_matches_full": true' "$BENCH_OUT/BENCH_incremental.json"
 if [[ $OWN_BENCH_OUT == 1 ]]; then
     rm -rf "$BENCH_OUT"
 fi
