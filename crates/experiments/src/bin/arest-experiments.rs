@@ -78,9 +78,34 @@
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
 use arest_experiments::{run_experiment, ALL_EXPERIMENTS};
-use std::io::Write as _;
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::time::Instant;
+
+/// Writes `args` to `out`, treating a reader that closed the pipe as
+/// the end of output: the rest is dropped, and the program carries on
+/// with its work and its exit code. Any other write error panics, as
+/// `println!` does.
+fn emit(mut out: impl Write, args: std::fmt::Arguments<'_>) {
+    if let Err(e) = out.write_fmt(args) {
+        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed writing output: {e}");
+    }
+}
+
+/// `println!` through [`emit`]: a closed stdout pipe ends the listing.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(std::io::stdout().lock(), format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` through [`emit`]: a closed stderr pipe silences the
+/// remaining diagnostics.
+macro_rules! note {
+    ($($arg:tt)*) => {
+        emit(std::io::stderr().lock(), format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The non-experiment words the command line accepts in place of ids.
 const MODES: [&str; 4] = ["all", "serve", "history", "diff"];
@@ -180,9 +205,12 @@ fn main() {
     }
 
     let seed_cache = load_seed_cache(config, ledger_dir.as_deref());
-    eprintln!(
+    note!(
         "building dataset (scale {}, {} VPs, {} targets/AS, seed {})…",
-        config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
+        config.gen.scale,
+        config.gen.vp_count,
+        config.targets_per_as,
+        config.gen.seed
     );
     let started = Instant::now();
     // With --stream, one row per finished AS, in completion order,
@@ -191,7 +219,7 @@ fn main() {
     let (dataset, _) = Dataset::build_streaming_seeded(config, &seed_cache, |result| {
         if stream {
             done += 1;
-            eprintln!(
+            note!(
                 "  [{done:>2}] AS#{:<2} asn{}: {} intra-AS traces, {} addresses",
                 result.id,
                 result.asn.0,
@@ -200,7 +228,7 @@ fn main() {
             );
         }
     });
-    eprintln!(
+    note!(
         "dataset ready in {:.1}s: {} raw traces, {} routers",
         started.elapsed().as_secs_f64(),
         dataset.raw_trace_count,
@@ -214,7 +242,7 @@ fn main() {
     for id in &ids {
         let report = run_experiment(id, &dataset).expect("ids were checked before the build");
         let rendered = report.render();
-        println!("{rendered}");
+        say!("{rendered}");
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{id}.txt");
             let mut file = std::fs::File::create(&path).expect("create report file");
@@ -234,7 +262,7 @@ fn main() {
 /// conditions (an empty ledger, a missing serial) where the full
 /// usage dump would bury the message.
 fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
+    note!("error: {msg}");
     std::process::exit(1);
 }
 
@@ -257,7 +285,7 @@ fn load_seed_cache(
     let ledger = open_ledger(dir);
     match ledger.load_aux(base) {
         Ok(Some(aux)) => {
-            eprintln!(
+            note!(
                 "ledger: rehydrating fingerprint cache from run {base} ({} entries)",
                 aux.cache.len()
             );
@@ -289,11 +317,13 @@ fn commit_to_ledger(dir: &str, dataset: &Dataset, config: &PipelineConfig, out_d
             arest_experiments::ledger_io::commit_incremental(&ledger, dataset, config, now_unix())
                 .unwrap_or_else(|e| fail(&format!("incremental commit to {dir} failed: {e}")));
         let receipt = &merged.receipt;
-        eprintln!(
+        note!(
             "ledger: committed run {} to {dir} ({} bytes, payload digest {:016x})",
-            receipt.serial, receipt.bytes, receipt.payload_digest
+            receipt.serial,
+            receipt.bytes,
+            receipt.payload_digest
         );
-        eprintln!(
+        note!(
             "ledger: incremental against run {}: {} fresh, {} carried AS(es)",
             merged.base_serial,
             merged.fresh.len(),
@@ -304,9 +334,11 @@ fn commit_to_ledger(dir: &str, dataset: &Dataset, config: &PipelineConfig, out_d
         let receipt =
             arest_experiments::ledger_io::commit_dataset(&ledger, dataset, config, now_unix())
                 .unwrap_or_else(|e| fail(&format!("ledger commit to {dir} failed: {e}")));
-        eprintln!(
+        note!(
             "ledger: committed run {} to {dir} ({} bytes, payload digest {:016x})",
-            receipt.serial, receipt.bytes, receipt.payload_digest
+            receipt.serial,
+            receipt.bytes,
+            receipt.payload_digest
         );
     }
 }
@@ -330,7 +362,7 @@ fn write_delta_report(
     }
     let path = format!("{dir_out}/RUN_REPORT_delta.txt");
     std::fs::write(&path, &text).expect("write RUN_REPORT_delta.txt");
-    eprintln!("wrote {path}");
+    note!("wrote {path}");
 }
 
 fn now_unix() -> u64 {
@@ -351,10 +383,10 @@ fn history(dir: &str) {
             "ledger {dir} has no committed runs yet — run a campaign with --ledger {dir} first"
         ));
     }
-    println!("ledger {dir}: {} committed run(s)", serials.len());
+    say!("ledger {dir}: {} committed run(s)", serials.len());
     for serial in serials {
         match ledger.meta(serial) {
-            Ok(meta) => println!(
+            Ok(meta) => say!(
                 "  run {serial:>4}  committed_unix={}  config={:016x}  catalog={:016x}  \
                  payload={:016x} ({} bytes)",
                 meta.committed_unix,
@@ -363,7 +395,7 @@ fn history(dir: &str) {
                 meta.payload_digest,
                 meta.payload_len
             ),
-            Err(e) => println!("  run {serial:>4}  UNREADABLE: {e}"),
+            Err(e) => say!("  run {serial:>4}  UNREADABLE: {e}"),
         }
     }
 }
@@ -377,14 +409,14 @@ fn diff_runs(dir: &str, a: u64, b: u64, out_dir: Option<&str>) {
         .diff(a, b)
         .unwrap_or_else(|e| fail(&format!("cannot diff runs {a} and {b} in {dir}: {e}")));
     let text = arest_experiments::delta_report::to_text(&delta);
-    print!("{text}");
+    emit(std::io::stdout().lock(), format_args!("{text}"));
     let dir_out = out_dir.unwrap_or(".");
     if let Some(out) = out_dir {
         std::fs::create_dir_all(out).expect("create output dir");
     }
     let path = format!("{dir_out}/RUN_REPORT_delta.txt");
     std::fs::write(&path, &text).expect("write RUN_REPORT_delta.txt");
-    eprintln!("wrote {path}");
+    note!("wrote {path}");
 }
 
 /// Builds the dataset, flattens it into the serving store, and runs
@@ -399,15 +431,18 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
     let registry = arest_obs::global();
     registry.set_enabled(true);
 
-    eprintln!(
+    note!(
         "building dataset (scale {}, {} VPs, {} targets/AS, seed {})…",
-        config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
+        config.gen.scale,
+        config.gen.vp_count,
+        config.targets_per_as,
+        config.gen.seed
     );
     let started = Instant::now();
     let dataset = Dataset::build(config);
     let snapshot = arest_experiments::serve_store::snapshot(&dataset);
     let store = std::sync::Arc::new(arest_serve::Store::new(std::sync::Arc::new(snapshot)));
-    eprintln!(
+    note!(
         "dataset ready in {:.1}s: {} ASes, {} addresses, {} raw traces",
         started.elapsed().as_secs_f64(),
         store.ases().len(),
@@ -426,15 +461,15 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
     if let Some(ledger) = &ledger {
         server.attach_ledger(std::sync::Arc::clone(ledger));
     }
-    println!("arest-serve: listening on http://{}", server.local_addr());
-    eprintln!("arest-serve: {} pool workers; ctrl-c for graceful shutdown", server.workers());
+    say!("arest-serve: listening on http://{}", server.local_addr());
+    note!("arest-serve: {} pool workers; ctrl-c for graceful shutdown", server.workers());
     if let Some(ledger) = &ledger {
         // Stamp the serving store with the serial just committed, then
         // watch the directory: each newer serial is loaded off the
         // request path and atomically swapped in (DESIGN.md §13).
         let cell = server.store_cell();
         if let Ok(Some(serial)) = arest_serve::ledger_watch::refresh(&cell, ledger) {
-            eprintln!("arest-serve: serving ledger run {serial}");
+            note!("arest-serve: serving ledger run {serial}");
         }
         arest_conc::thread::scope(|s| {
             let watcher = s.spawn(|| {
@@ -452,9 +487,10 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
         server.run_until(&ctrlc::interrupted);
     }
     let stats = server.stats();
-    eprintln!(
+    note!(
         "arest-serve: drained ({} connections accepted, {} completed)",
-        stats.accepted, stats.completed
+        stats.accepted,
+        stats.completed
     );
 }
 
@@ -468,7 +504,7 @@ fn write_trace_artifacts(dir: &str, dataset: &Dataset) {
     let records = tracer.take_records();
     let dropped = tracer.dropped();
     if dropped > 0 {
-        eprintln!(
+        note!(
             "note: the span ring evicted {dropped} oldest span(s); the exported tree treats \
              spans with missing parents as roots"
         );
@@ -480,7 +516,7 @@ fn write_trace_artifacts(dir: &str, dataset: &Dataset) {
     let prov_path = format!("{dir}/RUN_REPORT_provenance.txt");
     std::fs::write(&prov_path, arest_experiments::provenance::to_text(dataset))
         .expect("write RUN_REPORT_provenance.txt");
-    eprintln!("wrote {json_path}, {folded_path}, and {prov_path} ({} spans)", records.len());
+    note!("wrote {json_path}, {folded_path}, and {prov_path} ({} spans)", records.len());
 }
 
 /// Writes the final `RUN_REPORT.txt` / `RUN_REPORT.csv` metrics
@@ -499,7 +535,7 @@ fn write_run_report(out_dir: Option<&str>) {
         .expect("write RUN_REPORT.txt");
     std::fs::write(&csv_path, arest_experiments::run_report::to_csv(&snapshot))
         .expect("write RUN_REPORT.csv");
-    eprintln!("wrote {txt_path} and {csv_path}");
+    note!("wrote {txt_path} and {csv_path}");
 }
 
 /// The options that edit the pipeline configuration. They are applied
@@ -548,9 +584,9 @@ fn expect_value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, f
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
-        eprintln!("error: {err}\n");
+        note!("error: {err}\n");
     }
-    eprintln!(
+    note!(
         "usage: arest-experiments [--quick] [--scale F] [--vps N] [--targets N] [--seed N] \
          [--workers N] [--catalog-scale N] [--stream] [--out DIR] [--obs] \
          [--trace-out DIR] [--listen A:P] [--ledger DIR] [--reprobe SLICE] \

@@ -56,10 +56,12 @@ fn as_record(dataset: &Dataset, result: &AsResult) -> AsRecord {
 
 /// Every detection of one AS, attached to each address its segment
 /// covers: one shared record per segment, cloned as an `Arc` into
-/// every covered address. Traces and segments are walked in stored
-/// (deterministic) order, so each address's detection list is
+/// every covered address. The records share the trace's vantage-point
+/// name and one string per flag. Traces and segments are walked in
+/// stored (deterministic) order, so each address's detection list is
 /// reproducible.
 fn attach_detections(result: &AsResult, entries: &mut BTreeMap<Ipv4Addr, AddrEntry>) {
+    let mut flags: BTreeMap<arest_core::Flag, Arc<str>> = BTreeMap::new();
     for (trace, segments) in result.detections() {
         for segment in segments {
             let provenance = ProvenanceRecord {
@@ -68,16 +70,18 @@ fn attach_detections(result: &AsResult, entries: &mut BTreeMap<Ipv4Addr, AddrEnt
                 distinct_addrs: segment.provenance.distinct_addrs as u64,
                 lses_consulted: segment.provenance.lses_consulted as u64,
                 effective_depth: segment.provenance.effective_depth as u64,
-                fingerprint: segment.provenance.fingerprint.map(|e| e.to_string()),
+                fingerprint: segment.provenance.fingerprint.map(|e| e.to_string().into()),
                 label_in_vendor_range: segment.provenance.label_in_vendor_range,
                 suffix_matched: segment.provenance.suffix_matched,
-                chain: segment.provenance.chain(),
+                chain: segment.provenance.chain().into(),
             };
             let detection = Arc::new(DetectionRecord {
                 asn: result.asn.0,
-                vp: trace.vp.to_string(),
-                dst: trace.dst.to_string(),
-                flag: segment.flag.to_string(),
+                vp: Arc::clone(&trace.vp),
+                dst: trace.dst.to_string().into(),
+                flag: Arc::clone(
+                    flags.entry(segment.flag).or_insert_with(|| segment.flag.to_string().into()),
+                ),
                 stars: segment.flag.signal_strength(),
                 start: segment.start as u64,
                 end: segment.end as u64,

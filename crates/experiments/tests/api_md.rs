@@ -65,7 +65,7 @@ fn previous_campaign(current: &RunSnapshot) -> RunSnapshot {
         .find(|e| !e.detections.is_empty())
         .expect("quick dataset has detections");
     let removed = entry.detections.pop().expect("non-empty detection list");
-    let dec = |flags: &mut FlagTotals| match removed.flag.as_str() {
+    let dec = |flags: &mut FlagTotals| match &*removed.flag {
         "CVR" => flags.cvr -= 1,
         "CO" => flags.co -= 1,
         "LSVR" => flags.lsvr -= 1,

@@ -5,9 +5,13 @@
 //!
 //! These tests spawn the binary in subprocesses (no dataset is built;
 //! every path under test fails before the expensive work starts).
+//!
+//! A reader that closes its pipe early (`… | head -2`, `… | grep -q`)
+//! is normal use too: the output ends there, and the exit code stays
+//! the one the command would have had.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, ExitStatus, Output, Stdio};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("arest-cli-errors-{tag}-{}", std::process::id()));
@@ -103,4 +107,42 @@ fn an_incremental_run_against_a_missing_base_fails_friendly() {
     ]);
     assert_friendly(&out, "cannot load base run 7");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Runs the binary with `stream` ("stdout" or "stderr") connected to a
+/// pipe whose read end is already closed, so every write to it fails
+/// with `BrokenPipe`.
+fn run_into_closed_pipe(args: &[&str], stream: &str) -> ExitStatus {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut command = Command::new(env!("CARGO_BIN_EXE_arest-experiments"));
+    command.args(args).stdin(Stdio::null());
+    match stream {
+        "stdout" => command.stdout(writer).stderr(Stdio::null()),
+        _ => command.stderr(writer).stdout(Stdio::null()),
+    };
+    command.status().expect("spawn arest-experiments")
+}
+
+#[test]
+fn usage_on_a_closed_stderr_pipe_still_exits_2() {
+    // Exit 101 would be the panic of a failed `eprintln!`.
+    let status = run_into_closed_pipe(&["--clients", "2"], "stderr");
+    assert_eq!(status.code(), Some(2), "{status:?}");
+}
+
+#[test]
+fn a_listing_into_a_closed_stdout_pipe_exits_0() {
+    let dir = scratch_dir("history-closed-pipe");
+    let ledger = arest_ledger::Ledger::open(&dir).expect("open ledger");
+    let options = arest_ledger::CommitOptions::default();
+    for _ in 0..2 {
+        ledger.commit(&arest_ledger::RunSnapshot::default(), &options).expect("commit");
+    }
+    let dir = dir.to_str().unwrap();
+    let status = run_into_closed_pipe(&["--ledger", dir, "history"], "stdout");
+    assert_eq!(status.code(), Some(0), "{status:?}");
+    let status = run_into_closed_pipe(&["--ledger", dir, "--out", dir, "diff", "1", "2"], "stdout");
+    assert_eq!(status.code(), Some(0), "{status:?}");
+    std::fs::remove_dir_all(dir).expect("cleanup");
 }

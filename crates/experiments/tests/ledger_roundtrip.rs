@@ -8,7 +8,8 @@
 //! the same gate and pins the quick campaign's payload digest against
 //! `tests/golden/`. The other tests pin the delta semantics: same build
 //! twice → byte-identical payloads and an empty delta; a different
-//! campaign → both announcements and withdrawals.
+//! campaign → both announcements and withdrawals, and the diffs in the
+//! two directions mirror each other.
 
 use arest_experiments::ledger_io::{commit_dataset, commit_incremental};
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
@@ -237,5 +238,42 @@ fn a_different_campaign_announces_and_withdraws() {
     assert_ne!(delta.from.config_digest, delta.to.config_digest);
     assert_eq!(delta.from.catalog_digest, delta.to.catalog_digest);
 
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Real campaigns at two seeds: the diff is non-empty, the diffs in
+/// the two directions mirror each other entry for entry, and a run
+/// diffed against itself is empty.
+#[test]
+fn opposite_diffs_of_two_campaigns_mirror_each_other() {
+    let dir = scratch_dir("mirror");
+    let ledger = Ledger::open(&dir).expect("open ledger");
+    for seed in [2025, 11] {
+        let mut config = PipelineConfig::quick();
+        config.gen.seed = seed;
+        commit_dataset(&ledger, &Dataset::build(config), &config, 1_750_000_000).expect("commit");
+    }
+
+    let forward = ledger.diff(1, 2).expect("diff 1 2");
+    let backward = ledger.diff(2, 1).expect("diff 2 1");
+    assert!(!forward.is_empty(), "different seeds must differ");
+    assert_eq!(forward.announced, backward.withdrawn);
+    assert_eq!(forward.withdrawn, backward.announced);
+    assert_eq!(forward.changed.len(), backward.changed.len());
+    for (f, b) in forward.changed.iter().zip(&backward.changed) {
+        assert_eq!(f.key, b.key);
+        assert_eq!((&f.before_flag, f.before_label), (&b.after_flag, b.after_label));
+        assert_eq!((&f.after_flag, f.after_label), (&b.before_flag, b.before_label));
+    }
+    let asns =
+        |d: &arest_ledger::DetectionDelta| d.per_as.iter().map(|a| a.asn).collect::<Vec<_>>();
+    assert_eq!(asns(&forward), asns(&backward));
+    for (f, b) in forward.per_as.iter().zip(&backward.per_as) {
+        assert_eq!((f.announced, f.withdrawn, f.changed), (b.withdrawn, b.announced, b.changed));
+        assert_eq!((f.deployed_before, f.deployed_after), (b.deployed_after, b.deployed_before));
+    }
+
+    let same = ledger.diff(1, 1).expect("diff 1 1");
+    assert!(same.is_empty() && same.per_as.is_empty());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

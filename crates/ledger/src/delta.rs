@@ -9,17 +9,24 @@
 //! *changed*. Entries come out in key order, so a delta between two
 //! fixed serials renders byte-identically every time.
 //!
-//! Each side is flattened into a key-sorted vector of *borrowed* keys
-//! pointing into the snapshot's shared records, and the two vectors
-//! are merge-joined; owned [`DeltaKey`]s are built only for the
-//! entries the delta emits. When one address lists two detections
-//! with the same key, the later one in stored order wins.
+//! Every key carries its address, and both runs store their address
+//! rows in strictly increasing address order, so the diff is a
+//! merge-join over the two address rows that splits into one small
+//! merge-join per address. An address whose two detection lists are
+//! equal element by element (the same shared record, or an equal one)
+//! emits nothing and costs one pass over its list; only an address
+//! whose lists differ is key-sorted and joined on its own, over
+//! *borrowed* keys pointing into the snapshots' shared records. Owned
+//! [`DeltaKey`]s are built only for the entries the delta emits, and
+//! only those are sorted at the end. When one address lists two
+//! detections with the same key, the later one in stored order wins.
 
 use crate::file::RunMeta;
 use crate::snapshot::{AsRecord, DetectionRecord, RunSnapshot};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The identity of one detection across runs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -142,28 +149,89 @@ impl DetectionDelta {
     }
 }
 
-/// Every (key, detection) of `snapshot`, key-sorted, one per key:
-/// among equal keys the last in stored order wins.
-fn keyed(snapshot: &RunSnapshot) -> Vec<(KeyRef<'_>, &DetectionRecord)> {
-    let mut keyed: Vec<(KeyRef<'_>, &DetectionRecord)> = snapshot
-        .addrs
-        .iter()
-        .flat_map(|entry| entry.detections.iter().map(move |d| (KeyRef::of(entry.addr, d), &**d)))
-        .collect();
+/// How much of the two runs one diff walked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DiffWork {
+    /// Address rows visited (an address in both runs counts once).
+    pub(crate) addrs: u64,
+    /// Rows whose two detection lists differed, so that they were
+    /// key-sorted and merge-joined.
+    pub(crate) addrs_differing: u64,
+}
+
+/// Fills `out` with every (key, detection) of one address row,
+/// key-sorted, one per key: among equal keys the last in stored order
+/// wins.
+fn by_key<'a>(
+    addr: Ipv4Addr,
+    detections: &'a [Arc<DetectionRecord>],
+    out: &mut Vec<(KeyRef<'a>, &'a DetectionRecord)>,
+) {
+    out.clear();
+    out.extend(detections.iter().map(|d| (KeyRef::of(addr, d), &**d)));
     // Stable, so equal keys keep their stored order for the dedup.
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.dedup_by(|later, kept| {
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out.dedup_by(|later, kept| {
         let same = later.0 == kept.0;
         if same {
             *kept = *later;
         }
         same
     });
-    keyed
 }
 
 fn entry(key: KeyRef<'_>, d: &DetectionRecord) -> DeltaEntry {
-    DeltaEntry { key: key.into_key(), flag: d.flag.clone(), stars: d.stars, label: d.label }
+    DeltaEntry { key: key.into_key(), flag: d.flag.to_string(), stars: d.stars, label: d.label }
+}
+
+/// The entries a delta emits, in the order found.
+#[derive(Default)]
+struct Emitted {
+    announced: Vec<DeltaEntry>,
+    withdrawn: Vec<DeltaEntry>,
+    changed: Vec<ChangedEntry>,
+}
+
+impl Emitted {
+    /// Merge-joins two key-sorted, deduplicated rows of one address.
+    fn join(
+        &mut self,
+        before: &[(KeyRef<'_>, &DetectionRecord)],
+        after: &[(KeyRef<'_>, &DetectionRecord)],
+    ) {
+        let (mut b, mut a) = (before.iter().peekable(), after.iter().peekable());
+        loop {
+            let order = match (b.peek(), a.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(old), Some(new)) => old.0.cmp(&new.0),
+            };
+            match order {
+                Ordering::Less => {
+                    let &(key, old) = b.next().expect("peeked");
+                    self.withdrawn.push(entry(key, old));
+                }
+                Ordering::Greater => {
+                    let &(key, new) = a.next().expect("peeked");
+                    self.announced.push(entry(key, new));
+                }
+                Ordering::Equal => {
+                    let &(_, old) = b.next().expect("peeked");
+                    let &(key, new) = a.next().expect("peeked");
+                    if old != new {
+                        self.changed.push(ChangedEntry {
+                            key: key.into_key(),
+                            before_flag: old.flag.to_string(),
+                            after_flag: new.flag.to_string(),
+                            before_label: old.label,
+                            after_label: new.label,
+                        });
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Per-ASN facts of one snapshot: whether any record with the ASN
@@ -185,44 +253,60 @@ pub fn compute(
     to_meta: RunMeta,
     to: &RunSnapshot,
 ) -> DetectionDelta {
-    let before = keyed(from);
-    let after = keyed(to);
+    compute_counted(from_meta, from, to_meta, to).0
+}
 
-    let mut announced = Vec::new();
-    let mut withdrawn = Vec::new();
-    let mut changed = Vec::new();
-    let (mut b, mut a) = (before.iter().peekable(), after.iter().peekable());
+/// [`compute`], also reporting how many address rows it walked and
+/// how many of them differed.
+pub(crate) fn compute_counted(
+    from_meta: RunMeta,
+    from: &RunSnapshot,
+    to_meta: RunMeta,
+    to: &RunSnapshot,
+) -> (DetectionDelta, DiffWork) {
+    let mut emitted = Emitted::default();
+    let mut work = DiffWork::default();
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    let none: &[Arc<DetectionRecord>] = &[];
+    let (mut b, mut a) = (from.addrs.iter().peekable(), to.addrs.iter().peekable());
     loop {
         let order = match (b.peek(), a.peek()) {
             (None, None) => break,
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
-            (Some(old), Some(new)) => old.0.cmp(&new.0),
+            (Some(old), Some(new)) => old.addr.cmp(&new.addr),
         };
-        match order {
+        let (addr, old, new) = match order {
             Ordering::Less => {
-                let &(key, old) = b.next().expect("peeked");
-                withdrawn.push(entry(key, old));
+                let old = b.next().expect("peeked");
+                (old.addr, old.detections.as_slice(), none)
             }
             Ordering::Greater => {
-                let &(key, new) = a.next().expect("peeked");
-                announced.push(entry(key, new));
+                let new = a.next().expect("peeked");
+                (new.addr, none, new.detections.as_slice())
             }
             Ordering::Equal => {
-                let &(_, old) = b.next().expect("peeked");
-                let &(key, new) = a.next().expect("peeked");
-                if old != new {
-                    changed.push(ChangedEntry {
-                        key: key.into_key(),
-                        before_flag: old.flag.clone(),
-                        after_flag: new.flag.clone(),
-                        before_label: old.label,
-                        after_label: new.label,
-                    });
-                }
+                let (old, new) = (b.next().expect("peeked"), a.next().expect("peeked"));
+                (new.addr, old.detections.as_slice(), new.detections.as_slice())
             }
+        };
+        work.addrs += 1;
+        // Element by element; `Arc`'s equality over an `Eq` record
+        // checks the pointer before the content.
+        if old == new {
+            continue;
         }
+        work.addrs_differing += 1;
+        by_key(addr, old, &mut before);
+        by_key(addr, new, &mut after);
+        emitted.join(&before, &after);
     }
+    let Emitted { mut announced, mut withdrawn, mut changed } = emitted;
+    // Keys are unique within each list, so the unstable sorts give the
+    // one key order.
+    announced.sort_unstable_by(|x, y| x.key.cmp(&y.key));
+    withdrawn.sort_unstable_by(|x, y| x.key.cmp(&y.key));
+    changed.sort_unstable_by(|x, y| x.key.cmp(&y.key));
 
     // Per-AS rollup: every AS with traffic in the delta, plus every
     // AS whose SR-deployed verdict flipped between the runs. The name
@@ -259,14 +343,15 @@ pub fn compute(
         }
     }
 
-    DetectionDelta {
+    let delta = DetectionDelta {
         from: from_meta,
         to: to_meta,
         announced,
         withdrawn,
         changed,
         per_as: per_as.into_values().collect(),
-    }
+    };
+    (delta, work)
 }
 
 #[cfg(test)]
@@ -323,7 +408,7 @@ mod tests {
         let old = sample();
         let mut new = sample();
         let moved = std::sync::Arc::make_mut(&mut new.addrs[1].detections[0]);
-        moved.flag = "LVR".to_string();
+        moved.flag = "LVR".into();
         moved.stars = 3;
         let delta = compute(meta(1), &old, meta(2), &new);
         assert_eq!(delta.changed.len(), 1);

@@ -251,14 +251,17 @@ impl Ledger {
     }
 
     /// Loads runs `a` and `b` and computes the announce/withdraw
-    /// delta from `a` to `b`.
+    /// delta from `a` to `b`. The `ledger.diff` span records the entry
+    /// counts and how many address rows the diff walked and found
+    /// differing.
     pub fn diff(&self, a: u64, b: u64) -> LedgerResult<DetectionDelta> {
         let started = Instant::now();
         let mut span = TRACER.span("ledger.diff");
         let from = self.load(a)?;
         let to = self.load(b)?;
         let compute_started = Instant::now();
-        let delta = delta::compute(from.meta, &from.snapshot, to.meta, &to.snapshot);
+        let (delta, work) =
+            delta::compute_counted(from.meta, &from.snapshot, to.meta, &to.snapshot);
         record_us(&METRICS.delta_us, compute_started.elapsed());
         METRICS.diffs.inc();
         record_us(&METRICS.diff_us, started.elapsed());
@@ -266,6 +269,9 @@ impl Ledger {
         span.record("to", b);
         span.record("announced", delta.announced.len() as u64);
         span.record("withdrawn", delta.withdrawn.len() as u64);
+        span.record("changed", delta.changed.len() as u64);
+        span.record("addrs", work.addrs);
+        span.record("addrs_differing", work.addrs_differing);
         Ok(delta)
     }
 }

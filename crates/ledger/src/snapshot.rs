@@ -11,7 +11,10 @@
 //! addresses. In memory it exists once, as an `Arc<DetectionRecord>`
 //! that every covering [`AddrEntry`] shares; decoding hands out clones
 //! of one `Arc` per detection-table row, so loading, merging, and
-//! diffing never deep-copy a record per address.
+//! diffing never deep-copy a record per address. A record's strings
+//! (vantage point, destination, flag, fingerprint, chain) are
+//! `Arc<str>` for the same reason: a decoded snapshot holds one
+//! allocation per string-table entry, however many records repeat it.
 //!
 //! ## Encoding
 //!
@@ -31,12 +34,16 @@
 //! order, and interning assigns indices in first-use order, so equal
 //! snapshots encode to identical bytes — the property the
 //! "committed the same build twice" byte-verification test rests on.
+//! The interning maps are only ever looked up, never iterated, so
+//! their hasher (a word-at-a-time multiplicative one, chosen for
+//! speed) cannot move a byte.
 //! Everything integer is a LEB128 varint except addresses, which stay
 //! fixed 4-byte big-endian like the rest of `arest-wire`.
 
 use crate::codec::{put_bool, put_str, put_varint, Reader};
 use crate::error::{LedgerError, LedgerResult};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 use std::ops::AddAssign;
 use std::sync::Arc;
@@ -141,13 +148,13 @@ pub struct ProvenanceRecord {
     /// Stack depth after entropy-pair exclusion.
     pub effective_depth: u64,
     /// The consulted fingerprint verdict, when any.
-    pub fingerprint: Option<String>,
+    pub fingerprint: Option<Arc<str>>,
     /// Whether the label mapped into the vendor's SR range.
     pub label_in_vendor_range: bool,
     /// Whether decimal-suffix matching was needed.
     pub suffix_matched: bool,
     /// The one-line `key=value` evidence chain.
-    pub chain: String,
+    pub chain: Arc<str>,
 }
 
 /// One detected segment with full provenance. `Eq + Hash` so the
@@ -157,11 +164,11 @@ pub struct DetectionRecord {
     /// The ASN the trace was restricted to.
     pub asn: u32,
     /// Vantage point that ran the trace.
-    pub vp: String,
+    pub vp: Arc<str>,
     /// Probe destination of the trace.
-    pub dst: String,
+    pub dst: Arc<str>,
     /// The flag that fired (`CVR`/`CO`/`LSVR`/`LVR`/`LSO`).
-    pub flag: String,
+    pub flag: Arc<str>,
     /// Signal strength in stars (§4).
     pub stars: u8,
     /// First hop index of the segment.
@@ -257,11 +264,65 @@ pub struct RunSnapshot {
     pub totals: RunTotals,
 }
 
+/// A word-at-a-time multiplicative hasher (the `FxHash` shape) for
+/// the encoder's interning maps, which hash every record and string
+/// reference of a snapshot. The final rotation brings the product's
+/// well-mixed high bits down to the low bits the table indexes by.
+/// Not DoS-resistant: it only ever hashes a snapshot being committed.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` under [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// First-use-order string interner over borrowed strings.
 #[derive(Default)]
 struct StringTable<'a> {
     strings: Vec<&'a str>,
-    index: HashMap<&'a str, u64>,
+    index: WordMap<&'a str, u64>,
 }
 
 impl<'a> StringTable<'a> {
@@ -310,10 +371,15 @@ fn put_flags(out: &mut Vec<u8>, flags: &FlagTotals) {
 /// still share one table row and the bytes depend only on content.
 #[must_use]
 pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
+    // Every listed reference bounds the distinct records from above.
+    let listed: usize = snapshot.addrs.iter().map(|e| e.detections.len()).sum();
     let mut strings = StringTable::default();
-    let mut detections: Vec<DetectionRow<'_>> = Vec::new();
-    let mut by_ptr: HashMap<*const DetectionRecord, u64> = HashMap::new();
-    let mut by_content: HashMap<&DetectionRecord, u64> = HashMap::new();
+    strings.index.reserve(1024);
+    let mut detections: Vec<DetectionRow<'_>> = Vec::with_capacity(listed);
+    let mut by_ptr: WordMap<*const DetectionRecord, u64> =
+        WordMap::with_capacity_and_hasher(listed, BuildHasherDefault::default());
+    let mut by_content: WordMap<&DetectionRecord, u64> =
+        WordMap::with_capacity_and_hasher(listed, BuildHasherDefault::default());
 
     // Pass 1: intern in deterministic traversal order.
     let as_rows: Vec<[u64; 3]> = snapshot
@@ -438,7 +504,8 @@ fn read_flags(reader: &mut Reader<'_>) -> LedgerResult<FlagTotals> {
     })
 }
 
-fn table_str(table: &[String], index: u64, what: &'static str) -> LedgerResult<String> {
+/// The shared string at `index`: a clone of the table's `Arc`.
+fn table_arc(table: &[Arc<str>], index: u64, what: &'static str) -> LedgerResult<Arc<str>> {
     usize::try_from(index)
         .ok()
         .and_then(|i| table.get(i))
@@ -446,11 +513,30 @@ fn table_str(table: &[String], index: u64, what: &'static str) -> LedgerResult<S
         .ok_or(LedgerError::Malformed(what))
 }
 
-fn table_opt_str(table: &[String], index: u64, what: &'static str) -> LedgerResult<Option<String>> {
+/// `None` for index 0, else the shared string at `index - 1`.
+fn table_opt_arc(
+    table: &[Arc<str>],
+    index: u64,
+    what: &'static str,
+) -> LedgerResult<Option<Arc<str>>> {
     if index == 0 {
         return Ok(None);
     }
-    table_str(table, index - 1, what).map(Some)
+    table_arc(table, index - 1, what).map(Some)
+}
+
+/// An owned copy of the string at `index`, for the per-AS and
+/// per-address rows, which keep `String`s.
+fn table_str(table: &[Arc<str>], index: u64, what: &'static str) -> LedgerResult<String> {
+    table_arc(table, index, what).map(|s| s.to_string())
+}
+
+fn table_opt_str(
+    table: &[Arc<str>],
+    index: u64,
+    what: &'static str,
+) -> LedgerResult<Option<String>> {
+    table_opt_arc(table, index, what).map(|s| s.map(|s| s.to_string()))
 }
 
 fn narrow(value: u64, what: &'static str) -> LedgerResult<u32> {
@@ -464,18 +550,18 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
     let limit = bytes.len();
 
     let string_count = reader.count(limit)?;
-    let mut strings = Vec::with_capacity(string_count.min(4096));
+    let mut strings: Vec<Arc<str>> = Vec::with_capacity(string_count.min(4096));
     for _ in 0..string_count {
-        strings.push(reader.str()?);
+        strings.push(reader.str()?.into());
     }
 
     let detection_count = reader.count(limit)?;
     let mut detections = Vec::with_capacity(detection_count.min(4096));
     for _ in 0..detection_count {
         let asn = narrow(reader.varint()?, "detection ASN exceeds 32 bits")?;
-        let vp = table_str(&strings, reader.varint()?, "detection vp index out of range")?;
-        let dst = table_str(&strings, reader.varint()?, "detection dst index out of range")?;
-        let flag = table_str(&strings, reader.varint()?, "detection flag index out of range")?;
+        let vp = table_arc(&strings, reader.varint()?, "detection vp index out of range")?;
+        let dst = table_arc(&strings, reader.varint()?, "detection dst index out of range")?;
+        let flag = table_arc(&strings, reader.varint()?, "detection flag index out of range")?;
         let stars = reader.u8()?;
         let start = reader.varint()?;
         let end = reader.varint()?;
@@ -487,14 +573,14 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
             distinct_addrs: reader.varint()?,
             lses_consulted: reader.varint()?,
             effective_depth: reader.varint()?,
-            fingerprint: table_opt_str(
+            fingerprint: table_opt_arc(
                 &strings,
                 reader.varint()?,
                 "provenance fingerprint index out of range",
             )?,
             label_in_vendor_range: reader.bool()?,
             suffix_matched: reader.bool()?,
-            chain: table_str(&strings, reader.varint()?, "provenance chain index out of range")?,
+            chain: table_arc(&strings, reader.varint()?, "provenance chain index out of range")?,
         };
         detections.push(Arc::new(DetectionRecord {
             asn,
@@ -586,9 +672,9 @@ pub(crate) mod tests {
     pub(crate) fn sample() -> RunSnapshot {
         let detection = DetectionRecord {
             asn: 64512,
-            vp: "vp03".to_string(),
-            dst: "10.0.9.9".to_string(),
-            flag: "CVR".to_string(),
+            vp: "vp03".into(),
+            dst: "10.0.9.9".into(),
+            flag: "CVR".into(),
             stars: 5,
             start: 2,
             end: 4,
@@ -600,14 +686,14 @@ pub(crate) mod tests {
                 distinct_addrs: 3,
                 lses_consulted: 3,
                 effective_depth: 1,
-                fingerprint: Some("Cisco".to_string()),
+                fingerprint: Some("Cisco".into()),
                 label_in_vendor_range: true,
                 suffix_matched: false,
-                chain: "trigger_hop=2 run_len=3".to_string(),
+                chain: "trigger_hop=2 run_len=3".into(),
             },
         };
         let weak = Arc::new(DetectionRecord {
-            flag: "LSO".to_string(),
+            flag: "LSO".into(),
             stars: 1,
             label: 30_001,
             start: 5,

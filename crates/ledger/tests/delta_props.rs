@@ -2,7 +2,14 @@
 //! against a naive `BTreeMap` oracle, encoding that depends only on
 //! content (never on how records are shared), and a guard that a
 //! loaded snapshot hands out one shared record per detection-table
-//! row instead of a deep copy per address.
+//! row, and one shared string per string-table entry, instead of a
+//! deep copy per address.
+//!
+//! The generated pairs exercise both paths of the per-address diff:
+//! rows whose detection lists are equal element by element (the same
+//! `Arc`s, or equal records in distinct `Arc`s) and rows that differ
+//! (edited, or the same records in another order), some of them as
+//! one edited row inside a long run of untouched ones.
 
 use arest_ledger::delta::{compute, AsDelta, ChangedEntry, DeltaEntry, DeltaKey, DetectionDelta};
 use arest_ledger::snapshot::{
@@ -50,9 +57,9 @@ fn record(mix: &mut Mix) -> DetectionRecord {
         // Independent of any address's ASN: a detection may belong to
         // another AS than the address it covers.
         asn: mix.pick(&ASNS),
-        vp: mix.pick(&VPS).to_string(),
-        dst: mix.pick(&DSTS).to_string(),
-        flag: flag.to_string(),
+        vp: mix.pick(&VPS).into(),
+        dst: mix.pick(&DSTS).into(),
+        flag: flag.into(),
         stars,
         start,
         end: start + mix.below(2),
@@ -64,10 +71,10 @@ fn record(mix: &mut Mix) -> DetectionRecord {
             distinct_addrs: 1 + mix.below(3),
             lses_consulted: mix.below(3),
             effective_depth: mix.below(2),
-            fingerprint: [Some("Cisco"), None][mix.below(2) as usize].map(str::to_string),
+            fingerprint: [Some("Cisco"), None][mix.below(2) as usize].map(Into::into),
             label_in_vendor_range: mix.below(2) == 0,
             suffix_matched: mix.below(2) == 0,
-            chain: format!("trigger_hop={start} n={}", mix.below(3)),
+            chain: format!("trigger_hop={start} n={}", mix.below(3)).into(),
         },
     }
 }
@@ -75,12 +82,7 @@ fn record(mix: &mut Mix) -> DetectionRecord {
 /// Same key, different evidence.
 fn moved(mix: &mut Mix, d: &DetectionRecord) -> DetectionRecord {
     let (flag, stars) = mix.pick(&FLAGS);
-    DetectionRecord {
-        flag: flag.to_string(),
-        stars,
-        label: 17_000 + mix.below(3) as u32,
-        ..d.clone()
-    }
+    DetectionRecord { flag: flag.into(), stars, label: 17_000 + mix.below(3) as u32, ..d.clone() }
 }
 
 fn ases(mix: &mut Mix) -> Vec<AsRecord> {
@@ -112,9 +114,11 @@ fn snapshot(ases: Vec<AsRecord>, addrs: BTreeMap<Ipv4Addr, AddrEntry>) -> RunSna
 
 /// The older run: addresses listing records from a shared pool,
 /// equal copies in distinct `Arc`s, fresh records, and duplicate keys.
-fn older(mix: &mut Mix, pool: &[Arc<DetectionRecord>]) -> RunSnapshot {
+/// A `quiet` run has a long run of addresses.
+fn older(mix: &mut Mix, pool: &[Arc<DetectionRecord>], quiet: bool) -> RunSnapshot {
     let mut addrs = BTreeMap::new();
-    for a in 0..mix.below(10) {
+    let count = if quiet { 40 + mix.below(80) } else { mix.below(10) };
+    for a in 0..count {
         let mut detections: Vec<Arc<DetectionRecord>> = Vec::new();
         for _ in 0..mix.below(4) {
             let shared = &pool[mix.below(pool.len() as u64) as usize];
@@ -138,29 +142,64 @@ fn older(mix: &mut Mix, pool: &[Arc<DetectionRecord>]) -> RunSnapshot {
     snapshot(ases(mix), addrs)
 }
 
+/// One address's detections, edited: each one kept, dropped, moved
+/// to new evidence, or copied into a new `Arc`, and sometimes a pool
+/// record appended.
+fn edited(
+    mix: &mut Mix,
+    listed: &[Arc<DetectionRecord>],
+    pool: &[Arc<DetectionRecord>],
+) -> Vec<Arc<DetectionRecord>> {
+    let mut detections = Vec::new();
+    for d in listed {
+        match mix.below(6) {
+            0 => {}
+            1 => detections.push(Arc::new(moved(mix, d))),
+            2 => detections.push(Arc::new((**d).clone())),
+            _ => detections.push(Arc::clone(d)),
+        }
+    }
+    if mix.below(3) == 0 {
+        detections.push(Arc::clone(&pool[mix.below(pool.len() as u64) as usize]));
+    }
+    detections
+}
+
 /// The newer run: the older one with entries withdrawn, announced,
-/// and changed, sharing records with it where they survive.
-fn newer(mix: &mut Mix, from: &RunSnapshot, pool: &[Arc<DetectionRecord>]) -> RunSnapshot {
+/// and changed, sharing records with it where they survive. A row may
+/// also survive untouched, as equal records in new `Arc`s, or with
+/// its records reordered (which can flip which of two same-key
+/// records wins). A `quiet` run leaves every row untouched but one.
+fn newer(
+    mix: &mut Mix,
+    from: &RunSnapshot,
+    pool: &[Arc<DetectionRecord>],
+    quiet: bool,
+) -> RunSnapshot {
+    let edit_at = quiet.then(|| mix.below(from.addrs.len() as u64) as usize);
     let mut addrs = BTreeMap::new();
-    for entry in &from.addrs {
-        if mix.below(6) == 0 {
-            continue;
-        }
-        let mut detections = Vec::new();
-        for d in &entry.detections {
-            match mix.below(6) {
-                0 => {}
-                1 => detections.push(Arc::new(moved(mix, d))),
-                2 => detections.push(Arc::new((**d).clone())),
-                _ => detections.push(Arc::clone(d)),
-            }
-        }
-        if mix.below(3) == 0 {
-            detections.push(Arc::clone(&pool[mix.below(pool.len() as u64) as usize]));
-        }
+    for (i, entry) in from.addrs.iter().enumerate() {
+        let detections = match edit_at {
+            Some(at) if at == i => edited(mix, &entry.detections, pool),
+            Some(_) => entry.detections.clone(),
+            None => match mix.below(9) {
+                0 => continue,
+                1 => entry.detections.clone(),
+                2 => entry.detections.iter().map(|d| Arc::new((**d).clone())).collect(),
+                3 => entry.detections.iter().rev().cloned().collect(),
+                4 => {
+                    let mut rotated = entry.detections.clone();
+                    if !rotated.is_empty() {
+                        rotated.rotate_left(1);
+                    }
+                    rotated
+                }
+                _ => edited(mix, &entry.detections, pool),
+            },
+        };
         addrs.insert(entry.addr, AddrEntry { detections, ..entry.clone() });
     }
-    for a in 0..mix.below(3) {
+    for a in 0..if quiet { 0 } else { mix.below(3) } {
         let addr = Ipv4Addr::new(10, 0, 1, a as u8);
         let detections = vec![Arc::new(record(mix)), Arc::clone(&pool[0])];
         let entry = AddrEntry {
@@ -178,8 +217,9 @@ fn newer(mix: &mut Mix, from: &RunSnapshot, pool: &[Arc<DetectionRecord>]) -> Ru
 fn pair(seed: u64) -> (RunSnapshot, RunSnapshot) {
     let mut mix = Mix(seed ^ 0x2545_f491_4f6c_dd1d);
     let pool: Vec<Arc<DetectionRecord>> = (0..4).map(|_| Arc::new(record(&mut mix))).collect();
-    let from = older(&mut mix, &pool);
-    let to = newer(&mut mix, &from, &pool);
+    let quiet = mix.below(4) == 0;
+    let from = older(&mut mix, &pool, quiet);
+    let to = newer(&mut mix, &from, &pool, quiet);
     (from, to)
 }
 
@@ -204,8 +244,8 @@ fn oracle(from: &RunSnapshot, to: &RunSnapshot) -> DetectionDelta {
                 let key = DeltaKey {
                     asn: d.asn,
                     addr: entry.addr,
-                    vp: d.vp.clone(),
-                    dst: d.dst.clone(),
+                    vp: d.vp.to_string(),
+                    dst: d.dst.to_string(),
                     start: d.start,
                     end: d.end,
                 };
@@ -215,7 +255,7 @@ fn oracle(from: &RunSnapshot, to: &RunSnapshot) -> DetectionDelta {
         map
     }
     fn emitted(key: &DeltaKey, d: &DetectionRecord) -> DeltaEntry {
-        DeltaEntry { key: key.clone(), flag: d.flag.clone(), stars: d.stars, label: d.label }
+        DeltaEntry { key: key.clone(), flag: d.flag.to_string(), stars: d.stars, label: d.label }
     }
     fn deployed(s: &RunSnapshot, asn: u32) -> bool {
         s.ases.iter().any(|a| a.asn == asn && a.flags.strong() > 0)
@@ -234,8 +274,8 @@ fn oracle(from: &RunSnapshot, to: &RunSnapshot) -> DetectionDelta {
             None => delta.announced.push(emitted(key, d)),
             Some(old) if old != d => delta.changed.push(ChangedEntry {
                 key: key.clone(),
-                before_flag: old.flag.clone(),
-                after_flag: d.flag.clone(),
+                before_flag: old.flag.to_string(),
+                after_flag: d.flag.to_string(),
                 before_label: old.label,
                 after_label: d.label,
             }),
@@ -347,7 +387,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 /// A loaded snapshot shares one record per detection-table row: two
 /// addresses listing the same row hold the same `Arc`, even when the
-/// committed snapshot held distinct (equal) copies.
+/// committed snapshot held distinct (equal) copies. Likewise, equal
+/// strings of distinct records share one `Arc<str>`.
 #[test]
 fn loaded_addresses_share_table_rows() {
     // The first generated run that lists some record at two places.
@@ -375,25 +416,55 @@ fn loaded_addresses_share_table_rows() {
         listed += 1;
     }
     assert!(listed > first.len(), "the sample must list some row at two places");
+
+    let mut strings: HashMap<&str, &Arc<str>> = HashMap::new();
+    let mut repeats = 0;
+    for d in first.keys() {
+        for s in [&d.vp, &d.flag, &d.provenance.chain] {
+            let seen = *strings.entry(&**s).or_insert(s);
+            if !std::ptr::eq(seen, s) {
+                assert!(Arc::ptr_eq(seen, s), "string {s:?} was decoded twice");
+                repeats += 1;
+            }
+        }
+    }
+    assert!(repeats > 0, "the sample must repeat some string across records");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// `ledger.encode.us` times each commit's encoding and
-/// `ledger.delta.us` each diff's compute step.
+/// `ledger.delta.us` each diff's compute step; the `ledger.diff` span
+/// counts the emitted entries and the address rows the diff walked.
 #[test]
 fn encode_and_delta_latencies_are_recorded() {
     let registry = arest_obs::global();
     registry.set_enabled(true);
     let dir = scratch_dir("obs");
     let ledger = Ledger::open(&dir).expect("open");
-    let (from, to) = pair(11);
+    // The first quiet pair: one edited row among many untouched ones.
+    let (from, to) = (0u64..)
+        .map(pair)
+        .find(|(from, to)| from.addrs.len() >= 40 && from.addrs != to.addrs)
+        .expect("some seed is quiet");
     ledger.commit(&from, &CommitOptions::default()).expect("commit 1");
     ledger.commit(&to, &CommitOptions::default()).expect("commit 2");
-    ledger.diff(1, 2).expect("diff");
+    let delta = ledger.diff(1, 2).expect("diff");
     let snapshot = registry.snapshot();
     let count = |name: &str| snapshot.histograms.get(name).map_or(0, |h| h.count);
     assert!(count("ledger.encode.us") >= 2, "one encode per commit");
     assert!(count("ledger.delta.us") >= 1, "one compute per diff");
     assert!(count("ledger.diff.us") >= 1);
+
+    let spans = registry.tracer().take_records();
+    let span = spans.iter().find(|r| r.name == "ledger.diff").expect("a ledger.diff span");
+    let field = |key: &str| match span.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, arest_obs::FieldValue::U64(v))) => *v,
+        other => panic!("ledger.diff field {key}: {other:?}"),
+    };
+    assert_eq!(field("announced"), delta.announced.len() as u64);
+    assert_eq!(field("withdrawn"), delta.withdrawn.len() as u64);
+    assert_eq!(field("changed"), delta.changed.len() as u64);
+    assert_eq!(field("addrs"), from.addrs.len() as u64, "a quiet pair keeps every address");
+    assert_eq!(field("addrs_differing"), 1, "only the edited row takes the slow path");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

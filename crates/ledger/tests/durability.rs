@@ -42,12 +42,12 @@ const VENDORS: [Option<&str>; 3] = [Some("Cisco"), Some("Juniper"), None];
 fn generated_detection(mix: &mut Mix, asn: u32) -> DetectionRecord {
     let (flag, stars) = FLAGS[mix.below(FLAGS.len() as u64) as usize];
     let start = mix.below(12);
-    let fingerprint = VENDORS[mix.below(3) as usize].map(str::to_string);
+    let fingerprint = VENDORS[mix.below(3) as usize].map(Into::into);
     DetectionRecord {
         asn,
-        vp: format!("vp{:02}", mix.below(8)),
-        dst: format!("10.9.{}.{}", mix.below(200), mix.below(200)),
-        flag: flag.to_string(),
+        vp: format!("vp{:02}", mix.below(8)).into(),
+        dst: format!("10.9.{}.{}", mix.below(200), mix.below(200)).into(),
+        flag: flag.into(),
         stars,
         start,
         end: start + 1 + mix.below(4),
@@ -62,7 +62,7 @@ fn generated_detection(mix: &mut Mix, asn: u32) -> DetectionRecord {
             fingerprint,
             label_in_vendor_range: mix.below(2) == 0,
             suffix_matched: mix.below(2) == 0,
-            chain: format!("trigger_hop={start} label_run=..."),
+            chain: format!("trigger_hop={start} label_run=...").into(),
         },
     }
 }

@@ -64,9 +64,9 @@ pub fn detection_json(d: &DetectionRecord) -> Json {
     let p = &d.provenance;
     Json::obj(vec![
         ("asn", Json::U64(u64::from(d.asn))),
-        ("vp", Json::str(&d.vp)),
-        ("dst", Json::str(&d.dst)),
-        ("flag", Json::str(&d.flag)),
+        ("vp", Json::str(&*d.vp)),
+        ("dst", Json::str(&*d.dst)),
+        ("flag", Json::str(&*d.flag)),
         ("stars", Json::U64(u64::from(d.stars))),
         ("hops", Json::obj(vec![("start", Json::U64(d.start)), ("end", Json::U64(d.end))])),
         ("label", Json::U64(u64::from(d.label))),
@@ -82,7 +82,7 @@ pub fn detection_json(d: &DetectionRecord) -> Json {
                 ("fingerprint", Json::opt_str(p.fingerprint.as_deref())),
                 ("label_in_vendor_range", Json::Bool(p.label_in_vendor_range)),
                 ("suffix_matched", Json::Bool(p.suffix_matched)),
-                ("chain", Json::str(&p.chain)),
+                ("chain", Json::str(&*p.chain)),
             ]),
         ),
     ])
@@ -298,9 +298,9 @@ pub(crate) mod tests {
             fingerprint_source: Some("snmp".to_string()),
             detections: vec![Arc::new(DetectionRecord {
                 asn: 64512,
-                vp: "vp00".to_string(),
-                dst: "10.0.0.9".to_string(),
-                flag: "CVR".to_string(),
+                vp: "vp00".into(),
+                dst: "10.0.0.9".into(),
+                flag: "CVR".into(),
                 stars: 5,
                 start: 1,
                 end: 3,
@@ -312,10 +312,10 @@ pub(crate) mod tests {
                     distinct_addrs: 3,
                     lses_consulted: 3,
                     effective_depth: 1,
-                    fingerprint: Some("Cisco".to_string()),
+                    fingerprint: Some("Cisco".into()),
                     label_in_vendor_range: true,
                     suffix_matched: false,
-                    chain: "trigger_hop=1 run_len=3".to_string(),
+                    chain: "trigger_hop=1 run_len=3".into(),
                 },
             })],
         };

@@ -54,9 +54,9 @@ fn fixture() -> Arc<Store> {
         fingerprint_source: Some("snmp".to_string()),
         detections: vec![Arc::new(DetectionRecord {
             asn: 64512,
-            vp: "vp00".to_string(),
-            dst: "10.0.0.9".to_string(),
-            flag: "CVR".to_string(),
+            vp: "vp00".into(),
+            dst: "10.0.0.9".into(),
+            flag: "CVR".into(),
             stars: 5,
             start: 1,
             end: 3,
@@ -68,10 +68,10 @@ fn fixture() -> Arc<Store> {
                 distinct_addrs: 3,
                 lses_consulted: 3,
                 effective_depth: 1,
-                fingerprint: Some("Cisco".to_string()),
+                fingerprint: Some("Cisco".into()),
                 label_in_vendor_range: true,
                 suffix_matched: false,
-                chain: "trigger_hop=1 run_len=3".to_string(),
+                chain: "trigger_hop=1 run_len=3".into(),
             },
         })],
     };
