@@ -77,7 +77,7 @@
 //! line per AReST detection).
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
-use arest_experiments::{run_experiment, ALL_EXPERIMENTS};
+use arest_experiments::{run_experiment, EXPERIMENTS};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::time::Instant;
@@ -175,7 +175,7 @@ fn main() {
     let unknown = ids.iter().enumerate().find(|&(pos, id)| {
         !diff_args.contains(&pos)
             && !MODES.contains(&id.as_str())
-            && !ALL_EXPERIMENTS.contains(&id.as_str())
+            && !EXPERIMENTS.iter().any(|(known, _)| known == id)
     });
     if let Some((_, id)) = unknown {
         fail(&format!("unknown experiment id: {id} (see --help)"));
@@ -201,7 +201,7 @@ fn main() {
         return;
     }
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL_EXPERIMENTS.iter().map(std::string::ToString::to_string).collect();
+        ids = EXPERIMENTS.iter().map(|(id, _)| (*id).to_string()).collect();
     }
 
     let seed_cache = load_seed_cache(config, ledger_dir.as_deref());
@@ -343,15 +343,16 @@ fn commit_to_ledger(dir: &str, dataset: &Dataset, config: &PipelineConfig, out_d
     }
 }
 
-/// Computes the delta from `a` to `b` and writes it as
-/// `RUN_REPORT_delta.txt` into `out_dir` (or the working directory).
+/// Computes the delta from `a` to `b`, writes it as
+/// `RUN_REPORT_delta.txt` into `out_dir` (or the working directory),
+/// and returns its text.
 fn write_delta_report(
     ledger: &arest_ledger::Ledger,
     dir: &str,
     a: u64,
     b: u64,
     out_dir: Option<&str>,
-) {
+) -> String {
     let delta = ledger
         .diff(a, b)
         .unwrap_or_else(|e| fail(&format!("cannot diff runs {a} and {b} in {dir}: {e}")));
@@ -363,6 +364,7 @@ fn write_delta_report(
     let path = format!("{dir_out}/RUN_REPORT_delta.txt");
     std::fs::write(&path, &text).expect("write RUN_REPORT_delta.txt");
     note!("wrote {path}");
+    text
 }
 
 fn now_unix() -> u64 {
@@ -404,19 +406,8 @@ fn history(dir: &str) {
 /// committed runs and writes it as `RUN_REPORT_delta.txt` into `--out`
 /// (or the working directory).
 fn diff_runs(dir: &str, a: u64, b: u64, out_dir: Option<&str>) {
-    let ledger = open_ledger(dir);
-    let delta = ledger
-        .diff(a, b)
-        .unwrap_or_else(|e| fail(&format!("cannot diff runs {a} and {b} in {dir}: {e}")));
-    let text = arest_experiments::delta_report::to_text(&delta);
+    let text = write_delta_report(&open_ledger(dir), dir, a, b, out_dir);
     emit(std::io::stdout().lock(), format_args!("{text}"));
-    let dir_out = out_dir.unwrap_or(".");
-    if let Some(out) = out_dir {
-        std::fs::create_dir_all(out).expect("create output dir");
-    }
-    let path = format!("{dir_out}/RUN_REPORT_delta.txt");
-    std::fs::write(&path, &text).expect("write RUN_REPORT_delta.txt");
-    note!("wrote {path}");
 }
 
 /// Builds the dataset, flattens it into the serving store, and runs
@@ -593,7 +584,7 @@ fn usage(err: &str) -> ! {
          [--base SERIAL] [--ledger-poll-ms N] <ids…|all|serve|history|diff A B>\n\
          slice specs: all, N% (first N percent of the catalog), N (first N ASes), asN\n\
          experiments: {}",
-        ALL_EXPERIMENTS.join(", ")
+        EXPERIMENTS.map(|(id, _)| id).join(", ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

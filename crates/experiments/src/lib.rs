@@ -41,57 +41,37 @@ pub mod serve_store;
 pub use pipeline::{AsResult, Dataset, PipelineConfig, SliceSpec};
 pub use render::{Report, Table};
 
-/// Every experiment id, in paper order (plus the future-work sweep
-/// and the substrate audit).
-pub const ALL_EXPERIMENTS: [&str; 21] = [
-    "fig1",
-    "table1",
-    "table2_fig5",
-    "fig6",
-    "fig7",
-    "table3",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table5",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "headline",
-    "ablation",
-    "longitudinal",
-    "audit",
+/// One experiment runner: renders its table or figure from a built
+/// dataset (the background figures ignore it).
+pub type Runner = fn(&Dataset) -> Report;
+
+/// Every experiment, in paper order (plus the future-work sweep and
+/// the substrate audit): its id and its runner.
+pub const EXPERIMENTS: [(&str, Runner); 21] = [
+    ("fig1", |_| exp_background::fig01_publications()),
+    ("table1", |_| exp_background::table1_vendor_ranges()),
+    ("table2_fig5", |_| exp_background::fig05_survey()),
+    ("fig6", |_| exp_validation::fig06_flags_walkthrough()),
+    ("fig7", |_| exp_background::fig07_stack_evolution()),
+    ("table3", exp_validation::table3_ground_truth),
+    ("fig8", exp_detection::fig08_flags_per_as),
+    ("fig9", exp_detection::fig09_stack_sizes),
+    ("fig10", exp_characterization::fig10_deployment),
+    ("fig11", exp_characterization::fig11_interworking_modes),
+    ("fig12", exp_characterization::fig12_cloud_sizes),
+    ("table5", exp_dataset::table5_dataset),
+    ("fig13", exp_dataset::fig13_tunnel_types),
+    ("fig14", exp_dataset::fig14_fingerprint_sources),
+    ("fig15", exp_dataset::fig15_vendor_heatmap),
+    ("fig16", exp_dataset::fig16_label_ranges),
+    ("fig17", exp_dataset::fig17_vp_cdf),
+    ("headline", exp_validation::headline_detection),
+    ("ablation", exp_validation::ablation_flags),
+    ("longitudinal", exp_longitudinal::longitudinal_adoption),
+    ("audit", exp_audit::audit_substrate),
 ];
 
 /// Runs one experiment by id against a built dataset.
 pub fn run_experiment(id: &str, dataset: &Dataset) -> Option<Report> {
-    let report = match id {
-        "fig1" => exp_background::fig01_publications(),
-        "table1" => exp_background::table1_vendor_ranges(),
-        "table2_fig5" => exp_background::fig05_survey(),
-        "fig6" => exp_validation::fig06_flags_walkthrough(),
-        "fig7" => exp_background::fig07_stack_evolution(),
-        "table3" => exp_validation::table3_ground_truth(dataset),
-        "fig8" => exp_detection::fig08_flags_per_as(dataset),
-        "fig9" => exp_detection::fig09_stack_sizes(dataset),
-        "fig10" => exp_characterization::fig10_deployment(dataset),
-        "fig11" => exp_characterization::fig11_interworking_modes(dataset),
-        "fig12" => exp_characterization::fig12_cloud_sizes(dataset),
-        "table5" => exp_dataset::table5_dataset(dataset),
-        "fig13" => exp_dataset::fig13_tunnel_types(dataset),
-        "fig14" => exp_dataset::fig14_fingerprint_sources(dataset),
-        "fig15" => exp_dataset::fig15_vendor_heatmap(dataset),
-        "fig16" => exp_dataset::fig16_label_ranges(dataset),
-        "fig17" => exp_dataset::fig17_vp_cdf(dataset),
-        "headline" => exp_validation::headline_detection(dataset),
-        "ablation" => exp_validation::ablation_flags(dataset),
-        "longitudinal" => exp_longitudinal::longitudinal_adoption(dataset),
-        "audit" => exp_audit::audit_substrate(dataset),
-        _ => return None,
-    };
-    Some(report)
+    EXPERIMENTS.iter().find(|(known, _)| *known == id).map(|(_, run)| run(dataset))
 }

@@ -1,9 +1,9 @@
 //! Keeps `EXPERIMENTS.md`'s runner index in lockstep with the code:
-//! every id in [`arest_experiments::ALL_EXPERIMENTS`] must appear in
+//! every id in [`arest_experiments::EXPERIMENTS`] must appear in
 //! the document's "Runner index" table, and every id the table lists
 //! must be a real runner.
 
-use arest_experiments::ALL_EXPERIMENTS;
+use arest_experiments::EXPERIMENTS;
 use std::collections::BTreeSet;
 
 /// Extracts the backticked id from the first cell of each table row in
@@ -29,7 +29,8 @@ fn runner_index_matches_all_experiments_in_both_directions() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
     let markdown = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
     let documented = documented_ids(&markdown);
-    let registered: BTreeSet<String> = ALL_EXPERIMENTS.iter().map(|id| (*id).to_string()).collect();
+    let registered: BTreeSet<String> =
+        EXPERIMENTS.iter().map(|(id, _)| (*id).to_string()).collect();
 
     let undocumented: Vec<&String> = registered.difference(&documented).collect();
     assert!(
@@ -41,7 +42,7 @@ fn runner_index_matches_all_experiments_in_both_directions() {
         phantom.is_empty(),
         "EXPERIMENTS.md documents ids the harness does not register: {phantom:?}"
     );
-    assert_eq!(documented.len(), ALL_EXPERIMENTS.len());
+    assert_eq!(documented.len(), EXPERIMENTS.len());
 }
 
 #[test]

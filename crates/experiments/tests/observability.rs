@@ -6,14 +6,11 @@
 //! it must not share this binary with other tests that read it.
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig};
-use arest_experiments::{run_experiment, ALL_EXPERIMENTS};
+use arest_experiments::EXPERIMENTS;
 
 fn render_all() -> Vec<String> {
     let dataset = Dataset::build(PipelineConfig::quick());
-    ALL_EXPERIMENTS
-        .iter()
-        .map(|id| run_experiment(id, &dataset).expect("known experiment id").render())
-        .collect()
+    EXPERIMENTS.iter().map(|(_, run)| run(&dataset).render()).collect()
 }
 
 #[test]

@@ -9,11 +9,12 @@
 //! skip echo probes for unchanged addresses.
 //!
 //! The sidecar lives next to its snapshot as `run-<serial>.arest.aux`
-//! and follows the same durability discipline: a checksummed fixed
-//! header, an FNV-1a 64 payload digest, typed [`LedgerError`]s on
-//! every malformed input, and strict trailing-byte rejection. The
-//! snapshot format itself stays at VERSION 1 — a reader that ignores
-//! sidecars sees exactly the runs it always did.
+//! and is sealed in the same frame as the run file (`frame.rs`), here
+//! with three header fields: a checksummed fixed header, an FNV-1a 64
+//! payload digest, typed [`LedgerError`]s on every malformed input,
+//! and strict trailing-byte rejection. The snapshot format itself
+//! stays at VERSION 1 — a reader that ignores sidecars sees exactly
+//! the runs it always did.
 //!
 //! ```text
 //! offset  size  field
@@ -38,8 +39,8 @@
 //! ```
 
 use crate::codec::{put_bool, put_varint, Reader};
-use crate::digest::fnv64;
 use crate::error::{LedgerError, LedgerResult};
+use crate::frame::Frame;
 use std::net::Ipv4Addr;
 
 /// The 8-byte sidecar magic.
@@ -48,8 +49,14 @@ pub const AUX_MAGIC: [u8; 8] = *b"ARESTAUX";
 /// The sidecar format version this build writes and accepts.
 pub const AUX_VERSION: u16 = 1;
 
+const FRAME: Frame<3> = Frame {
+    magic: AUX_MAGIC,
+    version: AUX_VERSION,
+    trailing: "trailing bytes after the aux payload",
+};
+
 /// Fixed sidecar header size in bytes.
-pub const AUX_HEADER_LEN: usize = 36;
+pub const AUX_HEADER_LEN: usize = FRAME.header_len();
 
 /// Minimum encoded sizes of one list entry, in bytes: a carried ASN
 /// is one varint; a raw-trace pair two; a cache entry an address plus
@@ -144,69 +151,23 @@ fn decode_aux_payload(payload: &[u8]) -> LedgerResult<AuxRecord> {
 /// Serializes a complete sidecar file: header + payload.
 #[must_use]
 pub fn encode_aux_file(aux: &AuxRecord, serial: u64) -> Vec<u8> {
-    frame(&encode_aux_payload(aux), serial)
-}
-
-/// Prefixes `payload` with its checksummed sidecar header.
-fn frame(payload: &[u8], serial: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(AUX_HEADER_LEN + payload.len());
-    out.extend_from_slice(&AUX_MAGIC);
-    out.extend_from_slice(&AUX_VERSION.to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // checksum placeholder
-    out.extend_from_slice(&serial.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&fnv64(payload).to_be_bytes());
-    let checksum = arest_wire::checksum::checksum(&out[..AUX_HEADER_LEN]);
-    out[10..12].copy_from_slice(&checksum.to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+    FRAME.seal(&[serial], &encode_aux_payload(aux)).0
 }
 
 /// Decodes a complete sidecar file, verifying the header checksum,
 /// the serial, the payload length, and the payload digest before
 /// touching the payload structure.
 pub fn decode_aux_file(bytes: &[u8], expected_serial: Option<u64>) -> LedgerResult<AuxRecord> {
-    if bytes.len() < AUX_HEADER_LEN {
-        return Err(LedgerError::Truncated);
-    }
-    let header = &bytes[..AUX_HEADER_LEN];
-    if header[..8] != AUX_MAGIC {
-        return Err(LedgerError::BadMagic);
-    }
-    if !arest_wire::checksum::verify(header) {
-        return Err(LedgerError::HeaderChecksum);
-    }
-    let version = u16::from_be_bytes([header[8], header[9]]);
-    if version != AUX_VERSION {
-        return Err(LedgerError::BadVersion(version));
-    }
-    let be_u64 = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte slice"));
-    let serial = be_u64(&header[12..20]);
-    if let Some(file) = expected_serial {
-        if file != serial {
-            return Err(LedgerError::SerialMismatch { file, header: serial });
-        }
-    }
-    let payload_len = be_u64(&header[20..28]);
-    let payload_digest = be_u64(&header[28..36]);
-    let payload = &bytes[AUX_HEADER_LEN..];
-    let claimed =
-        usize::try_from(payload_len).map_err(|_| LedgerError::Malformed("aux payload length"))?;
-    if payload.len() < claimed {
-        return Err(LedgerError::Truncated);
-    }
-    if payload.len() > claimed {
-        return Err(LedgerError::Malformed("trailing bytes after the aux payload"));
-    }
-    if fnv64(payload) != payload_digest {
-        return Err(LedgerError::PayloadDigest);
-    }
-    decode_aux_payload(payload)
+    decode_aux_payload(FRAME.open(bytes, expected_serial)?.1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn frame(payload: &[u8], serial: u64) -> Vec<u8> {
+        FRAME.seal(&[serial], payload).0
+    }
 
     fn sample() -> AuxRecord {
         AuxRecord {

@@ -20,11 +20,14 @@
 //! excludes the serial and timestamp, so two commits of the same
 //! campaign produce byte-identical payloads (and equal payload
 //! digests) — the content-addressed identity the empty-delta
-//! byte-verification rides. Decoding returns a typed
-//! [`LedgerError`] on every malformed input; it never panics.
+//! byte-verification rides. The header is the sealed frame run files
+//! share with their sidecars (`frame.rs`), here with six fields; this
+//! module maps them to and from [`RunMeta`]. Decoding returns a typed
+//! [`LedgerError`](crate::LedgerError) on every malformed input; it
+//! never panics.
 
-use crate::digest::fnv64;
-use crate::error::{LedgerError, LedgerResult};
+use crate::error::LedgerResult;
+use crate::frame::Frame;
 use crate::snapshot::{decode_payload, encode_payload, RunSnapshot};
 
 /// The 8-byte file magic.
@@ -33,8 +36,11 @@ pub const MAGIC: [u8; 8] = *b"ARESTLDG";
 /// The format version this build writes and accepts.
 pub const VERSION: u16 = 1;
 
+const FRAME: Frame<6> =
+    Frame { magic: MAGIC, version: VERSION, trailing: "trailing bytes after the payload" };
+
 /// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 60;
+pub const HEADER_LEN: usize = FRAME.header_len();
 
 /// Everything the header records about a committed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,61 +59,47 @@ pub struct RunMeta {
     pub payload_digest: u64,
 }
 
+impl RunMeta {
+    fn from_fields(fields: [u64; 6]) -> RunMeta {
+        let [serial, committed_unix, config_digest, catalog_digest, payload_len, payload_digest] =
+            fields;
+        RunMeta {
+            serial,
+            committed_unix,
+            config_digest,
+            catalog_digest,
+            payload_len,
+            payload_digest,
+        }
+    }
+}
+
 /// Serializes a complete snapshot file: header + payload.
 #[must_use]
 pub fn encode_file(snapshot: &RunSnapshot, meta: &RunMeta) -> Vec<u8> {
-    let payload = encode_payload(snapshot);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // checksum placeholder
-    out.extend_from_slice(&meta.serial.to_be_bytes());
-    out.extend_from_slice(&meta.committed_unix.to_be_bytes());
-    out.extend_from_slice(&meta.config_digest.to_be_bytes());
-    out.extend_from_slice(&meta.catalog_digest.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_be_bytes());
-    let checksum = arest_wire::checksum::checksum(&out[..HEADER_LEN]);
-    out[10..12].copy_from_slice(&checksum.to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    seal_file(snapshot, meta).0
 }
 
-fn be_u64(bytes: &[u8]) -> u64 {
-    u64::from_be_bytes(bytes.try_into().expect("8-byte slice"))
+/// [`encode_file`], also returning the payload digest it stamped.
+/// `meta`'s payload length and digest are ignored.
+pub(crate) fn seal_file(snapshot: &RunSnapshot, meta: &RunMeta) -> (Vec<u8>, u64) {
+    let leading = [meta.serial, meta.committed_unix, meta.config_digest, meta.catalog_digest];
+    FRAME.seal(&leading, &encode_payload(snapshot))
 }
 
 /// Decodes and verifies the fixed header. `expected_serial` is the
 /// serial the file *name* claims, when the caller knows it.
 pub fn decode_header(bytes: &[u8], expected_serial: Option<u64>) -> LedgerResult<RunMeta> {
-    if bytes.len() < HEADER_LEN {
-        return Err(LedgerError::Truncated);
-    }
-    let header = &bytes[..HEADER_LEN];
-    if header[..8] != MAGIC {
-        return Err(LedgerError::BadMagic);
-    }
-    if !arest_wire::checksum::verify(header) {
-        return Err(LedgerError::HeaderChecksum);
-    }
-    let version = u16::from_be_bytes([header[8], header[9]]);
-    if version != VERSION {
-        return Err(LedgerError::BadVersion(version));
-    }
-    let meta = RunMeta {
-        serial: be_u64(&header[12..20]),
-        committed_unix: be_u64(&header[20..28]),
-        config_digest: be_u64(&header[28..36]),
-        catalog_digest: be_u64(&header[36..44]),
-        payload_len: be_u64(&header[44..52]),
-        payload_digest: be_u64(&header[52..60]),
-    };
-    if let Some(file) = expected_serial {
-        if file != meta.serial {
-            return Err(LedgerError::SerialMismatch { file, header: meta.serial });
-        }
-    }
-    Ok(meta)
+    FRAME.header(bytes, expected_serial).map(RunMeta::from_fields)
+}
+
+/// [`decode_header`] plus the check that the payload is exactly as
+/// long as the header claims; the payload itself is not read.
+pub(crate) fn decode_sized_header(
+    bytes: &[u8],
+    expected_serial: Option<u64>,
+) -> LedgerResult<RunMeta> {
+    FRAME.sized(bytes, expected_serial).map(|(fields, _)| RunMeta::from_fields(fields))
 }
 
 /// Decodes a complete snapshot file, verifying the header checksum,
@@ -117,26 +109,15 @@ pub fn decode_file(
     bytes: &[u8],
     expected_serial: Option<u64>,
 ) -> LedgerResult<(RunMeta, RunSnapshot)> {
-    let meta = decode_header(bytes, expected_serial)?;
-    let payload = &bytes[HEADER_LEN..];
-    let claimed =
-        usize::try_from(meta.payload_len).map_err(|_| LedgerError::Malformed("payload length"))?;
-    if payload.len() < claimed {
-        return Err(LedgerError::Truncated);
-    }
-    if payload.len() > claimed {
-        return Err(LedgerError::Malformed("trailing bytes after the payload"));
-    }
-    if fnv64(payload) != meta.payload_digest {
-        return Err(LedgerError::PayloadDigest);
-    }
-    let snapshot = decode_payload(payload)?;
-    Ok((meta, snapshot))
+    let (fields, payload) = FRAME.open(bytes, expected_serial)?;
+    Ok((RunMeta::from_fields(fields), decode_payload(payload)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::fnv64;
+    use crate::error::LedgerError;
     use crate::snapshot::tests::sample;
 
     fn meta() -> RunMeta {

@@ -18,7 +18,7 @@
 use crate::aux::{decode_aux_file, encode_aux_file, AuxRecord};
 use crate::delta::{self, DetectionDelta};
 use crate::error::{LedgerError, LedgerResult};
-use crate::file::{decode_file, decode_header, encode_file, RunMeta, HEADER_LEN};
+use crate::file::{decode_file, decode_sized_header, seal_file, RunMeta};
 use crate::obs::{record_us, METRICS, TRACER};
 use crate::snapshot::RunSnapshot;
 use std::path::{Path, PathBuf};
@@ -73,6 +73,30 @@ fn serial_of(path: &Path) -> Option<u64> {
         return None;
     }
     serial.parse().ok()
+}
+
+/// Reads a whole ledger file; `Ok(None)` when it does not exist.
+fn read(path: &Path) -> LedgerResult<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(LedgerError::Io(e)),
+    }
+}
+
+/// Writes `bytes` to `path` through `.<name>.tmp` in the same
+/// directory and an atomic rename. A failure counts on
+/// `ledger.errors` and leaves no temporary behind.
+fn write_atomic(path: &Path, bytes: &[u8]) -> LedgerResult<()> {
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(path.file_name().expect("ledger paths name a file"));
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).map_err(|e| {
+        METRICS.errors.inc();
+        let _ = std::fs::remove_file(&tmp);
+        LedgerError::Io(e)
+    })
 }
 
 impl Ledger {
@@ -131,23 +155,14 @@ impl Ledger {
             committed_unix: options.committed_unix,
             config_digest: options.config_digest,
             catalog_digest: options.catalog_digest,
-            payload_len: 0,    // stamped by encode_file
-            payload_digest: 0, // stamped by encode_file
+            payload_len: 0,    // stamped by seal_file
+            payload_digest: 0, // stamped by seal_file
         };
         let encode_started = Instant::now();
-        let bytes = encode_file(snapshot, &meta);
+        let (bytes, payload_digest) = seal_file(snapshot, &meta);
         record_us(&METRICS.encode_us, encode_started.elapsed());
-        let payload_digest = decode_header(&bytes, Some(serial))?.payload_digest;
         let path = self.path_of(serial);
-        let tmp = self.dir.join(format!(".run-{serial}.arest.tmp"));
-        let write = std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(LedgerError::Io);
-        if let Err(e) = write {
-            METRICS.errors.inc();
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
+        write_atomic(&path, &bytes)?;
         METRICS.commits.inc();
         METRICS.snapshot_bytes.record(bytes.len() as u64);
         record_us(&METRICS.commit_us, started.elapsed());
@@ -173,17 +188,7 @@ impl Ledger {
         aux: &AuxRecord,
     ) -> LedgerResult<CommitReceipt> {
         let receipt = self.commit(snapshot, options)?;
-        let bytes = encode_aux_file(aux, receipt.serial);
-        let path = self.aux_path(receipt.serial);
-        let tmp = self.dir.join(format!(".run-{}.arest.aux.tmp", receipt.serial));
-        let write = std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(LedgerError::Io);
-        if let Err(e) = write {
-            METRICS.errors.inc();
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
+        write_atomic(&self.aux_path(receipt.serial), &encode_aux_file(aux, receipt.serial))?;
         Ok(receipt)
     }
 
@@ -191,30 +196,17 @@ impl Ledger {
     /// `Ok(None)` means the serial was committed without one (by an
     /// older writer, or via plain [`Ledger::commit`]).
     pub fn load_aux(&self, serial: u64) -> LedgerResult<Option<AuxRecord>> {
-        let bytes = match std::fs::read(self.aux_path(serial)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(LedgerError::Io(e)),
-        };
-        Ok(Some(decode_aux_file(&bytes, Some(serial))?))
+        read(&self.aux_path(serial))?.map(|bytes| decode_aux_file(&bytes, Some(serial))).transpose()
     }
 
     /// Reads and fully verifies one run (header checksum, serial,
     /// payload digest, payload structure).
     pub fn load(&self, serial: u64) -> LedgerResult<StoredRun> {
         let started = Instant::now();
-        let path = self.path_of(serial);
-        let result = (|| {
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(LedgerError::UnknownSerial(serial));
-                }
-                Err(e) => return Err(LedgerError::Io(e)),
-            };
+        let result = self.read_run(serial).and_then(|bytes| {
             let (meta, snapshot) = decode_file(&bytes, Some(serial))?;
             Ok(StoredRun { meta, snapshot })
-        })();
+        });
         match &result {
             Ok(_) => {
                 METRICS.loads.inc();
@@ -230,24 +222,12 @@ impl Ledger {
     /// still checked against the file size, so a truncated file
     /// surfaces here too.
     pub fn meta(&self, serial: u64) -> LedgerResult<RunMeta> {
-        let path = self.path_of(serial);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(LedgerError::UnknownSerial(serial));
-            }
-            Err(e) => return Err(LedgerError::Io(e)),
-        };
-        let meta = decode_header(&bytes, Some(serial))?;
-        let claimed = usize::try_from(meta.payload_len)
-            .map_err(|_| LedgerError::Malformed("payload length"))?;
-        match (bytes.len() - HEADER_LEN).cmp(&claimed) {
-            std::cmp::Ordering::Less => Err(LedgerError::Truncated),
-            std::cmp::Ordering::Greater => {
-                Err(LedgerError::Malformed("trailing bytes after the payload"))
-            }
-            std::cmp::Ordering::Equal => Ok(meta),
-        }
+        decode_sized_header(&self.read_run(serial)?, Some(serial))
+    }
+
+    /// The bytes of one serial's run file.
+    fn read_run(&self, serial: u64) -> LedgerResult<Vec<u8>> {
+        read(&self.path_of(serial))?.ok_or(LedgerError::UnknownSerial(serial))
     }
 
     /// Loads runs `a` and `b` and computes the announce/withdraw

@@ -42,6 +42,7 @@ pub mod delta;
 pub mod digest;
 pub mod error;
 pub mod file;
+mod frame;
 #[allow(clippy::module_inception)]
 mod ledger;
 mod obs;

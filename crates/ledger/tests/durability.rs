@@ -8,11 +8,12 @@
 //! matrix against a real encoded file, then property-test the
 //! encode/decode round trip over randomized snapshots.
 
+use arest_ledger::aux::encode_aux_file;
 use arest_ledger::file::{decode_file, decode_header, encode_file};
 use arest_ledger::snapshot::{
     AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
 };
-use arest_ledger::{CommitOptions, Ledger, LedgerError, RunMeta, HEADER_LEN};
+use arest_ledger::{fnv64, AuxRecord, CommitOptions, Ledger, LedgerError, RunMeta, HEADER_LEN};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -131,6 +132,13 @@ fn generated_snapshot(seed: u64) -> RunSnapshot {
     RunSnapshot { ases, addrs, totals }
 }
 
+/// FNV-1a 64 over the whole encoded sample run file.
+const PINNED_RUN_FNV: u64 = 0xb4a1_ca99_bb75_7828;
+/// Its payload length, so a size drift reads as such.
+const PINNED_RUN_PAYLOAD_LEN: usize = 57;
+/// FNV-1a 64 over the whole encoded sample sidecar (serial 3).
+const PINNED_AUX_FNV: u64 = 0xbbed_869d_9880_f16d;
+
 fn encoded_sample() -> Vec<u8> {
     let meta = RunMeta {
         serial: 3,
@@ -141,6 +149,31 @@ fn encoded_sample() -> Vec<u8> {
         payload_digest: 0,
     };
     encode_file(&generated_snapshot(42), &meta)
+}
+
+/// A sidecar with every list non-empty and both cache TTL shapes.
+fn sample_aux() -> AuxRecord {
+    AuxRecord {
+        base_serial: Some(2),
+        carried: vec![64_500, 64_502],
+        raw_traces: vec![(64_500, 17), (64_501, 0), (64_502, 300)],
+        cache: vec![
+            (Ipv4Addr::new(10, 0, 0, 1), Some(255)),
+            (Ipv4Addr::new(10, 0, 0, 2), None),
+            (Ipv4Addr::new(10, 3, 1, 1), Some(64)),
+        ],
+    }
+}
+
+/// The full bytes of both file kinds, header included, are pinned:
+/// the payload digest alone would let a header layout drift unseen.
+#[test]
+fn file_bytes_are_pinned() {
+    let run = encoded_sample();
+    assert_eq!(run.len() - HEADER_LEN, PINNED_RUN_PAYLOAD_LEN);
+    assert_eq!(fnv64(&run), PINNED_RUN_FNV, "run file fnv64 {:#018x}", fnv64(&run));
+    let aux = encode_aux_file(&sample_aux(), 3);
+    assert_eq!(fnv64(&aux), PINNED_AUX_FNV, "sidecar fnv64 {:#018x}", fnv64(&aux));
 }
 
 #[test]

@@ -8,8 +8,9 @@
 
 use crate::json::Json;
 use crate::store::{totals_json, Store};
+use crate::store_cell::RunOrigin;
 use arest_ledger::snapshot::RunSnapshot;
-use arest_ledger::{AuxRecord, DetectionDelta, RunMeta, StoredRun, HEADER_LEN};
+use arest_ledger::{AuxRecord, DeltaEntry, DetectionDelta, RunMeta, StoredRun, HEADER_LEN};
 use std::sync::Arc;
 
 /// A copy of the snapshot `store` indexes.
@@ -68,11 +69,11 @@ pub fn runs_json(metas: &[RunMeta]) -> Json {
 pub fn run_json(run: &StoredRun, aux: Option<&AuxRecord>) -> Json {
     let t = &run.snapshot.totals;
     let origin = aux.map_or(Json::Null, |aux| {
-        let carried = aux.carried.len() as u64;
+        let origin = RunOrigin::new(aux, &run.snapshot);
         Json::obj(vec![
-            ("base_serial", aux.base_serial.map_or(Json::Null, Json::U64)),
-            ("fresh_ases", Json::U64(t.ases.saturating_sub(carried))),
-            ("carried_ases", Json::U64(carried)),
+            ("base_serial", origin.base_serial.map_or(Json::Null, Json::U64)),
+            ("fresh_ases", Json::U64(origin.fresh)),
+            ("carried_ases", Json::U64(origin.carried)),
         ])
     });
     Json::obj(vec![("meta", meta_json(&run.meta)), ("totals", totals_json(t)), ("origin", origin)])
@@ -85,6 +86,16 @@ fn key_json(key: &arest_ledger::DeltaKey) -> Json {
         ("vp", Json::str(&key.vp)),
         ("dst", Json::str(&key.dst)),
         ("hops", Json::obj(vec![("start", Json::U64(key.start)), ("end", Json::U64(key.end))])),
+    ])
+}
+
+/// One announced or withdrawn detection.
+fn entry_json(entry: &DeltaEntry) -> Json {
+    Json::obj(vec![
+        ("key", key_json(&entry.key)),
+        ("flag", Json::str(&entry.flag)),
+        ("stars", Json::U64(u64::from(entry.stars))),
+        ("label", Json::U64(u64::from(entry.label))),
     ])
 }
 
@@ -103,40 +114,8 @@ pub fn delta_json(delta: &DetectionDelta) -> Json {
                 ("changed", Json::from(delta.changed.len())),
             ]),
         ),
-        (
-            "announced",
-            Json::Arr(
-                delta
-                    .announced
-                    .iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("key", key_json(&e.key)),
-                            ("flag", Json::str(&e.flag)),
-                            ("stars", Json::U64(u64::from(e.stars))),
-                            ("label", Json::U64(u64::from(e.label))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "withdrawn",
-            Json::Arr(
-                delta
-                    .withdrawn
-                    .iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("key", key_json(&e.key)),
-                            ("flag", Json::str(&e.flag)),
-                            ("stars", Json::U64(u64::from(e.stars))),
-                            ("label", Json::U64(u64::from(e.label))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("announced", Json::Arr(delta.announced.iter().map(entry_json).collect())),
+        ("withdrawn", Json::Arr(delta.withdrawn.iter().map(entry_json).collect())),
         (
             "changed",
             Json::Arr(

@@ -36,14 +36,8 @@ pub fn refresh(cell: &StoreCell, ledger: &Ledger) -> LedgerResult<Option<u64>> {
     let run = ledger.load(latest)?;
     // A missing or unreadable sidecar only costs the origin
     // breakdown; the run itself still serves.
-    let origin = ledger.load_aux(latest).ok().flatten().map(|aux| {
-        let carried = aux.carried.len() as u64;
-        RunOrigin {
-            base_serial: aux.base_serial,
-            fresh: (run.snapshot.ases.len() as u64).saturating_sub(carried),
-            carried,
-        }
-    });
+    let origin =
+        ledger.load_aux(latest).ok().flatten().map(|aux| RunOrigin::new(&aux, &run.snapshot));
     let stamp = LedgerStamp {
         serial: run.meta.serial,
         payload_digest: run.meta.payload_digest,

@@ -24,6 +24,8 @@
 
 use crate::store::Store;
 use arest_conc::sync::RwLock;
+use arest_ledger::snapshot::RunSnapshot;
+use arest_ledger::AuxRecord;
 use std::sync::Arc;
 
 /// How a run's per-AS results were obtained, from its carry-forward
@@ -37,6 +39,18 @@ pub struct RunOrigin {
     pub fresh: u64,
     /// ASes carried forward from the base.
     pub carried: u64,
+}
+
+impl RunOrigin {
+    /// The origin `aux` records: every AS not carried was re-probed.
+    pub(crate) fn new(aux: &AuxRecord, snapshot: &RunSnapshot) -> RunOrigin {
+        let carried = aux.carried.len() as u64;
+        RunOrigin {
+            base_serial: aux.base_serial,
+            fresh: snapshot.totals.ases.saturating_sub(carried),
+            carried,
+        }
+    }
 }
 
 /// Where a served store came from in the ledger.

@@ -4,7 +4,7 @@
 use arest_suite::core::flags::Flag;
 use arest_suite::core::metrics::validate;
 use arest_suite::experiments::pipeline::{Dataset, PipelineConfig};
-use arest_suite::experiments::{run_experiment, ALL_EXPERIMENTS};
+use arest_suite::experiments::{run_experiment, EXPERIMENTS};
 use arest_suite::netgen::catalog::by_id;
 use arest_suite::netgen::internet::GenConfig;
 use std::sync::OnceLock;
@@ -115,7 +115,7 @@ fn unconfirmed_detections_are_mostly_lso() {
 #[test]
 fn every_experiment_runs_against_the_dataset() {
     let ds = dataset();
-    for id in ALL_EXPERIMENTS {
+    for (id, _) in EXPERIMENTS {
         let report = run_experiment(id, ds).unwrap_or_else(|| panic!("unknown id {id}"));
         assert!(!report.body.is_empty(), "{id} produced an empty report");
         assert!(report.render().contains(&report.title));
