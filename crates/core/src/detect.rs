@@ -80,19 +80,27 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Stack depth as the detector sees it: everything from the first
-/// RFC 6790 Entropy Label Indicator downward is load-balancing
-/// plumbing, not steering state.
-fn effective_depth(hop: &AugmentedHop, config: &DetectorConfig) -> usize {
+/// Steering stack depth: the hop's quoted stack with everything from
+/// the first RFC 6790 Entropy Label Indicator downward cut off, since
+/// that is load-balancing plumbing, not steering state. 0 when the
+/// hop quoted no stack.
+pub fn steering_depth(hop: &AugmentedHop) -> usize {
     let Some(stack) = &hop.stack else { return 0 };
-    if !config.ignore_entropy_labels {
-        return stack.depth();
-    }
     stack
         .entries()
         .iter()
         .position(|lse| lse.label == Label::ENTROPY_INDICATOR)
         .unwrap_or(stack.depth())
+}
+
+/// Stack depth as the detector sees it: the [`steering_depth`] when
+/// entropy labels are ignored, the raw quoted depth otherwise.
+fn effective_depth(hop: &AugmentedHop, config: &DetectorConfig) -> usize {
+    if config.ignore_entropy_labels {
+        steering_depth(hop)
+    } else {
+        hop.stack.as_ref().map_or(0, |stack| stack.depth())
+    }
 }
 
 /// The evidence chain behind one detection: which hop triggered it,

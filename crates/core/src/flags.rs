@@ -44,18 +44,22 @@ impl Flag {
     pub const fn is_strong(self) -> bool {
         !matches!(self, Flag::Lso)
     }
-}
 
-impl fmt::Display for Flag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The paper's upper-case name ("CVR", "CO", …), as displayed.
+    pub const fn name(self) -> &'static str {
+        match self {
             Flag::Cvr => "CVR",
             Flag::Co => "CO",
             Flag::Lsvr => "LSVR",
             Flag::Lvr => "LVR",
             Flag::Lso => "LSO",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for Flag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -33,8 +33,6 @@
 //!                    fingerprint cache rehydrates from the base's
 //!                    sidecar, and the full merged snapshot commits
 //!                    under the next serial (needs --ledger)
-//!   --ledger-poll-ms <ms>  serve: ledger directory poll interval
-//!                    in milliseconds (default 250)
 //! ```
 //!
 //! With `--ledger <dir>`, every mode that builds a dataset (`all`,
@@ -42,9 +40,9 @@
 //! ledger's next serial. `history` lists the committed runs;
 //! `diff <a> <b>` prints the announce/withdraw delta between two
 //! serials and writes `RUN_REPORT_delta.txt`. A `serve --ledger`
-//! daemon polls the directory (every `--ledger-poll-ms` milliseconds)
-//! and atomically swaps newly committed runs into the serving store —
-//! no restart, no dropped request (`DESIGN.md` §13).
+//! daemon polls the directory every 250 ms and atomically swaps newly
+//! committed runs into the serving store — no restart, no dropped
+//! request (`DESIGN.md` §13).
 //!
 //! With `--reprobe <spec> --base <serial>`, any build mode runs an
 //! **incremental campaign**: only the selected catalog slice is
@@ -110,6 +108,10 @@ macro_rules! note {
 /// The non-experiment words the command line accepts in place of ids.
 const MODES: [&str; 4] = ["all", "serve", "history", "diff"];
 
+/// How often a `serve --ledger` daemon polls the ledger directory for
+/// newly committed serials.
+const LEDGER_POLL: std::time::Duration = std::time::Duration::from_millis(250);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -120,7 +122,6 @@ fn main() {
     let mut stream = false;
     let mut listen = String::from("127.0.0.1:8080");
     let mut ledger_dir: Option<String> = None;
-    let mut ledger_poll_ms = 250u64;
 
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -145,7 +146,6 @@ fn main() {
             "--ledger" => {
                 ledger_dir = Some(iter.next().unwrap_or_else(|| usage("--ledger needs a dir")));
             }
-            "--ledger-poll-ms" => ledger_poll_ms = expect_value(&mut iter, "--ledger-poll-ms"),
             "--out" => out_dir = Some(iter.next().unwrap_or_else(|| usage("--out needs a dir"))),
             "--obs" => arest_obs::global().set_enabled(true),
             "--trace-out" => {
@@ -196,7 +196,7 @@ fn main() {
         return;
     }
     if ids.iter().any(|i| i == "serve") {
-        serve(config, &listen, ledger_dir.as_deref(), ledger_poll_ms);
+        serve(config, &listen, ledger_dir.as_deref());
         write_run_report(out_dir.as_deref());
         return;
     }
@@ -415,9 +415,9 @@ fn diff_runs(dir: &str, a: u64, b: u64, out_dir: Option<&str>) {
 /// graceful shutdown (in-flight requests complete, then this
 /// returns). With `--ledger <dir>`, the completed build is committed
 /// to the ledger first, and a watcher thread polls the directory
-/// every `poll_ms` milliseconds (`--ledger-poll-ms`) for newer
-/// serials, atomically swapping each into the serving store.
-fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms: u64) {
+/// every [`LEDGER_POLL`] for newer serials, atomically swapping each
+/// into the serving store.
+fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>) {
     // Live request counters on /metrics, whatever AREST_OBS says.
     let registry = arest_obs::global();
     registry.set_enabled(true);
@@ -464,12 +464,7 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
         }
         arest_conc::thread::scope(|s| {
             let watcher = s.spawn(|| {
-                arest_serve::ledger_watch::watch(
-                    &cell,
-                    ledger,
-                    std::time::Duration::from_millis(poll_ms),
-                    &ctrlc::interrupted,
-                );
+                arest_serve::ledger_watch::watch(&cell, ledger, LEDGER_POLL, &ctrlc::interrupted);
             });
             server.run_until(&ctrlc::interrupted);
             watcher.join().expect("ledger watcher thread");
@@ -567,12 +562,6 @@ fn pipeline_config(quick: bool, options: &[(String, String)]) -> PipelineConfig 
     config
 }
 
-fn expect_value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    iter.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a numeric value")))
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         note!("error: {err}\n");
@@ -581,7 +570,7 @@ fn usage(err: &str) -> ! {
         "usage: arest-experiments [--quick] [--scale F] [--vps N] [--targets N] [--seed N] \
          [--workers N] [--catalog-scale N] [--stream] [--out DIR] [--obs] \
          [--trace-out DIR] [--listen A:P] [--ledger DIR] [--reprobe SLICE] \
-         [--base SERIAL] [--ledger-poll-ms N] <ids…|all|serve|history|diff A B>\n\
+         [--base SERIAL] <ids…|all|serve|history|diff A B>\n\
          slice specs: all, N% (first N percent of the catalog), N (first N ASes), asN\n\
          experiments: {}",
         EXPERIMENTS.map(|(id, _)| id).join(", ")

@@ -17,11 +17,12 @@
 //! ```
 
 use arest_core::detect::{detect_segments, DetectorConfig};
-use arest_core::model::{AugmentedHop, AugmentedTrace};
+use arest_experiments::pipeline::augment;
 use arest_netgen::internet::{generate, GenConfig};
 use arest_tnt::multipath::{multipath_trace, MdaConfig};
 use arest_tnt::reveal::trace_with_revelation;
 use arest_tnt::tracer::{trace_route, TraceConfig};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 fn main() {
@@ -111,22 +112,7 @@ fn main() {
             println!("  {:>2}  {addr:<16}{notes}", hop.ttl);
         }
 
-        let augmented = AugmentedTrace::new(
-            trace.vp.clone(),
-            trace.dst,
-            trace
-                .hops
-                .iter()
-                .map(|h| AugmentedHop {
-                    addr: h.addr,
-                    stack: h.stack.clone(),
-                    evidence: None,
-                    revealed: h.revealed,
-                    quoted_ip_ttl: h.quoted_ip_ttl,
-                    is_destination: h.is_destination,
-                })
-                .collect(),
-        );
+        let augmented = augment(&trace, &HashMap::new());
         let segments = detect_segments(&augmented, &DetectorConfig::default());
         if segments.is_empty() {
             println!("  AReST: no SR-MPLS signals\n");

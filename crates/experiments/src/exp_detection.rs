@@ -3,23 +3,10 @@
 
 use crate::pipeline::Dataset;
 use crate::render::{pct, Report, Table};
+use arest_core::detect::steering_depth;
 use arest_core::flags::Flag;
-use arest_core::model::AugmentedHop;
 use arest_netgen::catalog::{by_id, Confirmation};
-use arest_wire::mpls::Label;
 use core::fmt::Write as _;
-
-/// Stack depth with RFC 6790 entropy pairs excluded — the same
-/// refinement the detector applies, so Fig. 9 measures steering
-/// stacks, not load-balancing plumbing.
-fn steering_depth(hop: &AugmentedHop) -> usize {
-    let Some(stack) = &hop.stack else { return 0 };
-    stack
-        .entries()
-        .iter()
-        .position(|lse| lse.label == Label::ENTROPY_INDICATOR)
-        .unwrap_or(stack.depth())
-}
 
 fn confirmation_tag(id: u8) -> &'static str {
     match by_id(id).map(|e| e.confirmation) {
@@ -89,7 +76,8 @@ pub fn fig08_flags_per_as(dataset: &Dataset) -> Report {
 }
 
 /// Fig. 9 — LSE stack-size distributions: strong-SR contexts versus
-/// traditional-MPLS / LSO contexts.
+/// traditional-MPLS / LSO contexts. Depths are the detector's
+/// [`steering_depth`], so RFC 6790 entropy pairs do not count.
 pub fn fig09_stack_sizes(dataset: &Dataset) -> Report {
     // Per AS: depth histograms in the two contexts.
     let mut table = Table::new(["AS", "src", "SR hops", "SR >=2", "trad hops", "trad >=2"]);

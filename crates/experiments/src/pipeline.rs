@@ -298,6 +298,21 @@ pub struct AsResult {
 }
 
 impl AsResult {
+    /// The shell of one AS's result, before any traces land: no
+    /// traces, no segments, no discovered addresses.
+    pub(crate) fn empty(id: u8, asn: AsNumber, targets_probed: usize) -> AsResult {
+        AsResult {
+            id,
+            asn,
+            targets_probed,
+            raw_traces: 0,
+            restricted: Vec::new(),
+            augmented: Vec::new(),
+            segments: Vec::new(),
+            discovered: HashSet::new(),
+        }
+    }
+
     /// All `(trace, segments)` pairs, borrowed — the shape
     /// `arest_core::metrics::validate` consumes. Nothing is cloned.
     pub fn detections(&self) -> impl Iterator<Item = (&AugmentedTrace, &[DetectedSegment])> {
@@ -653,7 +668,11 @@ impl StreamEngine<'_> {
 
         // Annotate/restrict/detect, trace by trace.
         let detect_started = Instant::now();
-        let mut result = self.empty_result(as_idx);
+        let mut result = AsResult::empty(
+            self.plan_ids[as_idx],
+            self.plan_asns[as_idx],
+            self.target_lists[as_idx].len(),
+        );
         result.raw_traces = raw_count;
         let mut per_vp: HashMap<Arc<str>, HashSet<Ipv4Addr>> = HashMap::new();
         for trace in raw {
@@ -699,20 +718,6 @@ impl StreamEngine<'_> {
             for unit in self.admit(self.selected[next]) {
                 injector.push(unit);
             }
-        }
-    }
-
-    /// An [`AsResult`] shell for `as_idx`, before any traces land.
-    fn empty_result(&self, as_idx: usize) -> AsResult {
-        AsResult {
-            id: self.plan_ids[as_idx],
-            asn: self.plan_asns[as_idx],
-            targets_probed: self.target_lists[as_idx].len(),
-            raw_traces: 0,
-            restricted: Vec::new(),
-            augmented: Vec::new(),
-            segments: Vec::new(),
-            discovered: HashSet::new(),
         }
     }
 
@@ -917,16 +922,7 @@ impl Dataset {
                 // result keeps the catalog shape (one entry per AS).
                 assert!(!probed, "every admitted AS streams exactly one result");
                 let plan = &internet.plans[as_idx];
-                results.push(AsResult {
-                    id: plan.entry.id,
-                    asn: plan.asn,
-                    targets_probed: 0,
-                    raw_traces: 0,
-                    restricted: Vec::new(),
-                    augmented: Vec::new(),
-                    segments: Vec::new(),
-                    discovered: HashSet::new(),
-                });
+                results.push(AsResult::empty(plan.entry.id, plan.asn, 0));
                 continue;
             };
             raw_trace_count += item.raw_traces;

@@ -20,8 +20,7 @@ pub fn to_text(dataset: &Dataset) -> String {
     let _ = writeln!(out, "RUN_REPORT_provenance: per-detection evidence chains");
     let _ = writeln!(out, "{}", "=".repeat(52));
 
-    let mut per_flag: [(Flag, u64); 5] =
-        [(Flag::Cvr, 0), (Flag::Co, 0), (Flag::Lsvr, 0), (Flag::Lvr, 0), (Flag::Lso, 0)];
+    let mut per_flag: [(Flag, u64); 5] = Flag::ALL.map(|flag| (flag, 0));
     let mut total = 0u64;
     for result in &dataset.results {
         let detections = result.all_segments().count();

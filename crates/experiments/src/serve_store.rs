@@ -35,7 +35,7 @@ fn as_record(dataset: &Dataset, result: &AsResult) -> AsRecord {
     let profile = arest_netgen::catalog::by_id(result.id);
     let mut flags = FlagTotals::default();
     for segment in result.all_segments() {
-        flags.add(&segment.flag.to_string());
+        flags.add(segment.flag.name());
     }
     let fingerprinted =
         result.discovered.iter().filter(|addr| dataset.fingerprints.contains_key(addr)).count();
@@ -80,7 +80,7 @@ fn attach_detections(result: &AsResult, entries: &mut BTreeMap<Ipv4Addr, AddrEnt
                 vp: Arc::clone(&trace.vp),
                 dst: trace.dst.to_string().into(),
                 flag: Arc::clone(
-                    flags.entry(segment.flag).or_insert_with(|| segment.flag.to_string().into()),
+                    flags.entry(segment.flag).or_insert_with(|| segment.flag.name().into()),
                 ),
                 stars: segment.flag.signal_strength(),
                 start: segment.start as u64,

@@ -9,18 +9,8 @@
 use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload};
 use arest_simnet::Network;
 use arest_topo::ids::RouterId;
+use arest_wire::ipv4::initial_ttl_guess;
 use std::net::Ipv4Addr;
-
-/// Infers the initial TTL a reply started from (64, 128, or 255).
-pub fn initial_ttl_guess(observed: u8) -> u8 {
-    if observed <= 64 {
-        64
-    } else if observed <= 128 {
-        128
-    } else {
-        255
-    }
-}
 
 /// A `(echo-reply initial TTL, time-exceeded initial TTL)` signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -93,13 +93,17 @@ pub fn decode_header(bytes: &[u8], expected_serial: Option<u64>) -> LedgerResult
     FRAME.header(bytes, expected_serial).map(RunMeta::from_fields)
 }
 
-/// [`decode_header`] plus the check that the payload is exactly as
-/// long as the header claims; the payload itself is not read.
+/// [`decode_header`] over a run file's leading bytes, plus the check
+/// that a file of `file_len` bytes holds exactly the payload the
+/// header claims; the payload itself is not read.
 pub(crate) fn decode_sized_header(
-    bytes: &[u8],
+    header: &[u8],
+    file_len: u64,
     expected_serial: Option<u64>,
 ) -> LedgerResult<RunMeta> {
-    FRAME.sized(bytes, expected_serial).map(|(fields, _)| RunMeta::from_fields(fields))
+    let fields = FRAME.header(header, expected_serial)?;
+    FRAME.check_len(&fields, file_len.saturating_sub(HEADER_LEN as u64))?;
+    Ok(RunMeta::from_fields(fields))
 }
 
 /// Decodes a complete snapshot file, verifying the header checksum,

@@ -76,19 +76,13 @@ impl<const FIELDS: usize> Frame<FIELDS> {
         }
     }
 
-    /// [`Frame::header`] plus the payload, whose length must match
-    /// the header's exactly; its digest is not checked.
-    pub(crate) fn sized<'a>(
-        &self,
-        bytes: &'a [u8],
-        expected_serial: Option<u64>,
-    ) -> LedgerResult<([u64; FIELDS], &'a [u8])> {
-        let fields = self.header(bytes, expected_serial)?;
-        let payload = &bytes[self.header_len()..];
-        match (payload.len() as u64).cmp(&fields[FIELDS - 2]) {
+    /// The length rule: the payload after the header must be exactly
+    /// as long as the header's length field says.
+    pub(crate) fn check_len(&self, fields: &[u64; FIELDS], payload_len: u64) -> LedgerResult<()> {
+        match payload_len.cmp(&fields[FIELDS - 2]) {
             std::cmp::Ordering::Less => Err(LedgerError::Truncated),
             std::cmp::Ordering::Greater => Err(LedgerError::Malformed(self.trailing)),
-            std::cmp::Ordering::Equal => Ok((fields, payload)),
+            std::cmp::Ordering::Equal => Ok(()),
         }
     }
 
@@ -98,7 +92,9 @@ impl<const FIELDS: usize> Frame<FIELDS> {
         bytes: &'a [u8],
         expected_serial: Option<u64>,
     ) -> LedgerResult<([u64; FIELDS], &'a [u8])> {
-        let (fields, payload) = self.sized(bytes, expected_serial)?;
+        let fields = self.header(bytes, expected_serial)?;
+        let payload = &bytes[self.header_len()..];
+        self.check_len(&fields, payload.len() as u64)?;
         if fnv64(payload) != fields[FIELDS - 1] {
             return Err(LedgerError::PayloadDigest);
         }

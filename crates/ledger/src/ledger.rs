@@ -18,9 +18,11 @@
 use crate::aux::{decode_aux_file, encode_aux_file, AuxRecord};
 use crate::delta::{self, DetectionDelta};
 use crate::error::{LedgerError, LedgerResult};
-use crate::file::{decode_file, decode_sized_header, seal_file, RunMeta};
+use crate::file::{decode_file, decode_sized_header, seal_file, RunMeta, HEADER_LEN};
 use crate::obs::{record_us, METRICS, TRACER};
 use crate::snapshot::RunSnapshot;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -75,13 +77,23 @@ fn serial_of(path: &Path) -> Option<u64> {
     serial.parse().ok()
 }
 
-/// Reads a whole ledger file; `Ok(None)` when it does not exist.
-fn read(path: &Path) -> LedgerResult<Option<Vec<u8>>> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
+/// Opens a ledger file for reading; `Ok(None)` when it does not exist.
+fn open_file(path: &Path) -> LedgerResult<Option<File>> {
+    match File::open(path) {
+        Ok(file) => Ok(Some(file)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(LedgerError::Io(e)),
     }
+}
+
+/// Reads a whole ledger file; `Ok(None)` when it does not exist.
+fn read(path: &Path) -> LedgerResult<Option<Vec<u8>>> {
+    let Some(mut file) = open_file(path)? else {
+        return Ok(None);
+    };
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(Some(bytes))
 }
 
 /// Writes `bytes` to `path` through `.<name>.tmp` in the same
@@ -218,11 +230,15 @@ impl Ledger {
     }
 
     /// Reads and verifies one run's header only — enough for run
-    /// listings without decoding the payload. The payload length is
-    /// still checked against the file size, so a truncated file
-    /// surfaces here too.
+    /// listings without reading the payload. The header's payload
+    /// length is still checked against the file size, so a truncated
+    /// file surfaces here too.
     pub fn meta(&self, serial: u64) -> LedgerResult<RunMeta> {
-        decode_sized_header(&self.read_run(serial)?, Some(serial))
+        let file = open_file(&self.path_of(serial))?.ok_or(LedgerError::UnknownSerial(serial))?;
+        let file_len = file.metadata()?.len();
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        file.take(HEADER_LEN as u64).read_to_end(&mut header)?;
+        decode_sized_header(&header, file_len, Some(serial))
     }
 
     /// The bytes of one serial's run file.

@@ -244,6 +244,52 @@ fn serial_regression_via_rename_is_typed() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// `Ledger::meta` verifies only the header and the file's length, yet
+/// over the truncation, trailing-byte and header bit-flip matrix it
+/// returns the same typed error as a full load. A corrupt payload is
+/// a full load's finding alone: `meta` still reads `Ok`.
+#[test]
+fn meta_matches_a_full_load_on_header_and_length_faults() {
+    let dir = scratch_dir("meta");
+    let ledger = Ledger::open(&dir).expect("open");
+    let bytes = encoded_sample();
+    let meta_of = |file: &[u8]| {
+        std::fs::write(ledger.path_of(3), file).expect("write run file");
+        ledger.meta(3)
+    };
+    let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|len| bytes[..len].to_vec()).collect();
+    for extra in [1, 2, 9] {
+        let mut longer = bytes.clone();
+        longer.resize(bytes.len() + extra, 0);
+        cases.push(longer);
+    }
+    for i in 0..HEADER_LEN {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << bit;
+            cases.push(flipped);
+        }
+    }
+    for case in &cases {
+        let full = decode_file(case, Some(3)).expect_err("a faulty file must not decode");
+        let header_only = meta_of(case).expect_err("meta must reject it too");
+        assert_eq!(
+            format!("{header_only:?}"),
+            format!("{full:?}"),
+            "meta and a full load disagree on a {}-byte file",
+            case.len()
+        );
+    }
+
+    let expected = decode_file(&bytes, Some(3)).expect("untouched file decodes").0;
+    assert_eq!(meta_of(&bytes).expect("untouched file"), expected);
+    let mut corrupt = bytes.clone();
+    *corrupt.last_mut().expect("non-empty payload") ^= 0x40;
+    assert!(matches!(decode_file(&corrupt, Some(3)), Err(LedgerError::PayloadDigest)));
+    assert_eq!(meta_of(&corrupt).expect("payload bytes are not read"), expected);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("arest-ledger-durability-{tag}-{}", std::process::id()));

@@ -18,7 +18,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::tracing::SpanRecord;
+use crate::tracing::{FieldValue, SpanRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -41,14 +41,12 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n{\"name\":");
+        write_json_string(&mut out, record.name);
         let _ = write!(
             out,
-            "\n{{\"name\":{},\"cat\":\"arest\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{}",
-            json_string(record.name),
-            record.start_us,
-            record.duration_us,
-            lanes[&record.tid],
+            ",\"cat\":\"arest\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
+            record.start_us, record.duration_us, lanes[&record.tid],
         );
         out.push_str(",\"args\":{");
         let _ = write!(out, "\"span_id\":{},\"parent_id\":{}", record.id, record.parent);
@@ -59,7 +57,15 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
             let n = seen.entry(key).or_insert(0);
             *n += 1;
             let unique = if *n == 1 { (*key).to_string() } else { format!("{key}#{n}") };
-            let _ = write!(out, ",{}:{}", json_string(&unique), json_field(value));
+            out.push(',');
+            write_json_string(&mut out, &unique);
+            out.push(':');
+            match value {
+                FieldValue::Str(v) => write_json_string(&mut out, v),
+                number_or_bool => {
+                    let _ = write!(out, "{number_or_bool}");
+                }
+            }
         }
         out.push_str("}}");
     }
@@ -67,19 +73,12 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
     out
 }
 
-fn json_field(value: &crate::tracing::FieldValue) -> String {
-    use crate::tracing::FieldValue;
-    match value {
-        FieldValue::U64(v) => v.to_string(),
-        FieldValue::I64(v) => v.to_string(),
-        FieldValue::Bool(v) => v.to_string(),
-        FieldValue::Str(v) => json_string(v),
-    }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a JSON string literal, with RFC 8259
+/// escaping: the two mandatory escapes, the common control-character
+/// shorthands, and `\u00XX` for the rest of C0. The one escaping
+/// routine of the suite: the trace exporter and the HTTP API's JSON
+/// encoder both write strings through it.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -95,7 +94,6 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Renders finished spans as collapsed flamegraph stacks: one
@@ -269,6 +267,33 @@ mod tests {
         assert!(json.contains("\"workers\":2"));
         assert!(json.contains("\\\"quoted\\\"\\n"), "escaped: {json}");
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+    }
+
+    fn quoted(s: &str) -> String {
+        let mut out = String::new();
+        write_json_string(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(quoted("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(quoted("x\ny\tz"), r#""x\ny\tz""#);
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quoted("Cisco|Huawei"), "\"Cisco|Huawei\"");
+    }
+
+    #[test]
+    fn span_fields_escape_like_json_strings() {
+        let registry = Registry::new();
+        let tracer = registry.tracer();
+        let value = "q\"b\\n\nc\u{1}";
+        let mut span = tracer.span("escape");
+        span.record("value", value);
+        drop(span);
+        let json = to_chrome_trace(&tracer.take_records());
+        assert_eq!(quoted(value), r#""q\"b\\n\nc\u0001""#);
+        assert!(json.contains(&format!("\"value\":{}", quoted(value))), "{json}");
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod snapshot;
 mod timer;
 mod tracing;
 
-pub use export::{to_chrome_trace, to_flamegraph, SpanNode, SpanTree};
+pub use export::{to_chrome_trace, to_flamegraph, write_json_string, SpanNode, SpanTree};
 pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{env_enabled, global, Registry};
 pub use snapshot::{HistogramSnapshot, Snapshot};

@@ -2,13 +2,16 @@
 //!
 //! The suite's artifact writers hand-roll their JSON inline (the
 //! trace exporter); an HTTP API needs the opposite discipline — one
-//! encoder, one escaping routine, one layout — so that `docs/API.md`
-//! can quote bodies verbatim and a test can assert them byte-for-byte.
+//! encoder, one layout — so that `docs/API.md` can quote bodies
+//! verbatim and a test can assert them byte-for-byte. Strings escape
+//! through [`arest_obs::write_json_string`], the routine the trace
+//! exporter uses too.
 //! The encoder is deliberately small: objects are ordered pairs
 //! (insertion order is rendering order), numbers are integers (the API
 //! serves counts, never floats), and rendering is pretty-printed with
 //! two-space indents so the documented examples read as a manual.
 
+use arest_obs::write_json_string;
 use std::fmt::Write as _;
 
 /// A JSON value tree.
@@ -68,7 +71,7 @@ impl Json {
             Json::I64(n) => {
                 let _ = write!(out, "{n}");
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -93,7 +96,7 @@ impl Json {
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     push_indent(out, indent + 1);
-                    write_escaped(out, key);
+                    write_json_string(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                 }
@@ -129,26 +132,6 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-/// RFC 8259 string escaping: the two mandatory escapes, the common
-/// control-character shorthands, and `\u00XX` for the rest of C0.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,14 +143,6 @@ mod tests {
         assert_eq!(Json::U64(42).render(), "42");
         assert_eq!(Json::I64(-7).render(), "-7");
         assert_eq!(Json::str("hi").render(), "\"hi\"");
-    }
-
-    #[test]
-    fn strings_escape_quotes_backslashes_and_controls() {
-        assert_eq!(Json::str("a\"b\\c").render(), r#""a\"b\\c""#);
-        assert_eq!(Json::str("x\ny\tz").render(), r#""x\ny\tz""#);
-        assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"");
-        assert_eq!(Json::str("Cisco|Huawei").render(), "\"Cisco|Huawei\"");
     }
 
     #[test]

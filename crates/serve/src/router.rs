@@ -25,23 +25,6 @@ pub enum Route {
     Status,
 }
 
-impl Route {
-    /// The metric label for this route (`serve.http.requests.<label>`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Route::Summary => "summary",
-            Route::As(_) => "as",
-            Route::Addr(_) => "addr",
-            Route::Runs => "runs",
-            Route::Run(_) => "run",
-            Route::Diff(..) => "diff",
-            Route::Metrics => "metrics",
-            Route::Status => "status",
-        }
-    }
-}
-
 /// Why a target did not map to a route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {

@@ -47,8 +47,10 @@ const SHUTDOWN_GRACE_POLLS: u32 = 20;
 /// lands on the shared `other` counter.
 const TRACKED_STATUSES: [u16; 7] = [200, 400, 404, 405, 414, 422, 431];
 
-/// Endpoint labels, indexable by [`endpoint_index`]. `other` covers
-/// requests that never resolved to a route (404s, parse errors).
+/// Each route's metric label (`serve.http.requests.<label>`,
+/// `serve.http.latency.us.<label>`), indexable by [`endpoint_index`].
+/// `other` covers requests that never resolved to a route (404s,
+/// parse errors).
 const ENDPOINTS: [&str; 9] =
     ["summary", "as", "addr", "runs", "run", "diff", "metrics", "status", "other"];
 

@@ -32,20 +32,12 @@ pub struct VantagePoint {
     pub gateway: RouterId,
 }
 
-/// Campaign configuration.
-#[derive(Debug, Clone, Copy)]
+/// Campaign configuration. Every campaign trace runs TNT revelation,
+/// the paper's setting.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CampaignConfig {
     /// Per-trace configuration.
     pub trace: TraceConfig,
-    /// Whether to run TNT revelation on every trace (the paper's
-    /// setting) or plain Paris traceroute.
-    pub reveal: bool,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig { trace: TraceConfig::default(), reveal: true }
-    }
 }
 
 /// One `(AS, VP)` work unit: a vantage point traces one AS's target
@@ -66,11 +58,8 @@ fn trace_unit(
         .into_iter()
         .map(|dst| {
             let mut span = unit_span.child("tnt.trace");
-            let mut trace = if config.reveal {
-                trace_with_revelation(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace)
-            } else {
-                crate::tracer::trace_route(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace)
-            };
+            let mut trace =
+                trace_with_revelation(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace);
             span.record("dst", dst);
             span.record("hops", trace.hops.len());
             span.record("reached", trace.reached);

@@ -21,19 +21,9 @@ use crate::trace::{Hop, Trace};
 use crate::tracer::{trace_route, TraceConfig};
 use arest_simnet::Network;
 use arest_topo::ids::RouterId;
+use arest_wire::ipv4::initial_ttl_guess;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
-
-/// Infers the initial TTL a reply started from (64, 128, or 255).
-pub fn initial_ttl_guess(observed: u8) -> u8 {
-    if observed <= 64 {
-        64
-    } else if observed <= 128 {
-        128
-    } else {
-        255
-    }
-}
 
 /// Estimated return-path length from a reply TTL.
 pub fn return_path_len(reply_ttl: u8) -> u8 {
@@ -133,15 +123,6 @@ pub fn trace_with_revelation(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn initial_ttl_guesses() {
-        assert_eq!(initial_ttl_guess(62), 64);
-        assert_eq!(initial_ttl_guess(64), 64);
-        assert_eq!(initial_ttl_guess(65), 128);
-        assert_eq!(initial_ttl_guess(129), 255);
-        assert_eq!(initial_ttl_guess(250), 255);
-    }
 
     #[test]
     fn hidden_estimate_counts_excess_return_hops() {

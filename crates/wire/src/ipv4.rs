@@ -248,10 +248,32 @@ impl Ipv4Repr {
     }
 }
 
+/// Infers the initial TTL a reply started from (64, 128, or 255): the
+/// smallest common stack default at or above the observed TTL (TNT's
+/// return-path rule, and the TTL vendor signature's).
+pub fn initial_ttl_guess(observed: u8) -> u8 {
+    if observed <= 64 {
+        64
+    } else if observed <= 128 {
+        128
+    } else {
+        255
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn initial_ttl_guesses() {
+        assert_eq!(initial_ttl_guess(62), 64);
+        assert_eq!(initial_ttl_guess(64), 64);
+        assert_eq!(initial_ttl_guess(65), 128);
+        assert_eq!(initial_ttl_guess(129), 255);
+        assert_eq!(initial_ttl_guess(250), 255);
+    }
 
     fn sample_repr() -> Ipv4Repr {
         Ipv4Repr {
