@@ -109,7 +109,7 @@ fn effective_depth(hop: &AugmentedHop, config: &DetectorConfig) -> usize {
 /// always be traced back to the probes and fingerprints that caused it
 /// (rendered into `RUN_REPORT_provenance.txt` and recorded as span
 /// fields by [`detect_segments_spanned`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Provenance {
     /// Index (in `trace.hops`) of the hop that triggered the
     /// detection: the first hop of a CVR/CO sequence, the flagged hop

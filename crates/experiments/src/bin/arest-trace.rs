@@ -24,6 +24,7 @@ use arest_tnt::reveal::trace_with_revelation;
 use arest_tnt::tracer::{trace_route, TraceConfig};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,6 +73,7 @@ fn main() {
         plan.routers.len()
     );
 
+    let vp_name: Arc<str> = vp.name.as_str().into();
     for dst in targets {
         if mda {
             let trace =
@@ -95,9 +97,9 @@ fn main() {
 
         let config = TraceConfig::default();
         let trace = if reveal {
-            trace_with_revelation(&internet.net, &vp.name, vp.gateway, vp.addr, dst, &config)
+            trace_with_revelation(&internet.net, &vp_name, vp.gateway, vp.addr, dst, &config)
         } else {
-            trace_route(&internet.net, &vp.name, vp.gateway, vp.addr, dst, &config)
+            trace_route(&internet.net, &vp_name, vp.gateway, vp.addr, dst, &config)
         };
         println!("traceroute to {dst} ({}):", if trace.reached { "reached" } else { "incomplete" });
         for hop in &trace.hops {

@@ -12,11 +12,14 @@
 //! `docs/API.md` and its replay test depend on that.
 
 use crate::pipeline::{AsResult, Dataset};
+use arest_core::detect::Provenance;
+use arest_fingerprint::combined::VendorEvidence;
 use arest_ledger::snapshot::{
     AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
 };
 use arest_serve::Store;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -54,34 +57,70 @@ fn as_record(dataset: &Dataset, result: &AsResult) -> AsRecord {
     }
 }
 
+/// One shared `Arc<str>` per distinct string the detection records
+/// of a snapshot carry: each destination, provenance chain,
+/// fingerprint verdict and flag is rendered once and cloned into every
+/// record that repeats it. The chain cache is keyed by the whole
+/// [`Provenance`] it renders, so two chains share only if they are
+/// equal.
+#[derive(Default)]
+struct SharedStrings {
+    dsts: HashMap<Ipv4Addr, Arc<str>>,
+    chains: HashMap<Provenance, Arc<str>>,
+    verdicts: HashMap<VendorEvidence, Arc<str>>,
+    flags: HashMap<arest_core::Flag, Arc<str>>,
+}
+
+/// The shared string for `key`, rendered on first use.
+fn shared<K: Eq + Hash + Clone>(
+    cache: &mut HashMap<K, Arc<str>>,
+    key: &K,
+    render: impl FnOnce(&K) -> String,
+) -> Arc<str> {
+    if let Some(s) = cache.get(key) {
+        return Arc::clone(s);
+    }
+    let s: Arc<str> = render(key).into();
+    cache.insert(key.clone(), Arc::clone(&s));
+    s
+}
+
 /// Every detection of one AS, attached to each address its segment
 /// covers: one shared record per segment, cloned as an `Arc` into
 /// every covered address. The records share the trace's vantage-point
-/// name and one string per flag. Traces and segments are walked in
-/// stored (deterministic) order, so each address's detection list is
-/// reproducible.
-fn attach_detections(result: &AsResult, entries: &mut BTreeMap<Ipv4Addr, AddrEntry>) {
-    let mut flags: BTreeMap<arest_core::Flag, Arc<str>> = BTreeMap::new();
+/// name and take every other string from `strings`. Traces and
+/// segments are walked in stored (deterministic) order, so each
+/// address's detection list is reproducible.
+fn attach_detections(
+    result: &AsResult,
+    strings: &mut SharedStrings,
+    entries: &mut BTreeMap<Ipv4Addr, AddrEntry>,
+) {
     for (trace, segments) in result.detections() {
+        if segments.is_empty() {
+            continue;
+        }
+        let dst = shared(&mut strings.dsts, &trace.dst, ToString::to_string);
         for segment in segments {
+            let p = &segment.provenance;
             let provenance = ProvenanceRecord {
-                trigger_hop: segment.provenance.trigger_hop as u64,
-                run_len: segment.provenance.run_len as u64,
-                distinct_addrs: segment.provenance.distinct_addrs as u64,
-                lses_consulted: segment.provenance.lses_consulted as u64,
-                effective_depth: segment.provenance.effective_depth as u64,
-                fingerprint: segment.provenance.fingerprint.map(|e| e.to_string().into()),
-                label_in_vendor_range: segment.provenance.label_in_vendor_range,
-                suffix_matched: segment.provenance.suffix_matched,
-                chain: segment.provenance.chain().into(),
+                trigger_hop: p.trigger_hop as u64,
+                run_len: p.run_len as u64,
+                distinct_addrs: p.distinct_addrs as u64,
+                lses_consulted: p.lses_consulted as u64,
+                effective_depth: p.effective_depth as u64,
+                fingerprint: p
+                    .fingerprint
+                    .map(|e| shared(&mut strings.verdicts, &e, ToString::to_string)),
+                label_in_vendor_range: p.label_in_vendor_range,
+                suffix_matched: p.suffix_matched,
+                chain: shared(&mut strings.chains, p, Provenance::chain),
             };
             let detection = Arc::new(DetectionRecord {
                 asn: result.asn.0,
                 vp: Arc::clone(&trace.vp),
-                dst: trace.dst.to_string().into(),
-                flag: Arc::clone(
-                    flags.entry(segment.flag).or_insert_with(|| segment.flag.name().into()),
-                ),
+                dst: Arc::clone(&dst),
+                flag: shared(&mut strings.flags, &segment.flag, |flag| flag.name().to_string()),
                 stars: segment.flag.signal_strength(),
                 start: segment.start as u64,
                 end: segment.end as u64,
@@ -126,8 +165,9 @@ pub fn snapshot(dataset: &Dataset) -> RunSnapshot {
             });
         }
     }
+    let mut strings = SharedStrings::default();
     for result in &dataset.results {
-        attach_detections(result, &mut entries);
+        attach_detections(result, &mut strings, &mut entries);
     }
     let addrs: Vec<AddrEntry> = entries.into_values().collect();
 
@@ -218,6 +258,25 @@ mod tests {
             }
         }
         assert!(saw_detection, "quick dataset produced at least one covered hop");
+    }
+
+    /// Equal strings of distinct records are one allocation: every
+    /// destination, chain, fingerprint verdict and flag is shared.
+    #[test]
+    fn equal_record_strings_share_one_arc() {
+        let store = quick_store();
+        let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+        let (mut records, mut repeats) = (0, 0);
+        for d in store.addrs().flat_map(|e| &e.detections) {
+            records += 1;
+            let p = &d.provenance;
+            for s in [&d.vp, &d.dst, &d.flag, &p.chain].into_iter().chain(&p.fingerprint) {
+                let seen = *first.entry(&**s).or_insert(s);
+                assert!(Arc::ptr_eq(seen, s), "string {s:?} is held twice");
+                repeats += usize::from(!std::ptr::eq(seen, s));
+            }
+        }
+        assert!(records > 0 && repeats > 0, "the quick dataset repeats some string");
     }
 
     #[test]

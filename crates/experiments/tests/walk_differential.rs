@@ -17,6 +17,7 @@ use arest_tnt::reveal::revelation_triggers;
 use arest_tnt::tracer::{trace_route, TraceConfig};
 use arest_topo::ids::RouterId;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Walks one Paris flow over TTL 1..=`max_ttl` and compares every
 /// probe's reply against per-TTL forwarding.
@@ -63,10 +64,11 @@ fn walks_answer_the_quick_campaign_like_per_ttl_forwarding() {
     for plan in &internet.plans {
         let targets = build_target_list(&view, plan.asn, &anax);
         for vp in &internet.vps {
+            let vp_name: Arc<str> = vp.name.as_str().into();
             for &dst in &targets {
                 assert_flow_matches(net, vp.gateway, vp.addr, dst, &trace_config);
                 flows += 1;
-                let trace = trace_route(net, &vp.name, vp.gateway, vp.addr, dst, &trace_config);
+                let trace = trace_route(net, &vp_name, vp.gateway, vp.addr, dst, &trace_config);
                 for (_, ending_hop) in revelation_triggers(&trace) {
                     assert_flow_matches(net, vp.gateway, vp.addr, ending_hop, &trace_config);
                     revelation_flows += 1;

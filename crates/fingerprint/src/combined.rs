@@ -53,7 +53,7 @@ pub enum FingerprintSource {
 }
 
 /// Vendor knowledge attached to one hop address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VendorEvidence {
     /// Exact vendor (SNMPv3).
     Exact(Vendor),

@@ -21,6 +21,7 @@ use crate::error::{LedgerError, LedgerResult};
 use crate::file::{decode_file, decode_sized_header, seal_file, RunMeta, HEADER_LEN};
 use crate::obs::{record_us, METRICS, TRACER};
 use crate::snapshot::RunSnapshot;
+use arest_conc::thread;
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -250,15 +251,27 @@ impl Ledger {
     /// delta from `a` to `b`. The `ledger.diff` span records the entry
     /// counts and how many address rows the diff walked and found
     /// differing.
+    ///
+    /// `b` loads on a scoped thread while `a` loads on the caller's,
+    /// and the two runs are released the same way. When `a` fails its
+    /// error is returned, whether or not `b` failed too.
     pub fn diff(&self, a: u64, b: u64) -> LedgerResult<DetectionDelta> {
         let started = Instant::now();
         let mut span = TRACER.span("ledger.diff");
-        let from = self.load(a)?;
-        let to = self.load(b)?;
+        let (from, to) = thread::scope(|s| {
+            let to = s.spawn(|| self.load(b));
+            let from = self.load(a);
+            (from, to.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        });
+        let (from, to) = (from?, to?);
         let compute_started = Instant::now();
         let (delta, work) =
             delta::compute_counted(from.meta, &from.snapshot, to.meta, &to.snapshot);
         record_us(&METRICS.delta_us, compute_started.elapsed());
+        thread::scope(|s| {
+            s.spawn(move || drop(to));
+            drop(from);
+        });
         METRICS.diffs.inc();
         record_us(&METRICS.diff_us, started.elapsed());
         span.record("from", a);
@@ -376,6 +389,35 @@ mod tests {
         ledger.commit(&sample(), &CommitOptions::default()).expect("commit");
         let delta = ledger.diff(1, 1).expect("diff");
         assert!(delta.is_empty());
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// `diff(a, b)` reports `a`'s failure whenever `a` fails, however
+    /// `b` fares, and `b`'s failure only when `a` loads.
+    #[test]
+    fn diff_reports_the_first_serials_error_first() {
+        let dir = scratch_dir("diff-errors");
+        let ledger = Ledger::open(&dir).expect("open");
+        for _ in 0..3 {
+            ledger.commit(&sample(), &CommitOptions::default()).expect("commit");
+        }
+        // Run 1 is junk; run 2 has a flipped payload byte. Their
+        // errors differ, so the test can tell whose error came back.
+        std::fs::write(ledger.path_of(1), b"not a ledger file at all").expect("write");
+        let mut bytes = std::fs::read(ledger.path_of(2)).expect("read");
+        *bytes.last_mut().expect("payload byte") ^= 0x40;
+        std::fs::write(ledger.path_of(2), &bytes).expect("write");
+        let load_error = |serial| ledger.load(serial).expect_err("bad serial").to_string();
+        let diff_error = |a, b| ledger.diff(a, b).expect_err("bad diff").to_string();
+        assert_ne!(load_error(1), load_error(2));
+
+        for (a, b) in [(8, 9), (1, 2), (2, 1), (1, 9), (9, 2), (1, 3), (2, 3)] {
+            assert_eq!(diff_error(a, b), load_error(a), "diff({a}, {b})");
+        }
+        for (a, b) in [(3, 9), (3, 2), (3, 1)] {
+            assert_eq!(diff_error(a, b), load_error(b), "diff({a}, {b})");
+        }
+        assert!(ledger.diff(3, 3).expect("diff").is_empty());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

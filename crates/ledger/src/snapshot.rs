@@ -36,7 +36,9 @@
 //! "committed the same build twice" byte-verification test rests on.
 //! The interning maps are only ever looked up, never iterated, so
 //! their hasher (a word-at-a-time multiplicative one, chosen for
-//! speed) cannot move a byte.
+//! speed) cannot move a byte; neither can the `Arc` pointers they are
+//! first looked up by, since a pointer hit returns the index the
+//! content lookup gave that same string.
 //! Everything integer is a LEB128 varint except addresses, which stay
 //! fixed 4-byte big-endian like the rest of `arest-wire`.
 
@@ -157,8 +159,7 @@ pub struct ProvenanceRecord {
     pub chain: Arc<str>,
 }
 
-/// One detected segment with full provenance. `Eq + Hash` so the
-/// encoder can intern equal records held in distinct `Arc`s.
+/// One detected segment with full provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DetectionRecord {
     /// The ASN the trace was restricted to.
@@ -318,17 +319,22 @@ impl Hasher for WordHasher {
 /// A `HashMap` under [`WordHasher`].
 type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
-/// First-use-order string interner over borrowed strings.
+/// First-use-order string interner over borrowed strings. A shared
+/// string is looked up by its `Arc`'s data pointer first, so a string
+/// that many records hold through one `Arc` is hashed once; a pointer
+/// miss falls back to the string's bytes, so equal strings in distinct
+/// allocations still get one index.
 #[derive(Default)]
 struct StringTable<'a> {
     strings: Vec<&'a str>,
-    index: WordMap<&'a str, u64>,
+    by_content: WordMap<&'a str, u64>,
+    by_ptr: WordMap<*const str, u64>,
 }
 
 impl<'a> StringTable<'a> {
     fn intern(&mut self, s: &'a str) -> u64 {
         let next = self.strings.len() as u64;
-        let i = *self.index.entry(s).or_insert(next);
+        let i = *self.by_content.entry(s).or_insert(next);
         if i == next {
             self.strings.push(s);
         }
@@ -339,16 +345,98 @@ impl<'a> StringTable<'a> {
     fn intern_opt(&mut self, s: Option<&'a str>) -> u64 {
         s.map_or(0, |s| self.intern(s) + 1)
     }
+
+    /// [`StringTable::intern`] for a shared string. A live `Arc`'s
+    /// pointer names one allocation, so equal pointers mean equal
+    /// strings.
+    fn intern_shared(&mut self, s: &'a Arc<str>) -> u64 {
+        let ptr = Arc::as_ptr(s);
+        if let Some(&i) = self.by_ptr.get(&ptr) {
+            return i;
+        }
+        let i = self.intern(s);
+        self.by_ptr.insert(ptr, i);
+        i
+    }
 }
 
-/// One detection-table row with its string indices resolved.
-struct DetectionRow<'a> {
-    record: &'a DetectionRecord,
-    vp: u64,
-    dst: u64,
-    flag: u64,
-    fingerprint: u64,
-    chain: u64,
+/// A detection record as fixed-width words in wire order: its scalars
+/// and the string-table indices of its strings (the fingerprint as
+/// index + 1, 0 for none). Indices are equal exactly when the strings
+/// are, so two records are equal exactly when their keys are.
+type RecordKey = [u64; 18];
+
+/// The [`RecordKey`] positions that are not varints on the wire: the
+/// star count is one raw byte, the flags are booleans.
+const KEY_STARS: usize = 4;
+const KEY_SUFFIX_BASED: usize = 8;
+const KEY_IN_VENDOR_RANGE: usize = 15;
+const KEY_SUFFIX_MATCHED: usize = 16;
+
+fn record_key<'a>(d: &'a DetectionRecord, strings: &mut StringTable<'a>) -> RecordKey {
+    let p = &d.provenance;
+    [
+        u64::from(d.asn),
+        strings.intern_shared(&d.vp),
+        strings.intern_shared(&d.dst),
+        strings.intern_shared(&d.flag),
+        u64::from(d.stars),
+        d.start,
+        d.end,
+        u64::from(d.label),
+        u64::from(d.suffix_based),
+        p.trigger_hop,
+        p.run_len,
+        p.distinct_addrs,
+        p.lses_consulted,
+        p.effective_depth,
+        p.fingerprint.as_ref().map_or(0, |s| strings.intern_shared(s) + 1),
+        u64::from(p.label_in_vendor_range),
+        u64::from(p.suffix_matched),
+        strings.intern_shared(&p.chain),
+    ]
+}
+
+/// The detection table: each distinct record's key once, in row
+/// order, and an open-addressing table of row numbers over them. A
+/// slot is only a candidate; a hit is confirmed by comparing the full
+/// key, so two different records never share a row. Keeping the keys
+/// out of the slots keeps the probed table small.
+struct DetectionTable {
+    keys: Vec<RecordKey>,
+    slots: Vec<u32>,
+}
+
+impl DetectionTable {
+    const EMPTY: u32 = u32::MAX;
+
+    /// A table for at most `rows` distinct records, at most half full.
+    fn with_capacity(rows: usize) -> DetectionTable {
+        let slots = (2 * rows).next_power_of_two().max(16);
+        DetectionTable { keys: Vec::with_capacity(rows), slots: vec![Self::EMPTY; slots] }
+    }
+
+    /// The row of `key`, appending it as a new row on first sight.
+    fn row(&mut self, key: RecordKey) -> u64 {
+        let mut hasher = WordHasher::default();
+        for word in key {
+            hasher.add(word);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hasher.finish() as usize & mask;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => {
+                    let row = u32::try_from(self.keys.len()).expect("fewer than 2^32 rows");
+                    self.slots[slot] = row;
+                    self.keys.push(key);
+                    return u64::from(row);
+                }
+                row if self.keys[row as usize] == key => return u64::from(row),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
 }
 
 /// One address row with its string indices resolved.
@@ -366,22 +454,23 @@ fn put_flags(out: &mut Vec<u8>, flags: &FlagTotals) {
 
 /// Encodes `snapshot` into payload bytes (no header).
 ///
-/// Detections intern by `Arc` identity first; a pointer miss falls
-/// back to content equality, so equal records in distinct `Arc`s
-/// still share one table row and the bytes depend only on content.
+/// Detections intern by `Arc` identity first; a pointer miss keys the
+/// record by its scalars and string indices, so equal records in
+/// distinct `Arc`s still share one table row and the bytes depend only
+/// on content.
 #[must_use]
 pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
     // Every listed reference bounds the distinct records from above.
     let listed: usize = snapshot.addrs.iter().map(|e| e.detections.len()).sum();
     let mut strings = StringTable::default();
-    strings.index.reserve(1024);
-    let mut detections: Vec<DetectionRow<'_>> = Vec::with_capacity(listed);
+    strings.by_content.reserve(1024);
+    let mut detections = DetectionTable::with_capacity(listed);
     let mut by_ptr: WordMap<*const DetectionRecord, u64> =
         WordMap::with_capacity_and_hasher(listed, BuildHasherDefault::default());
-    let mut by_content: WordMap<&DetectionRecord, u64> =
-        WordMap::with_capacity_and_hasher(listed, BuildHasherDefault::default());
 
-    // Pass 1: intern in deterministic traversal order.
+    // Pass 1: intern in deterministic traversal order. A record equal
+    // to an earlier row finds its strings already interned, so only
+    // new rows add strings, in first-use order.
     let as_rows: Vec<[u64; 3]> = snapshot
         .ases
         .iter()
@@ -395,21 +484,9 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
         let fingerprint_source = strings.intern_opt(entry.fingerprint_source.as_deref());
         let mut indices = Vec::with_capacity(entry.detections.len());
         for shared in &entry.detections {
-            let index = *by_ptr.entry(Arc::as_ptr(shared)).or_insert_with(|| {
-                let record: &DetectionRecord = shared;
-                *by_content.entry(record).or_insert_with(|| {
-                    let p = &record.provenance;
-                    detections.push(DetectionRow {
-                        record,
-                        vp: strings.intern(&record.vp),
-                        dst: strings.intern(&record.dst),
-                        flag: strings.intern(&record.flag),
-                        fingerprint: strings.intern_opt(p.fingerprint.as_deref()),
-                        chain: strings.intern(&p.chain),
-                    });
-                    (detections.len() - 1) as u64
-                })
-            });
+            let index = *by_ptr
+                .entry(Arc::as_ptr(shared))
+                .or_insert_with(|| detections.row(record_key(shared, &mut strings)));
             indices.push(index);
         }
         addr_rows.push(AddrRow { fingerprint, fingerprint_source, detections: indices });
@@ -422,28 +499,17 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
         put_str(&mut out, s);
     }
 
-    put_varint(&mut out, detections.len() as u64);
-    for row in &detections {
-        let d = row.record;
-        put_varint(&mut out, u64::from(d.asn));
-        put_varint(&mut out, row.vp);
-        put_varint(&mut out, row.dst);
-        put_varint(&mut out, row.flag);
-        out.push(d.stars);
-        put_varint(&mut out, d.start);
-        put_varint(&mut out, d.end);
-        put_varint(&mut out, u64::from(d.label));
-        put_bool(&mut out, d.suffix_based);
-        let p = &d.provenance;
-        put_varint(&mut out, p.trigger_hop);
-        put_varint(&mut out, p.run_len);
-        put_varint(&mut out, p.distinct_addrs);
-        put_varint(&mut out, p.lses_consulted);
-        put_varint(&mut out, p.effective_depth);
-        put_varint(&mut out, row.fingerprint);
-        put_bool(&mut out, p.label_in_vendor_range);
-        put_bool(&mut out, p.suffix_matched);
-        put_varint(&mut out, row.chain);
+    put_varint(&mut out, detections.keys.len() as u64);
+    for key in &detections.keys {
+        for (position, &word) in key.iter().enumerate() {
+            match position {
+                KEY_STARS => out.push(word as u8),
+                KEY_SUFFIX_BASED | KEY_IN_VENDOR_RANGE | KEY_SUFFIX_MATCHED => {
+                    put_bool(&mut out, word != 0);
+                }
+                _ => put_varint(&mut out, word),
+            }
+        }
     }
 
     put_varint(&mut out, snapshot.ases.len() as u64);

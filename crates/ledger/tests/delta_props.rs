@@ -338,6 +338,25 @@ fn deep_unshare(s: &RunSnapshot) -> RunSnapshot {
     out
 }
 
+/// Every record in its own `Arc` holding its own copy of every
+/// string: equal records and equal strings share no allocation.
+fn deep_copy_strings(s: &RunSnapshot) -> RunSnapshot {
+    let copy = |s: &Arc<str>| Arc::<str>::from(&**s);
+    let mut out = s.clone();
+    for entry in &mut out.addrs {
+        for d in &mut entry.detections {
+            let mut record = (**d).clone();
+            record.vp = copy(&record.vp);
+            record.dst = copy(&record.dst);
+            record.flag = copy(&record.flag);
+            record.provenance.fingerprint = record.provenance.fingerprint.as_ref().map(copy);
+            record.provenance.chain = copy(&record.provenance.chain);
+            *d = Arc::new(record);
+        }
+    }
+    out
+}
+
 /// Equal records collapsed onto one `Arc`: maximal sharing.
 fn fully_share(s: &RunSnapshot) -> RunSnapshot {
     let mut canonical: HashMap<DetectionRecord, Arc<DetectionRecord>> = HashMap::new();
@@ -364,8 +383,9 @@ proptest! {
     }
 
     /// Payload bytes depend only on content: sharing records, copying
-    /// them, or collapsing equal copies all encode identically, and
-    /// the bytes decode back to an equal snapshot.
+    /// them, copying every string too, or collapsing equal copies all
+    /// encode identically, and the bytes decode back to an equal
+    /// snapshot.
     #[test]
     fn encoding_ignores_how_records_are_shared(seed: u64) {
         let (from, to) = pair(seed);
@@ -373,6 +393,11 @@ proptest! {
             let bytes = encode_payload(s);
             prop_assert_eq!(&bytes, &encode_payload(&deep_unshare(s)));
             prop_assert_eq!(&bytes, &encode_payload(&fully_share(s)));
+            let copied = deep_copy_strings(s);
+            prop_assert_eq!(&bytes, &encode_payload(&copied));
+            // Content-equal records in one `Arc` each, whose equal
+            // strings are distinct allocations.
+            prop_assert_eq!(&bytes, &encode_payload(&fully_share(&copied)));
             let decoded = arest_ledger::snapshot::decode_payload(&bytes).expect("decode");
             prop_assert_eq!(&decoded, s);
         }

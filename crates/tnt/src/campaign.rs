@@ -58,14 +58,11 @@ fn trace_unit(
         .into_iter()
         .map(|dst| {
             let mut span = unit_span.child("tnt.trace");
-            let mut trace =
+            let trace =
                 trace_with_revelation(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace);
             span.record("dst", dst);
             span.record("hops", trace.hops.len());
             span.record("reached", trace.reached);
-            // Intern the VP name: one shared allocation per VP instead
-            // of one string per trace.
-            trace.vp = Arc::clone(&vp.name);
             trace
         })
         .collect()

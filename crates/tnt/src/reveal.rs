@@ -24,6 +24,7 @@ use arest_topo::ids::RouterId;
 use arest_wire::ipv4::initial_ttl_guess;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Estimated return-path length from a reply TTL.
 pub fn return_path_len(reply_ttl: u8) -> u8 {
@@ -65,15 +66,16 @@ pub fn revelation_triggers(trace: &Trace) -> Vec<(usize, Ipv4Addr)> {
 
 /// Runs a full TNT trace: Paris traceroute, trigger detection, and
 /// revelation of hidden tunnel interiors by direct interface probing.
+/// The trace shares `vp`, the vantage point's name.
 pub fn trace_with_revelation(
     net: &Network,
-    vp_name: &str,
+    vp: &Arc<str>,
     entry: RouterId,
     src: Ipv4Addr,
     dst: Ipv4Addr,
     config: &TraceConfig,
 ) -> Trace {
-    let mut trace = trace_route(net, vp_name, entry, src, dst, config);
+    let mut trace = trace_route(net, vp, entry, src, dst, config);
     let revelations = revelation_triggers(&trace);
     if revelations.is_empty() {
         return trace;
@@ -87,7 +89,7 @@ pub fn trace_with_revelation(
     // splicing.
     for (idx, ending_hop_addr) in revelations.into_iter().rev() {
         metrics.reveal_attempts.inc();
-        let sub = trace_route(net, vp_name, entry, src, ending_hop_addr, config);
+        let sub = trace_route(net, vp, entry, src, ending_hop_addr, config);
         if !sub.reached {
             continue;
         }

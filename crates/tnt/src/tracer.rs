@@ -35,9 +35,11 @@ impl Default for TraceConfig {
 /// The trace's flow is forwarded once ([`Network::walk`] over TTL
 /// 1..=`max_ttl`); each probe's reply then comes off that walk, still
 /// encoded with the probe's own ident and parsed from its ICMP bytes.
+/// The trace shares `vp`, the vantage point's name, rather than
+/// copying it.
 pub fn trace_route(
     net: &Network,
-    vp_name: &str,
+    vp: &Arc<str>,
     entry: RouterId,
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -79,7 +81,7 @@ pub fn trace_route(
         }
     }
 
-    Trace { vp: Arc::from(vp_name), src, dst, hops, reached }
+    Trace { vp: Arc::clone(vp), src, dst, hops, reached }
 }
 
 /// Deterministic per-probe identifier (survives in the quoted UDP

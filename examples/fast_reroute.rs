@@ -106,8 +106,14 @@ fn converge(topo: Topology, routers: &[RouterId], customer: Prefix) -> Network {
 }
 
 fn trace_and_detect(net: &Network, gw: RouterId, dst: Ipv4Addr, label: &str) -> Vec<Ipv4Addr> {
-    let trace =
-        trace_route(net, "frr", gw, Ipv4Addr::new(192, 0, 2, 1), dst, &TraceConfig::default());
+    let trace = trace_route(
+        net,
+        &"frr".into(),
+        gw,
+        Ipv4Addr::new(192, 0, 2, 1),
+        dst,
+        &TraceConfig::default(),
+    );
     println!("{label}:");
     for hop in &trace.hops {
         let addr = hop.addr.map_or("*".into(), |a| a.to_string());

@@ -81,7 +81,7 @@ fn main() {
     // ---- 4. Traceroute a customer address through the tunnel ----
     let trace = trace_route(
         &net,
-        "quickstart-vp",
+        &"quickstart-vp".into(),
         routers[0],
         Ipv4Addr::new(192, 0, 2, 1),
         Ipv4Addr::new(203, 0, 113, 42),

@@ -159,7 +159,8 @@ proptest! {
         prop_assert!(report.is_clean(), "LDP tables must audit clean:\n{}", report.to_text());
 
         let config = TraceConfig { flow: (sport, 33_434), ..TraceConfig::default() };
-        let trace = trace_route(&net, "vp", routers[0], Ipv4Addr::new(192, 0, 2, 9), dst, &config);
+        let vp = "vp".into();
+        let trace = trace_route(&net, &vp, routers[0], Ipv4Addr::new(192, 0, 2, 9), dst, &config);
         prop_assert!(trace.reached, "generous defaults must reach the anchor");
 
         let augmented = augment_all_cisco(&trace);

@@ -91,6 +91,10 @@ TRACE_LOG=$(mktemp -d)
 cargo run --release -p arest-experiments --bin arest-trace > "$TRACE_LOG/plain.txt"
 grep -q '^traceroute to .* (reached):' "$TRACE_LOG/plain.txt"
 grep -q 'AReST: ' "$TRACE_LOG/plain.txt"
+# The default AS fires no revelation trigger; AS 2 hides tunnel
+# interiors that TNT must reveal.
+cargo run --release -p arest-experiments --bin arest-trace -- --as 2 > "$TRACE_LOG/reveal.txt"
+grep -q '(revealed)$' "$TRACE_LOG/reveal.txt"
 cargo run --release -p arest-experiments --bin arest-trace -- --mda > "$TRACE_LOG/mda.txt"
 grep -q '^MDA toward .* (max width [1-9][0-9]*):' "$TRACE_LOG/mda.txt"
 grep -q '(16 flows)' "$TRACE_LOG/mda.txt"
