@@ -9,7 +9,7 @@ use crate::flags::Flag;
 use crate::model::{AugmentedHop, AugmentedTrace};
 use crate::ranges::label_in_sr_range;
 use arest_fingerprint::combined::VendorEvidence;
-use arest_obs::{Counter, SpanContext, Tracer};
+use arest_obs::Counter;
 use arest_wire::mpls::Label;
 use std::fmt::Write as _;
 use std::sync::LazyLock;
@@ -25,10 +25,6 @@ struct ObsMetrics {
     /// [`flag_slot`].
     flags: [Counter; 5],
 }
-
-/// The global registry's span tracer (inert while `AREST_OBS` is
-/// off).
-static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
 
 static OBS: LazyLock<ObsMetrics> = LazyLock::new(|| {
     let registry = arest_obs::global();
@@ -103,20 +99,14 @@ fn effective_depth(hop: &AugmentedHop, config: &DetectorConfig) -> usize {
     }
 }
 
-/// The evidence chain behind one detection: which hop triggered it,
-/// what the detector consulted on the way, and which inputs tipped the
-/// flag decision. Every [`DetectedSegment`] carries one, so a flag can
-/// always be traced back to the probes and fingerprints that caused it
-/// (rendered into `RUN_REPORT_provenance.txt` and recorded as span
-/// fields by [`detect_segments_spanned`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The evidence behind one detection that its segment does not
+/// already hold: what the detector consulted on the way, and which
+/// inputs tipped the flag decision. Every [`DetectedSegment`] carries
+/// one, so a flag can always be traced back to the probes and
+/// fingerprints that caused it ([`DetectedSegment::chain`] renders
+/// both into `RUN_REPORT_provenance.txt`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Provenance {
-    /// Index (in `trace.hops`) of the hop that triggered the
-    /// detection: the first hop of a CVR/CO sequence, the flagged hop
-    /// itself for the per-hop stack flags.
-    pub trigger_hop: usize,
-    /// Length of the matched label run (1 for per-hop flags).
-    pub run_len: usize,
     /// Distinct replying addresses across the segment (the ≥2
     /// requirement that separates a sequence from a no-PHP egress
     /// quoting itself twice).
@@ -136,38 +126,6 @@ pub struct Provenance {
     /// its vendor's SR range (the CVR-vs-CO and LSVR/LVR-vs-LSO
     /// discriminator).
     pub label_in_vendor_range: bool,
-    /// Whether the sequence needed decimal-suffix matching at any
-    /// point (always `false` for per-hop flags).
-    pub suffix_matched: bool,
-}
-
-impl Provenance {
-    /// One-line evidence chain, `key=value` pairs in causal order.
-    #[must_use]
-    pub fn chain(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "trigger_hop={} run_len={} distinct_addrs={} lses_consulted={} effective_depth={}",
-            self.trigger_hop,
-            self.run_len,
-            self.distinct_addrs,
-            self.lses_consulted,
-            self.effective_depth,
-        );
-        match self.fingerprint {
-            Some(evidence) => {
-                let _ = write!(out, " fingerprint={evidence}");
-            }
-            None => out.push_str(" fingerprint=none"),
-        }
-        let _ = write!(
-            out,
-            " in_vendor_range={} suffix_matched={}",
-            self.label_in_vendor_range, self.suffix_matched
-        );
-        out
-    }
 }
 
 /// One detected SR-MPLS segment.
@@ -194,34 +152,41 @@ impl DetectedSegment {
     pub fn hop_count(&self) -> usize {
         self.end - self.start + 1
     }
+
+    /// One-line evidence chain, `key=value` pairs in causal order: the
+    /// trigger hop (the segment's first hop) and the matched run
+    /// length, then the [`Provenance`], then whether the sequence
+    /// needed decimal-suffix matching.
+    #[must_use]
+    pub fn chain(&self) -> String {
+        let p = &self.provenance;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "trigger_hop={} run_len={} distinct_addrs={} lses_consulted={} effective_depth={}",
+            self.start,
+            self.hop_count(),
+            p.distinct_addrs,
+            p.lses_consulted,
+            p.effective_depth,
+        );
+        match p.fingerprint {
+            Some(evidence) => {
+                let _ = write!(out, " fingerprint={evidence}");
+            }
+            None => out.push_str(" fingerprint=none"),
+        }
+        let _ = write!(
+            out,
+            " in_vendor_range={} suffix_matched={}",
+            p.label_in_vendor_range, self.suffix_based
+        );
+        out
+    }
 }
 
 /// Runs the detector over one trace.
 pub fn detect_segments(trace: &AugmentedTrace, config: &DetectorConfig) -> Vec<DetectedSegment> {
-    detect_segments_spanned(trace, config, SpanContext::NONE)
-}
-
-/// [`detect_segments`] parented under an explicit span context: opens
-/// a `core.detect.trace` span and records one `detection` field per
-/// segment carrying its full [`Provenance`] chain.
-pub fn detect_segments_spanned(
-    trace: &AugmentedTrace,
-    config: &DetectorConfig,
-    parent: SpanContext,
-) -> Vec<DetectedSegment> {
-    let mut span = TRACER.span_with_parent("core.detect.trace", parent);
-    let segments = detect_segments_inner(trace, config);
-    if span.is_recording() {
-        span.record("dst", trace.dst);
-        span.record("segments", segments.len());
-        for segment in &segments {
-            span.record("detection", format!("{} {}", segment.flag, segment.provenance.chain()));
-        }
-    }
-    segments
-}
-
-fn detect_segments_inner(trace: &AugmentedTrace, config: &DetectorConfig) -> Vec<DetectedSegment> {
     let hops = &trace.hops;
     let mut segments = Vec::new();
     let mut claimed = vec![false; hops.len()];
@@ -282,15 +247,12 @@ fn detect_segments_inner(trace: &AugmentedTrace, config: &DetectorConfig) -> Vec
                 label: first_label,
                 suffix_based,
                 provenance: Provenance {
-                    trigger_hop: i,
-                    run_len,
                     distinct_addrs,
                     // Sequence matching reads one top label per hop.
                     lses_consulted: run_len,
                     effective_depth: effective_depth(&hops[i], config),
                     fingerprint,
                     label_in_vendor_range: confirming_hop.is_some(),
-                    suffix_matched: suffix_based,
                 },
             });
             for claimed_slot in claimed.iter_mut().take(j + 1).skip(i) {
@@ -335,15 +297,12 @@ fn detect_segments_inner(trace: &AugmentedTrace, config: &DetectorConfig) -> Vec
                 label,
                 suffix_based: false,
                 provenance: Provenance {
-                    trigger_hop: idx,
-                    run_len: 1,
                     distinct_addrs: usize::from(hop.addr.is_some()),
                     // Per-hop flags examine the whole visible stack.
                     lses_consulted: hop.stack.as_ref().map_or(0, |s| s.depth()),
                     effective_depth: depth,
                     fingerprint: hop.evidence,
                     label_in_vendor_range: in_range,
-                    suffix_matched: false,
                 },
             });
         }
@@ -590,15 +549,12 @@ mod tests {
         ]);
         assert_eq!(segments[0].flag, Flag::Cvr);
         let p = &segments[0].provenance;
-        assert_eq!(p.trigger_hop, 0);
-        assert_eq!(p.run_len, 3);
         assert_eq!(p.distinct_addrs, 3);
         assert_eq!(p.lses_consulted, 3, "one top label per sequence hop");
         assert_eq!(p.fingerprint, Some(VendorEvidence::Exact(Vendor::Cisco)));
         assert!(p.label_in_vendor_range);
-        assert!(!p.suffix_matched);
-        let chain = p.chain();
-        assert!(chain.contains("trigger_hop=0"), "{chain}");
+        let chain = segments[0].chain();
+        assert!(chain.starts_with("trigger_hop=0 run_len=3 "), "{chain}");
         assert!(chain.contains("fingerprint=Cisco "), "{chain}");
         assert!(chain.contains("in_vendor_range=true"), "{chain}");
     }
@@ -618,7 +574,7 @@ mod tests {
         // And with nobody fingerprinted at all:
         let segments = detect(vec![hop(4, &[17_005]), hop(5, &[17_005])]);
         assert_eq!(segments[0].provenance.fingerprint, None);
-        assert!(segments[0].provenance.chain().contains("fingerprint=none"));
+        assert!(segments[0].chain().contains("fingerprint=none"));
     }
 
     #[test]
@@ -628,19 +584,18 @@ mod tests {
         let segments = detect(vec![hop(1, &[600_000, 700_000, 7, 99_000])]);
         assert_eq!(segments[0].flag, Flag::Lso);
         let p = &segments[0].provenance;
-        assert_eq!(p.trigger_hop, 0);
-        assert_eq!(p.run_len, 1);
         assert_eq!(p.lses_consulted, 4);
         assert_eq!(p.effective_depth, 2);
         assert_eq!(p.fingerprint, None);
         assert!(!p.label_in_vendor_range);
+        assert!(segments[0].chain().starts_with("trigger_hop=0 run_len=1 "));
     }
 
     #[test]
     fn suffix_matched_sequences_say_so_in_their_chain() {
         let segments = detect(vec![hop(1, &[16_005]), hop(2, &[13_005])]);
-        assert!(segments[0].provenance.suffix_matched);
-        assert!(segments[0].provenance.chain().contains("suffix_matched=true"));
+        assert!(segments[0].suffix_based);
+        assert!(segments[0].chain().ends_with(" suffix_matched=true"));
     }
 
     #[test]

@@ -74,36 +74,12 @@
 //! `inferno`), and `RUN_REPORT_provenance.txt` (one evidence-chain
 //! line per AReST detection).
 
+use arest_experiments::output::emit;
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
-use arest_experiments::{run_experiment, EXPERIMENTS};
+use arest_experiments::{note, run_experiment, say, EXPERIMENTS};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::time::Instant;
-
-/// Writes `args` to `out`, treating a reader that closed the pipe as
-/// the end of output: the rest is dropped, and the program carries on
-/// with its work and its exit code. Any other write error panics, as
-/// `println!` does.
-fn emit(mut out: impl Write, args: std::fmt::Arguments<'_>) {
-    if let Err(e) = out.write_fmt(args) {
-        assert!(e.kind() == std::io::ErrorKind::BrokenPipe, "failed writing output: {e}");
-    }
-}
-
-/// `println!` through [`emit`]: a closed stdout pipe ends the listing.
-macro_rules! say {
-    ($($arg:tt)*) => {
-        emit(std::io::stdout().lock(), format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// `eprintln!` through [`emit`]: a closed stderr pipe silences the
-/// remaining diagnostics.
-macro_rules! note {
-    ($($arg:tt)*) => {
-        emit(std::io::stderr().lock(), format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
 
 /// The non-experiment words the command line accepts in place of ids.
 const MODES: [&str; 4] = ["all", "serve", "history", "diff"];

@@ -15,9 +15,13 @@
 //! prefixes. After each trace, runs AReST and prints the detected
 //! segments — a miniature of the paper's pipeline on one path.
 //! ```
+//!
+//! A reader that closes the pipe early (`arest-trace | head`) ends the
+//! output; the traces still run and the exit code is unchanged.
 
 use arest_core::detect::{detect_segments, DetectorConfig};
 use arest_experiments::pipeline::augment;
+use arest_experiments::{note, say};
 use arest_netgen::internet::{generate, GenConfig};
 use arest_tnt::multipath::{multipath_trace, MdaConfig};
 use arest_tnt::reveal::trace_with_revelation;
@@ -51,7 +55,7 @@ fn main() {
         }
     }
 
-    eprintln!("generating the synthetic Internet (scale {scale}, seed {seed})…");
+    note!("generating the synthetic Internet (scale {scale}, seed {seed})…");
     let internet =
         generate(&GenConfig { scale, seed, vp_count: 8, sr_adoption: 1.0, catalog_scale: 1 });
     let vp = internet
@@ -64,7 +68,7 @@ fn main() {
     if targets.is_empty() {
         targets = plan.customers.iter().take(2).map(|(p, _)| p.nth(1)).collect();
     }
-    println!(
+    say!(
         "tracing from {} ({}) toward AS#{} ({}, {} routers)\n",
         vp.name,
         vp.addr,
@@ -78,20 +82,20 @@ fn main() {
         if mda {
             let trace =
                 multipath_trace(&internet.net, vp.gateway, vp.addr, dst, &MdaConfig::default());
-            println!("MDA toward {dst} (max width {}):", trace.max_width());
+            say!("MDA toward {dst} (max width {}):", trace.max_width());
             for level in &trace.levels {
                 let branches: Vec<String> = level
                     .branches
                     .iter()
                     .map(|(addr, flows)| format!("{addr} ({} flows)", flows.len()))
                     .collect();
-                println!(
+                say!(
                     "  {:>2}  {}",
                     level.ttl,
                     if branches.is_empty() { "*".into() } else { branches.join("  |  ") }
                 );
             }
-            println!();
+            say!();
             continue;
         }
 
@@ -101,7 +105,7 @@ fn main() {
         } else {
             trace_route(&internet.net, &vp_name, vp.gateway, vp.addr, dst, &config)
         };
-        println!("traceroute to {dst} ({}):", if trace.reached { "reached" } else { "incomplete" });
+        say!("traceroute to {dst} ({}):", if trace.reached { "reached" } else { "incomplete" });
         for hop in &trace.hops {
             let addr = hop.addr.map_or("*".to_string(), |a| a.to_string());
             let mut notes = String::new();
@@ -111,16 +115,16 @@ fn main() {
             if hop.revealed {
                 notes.push_str("  (revealed)");
             }
-            println!("  {:>2}  {addr:<16}{notes}", hop.ttl);
+            say!("  {:>2}  {addr:<16}{notes}", hop.ttl);
         }
 
         let augmented = augment(&trace, &HashMap::new());
         let segments = detect_segments(&augmented, &DetectorConfig::default());
         if segments.is_empty() {
-            println!("  AReST: no SR-MPLS signals\n");
+            say!("  AReST: no SR-MPLS signals\n");
         } else {
             for segment in segments {
-                println!(
+                say!(
                     "  AReST: {} ({}) hops {}..={} label {}",
                     segment.flag,
                     "*".repeat(usize::from(segment.flag.signal_strength())),
@@ -129,7 +133,7 @@ fn main() {
                     segment.label,
                 );
             }
-            println!();
+            say!();
         }
     }
 }
@@ -142,9 +146,9 @@ fn next_value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, fla
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
-        eprintln!("error: {err}\n");
+        note!("error: {err}\n");
     }
-    eprintln!(
+    note!(
         "usage: arest-trace [--as N] [--vp N] [--scale F] [--seed N] [--mda] [--no-reveal] [ip…]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

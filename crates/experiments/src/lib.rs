@@ -32,6 +32,7 @@ pub mod exp_detection;
 pub mod exp_longitudinal;
 pub mod exp_validation;
 pub mod ledger_io;
+pub mod output;
 pub mod pipeline;
 pub mod provenance;
 pub mod render;

@@ -57,7 +57,7 @@ use crate::admission::AdmissionWindow;
 use crate::clock::WorkClock;
 use arest_conc::atomic::{AtomicUsize, Ordering};
 use arest_conc::sync::Mutex;
-use arest_core::detect::{detect_segments_spanned, DetectedSegment, DetectorConfig};
+use arest_core::detect::{detect_segments, DetectedSegment, DetectorConfig};
 use arest_core::model::{AugmentedHop, AugmentedTrace};
 use arest_fingerprint::combined::{FingerprintSource, VendorEvidence};
 use arest_fingerprint::snmp::SnmpDataset;
@@ -668,6 +668,7 @@ impl StreamEngine<'_> {
 
         // Annotate/restrict/detect, trace by trace.
         let detect_started = Instant::now();
+        let mut detect_span = TRACER.span_with_parent("pipeline.as.detect", tail_span.context());
         let mut result = AsResult::empty(
             self.plan_ids[as_idx],
             self.plan_asns[as_idx],
@@ -676,17 +677,8 @@ impl StreamEngine<'_> {
         result.raw_traces = raw_count;
         let mut per_vp: HashMap<Arc<str>, HashSet<Ipv4Addr>> = HashMap::new();
         for trace in raw {
-            let mut span = TRACER.span_with_parent("pipeline.detect.unit", tail_span.context());
-            span.record("as_idx", as_idx);
-            span.record("dst", trace.dst);
-            let outcome = process_trace(
-                trace,
-                &annotator,
-                asn,
-                &fingerprints,
-                &self.config.detector,
-                span.context(),
-            );
+            let outcome =
+                process_trace(trace, &annotator, asn, &fingerprints, &self.config.detector);
             let Some(processed) = outcome else { continue };
             let vp_set = per_vp.entry(processed.restricted.vp.clone()).or_default();
             for addr in processed.discovered {
@@ -697,6 +689,11 @@ impl StreamEngine<'_> {
             result.augmented.push(processed.augmented);
             result.segments.push(processed.segments);
         }
+        if detect_span.is_recording() {
+            detect_span.record("traces", result.restricted.len());
+            detect_span.record("segments", result.all_segments().count());
+        }
+        drop(detect_span);
         self.detect_work.add(detect_started.elapsed());
         drop(tail_span);
         drop(flow_span);
@@ -752,7 +749,7 @@ impl Dataset {
     /// Runs the whole pipeline (streaming dataflow) and reports
     /// per-phase timings.
     pub fn build_with_stats(config: PipelineConfig) -> (Dataset, BuildStats) {
-        Dataset::build_streaming(config, |_| {})
+        Dataset::build_streaming_seeded(config, &[], |_| {})
     }
 
     /// Runs the streaming pipeline, invoking `on_as` for each
@@ -764,32 +761,28 @@ impl Dataset {
     /// bounded result channel back-pressures the pool, so a slow
     /// consumer bounds memory instead of growing a backlog.
     ///
-    /// When tracing is enabled (`AREST_OBS` / `--obs`), the build
-    /// opens a `pipeline.build` root with a `pipeline.stage.generate`
-    /// barrier child and a `pipeline.stage.stream` child; each AS
-    /// hangs a `pipeline.as.flow` span off the stream stage with its
-    /// campaign units and its `pipeline.as.tail` (fingerprint, alias,
-    /// detect) below, so the reconstructed tree is identical at any
-    /// worker count.
-    pub fn build_streaming(
-        config: PipelineConfig,
-        on_as: impl FnMut(&AsResult),
-    ) -> (Dataset, BuildStats) {
-        Dataset::build_streaming_seeded(config, &[], on_as)
-    }
-
-    /// [`Dataset::build_streaming`] with a fingerprint-cache seed
-    /// carried over from a previous run's [`Dataset::cache_entries`].
-    /// The seed is rehydrated under a `pipeline.cache.rehydrate` span
-    /// before any AS is admitted, so addresses whose echo probe is
-    /// carried never touch the network this run
-    /// (`fingerprint.cache.rehydrated` counts them;
+    /// `seed_cache` carries fingerprint-cache entries over from a
+    /// previous run's [`Dataset::cache_entries`] (empty for a fresh
+    /// build). The seed is rehydrated under a
+    /// `pipeline.cache.rehydrate` span before any AS is admitted, so
+    /// addresses whose echo probe is carried never touch the network
+    /// this run (`fingerprint.cache.rehydrated` counts them;
     /// `fingerprint.cache.stale` counts dropped entries).
     ///
     /// With a non-full [`PipelineConfig::reprobe`] slice, only the
     /// selected ASes are generated in depth, given target lists,
     /// scheduled on the pool, and probed; every other AS's
     /// [`AsResult`] is present but empty (`targets_probed == 0`).
+    ///
+    /// When tracing is enabled (`AREST_OBS` / `--obs`), the build
+    /// opens a `pipeline.build` root with a `pipeline.stage.generate`
+    /// barrier child and a `pipeline.stage.stream` child. Each AS hangs
+    /// a `pipeline.as.flow` span off the stream stage, with one
+    /// `tnt.campaign.unit` per vantage point and its `pipeline.as.tail`
+    /// (`pipeline.as.fingerprint`, `pipeline.as.alias`,
+    /// `pipeline.as.detect`) below. Spans follow the scheduled units,
+    /// not the traces, so the tree is identical at any worker count and
+    /// its size does not depend on the targets per AS.
     pub fn build_streaming_seeded(
         config: PipelineConfig,
         seed_cache: &[(Ipv4Addr, Option<u8>)],
@@ -982,7 +975,6 @@ fn process_trace(
     asn: AsNumber,
     fingerprints: &HashMap<Ipv4Addr, (VendorEvidence, FingerprintSource)>,
     detector: &DetectorConfig,
-    parent: SpanContext,
 ) -> Option<ProcessedTrace> {
     let (first, last) = annotator.intra_as_span(trace.hops.iter().map(|h| h.addr), asn)?;
     let Trace { vp, src, dst, mut hops, reached } = trace;
@@ -1003,7 +995,7 @@ fn process_trace(
     }
     let restricted = Trace { vp, src, dst, hops, reached };
     let augmented = augment(&restricted, fingerprints);
-    let segments = detect_segments_spanned(&augmented, detector, parent);
+    let segments = detect_segments(&augmented, detector);
     Some(ProcessedTrace { restricted, augmented, segments, discovered })
 }
 
@@ -1223,7 +1215,7 @@ mod tests {
         let mut config = PipelineConfig::quick();
         config.workers = Some(4);
         let mut seen: Vec<u8> = Vec::new();
-        let (ds, stats) = Dataset::build_streaming(config, |result| {
+        let (ds, stats) = Dataset::build_streaming_seeded(config, &[], |result| {
             // A deliberately slow consumer: backpressure, not a
             // backlog, must absorb the difference in pace.
             std::thread::sleep(Duration::from_millis(1));

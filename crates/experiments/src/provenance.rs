@@ -1,6 +1,6 @@
 //! `RUN_REPORT_provenance.txt` rendering: one line per detection,
 //! carrying the full evidence chain the detector recorded
-//! ([`arest_core::detect::Provenance`]) — which hop triggered the
+//! ([`arest_core::detect::DetectedSegment::chain`]) — which hop triggered the
 //! flag, how many label-stack entries were consulted, which
 //! fingerprint verdict was used, and whether the label sat in a vendor
 //! SR range. The counterpart of `RUN_REPORT.txt`'s aggregates: this
@@ -50,7 +50,7 @@ pub fn to_text(dataset: &Dataset) -> String {
                     segment.start,
                     segment.end,
                     segment.label,
-                    segment.provenance.chain(),
+                    segment.chain(),
                 );
             }
         }

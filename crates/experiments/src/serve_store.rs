@@ -60,16 +60,20 @@ fn as_record(dataset: &Dataset, result: &AsResult) -> AsRecord {
 /// One shared `Arc<str>` per distinct string the detection records
 /// of a snapshot carry: each destination, provenance chain,
 /// fingerprint verdict and flag is rendered once and cloned into every
-/// record that repeats it. The chain cache is keyed by the whole
-/// [`Provenance`] it renders, so two chains share only if they are
-/// equal.
+/// record that repeats it. The chain cache is keyed by everything
+/// [`arest_core::detect::DetectedSegment::chain`] renders from, so two
+/// chains share only if they are equal.
 #[derive(Default)]
 struct SharedStrings {
     dsts: HashMap<Ipv4Addr, Arc<str>>,
-    chains: HashMap<Provenance, Arc<str>>,
+    chains: HashMap<ChainKey, Arc<str>>,
     verdicts: HashMap<VendorEvidence, Arc<str>>,
     flags: HashMap<arest_core::Flag, Arc<str>>,
 }
+
+/// What a segment's evidence chain renders from: its first and last
+/// hop, whether it needed suffix matching, and its [`Provenance`].
+type ChainKey = (usize, usize, bool, Provenance);
 
 /// The shared string for `key`, rendered on first use.
 fn shared<K: Eq + Hash + Clone>(
@@ -103,9 +107,10 @@ fn attach_detections(
         let dst = shared(&mut strings.dsts, &trace.dst, ToString::to_string);
         for segment in segments {
             let p = &segment.provenance;
+            let chain_key = (segment.start, segment.end, segment.suffix_based, *p);
             let provenance = ProvenanceRecord {
-                trigger_hop: p.trigger_hop as u64,
-                run_len: p.run_len as u64,
+                trigger_hop: segment.start as u64,
+                run_len: segment.hop_count() as u64,
                 distinct_addrs: p.distinct_addrs as u64,
                 lses_consulted: p.lses_consulted as u64,
                 effective_depth: p.effective_depth as u64,
@@ -113,8 +118,8 @@ fn attach_detections(
                     .fingerprint
                     .map(|e| shared(&mut strings.verdicts, &e, ToString::to_string)),
                 label_in_vendor_range: p.label_in_vendor_range,
-                suffix_matched: p.suffix_matched,
-                chain: shared(&mut strings.chains, p, Provenance::chain),
+                suffix_matched: segment.suffix_based,
+                chain: shared(&mut strings.chains, &chain_key, |_| segment.chain()),
             };
             let detection = Arc::new(DetectionRecord {
                 asn: result.asn.0,

@@ -109,25 +109,27 @@ fn an_incremental_run_against_a_missing_base_fails_friendly() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Runs the binary with `stream` ("stdout" or "stderr") connected to a
+/// Runs `program` with `stream` ("stdout" or "stderr") connected to a
 /// pipe whose read end is already closed, so every write to it fails
 /// with `BrokenPipe`.
-fn run_into_closed_pipe(args: &[&str], stream: &str) -> ExitStatus {
+fn run_into_closed_pipe(program: &str, args: &[&str], stream: &str) -> ExitStatus {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
-    let mut command = Command::new(env!("CARGO_BIN_EXE_arest-experiments"));
+    let mut command = Command::new(program);
     command.args(args).stdin(Stdio::null());
     match stream {
         "stdout" => command.stdout(writer).stderr(Stdio::null()),
         _ => command.stderr(writer).stdout(Stdio::null()),
     };
-    command.status().expect("spawn arest-experiments")
+    command.status().unwrap_or_else(|e| panic!("spawn {program}: {e}"))
 }
+
+const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_arest-experiments");
 
 #[test]
 fn usage_on_a_closed_stderr_pipe_still_exits_2() {
     // Exit 101 would be the panic of a failed `eprintln!`.
-    let status = run_into_closed_pipe(&["--clients", "2"], "stderr");
+    let status = run_into_closed_pipe(EXPERIMENTS, &["--clients", "2"], "stderr");
     assert_eq!(status.code(), Some(2), "{status:?}");
 }
 
@@ -140,9 +142,21 @@ fn a_listing_into_a_closed_stdout_pipe_exits_0() {
         ledger.commit(&arest_ledger::RunSnapshot::default(), &options).expect("commit");
     }
     let dir = dir.to_str().unwrap();
-    let status = run_into_closed_pipe(&["--ledger", dir, "history"], "stdout");
+    let status = run_into_closed_pipe(EXPERIMENTS, &["--ledger", dir, "history"], "stdout");
     assert_eq!(status.code(), Some(0), "{status:?}");
-    let status = run_into_closed_pipe(&["--ledger", dir, "--out", dir, "diff", "1", "2"], "stdout");
+    let status = run_into_closed_pipe(
+        EXPERIMENTS,
+        &["--ledger", dir, "--out", dir, "diff", "1", "2"],
+        "stdout",
+    );
     assert_eq!(status.code(), Some(0), "{status:?}");
     std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+#[test]
+fn a_trace_into_a_closed_stdout_pipe_exits_0() {
+    // `arest-trace --as 2 | true`: the traces still run (AS 2 reveals
+    // hops), and exit 101 would be the panic of a failed `println!`.
+    let status = run_into_closed_pipe(env!("CARGO_BIN_EXE_arest-trace"), &["--as", "2"], "stdout");
+    assert_eq!(status.code(), Some(0), "{status:?}");
 }

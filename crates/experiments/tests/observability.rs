@@ -68,5 +68,13 @@ fn experiment_outputs_are_byte_identical_with_observability_on_and_off() {
             "unit span must stay parented under its AS flow"
         );
     }
-    assert!(!find("core.detect.trace").is_empty(), "detection spans missing");
+    let tails = find("pipeline.as.tail");
+    let detects = find("pipeline.as.detect");
+    assert!(!detects.is_empty(), "detection spans missing");
+    for detect in &detects {
+        assert!(
+            tails.iter().any(|t| t.id == detect.parent),
+            "detect span must stay parented under its AS tail"
+        );
+    }
 }

@@ -25,15 +25,19 @@ fn read(path: &Path) -> String {
 #[test]
 fn trace_out_emits_valid_chrome_trace_flamegraph_and_provenance() {
     let dir = scratch_dir("trace-out");
-    let status = Command::new(env!("CARGO_BIN_EXE_arest-experiments"))
+    let out = Command::new(env!("CARGO_BIN_EXE_arest-experiments"))
         .args(["--quick", "--obs", "--trace-out"])
         .arg(&dir)
         .arg("--out")
         .arg(&dir)
         .arg("all")
-        .status()
+        .output()
         .expect("spawn arest-experiments");
-    assert!(status.success(), "runner failed: {status}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "runner failed: {}\n{stderr}", out.status);
+    // Every build of the run (`ablation` and `longitudinal` rebuild)
+    // must fit the span ring: an eviction leaves a partial trace.json.
+    assert!(!stderr.contains("span ring evicted"), "spans were evicted:\n{stderr}");
 
     // trace.json must be well-formed Chrome trace-event JSON.
     let trace = Json::parse(&read(&dir.join("trace.json"))).expect("trace.json must parse");

@@ -5,6 +5,11 @@
 //! `parallel_build_matches_*` result-determinism tests and rides the
 //! same CI filter.
 //!
+//! Spans follow the scheduled work (ASes and `(AS, VP)` units), not
+//! the traces, so the tree is also identical when every AS probes half
+//! as many targets: that is what keeps a full campaign inside the span
+//! ring.
+//!
 //! Single test on purpose: it toggles the process-global registry and
 //! drains its span ring, so it must not share this binary with other
 //! tests that touch either.
@@ -27,6 +32,14 @@ fn parallel_build_matches_span_tree_structure() {
     config.workers = Some(4);
     let _ = Dataset::build(config);
     let parallel = SpanTree::build(tracer.take_records());
+
+    // A second pair: the same build at 8 and at 4 targets per AS.
+    let build_with_targets = |targets_per_as| {
+        let _ = Dataset::build(PipelineConfig { targets_per_as, ..PipelineConfig::quick() });
+        SpanTree::build(tracer.take_records())
+    };
+    let eight = build_with_targets(8);
+    let four = build_with_targets(4);
     registry.set_enabled(false);
 
     assert_eq!(tracer.dropped(), 0, "quick builds must fit the default span ring");
@@ -50,17 +63,26 @@ fn parallel_build_matches_span_tree_structure() {
         structure.contains("pipeline.stage.stream(pipeline.as.flow("),
         "per-AS flows must nest under the stream stage"
     );
+    // `structure()` sorts siblings by name: the tail (its three
+    // children sorted too), then one leaf unit per vantage point.
     assert!(
-        structure.contains("tnt.campaign.unit(tnt.trace"),
-        "traces must nest under their campaign unit"
+        structure.contains(
+            "pipeline.as.flow(pipeline.as.tail(pipeline.as.alias,pipeline.as.detect,\
+             pipeline.as.fingerprint),tnt.campaign.unit,tnt.campaign.unit,"
+        ),
+        "each flow must hold its tail (fingerprint, alias, detect) and its campaign units"
     );
-    assert!(structure.contains("pipeline.as.tail("), "each flow must close with its tail span");
+    assert!(!structure.contains("tnt.campaign.unit("), "a campaign unit has no per-trace child");
     assert!(
         structure.contains("netgen.phase.deploy(netgen.deploy.unit,"),
         "per-AS deploy units must nest under the deploy phase"
     );
-    assert!(
-        structure.contains("pipeline.detect.unit(core.detect.trace"),
-        "detection spans must nest under their work unit"
+
+    assert_eq!(eight.orphans + four.orphans, 0);
+    assert_eq!(eight.len(), four.len(), "the span count must not follow the trace count");
+    assert_eq!(
+        eight.structure(),
+        four.structure(),
+        "span parentage and names must not depend on the targets per AS"
     );
 }

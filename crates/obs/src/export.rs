@@ -62,8 +62,8 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
             out.push(':');
             match value {
                 FieldValue::Str(v) => write_json_string(&mut out, v),
-                number_or_bool => {
-                    let _ = write!(out, "{number_or_bool}");
+                FieldValue::U64(v) => {
+                    let _ = write!(out, "{v}");
                 }
             }
         }

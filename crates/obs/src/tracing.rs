@@ -71,12 +71,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// numeric fields render naturally in the exporters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FieldValue {
-    /// Unsigned integer.
+    /// Unsigned integer: a count, size, index or identifier.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Boolean.
-    Bool(bool),
     /// Text.
     Str(String),
 }
@@ -85,8 +81,6 @@ impl fmt::Display for FieldValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
-            FieldValue::Bool(v) => write!(f, "{v}"),
             FieldValue::Str(v) => f.write_str(v),
         }
     }
@@ -101,12 +95,6 @@ impl fmt::Display for FieldValue {
 pub trait IntoFieldValue {
     /// Performs the conversion.
     fn into_field_value(self) -> FieldValue;
-}
-
-impl IntoFieldValue for FieldValue {
-    fn into_field_value(self) -> FieldValue {
-        self
-    }
 }
 
 impl IntoFieldValue for u64 {
@@ -127,31 +115,7 @@ impl IntoFieldValue for usize {
     }
 }
 
-impl IntoFieldValue for i64 {
-    fn into_field_value(self) -> FieldValue {
-        FieldValue::I64(self)
-    }
-}
-
-impl IntoFieldValue for bool {
-    fn into_field_value(self) -> FieldValue {
-        FieldValue::Bool(self)
-    }
-}
-
 impl IntoFieldValue for &str {
-    fn into_field_value(self) -> FieldValue {
-        FieldValue::Str(self.to_string())
-    }
-}
-
-impl IntoFieldValue for String {
-    fn into_field_value(self) -> FieldValue {
-        FieldValue::Str(self)
-    }
-}
-
-impl IntoFieldValue for std::net::Ipv4Addr {
     fn into_field_value(self) -> FieldValue {
         FieldValue::Str(self.to_string())
     }
@@ -456,7 +420,7 @@ mod tests {
                 let tracer = tracer.clone();
                 scope.spawn(move || {
                     let mut unit = tracer.span_with_parent("campaign.unit", ctx);
-                    unit.record("stolen", true);
+                    unit.record("stolen", 1_u64);
                 });
             }
         });
@@ -501,9 +465,6 @@ mod tests {
     #[test]
     fn field_value_display() {
         assert_eq!(FieldValue::U64(7).to_string(), "7");
-        assert_eq!(FieldValue::I64(-7).to_string(), "-7");
-        assert_eq!(FieldValue::Bool(true).to_string(), "true");
         assert_eq!(FieldValue::Str("x".into()).to_string(), "x");
-        assert_eq!(std::net::Ipv4Addr::new(10, 0, 0, 1).into_field_value().to_string(), "10.0.0.1");
     }
 }

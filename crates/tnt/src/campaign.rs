@@ -13,7 +13,7 @@
 use crate::reveal::trace_with_revelation;
 use crate::trace::Trace;
 use crate::tracer::TraceConfig;
-use arest_obs::{Span, SpanContext};
+use arest_obs::SpanContext;
 use arest_simnet::Network;
 use arest_topo::ids::RouterId;
 use std::net::Ipv4Addr;
@@ -41,30 +41,18 @@ pub struct CampaignConfig {
 }
 
 /// One `(AS, VP)` work unit: a vantage point traces one AS's target
-/// list in its VP-specific order. Each trace opens a `tnt.trace` span
-/// under `unit_span` (revelation sub-traces stay unspanned — they are
-/// internals of the one measurement, and their count varies with
-/// topology, not schedule).
+/// list in its VP-specific order.
 fn trace_unit(
     net: &Network,
     vp: &VantagePoint,
     targets: &[Ipv4Addr],
     config: &CampaignConfig,
-    unit_span: &Span,
 ) -> Vec<Trace> {
     let mut order: Vec<Ipv4Addr> = targets.to_vec();
     shuffle_for_vp(&mut order, vp.addr);
     order
         .into_iter()
-        .map(|dst| {
-            let mut span = unit_span.child("tnt.trace");
-            let trace =
-                trace_with_revelation(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace);
-            span.record("dst", dst);
-            span.record("hops", trace.hops.len());
-            span.record("reached", trace.reached);
-            trace
-        })
+        .map(|dst| trace_with_revelation(net, &vp.name, vp.gateway, vp.addr, dst, &config.trace))
         .collect()
 }
 
@@ -76,7 +64,9 @@ fn trace_unit(
 /// flow span context, which is `Copy` and can ride inside a pool work
 /// unit, so a unit stolen by any worker lands under the right AS in
 /// the reconstructed tree) and returns the VP's traces in its shuffled
-/// target order.
+/// target order. The span is the unit's only one: it records the
+/// unit's totals (`traces`, `hops`, `reached`), so the span count
+/// follows the schedule, not the trace count.
 pub fn campaign_unit(
     net: &Network,
     vp: &VantagePoint,
@@ -87,7 +77,13 @@ pub fn campaign_unit(
     let mut unit_span = crate::obs::TRACER.span_with_parent("tnt.campaign.unit", parent);
     unit_span.record("vp", &*vp.name);
     unit_span.record("targets", targets.len());
-    trace_unit(net, vp, targets, config, &unit_span)
+    let traces = trace_unit(net, vp, targets, config);
+    if unit_span.is_recording() {
+        unit_span.record("traces", traces.len());
+        unit_span.record("hops", traces.iter().map(|t| t.hops.len()).sum::<usize>());
+        unit_span.record("reached", traces.iter().filter(|t| t.reached).count());
+    }
+    traces
 }
 
 /// Deterministic per-VP Fisher–Yates shuffle keyed on the VP address

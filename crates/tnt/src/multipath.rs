@@ -13,7 +13,6 @@
 //! measurement campaign learns that per-flow diversity exists — and
 //! why Paris-style flow stability is required in the first place.
 
-use crate::trace::Hop;
 use crate::tracer::TraceConfig;
 use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload};
 use arest_simnet::{FlowWalk, Network};
@@ -136,25 +135,6 @@ pub fn multipath_trace(
     }
 
     MultipathTrace { dst, levels }
-}
-
-/// Collapses a multipath enumeration into a Paris-style single-flow
-/// hop list (the primary flow only) — handy for feeding the result
-/// into per-flow consumers.
-pub fn primary_flow_hops(trace: &MultipathTrace) -> Vec<Hop> {
-    let base = TraceConfig::default().flow.0;
-    trace
-        .levels
-        .iter()
-        .map(|level| {
-            let addr = level
-                .branches
-                .iter()
-                .find(|(_, flows)| flows.contains(&base))
-                .map(|(addr, _)| *addr);
-            Hop { addr, ..Hop::silent(level.ttl) }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -292,14 +272,5 @@ mod tests {
         net.register_igp(asn, spf);
         let trace = multipath_trace(&net, r[0], ip(192, 0, 2, 1), dst, &MdaConfig::default());
         assert!(trace.is_single_path());
-    }
-
-    #[test]
-    fn primary_flow_extraction_is_a_connected_hop_list() {
-        let (net, r, dst) = diamond();
-        let trace = multipath_trace(&net, r[0], ip(192, 0, 2, 1), dst, &MdaConfig::default());
-        let hops = primary_flow_hops(&trace);
-        assert_eq!(hops.len(), trace.levels.len());
-        assert!(hops.iter().all(|h| h.addr.is_some()), "the base flow answers everywhere");
     }
 }

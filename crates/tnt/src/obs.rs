@@ -8,8 +8,8 @@ use arest_obs::{Counter, Gauge, Histogram, Tracer};
 use std::sync::LazyLock;
 
 /// The global registry's span tracer: stolen (AS, VP) campaign
-/// units and individual traces open spans through this handle
-/// (inert while `AREST_OBS` is off).
+/// units open spans through this handle (inert while `AREST_OBS` is
+/// off).
 pub(crate) static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
 
 pub(crate) struct Metrics {

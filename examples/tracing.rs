@@ -59,7 +59,7 @@ fn main() {
         "first detection: [{}] vp={} dst={} hops={}..{}",
         segment.flag, trace.vp, trace.dst, segment.start, segment.end
     );
-    println!("evidence chain:  {}", segment.provenance.chain());
+    println!("evidence chain:  {}", segment.chain());
 
     assert!(tree.len() > 100, "a full build must record a real span volume");
     assert_eq!(tree.orphans, 0, "nothing evicted, so nothing orphaned");

@@ -81,6 +81,16 @@ test -s "$BENCH_OUT/trace-artifacts/trace.json"
 test -s "$BENCH_OUT/trace-artifacts/trace.folded"
 test -s "$BENCH_OUT/trace-artifacts/RUN_REPORT_provenance.txt"
 
+echo "==> default-scale trace run (a whole campaign fits the span ring)"
+FULL_TRACE=$(mktemp -d)
+AREST_OBS=1 cargo run --release -p arest-experiments --bin arest-experiments -- \
+    --out "$FULL_TRACE" --trace-out "$FULL_TRACE" headline >/dev/null 2>"$FULL_TRACE/stderr.txt"
+test -s "$FULL_TRACE/trace.json"
+if grep 'span ring evicted' "$FULL_TRACE/stderr.txt"; then
+    exit 1
+fi
+rm -rf "$FULL_TRACE"
+
 echo "==> tracing example smoke run"
 cargo run --release --example tracing >/dev/null
 
