@@ -76,7 +76,9 @@ pub fn ping_echo_ttl(
         ttl: 64,
         transport: TransportPayload::Echo { ident: 0xf1f0, seq: 1 },
     };
-    match net.probe(&spec) {
+    // An echo reply carries no ICMP bytes to keep; the buffer only
+    // takes an error reply's.
+    match net.probe(&spec, &mut Vec::new()) {
         ProbeReply::EchoReply { reply_ttl, .. } => Some(reply_ttl),
         _ => None,
     }

@@ -561,13 +561,20 @@ mod tests {
         for plan in internet.plans.iter().filter(|p| p.routers.len() >= 4) {
             let Some(&(prefix, _)) = plan.customers.first() else { continue };
             tried += 1;
-            let reply = internet.net.probe(&ProbeSpec {
-                entry: vp.gateway,
-                src: vp.addr,
-                dst: prefix.nth(7),
-                ttl: 40,
-                transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 9 },
-            });
+            let reply = internet.net.probe(
+                &ProbeSpec {
+                    entry: vp.gateway,
+                    src: vp.addr,
+                    dst: prefix.nth(7),
+                    ttl: 40,
+                    transport: TransportPayload::Udp {
+                        src_port: 33_434,
+                        dst_port: 33_434,
+                        ident: 9,
+                    },
+                },
+                &mut Vec::new(),
+            );
             if matches!(reply, ProbeReply::DestUnreachable { .. }) {
                 delivered += 1;
             }
@@ -587,17 +594,20 @@ mod tests {
                     return false;
                 }
                 let Some(&(prefix, _)) = plan.customers.first() else { return false };
-                let reply = internet.net.probe(&ProbeSpec {
-                    entry: vp.gateway,
-                    src: vp.addr,
-                    dst: prefix.nth(3),
-                    ttl: 60,
-                    transport: TransportPayload::Udp {
-                        src_port: 33_434,
-                        dst_port: 33_434,
-                        ident: 4,
+                let reply = internet.net.probe(
+                    &ProbeSpec {
+                        entry: vp.gateway,
+                        src: vp.addr,
+                        dst: prefix.nth(3),
+                        ttl: 60,
+                        transport: TransportPayload::Udp {
+                            src_port: 33_434,
+                            dst_port: 33_434,
+                            ident: 4,
+                        },
                     },
-                });
+                    &mut Vec::new(),
+                );
                 match reply {
                     // A detoured trace crosses the provider: clearly
                     // more forward hops than the AS's own diameter.
@@ -661,13 +671,16 @@ mod tests {
         let plan = &sliced.plans[target];
         let (prefix, _) = plan.customers[0];
         let vp = &sliced.vps[0];
-        let reply = sliced.net.probe(&ProbeSpec {
-            entry: vp.gateway,
-            src: vp.addr,
-            dst: prefix.nth(7),
-            ttl: 40,
-            transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 9 },
-        });
+        let reply = sliced.net.probe(
+            &ProbeSpec {
+                entry: vp.gateway,
+                src: vp.addr,
+                dst: prefix.nth(7),
+                ttl: 40,
+                transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 9 },
+            },
+            &mut Vec::new(),
+        );
         assert!(matches!(reply, ProbeReply::DestUnreachable { .. }), "got {reply:?}");
 
         // An all-true mask is exactly a full run.

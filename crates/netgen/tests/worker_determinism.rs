@@ -49,8 +49,10 @@ fn assert_same(a: &Internet, b: &Internet, what: &str) {
     assert_eq!(a.label_records, b.label_records, "{what}: label records differ");
     let mut delivered = 0;
     for spec in probe_set(a) {
-        let reply = a.net.probe(&spec);
-        assert_eq!(reply, b.net.probe(&spec), "{what}: replies differ for {spec:?}");
+        let (mut a_bytes, mut b_bytes) = (Vec::new(), Vec::new());
+        let reply = a.net.probe(&spec, &mut a_bytes);
+        assert_eq!(reply, b.net.probe(&spec, &mut b_bytes), "{what}: replies differ for {spec:?}");
+        assert_eq!(a_bytes, b_bytes, "{what}: reply bytes differ for {spec:?}");
         delivered += usize::from(matches!(reply, ProbeReply::DestUnreachable { .. }));
     }
     assert!(delivered > 0, "{what}: the probe set reached no target");

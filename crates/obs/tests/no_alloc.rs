@@ -3,17 +3,17 @@
 //!
 //! The instrumented `Network::probe` must cost nothing when
 //! observability is off — the promise that lets the instrumentation
-//! live permanently in the forwarding engine. This test installs a
-//! counting `GlobalAlloc` (the sole `unsafe` in the workspace, hence
-//! this crate's `deny`-not-`forbid` lint level and the file-local
-//! allow below), warms up every lazy registration, and then asserts:
+//! live permanently in the forwarding engine. This test counts
+//! allocations, warms up every lazy registration, and then asserts:
 //!
 //! 1. recording against disabled handles performs **zero** allocations;
 //! 2. a probe loop allocates exactly as much with observability
 //!    enabled as disabled — the handles never allocate after
 //!    registration, enabled or not.
+//!
+//! The counting allocator lives in `common`.
 
-#![allow(unsafe_code)]
+mod common;
 
 use arest_simnet::network::Network;
 use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload};
@@ -21,56 +21,8 @@ use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, RouterId};
 use arest_topo::prefix::Prefix;
 use arest_topo::vendor::Vendor;
-use std::alloc::{GlobalAlloc, Layout, System};
+use common::{allocations, min_allocations};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation while delegating to the system allocator.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure delegation to `System`; the only addition is a relaxed
-// counter increment, which cannot violate any allocator contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Runs `measure` up to five times and returns the smallest allocation
-/// delta observed. The test harness's main thread occasionally
-/// allocates a couple of times while a measured loop runs; a genuine
-/// per-call allocation in the measured code shows up in *every*
-/// attempt at loop scale, while harness noise is transient — the
-/// minimum over a few attempts isolates the former.
-fn min_allocations<F: FnMut()>(mut measure: F) -> u64 {
-    (0..5)
-        .map(|_| {
-            let before = allocations();
-            measure();
-            allocations() - before
-        })
-        .min()
-        .expect("at least one attempt")
-}
 
 /// A 4-router IP chain with host routes toward every loopback.
 fn chain_network() -> (Network, Vec<RouterId>, Ipv4Addr) {
@@ -117,13 +69,14 @@ fn chain_network() -> (Network, Vec<RouterId>, Ipv4Addr) {
 }
 
 fn probe(net: &Network, entry: RouterId, dst: Ipv4Addr, ttl: u8) -> ProbeReply {
-    net.probe(&ProbeSpec {
+    let spec = ProbeSpec {
         entry,
         src: Ipv4Addr::new(192, 0, 2, 1),
         dst,
         ttl,
         transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 7 },
-    })
+    };
+    net.probe(&spec, &mut Vec::new())
 }
 
 /// Runs one full pseudo-traceroute (TTL 1..=5) and returns the number
@@ -136,9 +89,7 @@ fn allocations_per_trace(net: &Network, entry: RouterId, dst: Ipv4Addr) -> u64 {
     allocations() - before
 }
 
-/// One test function on purpose: the harness runs `#[test]`s in
-/// parallel, and a second thread's allocations would bleed into the
-/// counters measured here.
+/// One test function on purpose (see `common`).
 #[test]
 fn disabled_observability_adds_no_allocations_to_the_probe_path() {
     // This test binary runs in its own process; nothing else touches

@@ -36,10 +36,12 @@
 //! ~L²/2 hop visits.
 //!
 //! What stays per probe: [`Network::reply`] builds each probe's reply
-//! with its own TTL and ident and encodes it as real ICMP bytes, and
-//! the prober parses every reply with `IcmpMessage::parse`. The RFC
-//! 4950 encoder and decoder are part of what is reproduced, so they
-//! run for every probe, not once per walk. [`Network::probe`] is a
+//! with its own TTL and ident and encodes it as real ICMP bytes into a
+//! buffer the caller owns, and the prober parses every reply through
+//! the borrowed `arest_wire::icmp::IcmpView`. The RFC 4950 encoder and
+//! decoder are part of what is reproduced, so they run for every
+//! probe, not once per walk; with one buffer per trace, neither
+//! allocates. [`Network::probe`] is a
 //! one-TTL walk, so production has one forwarding engine.
 //! [`Network::forward`], the per-TTL loop the walk replaced, remains
 //! only as the reference the differential tests compare against.

@@ -2,17 +2,19 @@
 
 use crate::packet::{DropReason, ProbeReply, ProbeSpec, SimPacket, TransportPayload};
 use crate::plane::RouterPlane;
-use crate::walk::{stack_at, Expiry, FlowWalk, Outcome, SymLse, SymStack, SymTtl, Terminal};
+use crate::walk::{received_at, Expiry, FlowWalk, Outcome, SymLse, SymStack, SymTtl, Terminal};
 use arest_mpls::tables::LfibAction;
 use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, IfaceId, RouterId};
 use arest_topo::prefix::{Prefix, PrefixMap};
 use arest_topo::spf::DomainSpf;
-use arest_wire::icmp::{IcmpMessage, MplsExtension};
-use arest_wire::mpls::LabelStack;
+use arest_wire::icmp::{write_error, ErrorKind};
+use arest_wire::mpls::{LabelStack, Lse};
 use std::collections::HashMap;
+use std::iter::Copied;
 use std::net::Ipv4Addr;
 use std::ops::RangeInclusive;
+use std::slice;
 
 /// Safety bound on router visits per probe; anything beyond this is a
 /// control-plane bug surfacing as a forwarding loop.
@@ -101,9 +103,10 @@ impl Network {
     }
 
     /// Injects one probe and runs it to completion: a one-TTL
-    /// [`walk`](Network::walk).
-    pub fn probe(&self, spec: &ProbeSpec) -> ProbeReply {
-        self.reply(&self.walk(spec, spec.ttl..=spec.ttl), spec)
+    /// [`walk`](Network::walk), answered into `reply_bytes` as
+    /// [`reply`](Network::reply) does.
+    pub fn probe(&self, spec: &ProbeSpec, reply_bytes: &mut Vec<u8>) -> ProbeReply {
+        self.reply(&self.walk(spec, spec.ttl..=spec.ttl), spec, reply_bytes)
     }
 
     /// Forwards the Paris flow of `flow` once, resolving every probe
@@ -270,24 +273,38 @@ impl Network {
     /// this probe alone (its own TTL and ident) and accounted once in
     /// `simnet.*`.
     ///
+    /// A time-exceeded or destination-unreachable reply is encoded as
+    /// ICMP bytes into `reply_bytes`, replacing its contents; any
+    /// other reply leaves it empty. Reusing one buffer across probes
+    /// makes a reply allocation-free: the received label stack goes
+    /// straight from the walk's symbolic stack, evaluated at the
+    /// probe's TTL, into the encoder.
+    ///
     /// # Panics
     ///
     /// If `spec` is not a probe of the walk ([`FlowWalk::serves`]): a
     /// foreign probe must never be answered from another flow's path.
-    pub fn reply(&self, walk: &FlowWalk, spec: &ProbeSpec) -> ProbeReply {
+    pub fn reply(
+        &self,
+        walk: &FlowWalk,
+        spec: &ProbeSpec,
+        reply_bytes: &mut Vec<u8>,
+    ) -> ProbeReply {
         assert!(walk.serves(spec), "probe {spec:?} is not on the walked flow");
+        reply_bytes.clear();
         let ttl = spec.ttl;
         let mut pkt = spec.packet();
         let reply = match walk.outcome(ttl) {
             Outcome::Expired(expiry) => {
                 pkt.ip.ttl = expiry.ip.at(ttl);
-                let received = expiry.received.as_deref().map(|s| stack_at(s, ttl));
-                self.time_exceeded(expiry.router, expiry.reply_src, &pkt, received, expiry.hops)
+                let received = received_at(expiry.received.as_deref(), ttl);
+                let (router, src, hops) = (expiry.router, expiry.reply_src, expiry.hops);
+                self.time_exceeded(router, src, &pkt, received, hops, reply_bytes)
             }
             Outcome::Terminal(Terminal::Delivered { router, ip, received, hops }) => {
                 pkt.ip.ttl = ip.at(ttl);
-                let received = received.as_deref().map(|s| stack_at(s, ttl));
-                self.deliver(*router, &pkt, received, *hops)
+                let received = received_at(received.as_deref(), ttl);
+                self.deliver(*router, &pkt, received, *hops, reply_bytes)
             }
             Outcome::Terminal(Terminal::Dropped(reason)) => ProbeReply::Silent(*reason),
         };
@@ -316,14 +333,16 @@ impl Network {
     }
 
     /// The per-TTL forwarding loop: one probe, forwarded from scratch
-    /// and not accounted in `simnet.*`.
+    /// and not accounted in `simnet.*`, its reply bytes encoded into
+    /// `reply_bytes` as [`reply`](Network::reply) does.
     ///
     /// This is the **reference** the walk is tested against: the
     /// differential tests check that [`reply`](Network::reply) on a
     /// [`walk`](Network::walk) returns, byte for byte, what this loop
     /// returns for each TTL. Probing goes through the walk; nothing in
     /// production calls this.
-    pub fn forward(&self, spec: &ProbeSpec) -> ProbeReply {
+    pub fn forward(&self, spec: &ProbeSpec, reply_bytes: &mut Vec<u8>) -> ProbeReply {
+        reply_bytes.clear();
         // The flow key: per-flow load balancers hash the 5-tuple. The
         // Paris design keeps it constant across a trace (ports fixed,
         // ident in the checksum), so every probe of one trace follows
@@ -356,7 +375,15 @@ impl Network {
                     .then(|| received_labeled.take().unwrap_or_else(|| pkt.stack.clone()));
                 let ttl = pkt.stack.decrement_ttl().expect("stack checked non-empty");
                 if ttl == 0 {
-                    return self.time_exceeded(current, reply_src, &pkt, received, hops);
+                    let received = received_entries(&received);
+                    return self.time_exceeded(
+                        current,
+                        reply_src,
+                        &pkt,
+                        received,
+                        hops,
+                        reply_bytes,
+                    );
                 }
                 match action {
                     None => return ProbeReply::Silent(DropReason::NoLabelEntry),
@@ -410,7 +437,8 @@ impl Network {
             if self.topo.router_by_any_addr(pkt.ip.dst_addr).is_some_and(|r| r.id == current) {
                 // The probed address belongs to this router itself: it
                 // answers directly, quoting any received label stack.
-                return self.deliver(current, &pkt, received_labeled, hops);
+                let received = received_entries(&received_labeled);
+                return self.deliver(current, &pkt, received, hops, reply_bytes);
             }
             if self.anchors.lookup(pkt.ip.dst_addr).map(|(_, r)| *r) == Some(current) {
                 // The probed address sits in a customer prefix anchored
@@ -427,9 +455,18 @@ impl Network {
                     // place — nothing reads the decremented copy after
                     // this return.
                     pkt.ip.ttl = received_ttl;
-                    return self.time_exceeded(current, reply_src, &pkt, received_labeled, hops);
+                    let received = received_entries(&received_labeled);
+                    return self.time_exceeded(
+                        current,
+                        reply_src,
+                        &pkt,
+                        received,
+                        hops,
+                        reply_bytes,
+                    );
                 }
-                return self.deliver(current, &pkt, None, hops.saturating_add(1));
+                let hops = hops.saturating_add(1);
+                return self.deliver(current, &pkt, received_entries(&None), hops, reply_bytes);
             }
             let received_ttl = pkt.ip.ttl;
             pkt.ip.ttl = pkt.ip.ttl.saturating_sub(1);
@@ -437,7 +474,8 @@ impl Network {
                 // As above: restore the received TTL in place for the
                 // RFC 4950 quote instead of cloning the whole packet.
                 pkt.ip.ttl = received_ttl;
-                return self.time_exceeded(current, reply_src, &pkt, received_labeled, hops);
+                let received = received_entries(&received_labeled);
+                return self.time_exceeded(current, reply_src, &pkt, received, hops, reply_bytes);
             }
 
             // Ingress encapsulation: FTN first (MPLS/SR preferred over
@@ -573,41 +611,44 @@ impl Network {
         Some((remote, repair.next_router))
     }
 
+    /// The time-exceeded `router` sends for `pkt`, encoded into
+    /// `reply_bytes`. `received` is the label stack the router
+    /// received, top entry first (empty for plain IP); it is quoted
+    /// only by an RFC 4950 router.
     fn time_exceeded(
         &self,
         router: RouterId,
         reply_src: Ipv4Addr,
         pkt: &SimPacket,
-        received_stack: Option<LabelStack>,
+        received: impl ExactSizeIterator<Item = Lse>,
         hops: u8,
+        reply_bytes: &mut Vec<u8>,
     ) -> ProbeReply {
-        let plane = &self.planes[router.index()];
-        if !plane.icmp_enabled {
+        if !self.planes[router.index()].icmp_enabled {
             return ProbeReply::Silent(DropReason::IcmpDisabled);
         }
-        let extension = match received_stack {
-            Some(stack) if plane.rfc4950 && !stack.is_empty() => Some(MplsExtension { stack }),
-            _ => None,
-        };
-        let msg = IcmpMessage::TimeExceeded { original: pkt.quoted_datagram(), extension };
-        let Ok(raw) = msg.to_bytes() else {
+        if !self.encode_error(router, ErrorKind::TimeExceeded, pkt, received, reply_bytes) {
             return ProbeReply::Silent(DropReason::ReplyUnencodable);
-        };
+        }
         let vendor = self.topo.router(router).vendor;
         ProbeReply::TimeExceeded {
             from: reply_src,
-            raw,
             reply_ttl: vendor.time_exceeded_initial_ttl().saturating_sub(hops),
             forward_hops: hops,
         }
     }
 
+    /// The reply of the router answering for `pkt`'s destination: a
+    /// port unreachable (encoded into `reply_bytes`, quoting
+    /// `received` like [`time_exceeded`](Network::time_exceeded)) or
+    /// an echo reply.
     fn deliver(
         &self,
         router: RouterId,
         pkt: &SimPacket,
-        received_stack: Option<LabelStack>,
+        received: impl ExactSizeIterator<Item = Lse>,
         hops: u8,
+        reply_bytes: &mut Vec<u8>,
     ) -> ProbeReply {
         let plane = &self.planes[router.index()];
         let vendor = self.topo.router(router).vendor;
@@ -616,23 +657,12 @@ impl Network {
                 if !plane.icmp_enabled {
                     return ProbeReply::Silent(DropReason::TargetSilent);
                 }
-                let extension = match received_stack {
-                    Some(stack) if plane.rfc4950 && !stack.is_empty() => {
-                        Some(MplsExtension { stack })
-                    }
-                    _ => None,
-                };
-                let msg = IcmpMessage::DestUnreachable {
-                    code: 3, // port unreachable
-                    original: pkt.quoted_datagram(),
-                    extension,
-                };
-                let Ok(raw) = msg.to_bytes() else {
+                let port_unreachable = ErrorKind::DestUnreachable(3);
+                if !self.encode_error(router, port_unreachable, pkt, received, reply_bytes) {
                     return ProbeReply::Silent(DropReason::ReplyUnencodable);
-                };
+                }
                 ProbeReply::DestUnreachable {
                     from: pkt.ip.dst_addr,
-                    raw,
                     reply_ttl: vendor.time_exceeded_initial_ttl().saturating_sub(hops),
                     forward_hops: hops,
                 }
@@ -648,6 +678,23 @@ impl Network {
                 }
             }
         }
+    }
+
+    /// Encodes `router`'s ICMP error for `pkt` into `reply_bytes`:
+    /// the 28-byte quote plus, at an RFC 4950 router, the received
+    /// stack. False when the reply cannot be encoded.
+    fn encode_error(
+        &self,
+        router: RouterId,
+        kind: ErrorKind,
+        pkt: &SimPacket,
+        received: impl ExactSizeIterator<Item = Lse>,
+        reply_bytes: &mut Vec<u8>,
+    ) -> bool {
+        let quoted = if self.planes[router.index()].rfc4950 { received.len() } else { 0 };
+        pkt.quoted_datagram()
+            .and_then(|quote| write_error(reply_bytes, kind, &quote, received.take(quoted)))
+            .is_ok()
     }
 }
 
@@ -665,6 +712,11 @@ pub(crate) fn flow_hash(spec: &ProbeSpec) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// A concrete received stack's entries, top first (none for plain IP).
+fn received_entries(stack: &Option<LabelStack>) -> Copied<slice::Iter<'_, Lse>> {
+    stack.as_ref().map_or(&[][..], LabelStack::entries).iter().copied()
 }
 
 /// [`merge_ttl_down`] on a walk: pops the symbolic top entry and
@@ -700,6 +752,7 @@ mod tests {
     use arest_topo::ids::AsNumber;
     use arest_topo::prefix::Prefix;
     use arest_topo::vendor::Vendor;
+    use arest_wire::icmp::IcmpMessage;
     use arest_wire::ipv4::Ipv4Packet;
     use std::collections::HashMap;
 
@@ -763,21 +816,31 @@ mod tests {
     }
 
     fn probe(net: &Net, ttl: u8) -> ProbeReply {
-        net.net.probe(&ProbeSpec {
-            entry: net.r[0],
-            src: ip(192, 0, 2, 1),
-            dst: net.target,
-            ttl,
-            transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 77 },
-        })
+        probe_bytes(net, ttl).0
+    }
+
+    /// A probe's reply and the ICMP bytes it came back as.
+    fn probe_bytes(net: &Net, ttl: u8) -> (ProbeReply, Vec<u8>) {
+        let mut raw = Vec::new();
+        let reply = net.net.probe(
+            &ProbeSpec {
+                entry: net.r[0],
+                src: ip(192, 0, 2, 1),
+                dst: net.target,
+                ttl,
+                transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 77 },
+            },
+            &mut raw,
+        );
+        (reply, raw)
     }
 
     #[test]
     fn ip_traceroute_reveals_every_hop() {
         let net = plain_ip_net();
         // TTL 1 expires at the entry router R0 itself.
-        match probe(&net, 1) {
-            ProbeReply::TimeExceeded { from, raw, .. } => {
+        match probe_bytes(&net, 1) {
+            (ProbeReply::TimeExceeded { from, .. }, raw) => {
                 assert_eq!(from, net.net.topo().router(net.r[0]).loopback);
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 assert!(msg.mpls_extension().is_none());
@@ -794,8 +857,8 @@ mod tests {
             }
         }
         // TTL 5 reaches R4's loopback: port unreachable from the target.
-        match probe(&net, 5) {
-            ProbeReply::DestUnreachable { from, raw, .. } => {
+        match probe_bytes(&net, 5) {
+            (ProbeReply::DestUnreachable { from, .. }, raw) => {
                 assert_eq!(from, net.target);
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 match msg {
@@ -810,7 +873,7 @@ mod tests {
     #[test]
     fn quoted_datagram_round_trips_paris_ident() {
         let net = plain_ip_net();
-        if let ProbeReply::TimeExceeded { raw, .. } = probe(&net, 3) {
+        if let (ProbeReply::TimeExceeded { .. }, raw) = probe_bytes(&net, 3) {
             let msg = IcmpMessage::parse(&raw).unwrap();
             let quoted = msg.original_datagram().unwrap();
             let udp = arest_wire::udp::UdpPacket::new_unchecked(&quoted[20..]);
@@ -835,13 +898,16 @@ mod tests {
     #[test]
     fn echo_request_gets_vendor_ttl_reply() {
         let net = plain_ip_net();
-        let reply = net.net.probe(&ProbeSpec {
-            entry: net.r[0],
-            src: ip(192, 0, 2, 1),
-            dst: net.target,
-            ttl: 64,
-            transport: TransportPayload::Echo { ident: 1, seq: 1 },
-        });
+        let reply = net.net.probe(
+            &ProbeSpec {
+                entry: net.r[0],
+                src: ip(192, 0, 2, 1),
+                dst: net.target,
+                ttl: 64,
+                transport: TransportPayload::Echo { ident: 1, seq: 1 },
+            },
+            &mut Vec::new(),
+        );
         match reply {
             ProbeReply::EchoReply { from, reply_ttl, forward_hops } => {
                 assert_eq!(from, net.target);
@@ -856,13 +922,16 @@ mod tests {
     #[test]
     fn no_route_is_silent() {
         let net = plain_ip_net();
-        let reply = net.net.probe(&ProbeSpec {
-            entry: net.r[0],
-            src: ip(192, 0, 2, 1),
-            dst: ip(8, 8, 8, 8),
-            ttl: 64,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 3 },
-        });
+        let reply = net.net.probe(
+            &ProbeSpec {
+                entry: net.r[0],
+                src: ip(192, 0, 2, 1),
+                dst: ip(8, 8, 8, 8),
+                ttl: 64,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 3 },
+            },
+            &mut Vec::new(),
+        );
         assert!(matches!(reply, ProbeReply::Silent(DropReason::NoRoute)));
     }
 
@@ -905,8 +974,8 @@ mod tests {
     fn explicit_tunnel_quotes_lses() {
         let net = ldp_net(true, true, true);
         // Hop 3 is R2, inside the LSP: the TE must carry an extension.
-        match probe(&net, 3) {
-            ProbeReply::TimeExceeded { raw, .. } => {
+        match probe_bytes(&net, 3) {
+            (ProbeReply::TimeExceeded { .. }, raw) => {
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 let ext = msg.mpls_extension().expect("explicit tunnels quote the stack");
                 assert_eq!(ext.stack.depth(), 1);
@@ -920,8 +989,8 @@ mod tests {
     #[test]
     fn implicit_tunnel_reveals_hops_without_lses() {
         let net = ldp_net(true, false, true);
-        match probe(&net, 3) {
-            ProbeReply::TimeExceeded { from, raw, .. } => {
+        match probe_bytes(&net, 3) {
+            (ProbeReply::TimeExceeded { from, .. }, raw) => {
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 assert!(msg.mpls_extension().is_none(), "no RFC 4950 quote");
                 assert_eq!(from, ip(10, 10, 1, 2), "interior hop still visible");
@@ -938,8 +1007,8 @@ mod tests {
         // Probes that would have expired inside the tunnel (ttl 3)
         // sail through (LSE TTL 255) and expire at the egress R3,
         // whose reply quotes the label it received.
-        match probe(&net, 3) {
-            ProbeReply::TimeExceeded { from, raw, .. } => {
+        match probe_bytes(&net, 3) {
+            (ProbeReply::TimeExceeded { from, .. }, raw) => {
                 assert_eq!(from, ip(10, 10, 2, 2), "the ending hop R3");
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 let ext = msg.mpls_extension().expect("EH quotes the received stack");
@@ -957,7 +1026,7 @@ mod tests {
         let net = ldp_net(false, true, true);
         let mut seen = Vec::new();
         for ttl in 1..=6u8 {
-            if let ProbeReply::TimeExceeded { from, raw, .. } = probe(&net, ttl) {
+            if let (ProbeReply::TimeExceeded { from, .. }, raw) = probe_bytes(&net, ttl) {
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 assert!(msg.mpls_extension().is_none(), "ttl {ttl} must not quote LSE");
                 seen.push(from);
@@ -1015,7 +1084,7 @@ mod tests {
         let net = sr_net(false);
         let mut labels = Vec::new();
         for ttl in 1..=6u8 {
-            if let ProbeReply::TimeExceeded { raw, .. } = probe(&net, ttl) {
+            if let (ProbeReply::TimeExceeded { .. }, raw) = probe_bytes(&net, ttl) {
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 if let Some(ext) = msg.mpls_extension() {
                     labels.push(ext.stack.top().unwrap().label.value());
@@ -1036,7 +1105,7 @@ mod tests {
         let net = sr_net(true);
         let mut labels = Vec::new();
         for ttl in 1..=6u8 {
-            if let ProbeReply::TimeExceeded { raw, .. } = probe(&net, ttl) {
+            if let (ProbeReply::TimeExceeded { .. }, raw) = probe_bytes(&net, ttl) {
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 if let Some(ext) = msg.mpls_extension() {
                     labels.push(ext.stack.top().unwrap().label.value());
@@ -1086,13 +1155,20 @@ mod tests {
     fn paris_flow_is_path_stable_but_flows_diverge() {
         let (net, r, target) = diamond();
         let middle_hop = |sport: u16| -> Ipv4Addr {
-            let reply = net.probe(&ProbeSpec {
-                entry: r[0],
-                src: ip(192, 0, 2, 1),
-                dst: target,
-                ttl: 2,
-                transport: TransportPayload::Udp { src_port: sport, dst_port: 33_434, ident: 1 },
-            });
+            let reply = net.probe(
+                &ProbeSpec {
+                    entry: r[0],
+                    src: ip(192, 0, 2, 1),
+                    dst: target,
+                    ttl: 2,
+                    transport: TransportPayload::Udp {
+                        src_port: sport,
+                        dst_port: 33_434,
+                        ident: 1,
+                    },
+                },
+                &mut Vec::new(),
+            );
             match reply {
                 ProbeReply::TimeExceeded { from, .. } => from,
                 other => panic!("expected TE, got {other:?}"),
@@ -1121,13 +1197,16 @@ mod tests {
         let mut net = ldp_net(true, true, true).net;
         // Down the R2—R3 link (third link added: LinkId 2).
         net.topo_mut().set_link_up(arest_topo::ids::LinkId(2), false);
-        let reply = net.probe(&ProbeSpec {
-            entry: RouterId(0),
-            src: ip(192, 0, 2, 1),
-            dst: ip(10, 255, 10, 5),
-            ttl: 20,
-            transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 4 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: RouterId(0),
+                src: ip(192, 0, 2, 1),
+                dst: ip(10, 255, 10, 5),
+                ttl: 20,
+                transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 4 },
+            },
+            &mut Vec::new(),
+        );
         assert!(
             matches!(reply, ProbeReply::Silent(DropReason::NoRoute)),
             "stale LSP must blackhole: {reply:?}"
@@ -1145,13 +1224,16 @@ mod tests {
             .install_route(Prefix::DEFAULT, Route { out_iface: if0, next_router: r[1] });
         net.plane_mut(r[1])
             .install_route(Prefix::DEFAULT, Route { out_iface: if1, next_router: r[0] });
-        let reply = net.probe(&ProbeSpec {
-            entry: r[0],
-            src: ip(192, 0, 2, 1),
-            dst: ip(8, 8, 8, 8),
-            ttl: 255,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 3 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: r[0],
+                src: ip(192, 0, 2, 1),
+                dst: ip(8, 8, 8, 8),
+                ttl: 255,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 3 },
+            },
+            &mut Vec::new(),
+        );
         // The IP TTL drains first (255 decrements), producing a TE from
         // inside the loop rather than an infinite walk.
         assert!(
@@ -1187,13 +1269,16 @@ mod tests {
                 next_router: r[1],
             },
         );
-        let reply = net.probe(&ProbeSpec {
-            entry: r[0],
-            src: ip(192, 0, 2, 1),
-            dst: ip(10, 255, 10, 3),
-            ttl: 20,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 9 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: r[0],
+                src: ip(192, 0, 2, 1),
+                dst: ip(10, 255, 10, 3),
+                ttl: 20,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 9 },
+            },
+            &mut Vec::new(),
+        );
         assert!(
             matches!(reply, ProbeReply::Silent(DropReason::NoLabelEntry)),
             "unknown label must drop: {reply:?}"
@@ -1276,13 +1361,16 @@ mod tests {
     fn tilfa_repairs_traffic_before_reconvergence() {
         let (mut net, r, protected_link) = tilfa_square();
         let probe = |net: &Network| {
-            net.probe(&ProbeSpec {
-                entry: r[0],
-                src: ip(192, 0, 2, 1),
-                dst: ip(100, 99, 0, 7),
-                ttl: 32,
-                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 8 },
-            })
+            net.probe(
+                &ProbeSpec {
+                    entry: r[0],
+                    src: ip(192, 0, 2, 1),
+                    dst: ip(100, 99, 0, 7),
+                    ttl: 32,
+                    transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 8 },
+                },
+                &mut Vec::new(),
+            )
         };
         // Healthy network: delivery via the primary side.
         assert!(matches!(probe(&net), ProbeReply::DestUnreachable { .. }));
@@ -1310,13 +1398,16 @@ mod tests {
         let mut net = Network::new(topo);
         net.register_igp(asn, spf);
         // No FIB entries installed at all — the oracle routes.
-        let reply = net.probe(&ProbeSpec {
-            entry: r[0],
-            src: ip(192, 0, 2, 1),
-            dst: target,
-            ttl: 32,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: r[0],
+                src: ip(192, 0, 2, 1),
+                dst: target,
+                ttl: 32,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
+            },
+            &mut Vec::new(),
+        );
         assert!(matches!(reply, ProbeReply::DestUnreachable { .. }), "{reply:?}");
     }
 
@@ -1330,13 +1421,16 @@ mod tests {
         let customer: Prefix = "100.66.0.0/24".parse().unwrap();
         net.anchor_prefix(customer, r[2]);
         let dst = ip(100, 66, 0, 42);
-        let reply = net.probe(&ProbeSpec {
-            entry: r[0],
-            src: ip(192, 0, 2, 1),
-            dst,
-            ttl: 32,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: r[0],
+                src: ip(192, 0, 2, 1),
+                dst,
+                ttl: 32,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
+            },
+            &mut Vec::new(),
+        );
         match reply {
             ProbeReply::DestUnreachable { from, forward_hops, .. } => {
                 assert_eq!(from, dst, "the virtual CE answers beyond the anchor");
@@ -1364,13 +1458,16 @@ mod tests {
         // inter-AS link.
         let out_iface = net.topo().adjacencies(r[2]).find(|(_, _, _, rem, _)| *rem == x).unwrap().1;
         net.plane_mut(r[2]).install_route(external, Route { out_iface, next_router: x });
-        let reply = net.probe(&ProbeSpec {
-            entry: r[0],
-            src: ip(192, 0, 2, 1),
-            dst: ip(100, 77, 0, 9),
-            ttl: 32,
-            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
-        });
+        let reply = net.probe(
+            &ProbeSpec {
+                entry: r[0],
+                src: ip(192, 0, 2, 1),
+                dst: ip(100, 77, 0, 9),
+                ttl: 32,
+                transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
+            },
+            &mut Vec::new(),
+        );
         match reply {
             ProbeReply::DestUnreachable { from, forward_hops, .. } => {
                 assert_eq!(from, ip(100, 77, 0, 9));
@@ -1398,6 +1495,7 @@ mod tests {
     /// the TTL space and an echo request of the same flow.
     fn assert_walk_matches_forward(net: &Network, flow: ProbeSpec) {
         let walk = net.walk(&flow, 1..=64);
+        let (mut walked, mut forwarded) = (Vec::new(), Vec::new());
         for ttl in 1..=64u8 {
             let transport = match flow.transport {
                 TransportPayload::Udp { src_port, dst_port, .. } => {
@@ -1406,18 +1504,24 @@ mod tests {
                 echo @ TransportPayload::Echo { .. } => echo,
             };
             let spec = ProbeSpec { ttl, transport, ..flow };
-            assert_eq!(net.reply(&walk, &spec), net.forward(&spec), "walk, ttl {ttl}, {flow:?}");
+            let reply = net.reply(&walk, &spec, &mut walked);
+            assert_eq!(reply, net.forward(&spec, &mut forwarded), "walk, ttl {ttl}, {flow:?}");
+            assert_eq!(walked, forwarded, "walk bytes, ttl {ttl}, {flow:?}");
         }
         for ttl in [0u8, 1, 32, 255] {
             let spec = ProbeSpec { ttl, ..flow };
-            assert_eq!(net.probe(&spec), net.forward(&spec), "probe, ttl {ttl}, {flow:?}");
+            let reply = net.probe(&spec, &mut walked);
+            assert_eq!(reply, net.forward(&spec, &mut forwarded), "probe, ttl {ttl}, {flow:?}");
+            assert_eq!(walked, forwarded, "probe bytes, ttl {ttl}, {flow:?}");
         }
         let echo = ProbeSpec {
             ttl: 64,
             transport: TransportPayload::Echo { ident: 0xf1f0, seq: 1 },
             ..flow
         };
-        assert_eq!(net.probe(&echo), net.forward(&echo), "echo, {flow:?}");
+        let reply = net.probe(&echo, &mut walked);
+        assert_eq!(reply, net.forward(&echo, &mut forwarded), "echo, {flow:?}");
+        assert_eq!(walked, forwarded, "echo bytes, {flow:?}");
     }
 
     #[test]
@@ -1530,7 +1634,7 @@ mod tests {
         let walk = net.walk(&flow, 1..=64);
         assert_eq!(walk.expiries.len(), 3);
         for ttl in 3..=64 {
-            match net.reply(&walk, &ProbeSpec { ttl, ..flow }) {
+            match net.reply(&walk, &ProbeSpec { ttl, ..flow }, &mut Vec::new()) {
                 ProbeReply::TimeExceeded { forward_hops, reply_ttl, .. } => {
                     assert_eq!(forward_hops, 255, "ttl {ttl}");
                     assert_eq!(reply_ttl, 0, "ttl {ttl}");
@@ -1550,8 +1654,9 @@ mod tests {
         let walk = net.walk(&flow, 1..=64);
         assert_eq!(walk.expiries.len(), 2);
         assert!(walk.terminal.is_none());
-        match net.reply(&walk, &ProbeSpec { ttl: 9, ..flow }) {
-            ProbeReply::TimeExceeded { forward_hops, raw, .. } => {
+        let mut raw = Vec::new();
+        match net.reply(&walk, &ProbeSpec { ttl: 9, ..flow }, &mut raw) {
+            ProbeReply::TimeExceeded { forward_hops, .. } => {
                 assert_eq!(forward_hops, 255);
                 let msg = IcmpMessage::parse(&raw).unwrap();
                 assert_eq!(msg.mpls_extension().unwrap().stack.top().unwrap().ttl, 1);
@@ -1579,6 +1684,6 @@ mod tests {
     fn replying_to_a_foreign_probe_panics() {
         let net = plain_ip_net();
         let walk = net.net.walk(&udp_flow(net.r[0], net.target, 33_434), 1..=8);
-        let _ = net.net.reply(&walk, &udp_flow(net.r[0], net.target, 40_000));
+        let _ = net.net.reply(&walk, &udp_flow(net.r[0], net.target, 40_000), &mut Vec::new());
     }
 }

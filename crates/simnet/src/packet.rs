@@ -1,9 +1,11 @@
 //! The simulated packet and the probe request/reply vocabulary.
 
 use arest_topo::ids::RouterId;
+use arest_wire::icmp::IcmpMessage;
 use arest_wire::ipv4::{Ipv4Repr, Protocol};
 use arest_wire::mpls::LabelStack;
 use arest_wire::udp::UdpRepr;
+use arest_wire::WireResult;
 use std::net::Ipv4Addr;
 
 /// The transport payload of a simulated packet.
@@ -39,32 +41,37 @@ pub struct SimPacket {
     pub stack: LabelStack,
 }
 
+/// Length of the datagram a router quotes in an ICMP error: the IPv4
+/// header plus the first 8 transport bytes.
+pub const QUOTE_LEN: usize = 28;
+
 impl SimPacket {
-    /// Builds the first 28 bytes a router would quote in an ICMP
-    /// error: the IPv4 header plus 8 transport bytes, faithfully
-    /// encoding the Paris identifier in the UDP checksum field.
-    pub fn quoted_datagram(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; self.ip.buffer_len().max(28)];
-        self.ip.emit(&mut buf).expect("sized buffer");
+    /// Builds the first [`QUOTE_LEN`] bytes a router would quote in an
+    /// ICMP error: the IPv4 header plus 8 transport bytes, faithfully
+    /// encoding the Paris identifier in the UDP checksum field. Fails
+    /// when the header claims more payload than a probe carries.
+    pub fn quoted_datagram(&self) -> WireResult<[u8; QUOTE_LEN]> {
+        let mut quote = [0u8; QUOTE_LEN];
+        self.ip.emit(&mut quote)?;
         match self.transport {
             TransportPayload::Udp { src_port, dst_port, ident } => {
                 let repr = UdpRepr { src_port, dst_port };
                 // Target-checksum emit needs a 10-byte scratch area.
                 let mut udp = [0u8; 10];
                 let ident = if ident == 0 { 1 } else { ident };
-                repr.emit_with_target_checksum(&mut udp, ident, self.ip.src_addr, self.ip.dst_addr)
-                    .expect("scratch buffer large enough");
-                buf[20..28].copy_from_slice(&udp[..8]);
+                repr.emit_with_target_checksum(
+                    &mut udp,
+                    ident,
+                    self.ip.src_addr,
+                    self.ip.dst_addr,
+                )?;
+                quote[20..].copy_from_slice(&udp[..8]);
             }
             TransportPayload::Echo { ident, seq } => {
-                let echo = arest_wire::icmp::IcmpMessage::EchoRequest { ident, seq };
-                if let Ok(bytes) = echo.to_bytes() {
-                    buf[20..28].copy_from_slice(&bytes[..8]);
-                }
+                IcmpMessage::EchoRequest { ident, seq }.emit(&mut quote[20..])?;
             }
         }
-        buf.truncate(28);
-        buf
+        Ok(quote)
     }
 }
 
@@ -130,6 +137,11 @@ pub enum DropReason {
 
 /// The outcome of one probe.
 ///
+/// A reply that comes back as ICMP bytes (time-exceeded, destination
+/// unreachable) leaves them in the buffer the caller passed to
+/// [`Network::reply`](crate::Network::reply); parse them with
+/// `arest_wire::icmp::IcmpView`.
+///
 /// `forward_hops` saturates at 255: a probe that crosses more links
 /// (possible in a label forwarding loop under a short-pipe LSE, up to
 /// the hop budget) reports 255, and its `reply_ttl` reads 0.
@@ -139,8 +151,6 @@ pub enum ProbeReply {
     TimeExceeded {
         /// Source address of the ICMP (the replying hop).
         from: Ipv4Addr,
-        /// The raw ICMP bytes (parse with `arest_wire::icmp`).
-        raw: Vec<u8>,
         /// The reply's IP TTL as observed back at the vantage point
         /// (vendor initial TTL minus return-path length).
         reply_ttl: u8,
@@ -152,8 +162,6 @@ pub enum ProbeReply {
     DestUnreachable {
         /// Source address of the ICMP.
         from: Ipv4Addr,
-        /// The raw ICMP bytes.
-        raw: Vec<u8>,
         /// Reply IP TTL at the vantage point.
         reply_ttl: u8,
         /// Routers traversed forward.
@@ -182,16 +190,6 @@ impl ProbeReply {
             ProbeReply::Silent(_) => None,
         }
     }
-
-    /// The raw ICMP bytes, when the reply carries any.
-    pub fn raw(&self) -> Option<&[u8]> {
-        match self {
-            ProbeReply::TimeExceeded { raw, .. } | ProbeReply::DestUnreachable { raw, .. } => {
-                Some(raw)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,8 +207,7 @@ mod tests {
             ttl: 7,
             transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident: 0x4242 },
         };
-        let quoted = spec.packet().quoted_datagram();
-        assert_eq!(quoted.len(), 28);
+        let quoted = spec.packet().quoted_datagram().unwrap();
         let ip = Ipv4Packet::new_unchecked(&quoted[..]);
         assert_eq!(ip.ttl(), 7);
         assert_eq!(ip.src_addr(), spec.src);
@@ -228,10 +225,24 @@ mod tests {
             ttl: 3,
             transport: TransportPayload::Echo { ident: 7, seq: 9 },
         };
-        let quoted = spec.packet().quoted_datagram();
+        let quoted = spec.packet().quoted_datagram().unwrap();
         assert_eq!(quoted[20], 8, "ICMP echo request type");
         assert_eq!(u16::from_be_bytes([quoted[24], quoted[25]]), 7);
         assert_eq!(u16::from_be_bytes([quoted[26], quoted[27]]), 9);
+    }
+
+    #[test]
+    fn a_header_claiming_more_payload_cannot_be_quoted() {
+        let mut pkt = ProbeSpec {
+            entry: RouterId(0),
+            src: Ipv4Addr::new(192, 0, 2, 1),
+            dst: Ipv4Addr::new(203, 0, 113, 9),
+            ttl: 3,
+            transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 5 },
+        }
+        .packet();
+        pkt.ip.payload_len = 9;
+        assert!(pkt.quoted_datagram().is_err());
     }
 
     #[test]
@@ -244,7 +255,7 @@ mod tests {
             ttl: 3,
             transport: TransportPayload::Udp { src_port: 1, dst_port: 2, ident: 0 },
         };
-        let quoted = spec.packet().quoted_datagram();
+        let quoted = spec.packet().quoted_datagram().unwrap();
         let udp = UdpPacket::new_unchecked(&quoted[20..]);
         assert_eq!(udp.checksum(), 1);
     }
@@ -253,7 +264,6 @@ mod tests {
     fn probe_reply_accessors() {
         let silent = ProbeReply::Silent(DropReason::NoRoute);
         assert!(silent.from_addr().is_none());
-        assert!(silent.raw().is_none());
         let echo = ProbeReply::EchoReply {
             from: Ipv4Addr::new(1, 2, 3, 4),
             reply_ttl: 60,

@@ -29,7 +29,7 @@
 
 use crate::packet::{DropReason, ProbeSpec};
 use arest_topo::ids::RouterId;
-use arest_wire::mpls::{Label, LabelStack};
+use arest_wire::mpls::{Label, Lse};
 use std::net::Ipv4Addr;
 use std::ops::RangeInclusive;
 
@@ -93,13 +93,16 @@ pub(crate) struct SymLse {
 /// cheap end of the vector.
 pub(crate) type SymStack = Vec<SymLse>;
 
-/// The concrete stack a probe sent with TTL `ttl` carries.
-pub(crate) fn stack_at(stack: &[SymLse], ttl: u8) -> LabelStack {
-    let mut concrete = LabelStack::new();
-    for lse in stack {
-        concrete.push(lse.label, lse.ttl.at(ttl));
-    }
-    concrete
+/// The stack a probe sent with TTL `ttl` carries, as concrete
+/// entries top first (none when `stack` is `None`), evaluated lazily
+/// for the reply encoder. Bottom-of-stack bits are left to the
+/// encoder.
+pub(crate) fn received_at(
+    stack: Option<&[SymLse]>,
+    ttl: u8,
+) -> impl ExactSizeIterator<Item = Lse> + '_ {
+    let stack = stack.unwrap_or_default();
+    stack.iter().rev().map(move |lse| Lse::new(lse.label, false, lse.ttl.at(ttl)))
 }
 
 /// Where a contiguous block of probe TTLs expires.
@@ -189,6 +192,7 @@ impl FlowWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arest_wire::mpls::LabelStack;
 
     /// The concrete per-TTL operations the symbolic ones stand for.
     #[test]
@@ -231,12 +235,13 @@ mod tests {
             SymLse { label: label(16_001), ttl: SymTtl::constant(255) },
             SymLse { label: label(16_002), ttl: SymTtl::PROBE.decremented() },
         ];
-        let concrete = stack_at(&stack, 7);
+        let concrete: LabelStack = received_at(Some(&stack), 7).collect();
         let mut expected = LabelStack::new();
         expected.push(label(16_001), 255);
         expected.push(label(16_002), 6);
         assert_eq!(concrete, expected);
         assert_eq!(concrete.top().unwrap().label, label(16_002));
         assert!(concrete.bottom().unwrap().bottom);
+        assert_eq!(received_at(None, 7).len(), 0);
     }
 }

@@ -104,6 +104,9 @@ pub fn multipath_trace(
     let walks: Vec<FlowWalk> = (0..config.flows_per_hop)
         .map(|offset| net.walk(&probe(offset, 1), 1..=config.max_ttl))
         .collect();
+    // Only the replying address matters here; the reply bytes land in
+    // one buffer for the whole enumeration.
+    let mut reply_bytes = Vec::new();
     let mut levels = Vec::new();
     let mut silent_run = 0u8;
 
@@ -111,7 +114,7 @@ pub fn multipath_trace(
         let mut level = MdaLevel { ttl, branches: BTreeMap::new(), reached_destination: false };
         for (offset, walk) in (0..config.flows_per_hop).zip(&walks) {
             let src_port = base.wrapping_add(offset);
-            match net.reply(walk, &probe(offset, ttl)) {
+            match net.reply(walk, &probe(offset, ttl), &mut reply_bytes) {
                 ProbeReply::TimeExceeded { from, .. } => {
                     level.branches.entry(from).or_default().push(src_port);
                 }
@@ -190,7 +193,8 @@ mod tests {
                 let src_port = base.wrapping_add(offset);
                 let transport =
                     TransportPayload::Udp { src_port, dst_port: 33_434, ident: 1 + offset };
-                let reply = net.probe(&ProbeSpec { entry, src, dst, ttl, transport });
+                let reply =
+                    net.probe(&ProbeSpec { entry, src, dst, ttl, transport }, &mut Vec::new());
                 if let Some(from) = reply.from_addr() {
                     level.branches.entry(from).or_default().push(src_port);
                     level.reached_destination |= !matches!(reply, ProbeReply::TimeExceeded { .. });

@@ -1,10 +1,10 @@
 //! Flow-stable probing and ICMP reply parsing.
 
 use crate::trace::{Hop, Trace};
-use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload};
-use arest_simnet::Network;
+use arest_simnet::packet::{ProbeReply, ProbeSpec, TransportPayload, QUOTE_LEN};
+use arest_simnet::{FlowWalk, Network};
 use arest_topo::ids::RouterId;
-use arest_wire::icmp::IcmpMessage;
+use arest_wire::icmp::IcmpView;
 use arest_wire::ipv4::Ipv4Packet;
 use arest_wire::udp::UdpPacket;
 use std::net::Ipv4Addr;
@@ -34,9 +34,9 @@ impl Default for TraceConfig {
 ///
 /// The trace's flow is forwarded once ([`Network::walk`] over TTL
 /// 1..=`max_ttl`); each probe's reply then comes off that walk, still
-/// encoded with the probe's own ident and parsed from its ICMP bytes.
-/// The trace shares `vp`, the vantage point's name, rather than
-/// copying it.
+/// encoded with the probe's own ident and parsed from its ICMP bytes
+/// ([`probe_hop`]), all through one reply buffer. The trace shares
+/// `vp`, the vantage point's name, rather than copying it.
 pub fn trace_route(
     net: &Network,
     vp: &Arc<str>,
@@ -62,12 +62,11 @@ pub fn trace_route(
         },
     };
     let walk = net.walk(&probe(1, 0), 1..=config.max_ttl);
+    let mut reply_bytes = Vec::with_capacity(REPLY_CAPACITY);
 
     for ttl in 1..=config.max_ttl {
-        let ident = probe_ident(src, dst, ttl);
         metrics.probes.inc();
-        let reply = net.reply(&walk, &probe(ttl, ident));
-        let hop = hop_from_reply(&reply, ttl, ident, src, dst);
+        let hop = probe_hop(net, &walk, &probe(ttl, probe_ident(src, dst, ttl)), &mut reply_bytes);
         let responded = hop.responded();
         let done = hop.is_destination;
         hops.push(hop);
@@ -105,16 +104,34 @@ fn synth_rtt(forward_hops: u8, ident: u16) -> u32 {
     u32::from(forward_hops) * 800 + u32::from(ident % 397)
 }
 
-fn hop_from_reply(reply: &ProbeReply, ttl: u8, ident: u16, src: Ipv4Addr, dst: Ipv4Addr) -> Hop {
-    let (from, raw, reply_ttl, forward_hops, is_destination) = match reply {
-        ProbeReply::TimeExceeded { from, raw, reply_ttl, forward_hops } => {
-            (*from, Some(raw.as_slice()), *reply_ttl, *forward_hops, false)
+/// Bytes a trace's reply buffer starts with: an RFC 4950 reply (8-byte
+/// header, 128-byte padded quote, 8 bytes of extension headers)
+/// quoting up to 28 LSEs fits without growing it.
+const REPLY_CAPACITY: usize = 256;
+
+/// Sends one probe of `walk`'s flow and reads the reply as a hop.
+///
+/// The reply is encoded into `reply_bytes` (a trace reuses one buffer
+/// for all its probes) and parsed back through a borrowed
+/// [`IcmpView`]: its checksums are verified and its quote checked
+/// against `spec` (the Paris consistency check) without copying. The
+/// only allocation is a quoted label stack, the hop's own
+/// `Arc<LabelStack>`.
+pub fn probe_hop(
+    net: &Network,
+    walk: &FlowWalk,
+    spec: &ProbeSpec,
+    reply_bytes: &mut Vec<u8>,
+) -> Hop {
+    let reply = net.reply(walk, spec, reply_bytes);
+    let ttl = spec.ttl;
+    let (from, reply_ttl, forward_hops, is_destination) = match reply {
+        ProbeReply::TimeExceeded { from, reply_ttl, forward_hops } => {
+            (from, reply_ttl, forward_hops, false)
         }
-        ProbeReply::DestUnreachable { from, raw, reply_ttl, forward_hops } => {
-            (*from, Some(raw.as_slice()), *reply_ttl, *forward_hops, true)
-        }
-        ProbeReply::EchoReply { from, reply_ttl, forward_hops } => {
-            (*from, None, *reply_ttl, *forward_hops, true)
+        ProbeReply::DestUnreachable { from, reply_ttl, forward_hops }
+        | ProbeReply::EchoReply { from, reply_ttl, forward_hops } => {
+            (from, reply_ttl, forward_hops, true)
         }
         ProbeReply::Silent(_) => return Hop::silent(ttl),
     };
@@ -122,7 +139,7 @@ fn hop_from_reply(reply: &ProbeReply, ttl: u8, ident: u16, src: Ipv4Addr, dst: I
     let mut hop = Hop {
         ttl,
         addr: Some(from),
-        rtt_us: Some(synth_rtt(forward_hops, ident)),
+        rtt_us: Some(synth_rtt(forward_hops, probe_tag(spec))),
         stack: None,
         quoted_ip_ttl: None,
         reply_ip_ttl: Some(reply_ttl),
@@ -130,43 +147,55 @@ fn hop_from_reply(reply: &ProbeReply, ttl: u8, ident: u16, src: Ipv4Addr, dst: I
         is_destination,
     };
 
-    if let Some(raw) = raw {
-        match IcmpMessage::parse(raw) {
-            Ok(msg) => {
-                if let Some(quoted) = msg.original_datagram() {
-                    // Reject replies whose quote does not match our
-                    // probe (the Paris consistency check).
-                    if !quote_matches(quoted, ident, src, dst) {
-                        return Hop::silent(ttl);
-                    }
-                    let ip = Ipv4Packet::new_unchecked(quoted);
-                    hop.quoted_ip_ttl = Some(ip.ttl());
-                }
-                // Move the decoded stack out of the message; no clone.
-                if let IcmpMessage::TimeExceeded { extension: Some(ext), .. }
-                | IcmpMessage::DestUnreachable { extension: Some(ext), .. } = msg
-                {
-                    hop.stack = Some(Arc::new(ext.stack));
-                }
-            }
-            Err(_) => return Hop::silent(ttl),
-        }
+    if matches!(reply, ProbeReply::EchoReply { .. }) {
+        return hop;
     }
-
+    let Ok(view) = IcmpView::parse(reply_bytes) else {
+        return Hop::silent(ttl);
+    };
+    if let Some(quoted) = view.original_datagram() {
+        // Reject replies whose quote does not match our probe (the
+        // Paris consistency check).
+        if !quote_matches(quoted, spec) {
+            return Hop::silent(ttl);
+        }
+        hop.quoted_ip_ttl = Some(Ipv4Packet::new_unchecked(quoted).ttl());
+    }
+    let lses = view.lses();
+    if lses.len() > 0 {
+        hop.stack = Some(Arc::new(lses.collect()));
+    }
     hop
 }
 
-/// Validates the quoted datagram against the probe we sent.
-fn quote_matches(quoted: &[u8], ident: u16, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-    if quoted.len() < 28 {
+/// The probe's own identifier: a UDP probe's ident (carried in its
+/// checksum), an echo request's sequence number.
+fn probe_tag(spec: &ProbeSpec) -> u16 {
+    match spec.transport {
+        TransportPayload::Udp { ident, .. } => ident,
+        TransportPayload::Echo { seq, .. } => seq,
+    }
+}
+
+/// Validates the quoted datagram against the probe we sent: its
+/// addresses and the transport bytes that identify the probe.
+fn quote_matches(quoted: &[u8], spec: &ProbeSpec) -> bool {
+    if quoted.len() < QUOTE_LEN {
         return false;
     }
     let ip = Ipv4Packet::new_unchecked(quoted);
-    if ip.src_addr() != src || ip.dst_addr() != dst {
+    if ip.src_addr() != spec.src || ip.dst_addr() != spec.dst {
         return false;
     }
-    let udp = UdpPacket::new_unchecked(&quoted[20..]);
-    udp.checksum() == ident
+    let transport = &quoted[20..QUOTE_LEN];
+    match spec.transport {
+        TransportPayload::Udp { ident, .. } => {
+            UdpPacket::new_unchecked(transport).checksum() == ident
+        }
+        TransportPayload::Echo { ident, seq } => {
+            transport[4..6] == ident.to_be_bytes() && transport[6..8] == seq.to_be_bytes()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -185,25 +214,28 @@ mod tests {
 
     #[test]
     fn quote_mismatch_is_rejected() {
-        // A quoted datagram for a different destination must not match.
-        use arest_wire::ipv4::{Ipv4Repr, Protocol};
-        let repr = Ipv4Repr {
-            src_addr: Ipv4Addr::new(1, 1, 1, 1),
-            dst_addr: Ipv4Addr::new(2, 2, 2, 2),
-            protocol: Protocol::Udp,
+        let spec = |dst, transport| ProbeSpec {
+            entry: RouterId(0),
+            src: Ipv4Addr::new(1, 1, 1, 1),
+            dst,
             ttl: 1,
-            ident: 0,
-            payload_len: 8,
+            transport,
         };
-        let mut quoted = vec![0u8; 28];
-        repr.emit(&mut quoted).unwrap();
-        assert!(!quote_matches(&quoted, 7, Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(9, 9, 9, 9)));
-        assert!(!quote_matches(
-            &quoted[..20],
-            7,
-            Ipv4Addr::new(1, 1, 1, 1),
-            Ipv4Addr::new(2, 2, 2, 2)
-        ));
+        let udp = |ident| TransportPayload::Udp { src_port: 33_434, dst_port: 33_434, ident };
+        let sent = spec(Ipv4Addr::new(2, 2, 2, 2), udp(7));
+        let quoted = sent.packet().quoted_datagram().unwrap();
+        assert!(quote_matches(&quoted, &sent));
+        // A quote for another destination, another ident, or a
+        // truncated one does not match.
+        assert!(!quote_matches(&quoted, &spec(Ipv4Addr::new(9, 9, 9, 9), udp(7))));
+        assert!(!quote_matches(&quoted, &spec(Ipv4Addr::new(2, 2, 2, 2), udp(8))));
+        assert!(!quote_matches(&quoted[..20], &sent));
+        // An echo request's quote carries its ident and sequence.
+        let echo = spec(Ipv4Addr::new(2, 2, 2, 2), TransportPayload::Echo { ident: 3, seq: 4 });
+        let quoted = echo.packet().quoted_datagram().unwrap();
+        assert!(quote_matches(&quoted, &echo));
+        let other = TransportPayload::Echo { ident: 3, seq: 5 };
+        assert!(!quote_matches(&quoted, &spec(Ipv4Addr::new(2, 2, 2, 2), other)));
     }
 
     #[test]

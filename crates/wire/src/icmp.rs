@@ -19,7 +19,7 @@
 
 use crate::checksum;
 use crate::error::{WireError, WireResult};
-use crate::mpls::LabelStack;
+use crate::mpls::{LabelStack, Lse, Lses, LSE_LEN};
 use std::sync::LazyLock;
 
 /// `(wire.icmp.parsed, wire.icmp.parse_errors)` — cached handles into
@@ -92,63 +92,244 @@ pub struct MplsExtension {
     pub stack: LabelStack,
 }
 
-impl MplsExtension {
-    /// Wire length: extension header (4) + object header (4) + LSEs.
-    pub fn wire_len(&self) -> usize {
-        4 + 4 + self.stack.wire_len()
-    }
+/// The ICMP error messages a probe draws (RFC 792), the ones that may
+/// carry an RFC 4950 quote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// Time Exceeded, code 0 (TTL expired in transit).
+    TimeExceeded,
+    /// Destination Unreachable with the given code (3 = port
+    /// unreachable).
+    DestUnreachable(u8),
+}
 
-    /// Emits the extension structure (header + MPLS object) into `buf`.
-    pub fn emit(&self, buf: &mut [u8]) -> WireResult<()> {
-        let len = self.wire_len();
-        if buf.len() < len {
-            return Err(WireError::Truncated);
+impl ErrorKind {
+    fn type_and_code(self) -> (IcmpType, u8) {
+        match self {
+            ErrorKind::TimeExceeded => (IcmpType::TimeExceeded, 0),
+            ErrorKind::DestUnreachable(code) => (IcmpType::DestUnreachable, code),
         }
-        buf[0] = EXTENSION_VERSION << 4;
-        buf[1] = 0;
-        buf[2] = 0;
-        buf[3] = 0;
-        let obj_len = u16::try_from(4 + self.stack.wire_len()).map_err(|_| WireError::Malformed)?;
-        buf[4..6].copy_from_slice(&obj_len.to_be_bytes());
-        buf[6] = MPLS_CLASS;
-        buf[7] = MPLS_CTYPE_INCOMING;
-        self.stack.emit(&mut buf[8..len])?;
-        let c = checksum::checksum(&buf[..len]);
-        buf[2..4].copy_from_slice(&c.to_be_bytes());
-        Ok(())
-    }
-
-    /// Parses an extension structure, returning the first MPLS Label
-    /// Stack object found (other object classes are skipped).
-    pub fn parse(buf: &[u8]) -> WireResult<Option<MplsExtension>> {
-        if buf.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        if buf[0] >> 4 != EXTENSION_VERSION {
-            return Err(WireError::BadVersion);
-        }
-        if !checksum::verify(buf) {
-            return Err(WireError::BadChecksum);
-        }
-        let mut offset = 4;
-        while offset + 4 <= buf.len() {
-            let obj_len = usize::from(u16::from_be_bytes([buf[offset], buf[offset + 1]]));
-            let class = buf[offset + 2];
-            let ctype = buf[offset + 3];
-            if obj_len < 4 || offset + obj_len > buf.len() {
-                return Err(WireError::Malformed);
-            }
-            if class == MPLS_CLASS && ctype == MPLS_CTYPE_INCOMING {
-                let stack = LabelStack::parse(&buf[offset + 4..offset + obj_len])?;
-                return Ok(Some(MplsExtension { stack }));
-            }
-            offset += obj_len;
-        }
-        Ok(None)
     }
 }
 
-/// A decoded ICMP message.
+/// Wire length of the quoted-datagram part: as given without an
+/// extension, else padded to [`ORIGINAL_DATAGRAM_MIN_LEN`] and a
+/// multiple of 4 bytes (RFC 4884).
+fn quoted_len(original: usize, depth: usize) -> usize {
+    if depth == 0 {
+        original
+    } else {
+        original.max(ORIGINAL_DATAGRAM_MIN_LEN).div_ceil(4) * 4
+    }
+}
+
+/// Wire length of an error message quoting `original` bytes and
+/// `depth` LSEs; the extension structure (header, MPLS object header,
+/// LSEs) is present only when `depth > 0`.
+fn error_len(original: usize, depth: usize) -> usize {
+    let extension = if depth == 0 { 0 } else { 4 + 4 + depth * LSE_LEN };
+    HEADER_LEN + quoted_len(original, depth) + extension
+}
+
+/// Encodes an ICMP error message into `out`, replacing its contents:
+/// the header, `original` (the quoted datagram) and, when `lses`
+/// yields any entry, the RFC 4884 extension structure holding one RFC
+/// 4950 MPLS Label Stack object with those entries, top first. Both
+/// checksums are filled. Only the last entry carries the
+/// bottom-of-stack bit, whatever the given entries say.
+///
+/// This is the one encoder of error messages; it reuses `out`'s
+/// allocation, so a caller that keeps one buffer per trace encodes
+/// every reply without allocating. On error `out` is left empty.
+pub fn write_error<I>(
+    out: &mut Vec<u8>,
+    kind: ErrorKind,
+    original: &[u8],
+    lses: I,
+) -> WireResult<()>
+where
+    I: ExactSizeIterator<Item = Lse>,
+{
+    out.clear();
+    out.resize(error_len(original.len(), lses.len()), 0);
+    let written = emit_error(out, kind, original, lses);
+    if written.is_err() {
+        out.clear();
+    }
+    written
+}
+
+/// Emits an error message into `buf`, which is zeroed and exactly
+/// [`error_len`] long.
+fn emit_error<I>(buf: &mut [u8], kind: ErrorKind, original: &[u8], lses: I) -> WireResult<()>
+where
+    I: ExactSizeIterator<Item = Lse>,
+{
+    let (icmp_type, code) = kind.type_and_code();
+    buf[0] = u8::from(icmp_type);
+    buf[1] = code;
+    buf[HEADER_LEN..HEADER_LEN + original.len()].copy_from_slice(original);
+    let depth = lses.len();
+    if depth > 0 {
+        // RFC 4884: the length field counts 32-bit words of the padded
+        // original datagram, in the second rest-of-header byte.
+        let quoted = quoted_len(original.len(), depth);
+        buf[5] = u8::try_from(quoted / 4).map_err(|_| WireError::Malformed)?;
+        let ext = &mut buf[HEADER_LEN + quoted..];
+        ext[0] = EXTENSION_VERSION << 4;
+        let obj_len = u16::try_from(4 + depth * LSE_LEN).map_err(|_| WireError::Malformed)?;
+        ext[4..6].copy_from_slice(&obj_len.to_be_bytes());
+        ext[6] = MPLS_CLASS;
+        ext[7] = MPLS_CTYPE_INCOMING;
+        for (i, (slot, lse)) in ext[8..].chunks_exact_mut(LSE_LEN).zip(lses).enumerate() {
+            Lse { bottom: i + 1 == depth, ..lse }.emit(slot)?;
+        }
+        let c = checksum::checksum(ext);
+        ext[2..4].copy_from_slice(&c.to_be_bytes());
+    }
+    let c = checksum::checksum(buf);
+    buf[2..4].copy_from_slice(&c.to_be_bytes());
+    Ok(())
+}
+
+/// The validated LSE bytes of the first MPLS Label Stack object in an
+/// RFC 4884 extension structure (other object classes are skipped),
+/// or `None` when it holds none.
+fn mpls_object(ext: &[u8]) -> WireResult<Option<&[u8]>> {
+    if ext.len() < 4 {
+        return Err(WireError::Truncated);
+    }
+    if ext[0] >> 4 != EXTENSION_VERSION {
+        return Err(WireError::BadVersion);
+    }
+    if !checksum::verify(ext) {
+        return Err(WireError::BadChecksum);
+    }
+    let mut offset = 4;
+    while offset + 4 <= ext.len() {
+        let obj_len = usize::from(u16::from_be_bytes([ext[offset], ext[offset + 1]]));
+        let class = ext[offset + 2];
+        let ctype = ext[offset + 3];
+        if obj_len < 4 || offset + obj_len > ext.len() {
+            return Err(WireError::Malformed);
+        }
+        if class == MPLS_CLASS && ctype == MPLS_CTYPE_INCOMING {
+            let entries = &ext[offset + 4..offset + obj_len];
+            let stack_len = Lses::parse(entries)?.len() * LSE_LEN;
+            return Ok(Some(&entries[..stack_len]));
+        }
+        offset += obj_len;
+    }
+    Ok(None)
+}
+
+/// The entries an owned extension quotes, top first.
+fn quoted_entries(
+    extension: &Option<MplsExtension>,
+) -> core::iter::Copied<core::slice::Iter<'_, Lse>> {
+    extension.as_ref().map_or(&[][..], |e| e.stack.entries()).iter().copied()
+}
+
+/// A parsed ICMP message, borrowed from its buffer: checksums
+/// verified, the quoted datagram and the RFC 4950 label stack located
+/// and validated, nothing copied. [`IcmpMessage::parse`] is its owned
+/// form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IcmpView<'a> {
+    icmp_type: IcmpType,
+    code: u8,
+    /// Rest-of-header bytes (an echo's identifier and sequence).
+    rest: [u8; 4],
+    /// The quoted datagram; empty for echo messages.
+    original: &'a [u8],
+    /// The validated LSE bytes; empty without an MPLS object.
+    lses: &'a [u8],
+}
+
+impl<'a> IcmpView<'a> {
+    /// Parses an ICMP message, verifying its checksum and, for an RFC
+    /// 4884 multi-part error, the extension's checksum and label
+    /// stack. Counts `wire.icmp.parsed` and, on failure,
+    /// `wire.icmp.parse_errors`.
+    pub fn parse(buf: &'a [u8]) -> WireResult<IcmpView<'a>> {
+        let parsed = Self::parse_inner(buf);
+        let metrics = &*PARSE_METRICS;
+        metrics.0.inc();
+        if parsed.is_err() {
+            metrics.1.inc();
+        }
+        parsed
+    }
+
+    fn parse_inner(buf: &'a [u8]) -> WireResult<IcmpView<'a>> {
+        let Some((header, body)) = buf.split_first_chunk::<HEADER_LEN>() else {
+            return Err(WireError::Truncated);
+        };
+        if !checksum::verify(buf) {
+            return Err(WireError::BadChecksum);
+        }
+        let icmp_type = IcmpType::from(header[0]);
+        let rest = [header[4], header[5], header[6], header[7]];
+        let mut view = IcmpView { icmp_type, code: header[1], rest, original: &[], lses: &[] };
+        match icmp_type {
+            IcmpType::EchoRequest | IcmpType::EchoReply => {}
+            IcmpType::TimeExceeded | IcmpType::DestUnreachable => {
+                let length_words = usize::from(header[5]);
+                if length_words == 0 {
+                    view.original = body;
+                } else {
+                    // RFC 4884 multi-part message.
+                    let quoted_len = length_words * 4;
+                    if quoted_len > body.len() {
+                        return Err(WireError::Truncated);
+                    }
+                    let (original, ext) = body.split_at(quoted_len);
+                    view.original = original;
+                    view.lses = mpls_object(ext)?.unwrap_or_default();
+                }
+            }
+            IcmpType::Other(_) => return Err(WireError::Malformed),
+        }
+        Ok(view)
+    }
+
+    /// The quoted original datagram (padding included), for error
+    /// messages.
+    pub fn original_datagram(&self) -> Option<&'a [u8]> {
+        matches!(self.icmp_type, IcmpType::TimeExceeded | IcmpType::DestUnreachable)
+            .then_some(self.original)
+    }
+
+    /// The RFC 4950 quoted label stack, top first; empty when the
+    /// message carries no MPLS object.
+    pub fn lses(&self) -> Lses<'a> {
+        Lses::validated(self.lses)
+    }
+}
+
+impl From<IcmpView<'_>> for IcmpMessage {
+    fn from(view: IcmpView<'_>) -> IcmpMessage {
+        let [id_hi, id_lo, seq_hi, seq_lo] = view.rest;
+        let (ident, seq) =
+            (u16::from_be_bytes([id_hi, id_lo]), u16::from_be_bytes([seq_hi, seq_lo]));
+        let original = view.original.to_vec();
+        let extension =
+            (!view.lses.is_empty()).then(|| MplsExtension { stack: view.lses().collect() });
+        match view.icmp_type {
+            IcmpType::EchoRequest => IcmpMessage::EchoRequest { ident, seq },
+            IcmpType::EchoReply => IcmpMessage::EchoReply { ident, seq },
+            IcmpType::TimeExceeded => IcmpMessage::TimeExceeded { original, extension },
+            // `IcmpView::parse` admits no other type.
+            IcmpType::DestUnreachable | IcmpType::Other(_) => {
+                IcmpMessage::DestUnreachable { code: view.code, original, extension }
+            }
+        }
+    }
+}
+
+/// A decoded ICMP message, owning its quoted datagram and label
+/// stack: the owned form of [`IcmpView`] and of [`write_error`]'s
+/// input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IcmpMessage {
     /// Echo request carrying an identifier and sequence number.
@@ -214,22 +395,20 @@ impl IcmpMessage {
         }
     }
 
-    /// Emitted wire length in bytes.
+    /// Emitted wire length in bytes. An extension with an empty stack
+    /// is not emitted.
     pub fn buffer_len(&self) -> usize {
         match self {
             IcmpMessage::EchoRequest { .. } | IcmpMessage::EchoReply { .. } => HEADER_LEN,
             IcmpMessage::TimeExceeded { original, extension }
             | IcmpMessage::DestUnreachable { original, extension, .. } => {
-                let quoted = match extension {
-                    Some(_) => original.len().max(ORIGINAL_DATAGRAM_MIN_LEN).div_ceil(4) * 4,
-                    None => original.len(),
-                };
-                HEADER_LEN + quoted + extension.as_ref().map_or(0, MplsExtension::wire_len)
+                error_len(original.len(), quoted_entries(extension).len())
             }
         }
     }
 
-    /// Emits the message (with checksum) into `buf`.
+    /// Emits the message (with checksum) into `buf`; error messages go
+    /// through the encoder behind [`write_error`].
     pub fn emit(&self, buf: &mut [u8]) -> WireResult<()> {
         let total = self.buffer_len();
         if buf.len() < total {
@@ -237,35 +416,25 @@ impl IcmpMessage {
         }
         let buf = &mut buf[..total];
         buf.fill(0);
-        buf[0] = u8::from(self.icmp_type());
         match self {
             IcmpMessage::EchoRequest { ident, seq } | IcmpMessage::EchoReply { ident, seq } => {
+                buf[0] = u8::from(self.icmp_type());
                 buf[4..6].copy_from_slice(&ident.to_be_bytes());
                 buf[6..8].copy_from_slice(&seq.to_be_bytes());
+                let c = checksum::checksum(buf);
+                buf[2..4].copy_from_slice(&c.to_be_bytes());
+                Ok(())
             }
-            IcmpMessage::TimeExceeded { original, extension }
-            | IcmpMessage::DestUnreachable { original, extension, .. } => {
-                if let IcmpMessage::DestUnreachable { code, .. } = self {
-                    buf[1] = *code;
-                }
-                let quoted_len = match extension {
-                    Some(_) => original.len().max(ORIGINAL_DATAGRAM_MIN_LEN).div_ceil(4) * 4,
-                    None => original.len(),
-                };
-                buf[HEADER_LEN..HEADER_LEN + original.len()].copy_from_slice(original);
-                if let Some(ext) = extension {
-                    // RFC 4884: the length field counts 32-bit words of
-                    // the padded original datagram. For time-exceeded it
-                    // lives in the second rest-of-header byte.
-                    let words = u8::try_from(quoted_len / 4).map_err(|_| WireError::Malformed)?;
-                    buf[5] = words;
-                    ext.emit(&mut buf[HEADER_LEN + quoted_len..])?;
-                }
+            IcmpMessage::TimeExceeded { original, extension } => {
+                emit_error(buf, ErrorKind::TimeExceeded, original, quoted_entries(extension))
             }
+            IcmpMessage::DestUnreachable { code, original, extension } => emit_error(
+                buf,
+                ErrorKind::DestUnreachable(*code),
+                original,
+                quoted_entries(extension),
+            ),
         }
-        let c = checksum::checksum(buf);
-        buf[2..4].copy_from_slice(&c.to_be_bytes());
-        Ok(())
     }
 
     /// Returns the wire encoding as an owned vector. Fails like
@@ -277,56 +446,10 @@ impl IcmpMessage {
         Ok(buf)
     }
 
-    /// Parses an ICMP message, verifying its checksum.
+    /// Parses an ICMP message, verifying its checksum: an owned copy
+    /// of [`IcmpView::parse`].
     pub fn parse(buf: &[u8]) -> WireResult<IcmpMessage> {
-        let parsed = Self::parse_inner(buf);
-        let metrics = &*PARSE_METRICS;
-        metrics.0.inc();
-        if parsed.is_err() {
-            metrics.1.inc();
-        }
-        parsed
-    }
-
-    fn parse_inner(buf: &[u8]) -> WireResult<IcmpMessage> {
-        if buf.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if !checksum::verify(buf) {
-            return Err(WireError::BadChecksum);
-        }
-        let icmp_type = IcmpType::from(buf[0]);
-        let code = buf[1];
-        match icmp_type {
-            IcmpType::EchoRequest | IcmpType::EchoReply => {
-                let ident = u16::from_be_bytes([buf[4], buf[5]]);
-                let seq = u16::from_be_bytes([buf[6], buf[7]]);
-                Ok(match icmp_type {
-                    IcmpType::EchoRequest => IcmpMessage::EchoRequest { ident, seq },
-                    _ => IcmpMessage::EchoReply { ident, seq },
-                })
-            }
-            IcmpType::TimeExceeded | IcmpType::DestUnreachable => {
-                let length_words = usize::from(buf[5]);
-                let (original, extension) = if length_words > 0 {
-                    // RFC 4884 multi-part message.
-                    let quoted_len = length_words * 4;
-                    if HEADER_LEN + quoted_len > buf.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    let original = buf[HEADER_LEN..HEADER_LEN + quoted_len].to_vec();
-                    let ext = MplsExtension::parse(&buf[HEADER_LEN + quoted_len..])?;
-                    (original, ext)
-                } else {
-                    (buf[HEADER_LEN..].to_vec(), None)
-                };
-                Ok(match icmp_type {
-                    IcmpType::TimeExceeded => IcmpMessage::TimeExceeded { original, extension },
-                    _ => IcmpMessage::DestUnreachable { code, original, extension },
-                })
-            }
-            IcmpType::Other(_) => Err(WireError::Malformed),
-        }
+        IcmpView::parse(buf).map(IcmpMessage::from)
     }
 }
 
@@ -463,22 +586,23 @@ mod tests {
     #[test]
     fn extension_skips_foreign_objects() {
         // Build an extension with a non-MPLS object before the MPLS one.
-        let mpls = MplsExtension { stack: stack(&[17_005]) };
-        let mut buf = vec![0u8; 4 + 8 + mpls.wire_len() - 4];
+        let mpls = stack(&[17_005]);
+        let mut buf = vec![0u8; 4 + 8 + 4 + mpls.wire_len()];
         buf[0] = EXTENSION_VERSION << 4;
         // Foreign object: length 8, class 3 (interface info), ctype 1.
         buf[4..6].copy_from_slice(&8u16.to_be_bytes());
         buf[6] = 3;
         buf[7] = 1;
         // MPLS object afterwards.
-        let obj_len = 4 + mpls.stack.wire_len();
+        let obj_len = 4 + mpls.wire_len();
         buf[12..14].copy_from_slice(&(obj_len as u16).to_be_bytes());
         buf[14] = MPLS_CLASS;
         buf[15] = MPLS_CTYPE_INCOMING;
-        mpls.stack.emit(&mut buf[16..]).unwrap();
+        mpls.emit(&mut buf[16..]).unwrap();
         let c = checksum::checksum(&buf);
         buf[2..4].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(MplsExtension::parse(&buf).unwrap().unwrap(), mpls);
+        let entries = mpls_object(&buf).unwrap().unwrap();
+        assert_eq!(Lses::validated(entries).collect::<LabelStack>(), mpls);
     }
 
     #[test]
@@ -487,13 +611,71 @@ mod tests {
         buf[0] = EXTENSION_VERSION << 4;
         let c = checksum::checksum(&buf);
         buf[2..4].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(MplsExtension::parse(&buf).unwrap(), None);
+        assert_eq!(mpls_object(&buf).unwrap(), None);
     }
 
     #[test]
     fn extension_bad_version() {
         let buf = [0x10, 0, 0, 0];
-        assert_eq!(MplsExtension::parse(&buf).unwrap_err(), WireError::BadVersion);
+        assert_eq!(mpls_object(&buf).unwrap_err(), WireError::BadVersion);
+    }
+
+    #[test]
+    fn writer_matches_the_owned_encoding_and_reuses_its_buffer() {
+        let original = [0x45u8; 28];
+        let quoted = stack(&[16_005, 24_001, 3]);
+        let mut out = Vec::with_capacity(256);
+        let capacity = out.capacity();
+        for (kind, msg) in [
+            (
+                ErrorKind::TimeExceeded,
+                IcmpMessage::TimeExceeded {
+                    original: original.to_vec(),
+                    extension: Some(MplsExtension { stack: quoted.clone() }),
+                },
+            ),
+            (
+                ErrorKind::DestUnreachable(3),
+                IcmpMessage::DestUnreachable {
+                    code: 3,
+                    original: original.to_vec(),
+                    extension: Some(MplsExtension { stack: quoted.clone() }),
+                },
+            ),
+        ] {
+            write_error(&mut out, kind, &original, quoted.entries().iter().copied()).unwrap();
+            assert_eq!(out, msg.to_bytes().unwrap());
+            let view = IcmpView::parse(&out).unwrap();
+            assert_eq!(view.lses().collect::<LabelStack>(), quoted);
+            assert_eq!(view.original_datagram().unwrap().len(), ORIGINAL_DATAGRAM_MIN_LEN);
+            assert_eq!(IcmpMessage::from(view), IcmpMessage::parse(&out).unwrap());
+        }
+        // No entries: no extension, no padding, no length byte.
+        write_error(&mut out, ErrorKind::TimeExceeded, &original, core::iter::empty()).unwrap();
+        assert_eq!(out.len(), HEADER_LEN + original.len());
+        assert_eq!(out[5], 0);
+        let view = IcmpView::parse(&out).unwrap();
+        assert_eq!(view.original_datagram().unwrap(), &original[..]);
+        assert_eq!(view.lses().len(), 0);
+        assert_eq!(out.capacity(), capacity, "the writer reuses the caller's allocation");
+    }
+
+    #[test]
+    fn writer_fixes_bottom_of_stack_bits() {
+        let lses = [16_001, 16_002].map(|v| Lse::new(Label::new(v).unwrap(), true, 9));
+        let mut out = Vec::new();
+        write_error(&mut out, ErrorKind::TimeExceeded, &[0; 28], lses.into_iter()).unwrap();
+        let bottoms: Vec<bool> = IcmpView::parse(&out).unwrap().lses().map(|l| l.bottom).collect();
+        assert_eq!(bottoms, [false, true]);
+    }
+
+    #[test]
+    fn unencodable_entries_leave_the_buffer_empty() {
+        let bad = Lse { label: Label::GAL, tc: 8, bottom: true, ttl: 1 };
+        let mut out = vec![1, 2, 3];
+        let written = write_error(&mut out, ErrorKind::TimeExceeded, &[0; 28], [bad].into_iter());
+        assert_eq!(written, Err(WireError::Malformed));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! a `Packet<T: AsRef<[u8]>>` wrapper giving checked field access over
 //! raw bytes, and an owned `Repr` struct for parse/emit round trips.
 //! All multi-byte fields are big-endian (network order).
+//!
+//! ICMP errors, which every probe reply is, also have an
+//! allocation-free pair: [`write_error`] encodes into a caller's
+//! buffer from any top-first LSE iterator, and [`IcmpView`] parses a
+//! buffer into borrowed parts (the quoted datagram and a validated
+//! [`Lses`] stack). [`IcmpMessage`] is their owned form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +37,9 @@ pub mod mpls;
 pub mod udp;
 
 pub use error::{WireError, WireResult};
-pub use icmp::{IcmpMessage, IcmpPacket, IcmpType, MplsExtension};
+pub use icmp::{
+    write_error, ErrorKind, IcmpMessage, IcmpPacket, IcmpType, IcmpView, MplsExtension,
+};
 pub use ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
-pub use mpls::{Label, LabelStack, Lse};
+pub use mpls::{Label, LabelStack, Lse, Lses};
 pub use udp::{UdpPacket, UdpRepr};

@@ -168,16 +168,21 @@ impl Lse {
 
     /// Parses one LSE from the first four bytes of `buf`.
     pub fn parse(buf: &[u8]) -> WireResult<Lse> {
-        if buf.len() < LSE_LEN {
-            return Err(WireError::Truncated);
+        match buf {
+            [a, b, c, d, ..] => Ok(Lse::decode([*a, *b, *c, *d])),
+            _ => Err(WireError::Truncated),
         }
-        let word = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        Ok(Lse {
+    }
+
+    /// Decodes one 4-byte entry; every bit pattern is a valid LSE.
+    fn decode(bytes: [u8; LSE_LEN]) -> Lse {
+        let word = u32::from_be_bytes(bytes);
+        Lse {
             label: Label(word >> 12),
             tc: ((word >> 9) & 0x7) as u8,
             bottom: (word >> 8) & 0x1 == 1,
             ttl: (word & 0xff) as u8,
-        })
+        }
     }
 
     /// Emits this LSE into the first four bytes of `buf`.
@@ -311,22 +316,9 @@ impl LabelStack {
     }
 
     /// Parses a full stack: entries until (and including) the first one
-    /// with the bottom-of-stack bit set.
+    /// with the bottom-of-stack bit set; bytes after it are ignored.
     pub fn parse(buf: &[u8]) -> WireResult<LabelStack> {
-        let mut entries = Vec::new();
-        let mut offset = 0;
-        loop {
-            let lse = Lse::parse(&buf[offset..])?;
-            offset += LSE_LEN;
-            let bottom = lse.bottom;
-            entries.push(lse);
-            if bottom {
-                return Ok(LabelStack { entries });
-            }
-            if offset >= buf.len() {
-                return Err(WireError::Truncated);
-            }
-        }
+        Lses::parse(buf).map(LabelStack::from_iter)
     }
 
     /// Total wire length in bytes.
@@ -355,6 +347,66 @@ impl LabelStack {
         Ok(buf)
     }
 }
+
+impl FromIterator<Lse> for LabelStack {
+    /// Collects entries given top first, fixing bottom-of-stack bits
+    /// so that only the final entry carries the flag.
+    fn from_iter<I: IntoIterator<Item = Lse>>(iter: I) -> LabelStack {
+        let mut entries: Vec<Lse> = iter.into_iter().collect();
+        let depth = entries.len();
+        for (i, lse) in entries.iter_mut().enumerate() {
+            lse.bottom = i + 1 == depth;
+        }
+        LabelStack { entries }
+    }
+}
+
+/// A label stack on the wire, validated and borrowed: the entries up
+/// to and including the first one with the bottom-of-stack bit,
+/// decoded one at a time, top first. It never allocates; collect it
+/// into a [`LabelStack`] to own the entries. Obtained from
+/// [`IcmpView::lses`](crate::icmp::IcmpView::lses).
+#[derive(Debug, Clone)]
+pub struct Lses<'a> {
+    entries: core::slice::ChunksExact<'a, u8>,
+}
+
+impl<'a> Lses<'a> {
+    /// Validates the stack at the start of `buf`. Bytes after the
+    /// bottom entry are ignored; a buffer that ends before one is
+    /// [`WireError::Truncated`].
+    pub(crate) fn parse(buf: &'a [u8]) -> WireResult<Lses<'a>> {
+        let mut end = 0;
+        loop {
+            let lse = Lse::parse(&buf[end..])?;
+            end += LSE_LEN;
+            if lse.bottom {
+                return Ok(Lses::validated(&buf[..end]));
+            }
+        }
+    }
+
+    /// The stack of `bytes`, already validated by `Lses::parse` (or
+    /// empty).
+    pub(crate) fn validated(bytes: &'a [u8]) -> Lses<'a> {
+        Lses { entries: bytes.chunks_exact(LSE_LEN) }
+    }
+}
+
+impl Iterator for Lses<'_> {
+    type Item = Lse;
+
+    fn next(&mut self) -> Option<Lse> {
+        let chunk = self.entries.next()?;
+        Some(Lse::decode([chunk[0], chunk[1], chunk[2], chunk[3]]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Lses<'_> {}
 
 impl fmt::Display for LabelStack {
     /// Formats the stack as `[top|…|bottom]`.

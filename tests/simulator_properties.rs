@@ -127,13 +127,26 @@ fn plane_strategy() -> impl Strategy<Value = Plane> {
 }
 
 fn probe(net: &Network, entry: RouterId, dst: Ipv4Addr, ttl: u8, sport: u16) -> ProbeReply {
-    net.probe(&ProbeSpec {
+    probe_bytes(net, entry, dst, ttl, sport).0
+}
+
+/// A probe's reply and its ICMP bytes (empty when it carries none).
+fn probe_bytes(
+    net: &Network,
+    entry: RouterId,
+    dst: Ipv4Addr,
+    ttl: u8,
+    sport: u16,
+) -> (ProbeReply, Vec<u8>) {
+    let mut raw = Vec::new();
+    let spec = ProbeSpec {
         entry,
         src: Ipv4Addr::new(192, 0, 2, 1),
         dst,
         ttl,
         transport: TransportPayload::Udp { src_port: sport, dst_port: 33_434, ident: 11 },
-    })
+    };
+    (net.probe(&spec, &mut raw), raw)
 }
 
 proptest! {
@@ -161,9 +174,9 @@ proptest! {
         prop_assert_eq!(reply.from_addr(), again.from_addr());
 
         for ttl in 1..=generous {
-            let reply = probe(&net, routers[0], dst, ttl, sport);
-            if let Some(raw) = reply.raw() {
-                let msg = IcmpMessage::parse(raw);
+            let (_, raw) = probe_bytes(&net, routers[0], dst, ttl, sport);
+            if !raw.is_empty() {
+                let msg = IcmpMessage::parse(&raw);
                 prop_assert!(msg.is_ok(), "ttl {ttl}: unparseable ICMP");
             }
         }
@@ -211,8 +224,9 @@ proptest! {
     ) {
         let (net, routers, dst) = build(n, Plane::Sr { php }, true, rfc4950);
         for ttl in 1..=(2 * n) as u8 {
-            if let Some(raw) = probe(&net, routers[0], dst, ttl, 50_000).raw() {
-                let msg = IcmpMessage::parse(raw).unwrap();
+            let (_, raw) = probe_bytes(&net, routers[0], dst, ttl, 50_000);
+            if !raw.is_empty() {
+                let msg = IcmpMessage::parse(&raw).unwrap();
                 if msg.mpls_extension().is_some() {
                     prop_assert!(rfc4950, "quote from a non-RFC4950 router");
                 }
@@ -225,8 +239,9 @@ proptest! {
     fn ip_plane_is_label_free(n in 3usize..10, propagate: bool, rfc4950: bool) {
         let (net, routers, dst) = build(n, Plane::Ip, propagate, rfc4950);
         for ttl in 1..=(2 * n) as u8 {
-            if let Some(raw) = probe(&net, routers[0], dst, ttl, 33_000).raw() {
-                let msg = IcmpMessage::parse(raw).unwrap();
+            let (_, raw) = probe_bytes(&net, routers[0], dst, ttl, 33_000);
+            if !raw.is_empty() {
+                let msg = IcmpMessage::parse(&raw).unwrap();
                 prop_assert!(msg.mpls_extension().is_none());
             }
         }

@@ -57,25 +57,31 @@ fn ldp_testbed() -> (Network, Vec<RouterId>, Ipv4Addr) {
     (net, routers, Ipv4Addr::new(203, 0, 113, 77))
 }
 
-fn probe(net: &Network, entry: RouterId, dst: Ipv4Addr, ttl: u8) -> ProbeReply {
-    net.probe(&ProbeSpec {
+/// A probe's reply and its ICMP bytes (empty when it carries none).
+fn probe(net: &Network, entry: RouterId, dst: Ipv4Addr, ttl: u8) -> (ProbeReply, Vec<u8>) {
+    let mut raw = Vec::new();
+    let spec = ProbeSpec {
         entry,
         src: Ipv4Addr::new(192, 0, 2, 1),
         dst,
         ttl,
         transport: TransportPayload::Udp { src_port: 33_434, dst_port: 33_435, ident: 0xbeef },
-    })
+    };
+    (net.probe(&spec, &mut raw), raw)
 }
 
 #[test]
 fn every_reply_parses_and_checksums() {
     let (net, routers, dst) = ldp_testbed();
     for ttl in 1..=8u8 {
-        let reply = probe(&net, routers[0], dst, ttl);
-        let Some(raw) = reply.raw() else { continue };
-        let view = IcmpPacket::new_checked(raw).expect("minimum length");
+        let (reply, raw) = probe(&net, routers[0], dst, ttl);
+        if raw.is_empty() {
+            assert!(matches!(reply, ProbeReply::Silent(_)), "ttl {ttl}: {reply:?} without bytes");
+            continue;
+        }
+        let view = IcmpPacket::new_checked(&raw[..]).expect("minimum length");
         assert!(view.verify_checksum(), "ttl {ttl}: ICMP checksum");
-        let msg = IcmpMessage::parse(raw).expect("full parse");
+        let msg = IcmpMessage::parse(&raw).expect("full parse");
         assert!(matches!(msg.icmp_type(), IcmpType::TimeExceeded | IcmpType::DestUnreachable));
     }
 }
@@ -83,9 +89,9 @@ fn every_reply_parses_and_checksums() {
 #[test]
 fn quotes_carry_the_probe_flow_and_ident() {
     let (net, routers, dst) = ldp_testbed();
-    let reply = probe(&net, routers[0], dst, 3);
-    let raw = reply.raw().expect("a TE reply");
-    let msg = IcmpMessage::parse(raw).unwrap();
+    let (reply, raw) = probe(&net, routers[0], dst, 3);
+    assert!(matches!(reply, ProbeReply::TimeExceeded { .. }), "a TE reply: {reply:?}");
+    let msg = IcmpMessage::parse(&raw).unwrap();
     let quoted = msg.original_datagram().expect("quoted datagram");
     let ip = Ipv4Packet::new_unchecked(quoted);
     assert_eq!(ip.src_addr(), Ipv4Addr::new(192, 0, 2, 1));
@@ -101,9 +107,9 @@ fn rfc4884_padding_and_extension_structure() {
     let (net, routers, dst) = ldp_testbed();
     // TTL 3 expires inside the LSP: a labelled quote must follow the
     // RFC 4884 layout with the original datagram padded to 128 bytes.
-    let reply = probe(&net, routers[0], dst, 3);
-    let raw = reply.raw().expect("TE");
-    let msg = IcmpMessage::parse(raw).unwrap();
+    let (reply, raw) = probe(&net, routers[0], dst, 3);
+    assert!(matches!(reply, ProbeReply::TimeExceeded { .. }), "TE: {reply:?}");
+    let msg = IcmpMessage::parse(&raw).unwrap();
     let ext = msg.mpls_extension().expect("RFC 4950 object");
     assert!(ext.stack.depth() >= 1);
     assert_eq!(msg.original_datagram().unwrap().len(), ORIGINAL_DATAGRAM_MIN_LEN, "padded quote");
@@ -116,8 +122,9 @@ fn label_stack_round_trips_through_the_icmp_quote() {
     let (net, routers, dst) = ldp_testbed();
     let mut seen_labels = Vec::new();
     for ttl in 2..=6u8 {
-        if let Some(raw) = probe(&net, routers[0], dst, ttl).raw() {
-            let msg = IcmpMessage::parse(raw).unwrap();
+        let (_, raw) = probe(&net, routers[0], dst, ttl);
+        if !raw.is_empty() {
+            let msg = IcmpMessage::parse(&raw).unwrap();
             if let Some(ext) = msg.mpls_extension() {
                 let top = ext.stack.top().unwrap();
                 seen_labels.push(top.label.value());

@@ -50,6 +50,10 @@ else
     OWN_BENCH_OUT=1
 fi
 
+echo "==> the README's cargo run form reaches the experiments CLI (default-run)"
+# (the usage goes to stderr)
+cargo run --release -p arest-experiments -- --help 2>&1 | grep -q '^usage: arest-experiments '
+
 echo "==> removed bench modes are refused before any build (perfbench/ is the benchmark)"
 REFUSED_LOG=$(mktemp)
 REFUSED_STATUS=0
