@@ -2,9 +2,12 @@
 //! step runs on the shared pool and its outputs install in catalog
 //! order, so a 1-worker and a 4-worker build are the same Internet.
 //!
-//! `RouterPlane` holds hash maps, so the planes are compared by
-//! behaviour: every VP probes a sample of targets at every TTL, and
-//! the two networks must answer each probe identically.
+//! The planes are compared twice: by the deployed-tables digest (every
+//! LFIB, FTN, protection map and label record, in a canonical order),
+//! and by behaviour — every VP probes a sample of targets at every
+//! TTL, and the two networks must answer each probe identically.
+
+mod common;
 
 use arest_netgen::internet::{generate_pooled, generate_probed, GenConfig, Internet};
 use arest_obs::SpanContext;
@@ -47,6 +50,11 @@ fn probe_set(internet: &Internet) -> Vec<ProbeSpec> {
 fn assert_same(a: &Internet, b: &Internet, what: &str) {
     assert_eq!(a.ground_truth, b.ground_truth, "{what}: ground truth differs");
     assert_eq!(a.label_records, b.label_records, "{what}: label records differ");
+    assert_eq!(
+        common::tables_digest(a),
+        common::tables_digest(b),
+        "{what}: deployed tables differ"
+    );
     let mut delivered = 0;
     for spec in probe_set(a) {
         let (mut a_bytes, mut b_bytes) = (Vec::new(), Vec::new());
