@@ -30,5 +30,5 @@ pub mod visibility;
 pub use ldp::{LdpDomain, LdpFec};
 pub use pool::DynamicLabelPool;
 pub use rsvp::{signal_tunnel, RsvpLsp, RsvpTunnel};
-pub use tables::{Ftn, Lfib, LfibAction, PushInstruction};
+pub use tables::{Ftn, LabelTables, Lfib, LfibAction, MplsTables, PushInstruction};
 pub use visibility::{TunnelType, TunnelVisibility};

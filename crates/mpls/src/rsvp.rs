@@ -5,16 +5,15 @@
 //! This module signals one tunnel at a time along an *explicit route*:
 //! the PATH message walks head → tail, the RESV message returns
 //! upstream allocating one label per hop from each LSR's dynamic pool,
-//! and the compiled state is the same [`Lfib`]/[`Ftn`] swap chain the
-//! data plane already interprets.
+//! and the compiled state is the same LFIB swap chain and FTN push
+//! ([`crate::tables`]) the data plane already interprets.
 //!
 //! Because every label still comes from a per-router dynamic pool,
 //! RSVP-TE tunnels look exactly like LDP to AReST — label values that
 //! change hop by hop — which is why the paper can treat "classic MPLS"
 //! as one class regardless of the signalling protocol.
 
-use crate::pool::DynamicLabelPool;
-use crate::tables::{Ftn, Lfib, LfibAction, PushInstruction};
+use crate::tables::{LfibAction, PushInstruction};
 use arest_topo::graph::Topology;
 use arest_topo::ids::{IfaceId, RouterId};
 use arest_topo::prefix::Prefix;
@@ -57,26 +56,32 @@ impl fmt::Display for RsvpError {
 
 impl std::error::Error for RsvpError {}
 
-/// The signalled LSP: per-router LFIB entries plus the head's FTN.
+/// The signalled LSP: the LFIB entries along the tunnel plus the
+/// head's FTN entry, for the caller to install into those routers'
+/// tables.
 #[derive(Debug, Clone)]
 pub struct RsvpLsp {
-    /// Per-router label state along the tunnel (head excluded — it
-    /// pushes rather than swaps).
-    pub lfibs: HashMap<RouterId, Lfib>,
+    /// `(router, in label, action)` per transit hop, in path order
+    /// (head excluded — it pushes rather than swaps).
+    pub lfib: Vec<(RouterId, Label, LfibAction)>,
     /// The head router.
     pub head: RouterId,
-    /// The head's FTN entry for the FEC.
-    pub ftn: Ftn,
+    /// The FEC the head steers into the tunnel.
+    pub fec: Prefix,
+    /// The head's push instruction for the FEC.
+    pub push: PushInstruction,
     /// Labels as allocated per transit/tail hop, in path order
     /// (useful for tests and inspection).
     pub labels: Vec<(RouterId, Label)>,
 }
 
 /// Signals one RSVP-TE tunnel, with penultimate-hop popping.
+/// `allocate(hop)` draws the next label from `hop`'s dynamic pool
+/// (`None` when it has none left).
 pub fn signal_tunnel(
     topo: &Topology,
     tunnel: &RsvpTunnel,
-    pools: &mut HashMap<RouterId, DynamicLabelPool>,
+    mut allocate: impl FnMut(RouterId) -> Option<Label>,
 ) -> Result<RsvpLsp, RsvpError> {
     if tunnel.path.len() < 2 {
         return Err(RsvpError::PathTooShort);
@@ -99,17 +104,14 @@ pub fn signal_tunnel(
     let mut labels: HashMap<RouterId, Option<Label>> = HashMap::from([(tail, None)]);
     let mut allocated: Vec<(RouterId, Label)> = Vec::new();
     for &hop in tunnel.path[1..tunnel.path.len() - 1].iter().rev() {
-        let label = pools
-            .get_mut(&hop)
-            .and_then(super::pool::DynamicLabelPool::allocate)
-            .ok_or(RsvpError::NoLabel(hop))?;
+        let label = allocate(hop).ok_or(RsvpError::NoLabel(hop))?;
         labels.insert(hop, Some(label));
         allocated.push((hop, label));
     }
     allocated.reverse();
 
     // Compile: transit hops swap toward the tail, the penultimate pops.
-    let mut lfibs: HashMap<RouterId, Lfib> = HashMap::new();
+    let mut lfib = Vec::with_capacity(tunnel.path.len() - 2);
     for (idx, pair) in tunnel.path.windows(2).enumerate().skip(1) {
         let (hop, downstream) = (pair[0], pair[1]);
         let own = labels[&hop].expect("transit hops allocate");
@@ -123,28 +125,25 @@ pub fn signal_tunnel(
                 LfibAction::PopForward { out_iface: egress_ifaces[idx], next_router: downstream }
             }
         };
-        lfibs.entry(hop).or_default().install(own, action);
+        lfib.push((hop, own, action));
     }
 
     // The head's push instruction.
     let head = tunnel.path[0];
     let first_hop = tunnel.path[1];
-    let mut ftn = Ftn::new();
-    ftn.install(
-        tunnel.fec,
-        PushInstruction {
-            labels: labels[&first_hop].into_iter().collect(),
-            out_iface: egress_ifaces[0],
-            next_router: first_hop,
-        },
-    );
+    let push = PushInstruction {
+        labels: labels[&first_hop].into_iter().collect(),
+        out_iface: egress_ifaces[0],
+        next_router: first_hop,
+    };
 
-    Ok(RsvpLsp { lfibs, head, ftn, labels: allocated })
+    Ok(RsvpLsp { lfib, head, fec: tunnel.fec, push, labels: allocated })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::DynamicLabelPool;
     use arest_topo::ids::AsNumber;
     use arest_topo::vendor::Vendor;
     use std::net::Ipv4Addr;
@@ -179,6 +178,19 @@ mod tests {
         r.iter().map(|&x| (x, DynamicLabelPool::classic(u64::from(x.0) + 7))).collect()
     }
 
+    fn signal(
+        topo: &Topology,
+        tunnel: &RsvpTunnel,
+        pools: &mut HashMap<RouterId, DynamicLabelPool>,
+    ) -> Result<RsvpLsp, RsvpError> {
+        signal_tunnel(topo, tunnel, |hop| pools.get_mut(&hop)?.allocate())
+    }
+
+    /// The action `router` installed for `label` along the LSP.
+    fn action(lsp: &RsvpLsp, router: RouterId, label: Label) -> Option<LfibAction> {
+        lsp.lfib.iter().find(|&&(r, l, _)| r == router && l == label).map(|&(_, _, a)| a)
+    }
+
     #[test]
     fn signals_the_long_way_around() {
         let (topo, r) = ring();
@@ -189,25 +201,26 @@ mod tests {
             fec: "203.0.113.0/24".parse().unwrap(),
         };
         let mut pools = pools(&r);
-        let lsp = signal_tunnel(&topo, &tunnel, &mut pools).unwrap();
+        let lsp = signal(&topo, &tunnel, &mut pools).unwrap();
         assert_eq!(lsp.head, r[0]);
         // Two transit hops allocated labels; the tail runs PHP.
         assert_eq!(lsp.labels.len(), 2);
         assert_eq!(lsp.labels[0].0, r[4]);
         assert_eq!(lsp.labels[1].0, r[3]);
         // The head pushes r4's label toward r4.
-        let push = lsp.ftn.lookup(Ipv4Addr::new(203, 0, 113, 9)).unwrap();
+        assert!(lsp.fec.contains(Ipv4Addr::new(203, 0, 113, 9)));
+        let push = &lsp.push;
         assert_eq!(push.next_router, r[4]);
         assert_eq!(push.labels, vec![lsp.labels[0].1]);
         // r4 swaps to r3's label; r3 pops (penultimate).
-        match lsp.lfibs[&r[4]].lookup(lsp.labels[0].1).unwrap() {
+        match action(&lsp, r[4], lsp.labels[0].1).unwrap() {
             LfibAction::Swap { out_label, next_router, .. } => {
                 assert_eq!(out_label, lsp.labels[1].1);
                 assert_eq!(next_router, r[3]);
             }
             other => panic!("expected swap, got {other:?}"),
         }
-        match lsp.lfibs[&r[3]].lookup(lsp.labels[1].1).unwrap() {
+        match action(&lsp, r[3], lsp.labels[1].1).unwrap() {
             LfibAction::PopForward { next_router, .. } => assert_eq!(next_router, r[2]),
             other => panic!("expected PHP, got {other:?}"),
         }
@@ -222,7 +235,7 @@ mod tests {
             fec: "198.51.100.0/24".parse().unwrap(),
         };
         let mut pools = pools(&r);
-        let lsp = signal_tunnel(&topo, &tunnel, &mut pools).unwrap();
+        let lsp = signal(&topo, &tunnel, &mut pools).unwrap();
         assert_ne!(lsp.labels[0].1, lsp.labels[1].1, "no label persistence — not SR");
     }
 
@@ -236,7 +249,7 @@ mod tests {
         };
         let mut pools = pools(&r);
         assert_eq!(
-            signal_tunnel(&topo, &tunnel, &mut pools).unwrap_err(),
+            signal(&topo, &tunnel, &mut pools).unwrap_err(),
             RsvpError::NotAdjacent(r[0], r[2])
         );
     }
@@ -250,7 +263,7 @@ mod tests {
             path: vec![r[0]],
             fec: "203.0.113.0/24".parse().unwrap(),
         };
-        assert_eq!(signal_tunnel(&topo, &short, &mut pools).unwrap_err(), RsvpError::PathTooShort);
+        assert_eq!(signal(&topo, &short, &mut pools).unwrap_err(), RsvpError::PathTooShort);
 
         let mut empty_pools = HashMap::new();
         let tunnel = RsvpTunnel {
@@ -258,10 +271,7 @@ mod tests {
             path: vec![r[0], r[1], r[2]],
             fec: "203.0.113.0/24".parse().unwrap(),
         };
-        assert_eq!(
-            signal_tunnel(&topo, &tunnel, &mut empty_pools).unwrap_err(),
-            RsvpError::NoLabel(r[1])
-        );
+        assert_eq!(signal(&topo, &tunnel, &mut empty_pools).unwrap_err(), RsvpError::NoLabel(r[1]));
     }
 
     #[test]
@@ -273,9 +283,9 @@ mod tests {
             fec: "203.0.113.0/24".parse().unwrap(),
         };
         let mut pools = pools(&r);
-        let lsp = signal_tunnel(&topo, &tunnel, &mut pools).unwrap();
+        let lsp = signal(&topo, &tunnel, &mut pools).unwrap();
         assert!(lsp.labels.is_empty(), "tail-adjacent head pushes nothing");
-        let push = lsp.ftn.lookup(Ipv4Addr::new(203, 0, 113, 1)).unwrap();
-        assert!(push.labels.is_empty());
+        assert!(lsp.fec.contains(Ipv4Addr::new(203, 0, 113, 1)));
+        assert!(lsp.push.labels.is_empty());
     }
 }

@@ -5,11 +5,16 @@
 //! simulator (`arest-simnet`) only ever interprets them, so one data
 //! plane serves both — exactly the SR-MPLS premise of "SR over the
 //! existing MPLS forwarding plane" (paper §2.3).
+//!
+//! Control planes write straight into a router's tables through
+//! [`LabelTables`], which the simulator's router plane implements; a
+//! standalone [`MplsTables`] pair serves tests and tools.
 
 use arest_topo::ids::{IfaceId, RouterId};
 use arest_topo::prefix::{Prefix, PrefixMap};
 use arest_wire::mpls::Label;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What a router does with an incoming top label (its NHLFE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +43,39 @@ pub enum LfibAction {
     PopLocal,
 }
 
+/// A fixed multiplicative hasher (the `FxHash` shape) for label keys.
+///
+/// Labels are router-chosen integers, not attacker-chosen, so the
+/// LFIB needs no DoS-resistant SipHash; one multiply per lookup keeps
+/// the data plane's per-hop label lookup and the generator's installs
+/// cheap, and a fixed seed makes iteration order reproducible.
+#[derive(Debug, Clone, Copy, Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The Label Forwarding Information Base: incoming label → action.
 #[derive(Debug, Clone, Default)]
 pub struct Lfib {
-    entries: HashMap<Label, LfibAction>,
+    entries: HashMap<Label, LfibAction, BuildHasherDefault<LabelHasher>>,
     collisions: Vec<(Label, LfibAction, LfibAction)>,
 }
 
@@ -147,6 +181,46 @@ impl Ftn {
     /// Iterates over `(prefix, instruction)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &PushInstruction)> {
         self.map.iter()
+    }
+}
+
+/// A router's MPLS tables as a control plane writes them. Control
+/// planes compile into a slot-indexed slice of these (one per domain
+/// member, in [`arest_topo::spf::DomainSpf`] slot order), so every
+/// entry is installed once, into the router's own tables.
+pub trait LabelTables {
+    /// The router's LFIB.
+    fn lfib_mut(&mut self) -> &mut Lfib;
+    /// The router's FTN.
+    fn ftn_mut(&mut self) -> &mut Ftn;
+}
+
+impl<T: LabelTables + ?Sized> LabelTables for &mut T {
+    fn lfib_mut(&mut self) -> &mut Lfib {
+        (**self).lfib_mut()
+    }
+
+    fn ftn_mut(&mut self) -> &mut Ftn {
+        (**self).ftn_mut()
+    }
+}
+
+/// A standalone LFIB/FTN pair.
+#[derive(Debug, Clone, Default)]
+pub struct MplsTables {
+    /// The label forwarding table.
+    pub lfib: Lfib,
+    /// The ingress FEC table.
+    pub ftn: Ftn,
+}
+
+impl LabelTables for MplsTables {
+    fn lfib_mut(&mut self) -> &mut Lfib {
+        &mut self.lfib
+    }
+
+    fn ftn_mut(&mut self) -> &mut Ftn {
+        &mut self.ftn
     }
 }
 

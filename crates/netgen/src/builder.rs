@@ -23,7 +23,7 @@ use crate::catalog::AsProfile;
 use crate::profile::DeploymentProfile;
 use arest_mpls::ldp::{LdpDomain, LdpFec};
 use arest_mpls::pool::DynamicLabelPool;
-use arest_mpls::tables::{LfibAction, PushInstruction};
+use arest_mpls::tables::LfibAction;
 use arest_simnet::plane::RouterPlane;
 use arest_simnet::Network;
 use arest_sr::block::LabelBlock;
@@ -48,7 +48,9 @@ use std::net::Ipv4Addr;
 struct SpfCache(Vec<DomainSpf>);
 
 impl SpfCache {
-    /// The SPF over exactly `members`, computed on first request.
+    /// The SPF over exactly `members`, computed on first request. A
+    /// computation is timed as `netgen.deploy.spf.us`, so the protocol
+    /// timers measure compilation alone.
     fn over(&mut self, topo: &Topology, members: &[RouterId]) -> DomainSpf {
         let mut sorted = members.to_vec();
         sorted.sort_unstable();
@@ -56,6 +58,7 @@ impl SpfCache {
         if let Some(spf) = self.0.iter().find(|spf| spf.members() == sorted) {
             return spf.clone();
         }
+        let _timer = arest_obs::global().timer("netgen.deploy.spf.us");
         let spf = DomainSpf::for_members(topo, &sorted);
         self.0.push(spf.clone());
         spf
@@ -363,23 +366,6 @@ pub struct DeployedAs {
     pub label_audit: AsLabelRecord,
 }
 
-/// The planes one AS writes, keyed by router. The compute step starts
-/// each from the default plane, which is what the network holds for a
-/// router no AS has deployed yet, so the same writes give the same
-/// plane; [`install_as`] then moves them into the [`Network`].
-struct AsPlanes(HashMap<RouterId, RouterPlane>);
-
-impl AsPlanes {
-    fn new(routers: &[RouterId]) -> AsPlanes {
-        AsPlanes(routers.iter().map(|&r| (r, RouterPlane::default())).collect())
-    }
-
-    /// The plane of `r`, which must be one of the AS's own routers.
-    fn get(&mut self, r: RouterId) -> &mut RouterPlane {
-        self.0.get_mut(&r).unwrap_or_else(|| panic!("{r} is not a router of this AS"))
-    }
-}
-
 /// Everything phase 2 computes for one AS, held until the serial
 /// install moves it into the [`Network`].
 #[derive(Debug)]
@@ -388,11 +374,27 @@ pub struct DeployOutput {
     pub igp: DomainSpf,
     /// Customer prefixes and the edge routers that terminate them.
     pub anchors: Vec<(Prefix, RouterId)>,
-    /// The compiled plane of each of the AS's routers, in
-    /// `plan.routers` order.
+    /// The compiled plane of each of the AS's routers, in `RouterId`
+    /// order.
     pub planes: Vec<(RouterId, RouterPlane)>,
     /// Ground truth and label-allocation facts.
     pub deployed: DeployedAs,
+}
+
+/// The entries of `all` — one per router of the AS, in slot order of
+/// its IGP `igp` — that belong to the sorted `members` of a subset
+/// domain, in that domain's slot order.
+fn domain_slice<'a, T>(igp: &DomainSpf, all: &'a mut [T], members: &[RouterId]) -> Vec<&'a mut T> {
+    let mut wanted = members.iter().peekable();
+    let picked: Vec<&mut T> = igp
+        .members()
+        .iter()
+        .zip(all)
+        .filter(|(r, _)| wanted.next_if_eq(r).is_some())
+        .map(|(_, entry)| entry)
+        .collect();
+    assert!(wanted.next().is_none(), "a domain's members are routers of its AS");
+    picked
 }
 
 /// Phase 2, compute step: compile this AS's control planes.
@@ -402,6 +404,13 @@ pub struct DeployOutput {
 /// computed in any order or concurrently with the same result.
 /// `transit_fecs` are external prefixes this AS carries for
 /// neighbours, each with the border router where they exit.
+///
+/// The planes and label pools live in slot order of the AS-wide IGP,
+/// which starts each plane from the default the network holds for an
+/// undeployed router. Every control plane compiles straight into the
+/// planes of its members, and each entry is installed once: LDP, its
+/// VPN/entropy inner labels and mirror, RSVP-TE, then SR with its
+/// service SIDs and policies — later installs win.
 pub fn compute_as(
     topo: &Topology,
     plan: &AsPlan,
@@ -410,22 +419,6 @@ pub fn compute_as(
 ) -> DeployOutput {
     let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(plan.entry.asn) << 16) ^ 0x5eed);
     let profile = &plan.profile;
-
-    // Behaviour knobs. RFC 4950 support follows the AS-wide config
-    // template (one OS image fleet-wide — per-router draws would
-    // punch unlabelled holes into label sequences that no real
-    // deployment exhibits); ttl-propagate is an ingress-side choice
-    // and varies per router, which is what mixes tunnel types within
-    // one AS (Appendix C).
-    let rfc4950_template = rng.random_bool(profile.p_rfc4950);
-    let mut planes = AsPlanes::new(&plan.routers);
-    for &r in &plan.routers {
-        let plane = planes.get(r);
-        plane.ttl_propagate = rng.random_bool(profile.p_propagate);
-        plane.rfc4950 = rfc4950_template;
-        plane.answers_echo = rng.random_bool(profile.echo_rate);
-        plane.snmp_responsive = rng.random_bool(profile.snmp_rate);
-    }
 
     // IGP oracle. The plan's routers are exactly the AS's, so no scan
     // of the whole topology is needed.
@@ -443,13 +436,32 @@ pub fn compute_as(
         "the plan's routers are not exactly the routers of {}",
         plan.asn
     );
+    let slot =
+        |r: RouterId| igp.slot(r).unwrap_or_else(|| panic!("{r} is not a router of this AS"));
+    let mut planes: Vec<RouterPlane> =
+        igp.members().iter().map(|_| RouterPlane::default()).collect();
+
+    // Behaviour knobs. RFC 4950 support follows the AS-wide config
+    // template (one OS image fleet-wide — per-router draws would
+    // punch unlabelled holes into label sequences that no real
+    // deployment exhibits); ttl-propagate is an ingress-side choice
+    // and varies per router, which is what mixes tunnel types within
+    // one AS (Appendix C).
+    let rfc4950_template = rng.random_bool(profile.p_rfc4950);
+    for &r in &plan.routers {
+        let plane = &mut planes[slot(r)];
+        plane.ttl_propagate = rng.random_bool(profile.p_propagate);
+        plane.rfc4950 = rfc4950_template;
+        plane.answers_echo = rng.random_bool(profile.echo_rate);
+        plane.snmp_responsive = rng.random_bool(profile.snmp_rate);
+    }
     let mut spfs = SpfCache(vec![igp.clone()]);
 
     // Label pools.
     let sr_exists = plan.sr_members.len() >= 2;
     let mut label_record = AsLabelRecord::default();
-    let mut pools: HashMap<RouterId, DynamicLabelPool> = plan
-        .routers
+    let mut pools: Vec<DynamicLabelPool> = igp
+        .members()
         .iter()
         .map(|&r| {
             let pool_seed = seed ^ u64::from(r.0).wrapping_mul(0x9e37_79b9);
@@ -463,7 +475,7 @@ pub fn compute_as(
                 _ => arest_mpls::pool::DEFAULT_POOL_START,
             };
             label_record.pool_floors.insert(r, floor);
-            (r, DynamicLabelPool::new(floor, arest_mpls::pool::POOL_END, pool_seed))
+            DynamicLabelPool::new(floor, arest_mpls::pool::POOL_END, pool_seed)
         })
         .collect();
 
@@ -473,8 +485,8 @@ pub fn compute_as(
     // ---- Classic LDP domain ----
     let mut vpn_fecs: Vec<(Prefix, RouterId)> = Vec::new();
     if plan.ldp_members.len() >= 2 {
-        let _timer = registry.timer("netgen.deploy.ldp.us");
         let ldp_spf = spfs.over(topo, &plan.ldp_members);
+        let _timer = registry.timer("netgen.deploy.ldp.us");
         let mut fecs: Vec<LdpFec> = Vec::new();
         for &(prefix, anchor) in &plan.customers {
             if ldp_set.contains(&anchor) {
@@ -490,34 +502,37 @@ pub fn compute_as(
                 fecs.push(LdpFec { prefix, egress });
             }
         }
-        let domain = LdpDomain::build(&ldp_spf, &fecs, &mut pools, true);
+        let (domain, mirror_domain) = {
+            let mut ldp_pools = domain_slice(&igp, &mut pools, ldp_spf.members());
+            let domain = LdpDomain::build(&ldp_spf, &fecs, &mut ldp_pools, true);
 
-        // LDP→SR mirroring: LDP routers tunnel toward SR-side customer
-        // prefixes, terminating at the junction (RFC 8661). Built
-        // without PHP so the junction receives the label and stitches
-        // straight into the SR FTN — no unlabelled gap mid-tunnel.
-        let mirror_domain = plan.junction.map(|j| {
-            let sr_side: Vec<Prefix> = plan
-                .customers
-                .iter()
-                .filter(|(_, anchor)| sr_set.contains(anchor))
-                .map(|(p, _)| *p)
-                .collect();
-            let mirror_fecs = mirrored_ldp_fecs(&sr_side, j);
-            LdpDomain::build(&ldp_spf, &mirror_fecs, &mut pools, false)
-        });
+            // LDP→SR mirroring: LDP routers tunnel toward SR-side
+            // customer prefixes, terminating at the junction (RFC
+            // 8661). Built without PHP so the junction receives the
+            // label and stitches straight into the SR FTN — no
+            // unlabelled gap mid-tunnel.
+            let mirror_domain = plan.junction.map(|j| {
+                let sr_side: Vec<Prefix> = plan
+                    .customers
+                    .iter()
+                    .filter(|(_, anchor)| sr_set.contains(anchor))
+                    .map(|(p, _)| *p)
+                    .collect();
+                let mirror_fecs = mirrored_ldp_fecs(&sr_side, j);
+                LdpDomain::build(&ldp_spf, &mirror_fecs, &mut ldp_pools, false)
+            });
+            (domain, mirror_domain)
+        };
 
         // VPN-style inner labels: deep classic stacks (the LSO noise
-        // floor of §6.2).
+        // floor of §6.2). Drawn after both domains' labels, and their
+        // egress entries land ahead of the domains'.
         let mut inner_labels: HashMap<Prefix, Vec<arest_wire::mpls::Label>> = HashMap::new();
         for &(prefix, egress) in &vpn_fecs {
-            let inner = pools
-                .get_mut(&egress)
-                .expect("pool exists")
-                .allocate()
-                .expect("pool not exhausted");
+            let s = slot(egress);
+            let inner = pools[s].allocate().expect("pool not exhausted");
             inner_labels.insert(prefix, vec![inner]);
-            planes.get(egress).lfib.install(inner, LfibAction::PopLocal);
+            planes[s].lfib.install(inner, LfibAction::PopLocal);
         }
         // RFC 6790 entropy pairs on a small share of the remaining
         // FECs: [ELI, EL] below the transport label. Pure
@@ -531,37 +546,19 @@ pub fn compute_as(
             let el = arest_wire::mpls::Label::new(rng.random_range(100_000..1_000_000))
                 .expect("within label space");
             inner_labels.insert(prefix, vec![eli, el]);
-            let plane = planes.get(egress);
+            let plane = &mut planes[slot(egress)];
             plane.lfib.install(eli, LfibAction::PopLocal);
             plane.lfib.install(el, LfibAction::PopLocal);
         }
 
-        let (lfibs, ftns) = domain.into_tables();
-        for (router, lfib) in lfibs {
-            planes.get(router).merge_lfib(lfib);
-        }
-        for (router, ftn) in ftns {
-            let mut adjusted: Vec<(Prefix, PushInstruction)> = Vec::new();
-            for (prefix, push) in ftn.iter() {
-                let mut push = push.clone();
-                if let Some(inner) = inner_labels.get(prefix) {
-                    push.labels.extend(inner.iter().copied());
-                }
-                adjusted.push((*prefix, push));
-            }
-            let plane = planes.get(router);
-            for (prefix, push) in adjusted {
-                plane.ftn.install(prefix, push);
-            }
-        }
+        // The transport entries, with each FEC's inner labels stacked
+        // below its push; then the mirror's.
+        let mut ldp_planes = domain_slice(&igp, &mut planes, ldp_spf.members());
+        domain.install(&mut ldp_planes, |prefix| {
+            inner_labels.get(&prefix).map_or(&[][..], Vec::as_slice)
+        });
         if let Some(mirror) = mirror_domain {
-            let (lfibs, ftns) = mirror.into_tables();
-            for (router, lfib) in lfibs {
-                planes.get(router).merge_lfib(lfib);
-            }
-            for (router, ftn) in ftns {
-                planes.get(router).merge_ftn(ftn);
-            }
+            mirror.install(&mut ldp_planes, |_| &[]);
         }
     }
 
@@ -571,8 +568,8 @@ pub fn compute_as(
     // footnote 2). Their traces are indistinguishable from LDP —
     // hop-varying dynamic labels — which is the point.
     if !sr_exists && plan.ldp_members.len() >= 3 {
-        let _timer = registry.timer("netgen.deploy.rsvp_te.us");
         let ldp_spf = spfs.over(topo, &plan.ldp_members);
+        let _timer = registry.timer("netgen.deploy.rsvp_te.us");
         let head = *plan.ldp_members.first().expect("non-empty");
         let te_fecs: Vec<(Prefix, RouterId)> = plan
             .customers
@@ -593,28 +590,32 @@ pub fn compute_as(
                 path,
                 fec: prefix,
             };
-            if let Ok(lsp) = arest_mpls::rsvp::signal_tunnel(topo, &tunnel, &mut pools) {
-                for (r, lfib) in lsp.lfibs {
-                    planes.get(r).merge_lfib(lfib);
+            let lsp = arest_mpls::rsvp::signal_tunnel(topo, &tunnel, |hop| {
+                pools[igp.slot(hop)?].allocate()
+            });
+            if let Ok(lsp) = lsp {
+                for (r, label, action) in lsp.lfib {
+                    planes[slot(r)].lfib.install(label, action);
                 }
-                planes.get(lsp.head).merge_ftn(lsp.ftn);
+                planes[slot(lsp.head)].ftn.install(lsp.fec, lsp.push);
             }
         }
     }
 
     // ---- SR-MPLS domain ----
     if sr_exists {
+        let sr_spf = spfs.over(topo, &plan.sr_members);
         let _timer = registry.timer("netgen.deploy.sr.us");
         let srgb = LabelBlock::new(profile.srgb_base, 8_000);
         let srlb = LabelBlock::from_range(15_000, 15_999);
-        let mut configs: HashMap<RouterId, SrNodeConfig> = plan
+        let mut configs: Vec<SrNodeConfig> = plan
             .sr_members
             .iter()
             .map(|&r| {
                 // Juniper-style members take adjacency SIDs from the
                 // dynamic pool.
                 let has_srlb = topo.router(r).vendor != Vendor::Juniper;
-                (r, SrNodeConfig { srgb, srlb: has_srlb.then_some(srlb) })
+                SrNodeConfig { srgb, srlb: has_srlb.then_some(srlb) }
             })
             .collect();
         // Roughly one SR AS in eight runs a multi-vendor core where a
@@ -625,15 +626,12 @@ pub fn compute_as(
         if plan.sr_members.len() >= 5 && profile.srgb_base == 16_000 && plan.entry.id == 29
         // China Telecom models the multi-vendor case
         {
-            let victim = plan.sr_members[plan.sr_members.len() / 2];
-            let has_srlb = topo.router(victim).vendor != Vendor::Juniper;
-            configs.insert(
-                victim,
-                SrNodeConfig {
-                    srgb: LabelBlock::new(30_000, 8_000),
-                    srlb: has_srlb.then_some(srlb),
-                },
-            );
+            let victim = plan.sr_members.len() / 2;
+            let has_srlb = topo.router(plan.sr_members[victim]).vendor != Vendor::Juniper;
+            configs[victim] = SrNodeConfig {
+                srgb: LabelBlock::new(30_000, 8_000),
+                srlb: has_srlb.then_some(srlb),
+            };
         }
 
         let mut extra: Vec<PrefixSidSpec> = Vec::new();
@@ -667,7 +665,7 @@ pub fn compute_as(
             }
         }
 
-        for (&r, cfg) in &configs {
+        for (&r, cfg) in plan.sr_members.iter().zip(&configs) {
             label_record.srgbs.insert(r, cfg.srgb);
             if let Some(block) = cfg.srlb {
                 label_record.srlbs.insert(r, block);
@@ -689,14 +687,17 @@ pub fn compute_as(
             node_sid_base: 100,
             install_node_ftn: false,
         };
-        let sr_spf = spfs.over(topo, &plan.sr_members);
-        let domain = SrDomain::build(topo, &spec, &sr_spf, &mut pools);
+        let domain = SrDomain::build(
+            topo,
+            &spec,
+            &sr_spf,
+            &mut domain_slice(&igp, &mut pools, sr_spf.members()),
+            &mut domain_slice(&igp, &mut planes, sr_spf.members()),
+        );
 
         // TE policies and service SIDs at the SR borders.
         let sr_borders: Vec<RouterId> =
             plan.borders.iter().copied().filter(|b| sr_set.contains(b)).collect();
-        let mut policy_installs: Vec<(RouterId, Prefix, PushInstruction)> = Vec::new();
-        let mut service_installs: Vec<(RouterId, arest_wire::mpls::Label)> = Vec::new();
         for (fec_idx, &(prefix, egress)) in sr_customer_fecs.iter().enumerate() {
             let te = rng.random_bool(profile.te_policy_share);
             // ASes with service SIDs always run at least one such FEC
@@ -743,37 +744,23 @@ pub fn compute_as(
                     // Two service labels from the top of the egress
                     // SRLB (adjacency SIDs grow from the bottom), so
                     // the egress-received stack keeps depth >= 2.
-                    for slot in 0..2u32 {
+                    for k in 0..2u32 {
                         let label = srlb
-                            .label_for(srlb.size() - 1 - (2 * (next_index % 250) + slot))
+                            .label_for(srlb.size() - 1 - (2 * (next_index % 250) + k))
                             .expect("inside SRLB");
                         policy.service_sids.push(label);
-                        service_installs.push((egress, label));
+                        planes[slot(egress)].lfib.install(label, LfibAction::PopLocal);
                     }
                 }
                 if let Ok(push) = policy.compile(topo, &domain) {
-                    policy_installs.push((headend, prefix, push));
+                    planes[slot(headend)].ftn.install(prefix, push);
                 }
             }
-        }
-
-        let (lfibs, ftns) = domain.into_tables();
-        for (router, lfib) in lfibs {
-            planes.get(router).merge_lfib(lfib);
-        }
-        for (router, ftn) in ftns {
-            planes.get(router).merge_ftn(ftn);
-        }
-        for (egress, label) in service_installs {
-            planes.get(egress).lfib.install(label, LfibAction::PopLocal);
-        }
-        for (headend, prefix, push) in policy_installs {
-            planes.get(headend).ftn.install(prefix, push);
         }
     }
 
     // Ground truth.
-    for (&r, pool) in &pools {
+    for (&r, pool) in igp.members().iter().zip(&pools) {
         label_record.pool_watermarks.insert(r, pool.watermark());
     }
     let mut deployed = DeployedAs { label_audit: label_record, ..DeployedAs::default() };
@@ -795,12 +782,7 @@ pub fn compute_as(
             deployed.ldp_prefixes.push(prefix);
         }
     }
-    let mut planes = planes.0;
-    let planes = plan
-        .routers
-        .iter()
-        .map(|&r| (r, planes.remove(&r).expect("every router has a plane")))
-        .collect();
+    let planes = igp.members().iter().copied().zip(planes).collect();
     DeployOutput { igp, anchors: plan.customers.clone(), planes, deployed }
 }
 

@@ -26,7 +26,6 @@ use arest_topo::prefix::Prefix;
 use arest_topo::spf::DomainSpf;
 use arest_topo::vendor::Vendor;
 use common::min_allocations;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Probes per measured loop: a per-probe allocation shows up this many
@@ -56,24 +55,14 @@ fn ldp_chain() -> (Network, RouterId, Ipv4Addr) {
     let customer: Prefix = "198.51.100.0/24".parse().expect("a prefix");
     let egress = routers[4];
     let members = routers[1..].to_vec();
-    let mut pools: HashMap<RouterId, DynamicLabelPool> =
-        members.iter().map(|&r| (r, DynamicLabelPool::classic(u64::from(r.0)))).collect();
-    let domain = LdpDomain::build(
-        &DomainSpf::for_members(&topo, &members),
-        &[LdpFec { prefix: customer, egress }],
-        &mut pools,
-        false,
-    );
+    let spf = DomainSpf::for_members(&topo, &members);
+    let mut pools: Vec<DynamicLabelPool> =
+        spf.members().iter().map(|&r| DynamicLabelPool::classic(u64::from(r.0))).collect();
+    let domain = LdpDomain::build(&spf, &[LdpFec { prefix: customer, egress }], &mut pools, false);
     let mut net = Network::new(topo);
     net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
     net.anchor_prefix(customer, egress);
-    let (lfibs, ftns) = domain.into_tables();
-    for (r, lfib) in lfibs {
-        net.plane_mut(r).merge_lfib(lfib);
-    }
-    for (r, ftn) in ftns {
-        net.plane_mut(r).merge_ftn(ftn);
-    }
+    domain.install(&mut net.domain_planes_mut(spf.members()).1, |_| &[]);
     (net, routers[0], Ipv4Addr::new(198, 51, 100, 9))
 }
 

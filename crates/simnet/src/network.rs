@@ -102,6 +102,29 @@ impl Network {
         &mut self.planes[r.index()]
     }
 
+    /// Splits the network for a control plane compiling into it: the
+    /// topology, and the planes of `members` in order — one per slot of
+    /// a [`DomainSpf`] over them.
+    ///
+    /// # Panics
+    /// Panics unless `members` are sorted, distinct routers of the
+    /// network (as a `DomainSpf`'s members are).
+    pub fn domain_planes_mut(
+        &mut self,
+        members: &[RouterId],
+    ) -> (&Topology, Vec<&mut RouterPlane>) {
+        let mut wanted = members.iter().map(|r| r.index()).peekable();
+        let planes: Vec<&mut RouterPlane> = self
+            .planes
+            .iter_mut()
+            .enumerate()
+            .filter(|&(i, _)| wanted.next_if_eq(&i).is_some())
+            .map(|(_, plane)| plane)
+            .collect();
+        assert!(wanted.next().is_none(), "domain members must be sorted, distinct routers");
+        (&self.topo, planes)
+    }
+
     /// Injects one probe and runs it to completion: a one-TTL
     /// [`walk`](Network::walk), answered into `reply_bytes` as
     /// [`reply`](Network::reply) does.
@@ -754,7 +777,6 @@ mod tests {
     use arest_topo::vendor::Vendor;
     use arest_wire::icmp::IcmpMessage;
     use arest_wire::ipv4::Ipv4Packet;
-    use std::collections::HashMap;
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr::new(a, b, c, d)
@@ -944,25 +966,17 @@ mod tests {
         let target = topo.router(r[4]).loopback;
         let fec = Prefix::host(target);
         let members = vec![r[1], r[2], r[3]];
-        let mut pools: HashMap<RouterId, DynamicLabelPool> = members
+        let spf = DomainSpf::for_members(&topo, &members);
+        let mut pools: Vec<DynamicLabelPool> = spf
+            .members()
             .iter()
-            .map(|&m| (m, DynamicLabelPool::classic(u64::from(m.0) * 13 + 5)))
+            .map(|&m| DynamicLabelPool::classic(u64::from(m.0) * 13 + 5))
             .collect();
-        let domain = LdpDomain::build(
-            &DomainSpf::for_members(&topo, &members),
-            &[LdpFec { prefix: fec, egress: r[3] }],
-            &mut pools,
-            php,
-        );
+        let domain =
+            LdpDomain::build(&spf, &[LdpFec { prefix: fec, egress: r[3] }], &mut pools, php);
         let mut net = Network::new(topo);
         install_ip_routes(&mut net, &r);
-        let (lfibs, ftns) = domain.into_tables();
-        for (router, lfib) in lfibs {
-            net.plane_mut(router).merge_lfib(lfib);
-        }
-        for (router, ftn) in ftns {
-            net.plane_mut(router).merge_ftn(ftn);
-        }
+        domain.install(&mut net.domain_planes_mut(spf.members()).1, |_| &[]);
         for &m in &members {
             net.plane_mut(m).ttl_propagate = ttl_propagate;
             net.plane_mut(m).rfc4950 = rfc4950;
@@ -1044,10 +1058,7 @@ mod tests {
         let (topo, r) = chain(5);
         let target = topo.router(r[4]).loopback;
         let members = vec![r[1], r[2], r[3]];
-        let configs = members
-            .iter()
-            .map(|&m| (m, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-            .collect();
+        let configs = vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; 3];
         let spec = SrDomainSpec {
             members,
             configs,
@@ -1060,22 +1071,12 @@ mod tests {
             install_node_ftn: true,
             node_sid_base: 100,
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
+        let spf = DomainSpf::for_members(&topo, &spec.members);
         let mut net = Network::new(topo);
         install_ip_routes(&mut net, &r);
-        let (lfibs, ftns) = domain.into_tables();
-        for (router, lfib) in lfibs {
-            net.plane_mut(router).merge_lfib(lfib);
-        }
-        for (router, ftn) in ftns {
-            net.plane_mut(router).merge_ftn(ftn);
-        }
+        let (topo, mut planes) = net.domain_planes_mut(spf.members());
+        let no_pools: &mut [DynamicLabelPool] = &mut [];
+        SrDomain::build(topo, &spec, &spf, no_pools, &mut planes);
         Net { net, r, target }
     }
 
@@ -1311,18 +1312,13 @@ mod tests {
         let customer: Prefix = "100.99.0.0/24".parse().unwrap();
         let spec = arest_sr::domain::SrDomainSpec {
             members: r.clone(),
-            configs: r
-                .iter()
-                .map(|&x| {
-                    (
-                        x,
-                        arest_sr::domain::SrNodeConfig {
-                            srgb: cisco_srgb(),
-                            srlb: Some(cisco_srlb()),
-                        },
-                    )
-                })
-                .collect(),
+            configs: vec![
+                arest_sr::domain::SrNodeConfig {
+                    srgb: cisco_srgb(),
+                    srlb: Some(cisco_srlb())
+                };
+                r.len()
+            ],
             extra_prefix_sids: vec![arest_sr::sid::PrefixSidSpec {
                 prefix: customer,
                 egress: r[2],
@@ -1332,25 +1328,14 @@ mod tests {
             node_sid_base: 100,
             install_node_ftn: false,
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        let tilfa = arest_sr::tilfa::compute_tilfa(&topo, &domain);
-
+        let spf = DomainSpf::for_members(&topo, &spec.members);
         let mut net = Network::new(topo);
         net.register_igp(asn, arest_topo::spf::DomainSpf::for_as(net.topo(), asn));
         net.anchor_prefix(customer, r[2]);
-        let (lfibs, ftns) = domain.into_tables();
-        for (router, lfib) in lfibs {
-            net.plane_mut(router).merge_lfib(lfib);
-        }
-        for (router, ftn) in ftns {
-            net.plane_mut(router).merge_ftn(ftn);
-        }
+        let (topo, mut planes) = net.domain_planes_mut(spf.members());
+        let no_pools: &mut [DynamicLabelPool] = &mut [];
+        let domain = SrDomain::build(topo, &spec, &spf, no_pools, &mut planes);
+        let tilfa = arest_sr::tilfa::compute_tilfa(topo, &domain);
         for ((plr, protected), repair) in tilfa.iter() {
             net.plane_mut(*plr).install_protection(*protected, repair.clone());
         }

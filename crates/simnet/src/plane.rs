@@ -1,6 +1,6 @@
 //! Per-router forwarding and behaviour state.
 
-use arest_mpls::tables::{Ftn, Lfib, PushInstruction};
+use arest_mpls::tables::{Ftn, LabelTables, Lfib, PushInstruction};
 use arest_topo::ids::{IfaceId, RouterId};
 use arest_topo::prefix::{Prefix, PrefixMap};
 use std::collections::HashMap;
@@ -21,10 +21,10 @@ pub struct RouterPlane {
     /// the engine resolves interface addresses to their owner's
     /// loopback before lookup) and external prefixes.
     pub fib: PrefixMap<Route>,
-    /// MPLS label FIB, merged from every control plane (LDP + SR)
+    /// MPLS label FIB, written by every control plane (LDP + SR)
     /// active on the router.
     pub lfib: Lfib,
-    /// Ingress FEC table, likewise merged. Later installs win on FEC
+    /// Ingress FEC table, likewise shared. Later installs win on FEC
     /// conflicts, so installing LDP before SR gives SR precedence —
     /// the RFC 8661 interworking preference.
     pub ftn: Ftn,
@@ -71,73 +71,31 @@ impl RouterPlane {
         self.fib.insert(prefix, route);
     }
 
-    /// Merges another LFIB into this router's (later entries win).
-    pub fn merge_lfib(&mut self, other: Lfib) {
-        for (label, action) in other.iter() {
-            self.lfib.install(*label, *action);
-        }
-    }
-
     /// Installs a TI-LFA repair for one protected egress interface.
     pub fn install_protection(&mut self, protected: IfaceId, repair: PushInstruction) {
         self.protection.insert(protected, repair);
     }
+}
 
-    /// Merges another FTN into this router's (later entries win).
-    pub fn merge_ftn(&mut self, other: Ftn) {
-        for (prefix, instruction) in other.iter() {
-            self.ftn.install(*prefix, instruction.clone());
-        }
+/// Control planes compile straight into a router's plane.
+impl LabelTables for RouterPlane {
+    fn lfib_mut(&mut self) -> &mut Lfib {
+        &mut self.lfib
+    }
+
+    fn ftn_mut(&mut self) -> &mut Ftn {
+        &mut self.ftn
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arest_mpls::tables::LfibAction;
-    use arest_wire::mpls::Label;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn defaults_are_visible_and_responsive() {
         let plane = RouterPlane::default();
         assert!(plane.rfc4950 && plane.ttl_propagate && plane.icmp_enabled);
         assert!(!plane.snmp_responsive, "SNMP exposure is opt-in");
-    }
-
-    #[test]
-    fn merge_lfib_later_wins() {
-        let mut plane = RouterPlane::default();
-        let label = Label::new(16_000).unwrap();
-        let mut first = Lfib::new();
-        first.install(label, LfibAction::PopLocal);
-        let mut second = Lfib::new();
-        second.install(
-            label,
-            LfibAction::PopForward { out_iface: IfaceId(1), next_router: RouterId(2) },
-        );
-        plane.merge_lfib(first);
-        plane.merge_lfib(second);
-        assert!(matches!(plane.lfib.lookup(label), Some(LfibAction::PopForward { .. })));
-    }
-
-    #[test]
-    fn merge_ftn_later_wins() {
-        use arest_mpls::tables::PushInstruction;
-        let mut plane = RouterPlane::default();
-        let fec: Prefix = "10.9.0.0/16".parse().unwrap();
-        let mk = |l: u32| PushInstruction {
-            labels: vec![Label::new(l).unwrap()],
-            out_iface: IfaceId(0),
-            next_router: RouterId(0),
-        };
-        let mut ldp = Ftn::new();
-        ldp.install(fec, mk(30_000));
-        let mut sr = Ftn::new();
-        sr.install(fec, mk(16_010));
-        plane.merge_ftn(ldp);
-        plane.merge_ftn(sr);
-        let got = plane.ftn.lookup(Ipv4Addr::new(10, 9, 1, 1)).unwrap();
-        assert_eq!(got.labels[0].value(), 16_010, "SR installed last wins");
     }
 }

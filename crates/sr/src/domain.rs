@@ -18,13 +18,13 @@
 use crate::block::LabelBlock;
 use crate::sid::{PrefixSidSpec, SidIndex};
 use arest_mpls::pool::DynamicLabelPool;
-use arest_mpls::tables::{Ftn, Lfib, LfibAction, PushInstruction};
+use arest_mpls::tables::{LabelTables, LfibAction, PushInstruction};
 use arest_topo::graph::Topology;
 use arest_topo::ids::{IfaceId, RouterId};
 use arest_topo::prefix::Prefix;
 use arest_topo::spf::DomainSpf;
 use arest_wire::mpls::Label;
-use std::collections::{HashMap, HashSet};
+use std::borrow::BorrowMut;
 
 /// Per-router SR configuration.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +43,8 @@ pub struct SrNodeConfig {
 pub struct SrDomainSpec {
     /// Member routers (the SR-capable subset of an AS).
     pub members: Vec<RouterId>,
-    /// Per-member configuration. Every member must appear.
-    pub configs: HashMap<RouterId, SrNodeConfig>,
+    /// Per-member configuration, parallel to `members`.
+    pub configs: Vec<SrNodeConfig>,
     /// Additional prefix SIDs beyond the automatic node SIDs —
     /// attached customer prefixes, or mapping-server advertisements
     /// for SR→LDP interworking.
@@ -62,104 +62,95 @@ pub struct SrDomainSpec {
     pub install_node_ftn: bool,
 }
 
-/// The converged SR domain: SID tables plus compiled forwarding state.
+/// The converged SR domain: the SID tables, over the dense member
+/// slots of the domain's [`DomainSpf`]. The forwarding state itself
+/// goes straight into the members' tables at build time.
 #[derive(Debug, Clone)]
-pub struct SrDomain {
-    members: Vec<RouterId>,
-    configs: HashMap<RouterId, SrNodeConfig>,
-    node_index: HashMap<RouterId, SidIndex>,
-    prefix_sids: Vec<PrefixSidSpec>,
-    adj_sids: HashMap<(RouterId, IfaceId), Label>,
-    lfibs: HashMap<RouterId, Lfib>,
-    ftns: HashMap<RouterId, Ftn>,
-    spf: DomainSpf,
-    php: bool,
+pub struct SrDomain<'a> {
+    spec: &'a SrDomainSpec,
+    spf: &'a DomainSpf,
+    /// Per slot, the member's position in `spec.members` — its config
+    /// index, and its node SID's offset from `spec.node_sid_base`.
+    position: Vec<u32>,
+    /// Per slot, the adjacency SIDs the member allocated, in
+    /// adjacency order.
+    adj_sids: Vec<Vec<(IfaceId, Label)>>,
 }
 
-impl SrDomain {
+impl<'a> SrDomain<'a> {
     /// Builds the converged domain state over `spf`, the IGP shortest
     /// paths among exactly `spec.members` (shared with any other user
-    /// of the same member set).
+    /// of the same member set), compiling every member's forwarding
+    /// state into `tables[slot]`: prefix SIDs (node SIDs first, then
+    /// extras) in SID order, then adjacency SIDs.
     ///
-    /// `pools` supplies dynamic labels for adjacency SIDs on members
-    /// without an SRLB.
+    /// `pools[slot]` supplies dynamic labels for adjacency SIDs on
+    /// members without an SRLB; `pools` may be empty when every member
+    /// has one.
     ///
     /// # Panics
-    /// Panics if a member has no entry in `spec.configs` or no label
-    /// pool when one is needed.
-    pub fn build(
+    /// Panics if `spf` does not cover exactly `spec.members`, if
+    /// `spec.configs` is not parallel to them, if `tables` is not one
+    /// table set per slot, or if a member needs a label pool it lacks.
+    pub fn build<P: BorrowMut<DynamicLabelPool>, T: LabelTables>(
         topo: &Topology,
-        spec: &SrDomainSpec,
-        spf: &DomainSpf,
-        pools: &mut HashMap<RouterId, DynamicLabelPool>,
-    ) -> SrDomain {
-        let member_set: HashSet<RouterId> = spec.members.iter().copied().collect();
-        assert!(
-            spf.members().len() == member_set.len()
-                && spf.members().iter().all(|r| member_set.contains(r)),
-            "the SPF must cover exactly the SR members"
-        );
-
-        // Automatic node SIDs: loopback /32 prefix SIDs in member order.
-        let mut node_index = HashMap::new();
-        let mut prefix_sids = Vec::new();
+        spec: &'a SrDomainSpec,
+        spf: &'a DomainSpf,
+        pools: &mut [P],
+        tables: &mut [T],
+    ) -> SrDomain<'a> {
+        let members = spf.members();
+        let n = members.len();
+        assert_eq!(spec.configs.len(), spec.members.len(), "one SR config per member");
+        assert_eq!(tables.len(), n, "one table set per member slot");
+        let mut position = vec![u32::MAX; n];
         for (i, &r) in spec.members.iter().enumerate() {
-            let index = SidIndex(spec.node_sid_base + i as u32);
-            node_index.insert(r, index);
-            prefix_sids.push(PrefixSidSpec {
-                prefix: Prefix::host(topo.router(r).loopback),
-                egress: r,
-                index,
-            });
+            let slot = spf.slot(r).filter(|&s| position[s] == u32::MAX);
+            position[slot.expect("the SPF must cover exactly the SR members")] = i as u32;
         }
-        prefix_sids.extend(spec.extra_prefix_sids.iter().copied());
-
-        // Compile forwarding state into locals and assemble the domain
-        // once at the end — `prefix_sids` can then move in instead of
-        // being cloned (it scales with members + customer prefixes).
-        let config = |r: RouterId| -> &SrNodeConfig {
-            spec.configs.get(&r).unwrap_or_else(|| panic!("no SR config for {r}"))
-        };
-        let mut lfibs: HashMap<RouterId, Lfib> =
-            spec.members.iter().map(|&r| (r, Lfib::new())).collect();
-        let mut ftns: HashMap<RouterId, Ftn> =
-            spec.members.iter().map(|&r| (r, Ftn::new())).collect();
-        let mut adj_sids = HashMap::new();
+        assert!(n == spec.members.len(), "the SPF must cover exactly the SR members");
+        let config = |slot: usize| &spec.configs[position[slot] as usize];
 
         // Prefix/node SIDs: install LFIB chains and ingress FTNs.
-        // The first `members.len()` entries are the automatic node
-        // SIDs; their FTNs are optional.
-        let node_sid_count = spec.members.len();
-        for (sid_idx, sid) in prefix_sids.iter().enumerate() {
-            let want_ftn = spec.install_node_ftn || sid_idx >= node_sid_count;
-            if !member_set.contains(&sid.egress) {
+        // Automatic node SIDs are loopback /32 prefix SIDs in member
+        // order; their FTNs are optional.
+        let node_sids = spec.members.iter().enumerate().map(|(i, &r)| {
+            let sid = PrefixSidSpec {
+                prefix: Prefix::host(topo.router(r).loopback),
+                egress: r,
+                index: SidIndex(spec.node_sid_base + i as u32),
+            };
+            (sid, spec.install_node_ftn)
+        });
+        let extras = spec.extra_prefix_sids.iter().map(|&sid| (sid, true));
+        for (sid, want_ftn) in node_sids.chain(extras) {
+            let Some(egress) = spf.slot(sid.egress) else {
                 continue;
-            }
-            for &r in &spec.members {
-                let srgb_r = config(r).srgb;
-                let Some(in_label) = srgb_r.label_for(sid.index.0) else {
+            };
+            for (s, tables) in tables.iter_mut().enumerate() {
+                let Some(in_label) = config(s).srgb.label_for(sid.index.0) else {
                     continue; // index outside this router's SRGB
                 };
-                if r == sid.egress {
-                    lfibs.get_mut(&r).unwrap().install(in_label, LfibAction::PopLocal);
+                if s == egress {
+                    tables.lfib_mut().install(in_label, LfibAction::PopLocal);
                     continue;
                 }
-                let Some((out_iface, next_router)) = spf.next_hop(r, sid.egress) else {
+                let Some((out_iface, next)) = spf.next_hop_slot(s, egress) else {
                     continue;
                 };
-                let srgb_next = config(next_router).srgb;
-                let Some(out_label) = srgb_next.label_for(sid.index.0) else {
+                let Some(out_label) = config(next).srgb.label_for(sid.index.0) else {
                     continue;
                 };
-                let pops_here = spec.php && next_router == sid.egress;
+                let next_router = members[next];
+                let pops_here = spec.php && next == egress;
                 let action = if pops_here {
                     LfibAction::PopForward { out_iface, next_router }
                 } else {
                     LfibAction::Swap { out_label, out_iface, next_router }
                 };
-                lfibs.get_mut(&r).unwrap().install(in_label, action);
+                tables.lfib_mut().install(in_label, action);
                 if want_ftn {
-                    ftns.get_mut(&r).unwrap().install(
+                    tables.ftn_mut().install(
                         sid.prefix,
                         PushInstruction {
                             labels: if pops_here { vec![] } else { vec![out_label] },
@@ -173,15 +164,15 @@ impl SrDomain {
 
         // Adjacency SIDs: one per live IGP adjacency, allocated from
         // the SRLB (sequential indexes) or the dynamic pool.
-        for &r in &spec.members {
-            let srlb = config(r).srlb;
+        let mut adj_sids: Vec<Vec<(IfaceId, Label)>> = vec![Vec::new(); n];
+        for (s, tables) in tables.iter_mut().enumerate() {
+            let r = members[s];
+            let srlb = config(s).srlb;
             let mut next_srlb_index = 0u32;
-            let adjacencies: Vec<(IfaceId, RouterId)> = topo
-                .adjacencies(r)
-                .filter(|(_, _, _, remote, _)| member_set.contains(remote))
-                .map(|(_, local_if, _, remote, _)| (local_if, remote))
-                .collect();
-            for (local_if, remote) in adjacencies {
+            for (_, local_if, _, remote, _) in topo.adjacencies(r) {
+                if spf.slot(remote).is_none() {
+                    continue;
+                }
                 let label = match srlb {
                     Some(block) => {
                         let l = block
@@ -191,13 +182,14 @@ impl SrDomain {
                         l
                     }
                     None => pools
-                        .get_mut(&r)
+                        .get_mut(s)
                         .unwrap_or_else(|| panic!("no label pool for {r}"))
+                        .borrow_mut()
                         .allocate()
                         .expect("label pool exhausted"),
                 };
-                adj_sids.insert((r, local_if), label);
-                lfibs.get_mut(&r).unwrap().install(
+                adj_sids[s].push((local_if, label));
+                tables.lfib_mut().install(
                     label,
                     LfibAction::PopForward { out_iface: local_if, next_router: remote },
                 );
@@ -209,91 +201,99 @@ impl SrDomain {
         let registry = arest_obs::global();
         if registry.is_enabled() {
             registry.counter("sr.domains").inc();
-            registry.counter("sr.prefix_sids").add(prefix_sids.len() as u64);
-            registry.counter("sr.adj_sids").add(adj_sids.len() as u64);
+            registry.counter("sr.prefix_sids").add((n + spec.extra_prefix_sids.len()) as u64);
+            registry
+                .counter("sr.adj_sids")
+                .add(adj_sids.iter().map(Vec::len).sum::<usize>() as u64);
         }
-        SrDomain {
-            members: spec.members.clone(),
-            configs: spec.configs.clone(),
-            node_index,
-            prefix_sids,
-            adj_sids,
-            lfibs,
-            ftns,
-            spf: spf.clone(),
-            php: spec.php,
-        }
+        SrDomain { spec, spf, position, adj_sids }
     }
 
-    /// The domain members.
+    /// The domain members, in spec order.
     pub fn members(&self) -> &[RouterId] {
-        &self.members
+        &self.spec.members
     }
 
     /// Whether PHP is enabled for prefix SIDs.
     pub fn php(&self) -> bool {
-        self.php
+        self.spec.php
+    }
+
+    fn config(&self, r: RouterId) -> Option<&SrNodeConfig> {
+        let slot = self.spf.slot(r)?;
+        Some(&self.spec.configs[self.position[slot] as usize])
     }
 
     /// The SRGB of a member.
     pub fn srgb(&self, r: RouterId) -> Option<LabelBlock> {
-        self.configs.get(&r).map(|c| c.srgb)
+        self.config(r).map(|c| c.srgb)
     }
 
     /// The automatic node SID index of a member.
     pub fn node_sid(&self, r: RouterId) -> Option<SidIndex> {
-        self.node_index.get(&r).copied()
+        let slot = self.spf.slot(r)?;
+        Some(SidIndex(self.spec.node_sid_base + self.position[slot]))
     }
 
     /// The label `viewer` uses on its *incoming* face for `target`'s
     /// node SID (i.e. `target`'s index through `viewer`'s own SRGB).
     pub fn node_label_at(&self, viewer: RouterId, target: RouterId) -> Option<Label> {
-        let index = self.node_index.get(&target)?;
-        self.configs.get(&viewer)?.srgb.label_for(index.0)
+        let index = self.node_sid(target)?;
+        self.config(viewer)?.srgb.label_for(index.0)
     }
 
     /// The adjacency SID label `owner` allocated for `out_iface`.
     pub fn adj_sid(&self, owner: RouterId, out_iface: IfaceId) -> Option<Label> {
-        self.adj_sids.get(&(owner, out_iface)).copied()
-    }
-
-    /// All prefix SIDs (automatic node SIDs first, then extras).
-    pub fn prefix_sids(&self) -> &[PrefixSidSpec] {
-        &self.prefix_sids
-    }
-
-    /// The compiled LFIB of a member.
-    pub fn lfib(&self, r: RouterId) -> Option<&Lfib> {
-        self.lfibs.get(&r)
-    }
-
-    /// The compiled FTN of a member.
-    pub fn ftn(&self, r: RouterId) -> Option<&Ftn> {
-        self.ftns.get(&r)
+        let slot = self.spf.slot(owner)?;
+        self.adj_sids[slot].iter().find(|&&(i, _)| i == out_iface).map(|&(_, l)| l)
     }
 
     /// The domain's SPF cache (used by policy compilation).
     pub fn spf(&self) -> &DomainSpf {
-        &self.spf
-    }
-
-    /// Consumes the domain, yielding per-router tables for the
-    /// simulator to merge.
-    pub fn into_tables(self) -> (HashMap<RouterId, Lfib>, HashMap<RouterId, Ftn>) {
-        (self.lfibs, self.ftns)
+        self.spf
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::block::{cisco_srgb, cisco_srlb, LabelBlock};
+    use arest_mpls::tables::{Ftn, Lfib, MplsTables};
     use arest_topo::ids::AsNumber;
     use arest_topo::vendor::Vendor;
     use std::net::Ipv4Addr;
 
+    /// Standalone per-slot tables a domain compiled into, read back
+    /// by router.
+    struct Tables<'a> {
+        spf: &'a DomainSpf,
+        tables: Vec<MplsTables>,
+    }
+
+    impl Tables<'_> {
+        fn lfib(&self, r: RouterId) -> &Lfib {
+            &self.tables[self.spf.slot(r).unwrap()].lfib
+        }
+
+        fn ftn(&self, r: RouterId) -> &Ftn {
+            &self.tables[self.spf.slot(r).unwrap()].ftn
+        }
+    }
+
+    /// Builds the domain of `spec` into fresh tables.
+    fn build<'a>(
+        topo: &Topology,
+        spec: &'a SrDomainSpec,
+        spf: &'a DomainSpf,
+        pools: &mut [DynamicLabelPool],
+    ) -> (SrDomain<'a>, Tables<'a>) {
+        let mut tables = vec![MplsTables::default(); spf.members().len()];
+        let domain = SrDomain::build(topo, spec, spf, pools, &mut tables);
+        (domain, Tables { spf, tables })
+    }
+
     /// A 5-router chain R0—R1—R2—R3—R4, all Cisco defaults.
-    pub(crate) fn chain_domain(php: bool) -> (Topology, Vec<RouterId>, SrDomain) {
+    fn chain_spec(php: bool) -> (Topology, Vec<RouterId>, SrDomainSpec) {
         let mut topo = Topology::new();
         let asn = AsNumber(65_020);
         let routers: Vec<RouterId> = (0..5)
@@ -317,28 +317,21 @@ pub(crate) mod tests {
         }
         let spec = SrDomainSpec {
             members: routers.clone(),
-            configs: routers
-                .iter()
-                .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; 5],
             extra_prefix_sids: vec![],
             php,
             install_node_ftn: true,
             node_sid_base: 100,
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        (topo, routers, domain)
+        (topo, routers, spec)
     }
 
     #[test]
     fn same_srgb_keeps_label_constant_along_path() {
-        let (_, r, domain) = chain_domain(false);
+        let (topo, r, spec) = chain_spec(false);
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let (domain, tables) = build(&topo, &spec, &spf, &mut []);
+
         // Node SID of R4 is index 104 → label 16,104 everywhere.
         let target = r[4];
         assert_eq!(domain.node_sid(target), Some(SidIndex(104)));
@@ -348,35 +341,41 @@ pub(crate) mod tests {
         }
         // Every transit router swaps 16,104 → 16,104.
         for &transit in &r[0..4] {
-            match domain.lfib(transit).unwrap().lookup(expected).unwrap() {
+            match tables.lfib(transit).lookup(expected).unwrap() {
                 LfibAction::Swap { out_label, .. } => assert_eq!(out_label, expected),
                 LfibAction::PopForward { .. } => panic!("php disabled"),
                 LfibAction::PopLocal => panic!("only the egress pops"),
             }
         }
         // The egress pops locally.
-        assert_eq!(domain.lfib(target).unwrap().lookup(expected), Some(LfibAction::PopLocal));
+        assert_eq!(tables.lfib(target).lookup(expected), Some(LfibAction::PopLocal));
     }
 
     #[test]
     fn php_pops_at_penultimate_hop() {
-        let (_, r, domain) = chain_domain(true);
+        let (topo, r, spec) = chain_spec(true);
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let (domain, tables) = build(&topo, &spec, &spf, &mut []);
+
         let label = domain.node_label_at(r[3], r[4]).unwrap();
-        match domain.lfib(r[3]).unwrap().lookup(label).unwrap() {
+        match tables.lfib(r[3]).lookup(label).unwrap() {
             LfibAction::PopForward { next_router, .. } => assert_eq!(next_router, r[4]),
             other => panic!("expected PHP pop, got {other:?}"),
         }
         // And the one-hop FTN from R3 pushes nothing.
         let loopback = Ipv4Addr::new(10, 255, 3, 5);
-        let push = domain.ftn(r[3]).unwrap().lookup(loopback).unwrap();
+        let push = tables.ftn(r[3]).lookup(loopback).unwrap();
         assert!(push.labels.is_empty());
     }
 
     #[test]
     fn ftn_pushes_next_hop_srgb_label() {
-        let (_, r, domain) = chain_domain(false);
+        let (topo, r, spec) = chain_spec(false);
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let (_, tables) = build(&topo, &spec, &spf, &mut []);
+
         let loopback = Ipv4Addr::new(10, 255, 3, 5); // R4
-        let push = domain.ftn(r[0]).unwrap().lookup(loopback).unwrap();
+        let push = tables.ftn(r[0]).lookup(loopback).unwrap();
         assert_eq!(push.labels, vec![Label::new(16_104).unwrap()]);
         assert_eq!(push.next_router, r[1]);
     }
@@ -406,12 +405,8 @@ pub(crate) mod tests {
                 1,
             );
         }
-        let mut configs: HashMap<RouterId, SrNodeConfig> =
-            routers.iter().map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: None })).collect();
-        configs.insert(
-            routers[2],
-            SrNodeConfig { srgb: LabelBlock::from_range(13_000, 20_999), srlb: None },
-        );
+        let mut configs = vec![SrNodeConfig { srgb: cisco_srgb(), srlb: None }; 4];
+        configs[2] = SrNodeConfig { srgb: LabelBlock::from_range(13_000, 20_999), srlb: None };
         let spec = SrDomainSpec {
             members: routers.clone(),
             configs,
@@ -420,14 +415,10 @@ pub(crate) mod tests {
             install_node_ftn: true,
             node_sid_base: 5,
         };
-        let mut pools: HashMap<RouterId, DynamicLabelPool> =
-            routers.iter().map(|&r| (r, DynamicLabelPool::sr_aware(u64::from(r.0)))).collect();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let mut pools: Vec<DynamicLabelPool> =
+            spf.members().iter().map(|&r| DynamicLabelPool::sr_aware(u64::from(r.0))).collect();
+        let (domain, tables) = build(&topo, &spec, &spf, &mut pools);
 
         // Node SID of R3 has index 8. R1 sees 16,008; R2 sees 13,008.
         let at_r1 = domain.node_label_at(routers[1], routers[3]).unwrap();
@@ -437,7 +428,7 @@ pub(crate) mod tests {
         assert!(at_r1.suffix_matches(at_r2), "the paper's suffix rule links them");
 
         // R1's LFIB swaps 16,008 → 13,008 (remapping into R2's SRGB).
-        match domain.lfib(routers[1]).unwrap().lookup(at_r1).unwrap() {
+        match tables.lfib(routers[1]).lookup(at_r1).unwrap() {
             LfibAction::Swap { out_label, .. } => assert_eq!(out_label, at_r2),
             other => panic!("expected swap, got {other:?}"),
         }
@@ -445,7 +436,10 @@ pub(crate) mod tests {
 
     #[test]
     fn adjacency_sids_come_from_srlb() {
-        let (topo, r, domain) = chain_domain(false);
+        let (topo, r, spec) = chain_spec(false);
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let (domain, tables) = build(&topo, &spec, &spf, &mut []);
+
         // R1 has two adjacencies (to R0 and R2): SRLB labels 15,000/15,001.
         let ifaces: Vec<IfaceId> =
             topo.adjacencies(r[1]).map(|(_, local_if, _, _, _)| local_if).collect();
@@ -454,7 +448,7 @@ pub(crate) mod tests {
             ifaces.iter().map(|&i| domain.adj_sid(r[1], i).unwrap().value()).collect();
         assert_eq!(labels, vec![15_000, 15_001]);
         // The adjacency SID pops and forces the specific interface.
-        match domain.lfib(r[1]).unwrap().lookup(Label::new(15_000).unwrap()).unwrap() {
+        match tables.lfib(r[1]).lookup(Label::new(15_000).unwrap()).unwrap() {
             LfibAction::PopForward { out_iface, .. } => assert_eq!(out_iface, ifaces[0]),
             other => panic!("expected forced-egress pop, got {other:?}"),
         }
@@ -470,23 +464,16 @@ pub(crate) mod tests {
         topo.add_link(a, Ipv4Addr::new(10, 5, 0, 1), b, Ipv4Addr::new(10, 5, 0, 2), 1);
         let spec = SrDomainSpec {
             members: vec![a, b],
-            configs: [a, b]
-                .into_iter()
-                .map(|r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: None }))
-                .collect(),
+            configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: None }; 2],
             extra_prefix_sids: vec![],
             php: true,
             install_node_ftn: true,
             node_sid_base: 1,
         };
-        let mut pools: HashMap<RouterId, DynamicLabelPool> =
-            [a, b].into_iter().map(|r| (r, DynamicLabelPool::sr_aware(u64::from(r.0)))).collect();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let mut pools: Vec<DynamicLabelPool> =
+            spf.members().iter().map(|&r| DynamicLabelPool::sr_aware(u64::from(r.0))).collect();
+        let (domain, _) = build(&topo, &spec, &spf, &mut pools);
         let iface = topo.adjacencies(a).next().unwrap().1;
         let adj = domain.adj_sid(a, iface).unwrap();
         assert!(adj.value() >= arest_mpls::pool::SR_AWARE_POOL_START);
@@ -494,14 +481,11 @@ pub(crate) mod tests {
 
     #[test]
     fn extra_prefix_sid_reaches_non_loopback_prefix() {
-        let (topo, r, _) = chain_domain(false);
+        let (topo, r, _) = chain_spec(false);
         let customer: Prefix = "203.0.113.0/24".parse().unwrap();
         let spec = SrDomainSpec {
             members: r.clone(),
-            configs: r
-                .iter()
-                .map(|&x| (x, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; 5],
             extra_prefix_sids: vec![PrefixSidSpec {
                 prefix: customer,
                 egress: r[4],
@@ -511,14 +495,9 @@ pub(crate) mod tests {
             install_node_ftn: true,
             node_sid_base: 100,
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        let push = domain.ftn(r[0]).unwrap().lookup(Ipv4Addr::new(203, 0, 113, 42)).unwrap();
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let (_, tables) = build(&topo, &spec, &spf, &mut []);
+        let push = tables.ftn(r[0]).lookup(Ipv4Addr::new(203, 0, 113, 42)).unwrap();
         assert_eq!(push.labels, vec![Label::new(16_900).unwrap()]);
     }
 }

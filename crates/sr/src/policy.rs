@@ -91,7 +91,7 @@ impl SrPolicy {
     pub fn compile(
         &self,
         topo: &Topology,
-        domain: &SrDomain,
+        domain: &SrDomain<'_>,
     ) -> Result<PushInstruction, PolicyError> {
         let mut labels: Vec<Label> = Vec::new();
         let mut first_hop: Option<(IfaceId, RouterId)> = None;
@@ -173,10 +173,11 @@ mod tests {
     use super::*;
     use crate::block::{cisco_srgb, cisco_srlb};
     use crate::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
+    use arest_mpls::pool::DynamicLabelPool;
+    use arest_mpls::tables::MplsTables;
     use arest_topo::ids::AsNumber;
     use arest_topo::spf::DomainSpf;
     use arest_topo::vendor::Vendor;
-    use std::collections::HashMap;
     use std::net::Ipv4Addr;
 
     /// The paper's Fig. 3 topology:
@@ -184,7 +185,30 @@ mod tests {
     /// ```text
     /// A-B, B-C(stub), B-D, D-E, D-F, F-G, E-G, G-H   (all cost 1)
     /// ```
-    fn fig3() -> (Topology, Vec<RouterId>, SrDomain) {
+    /// A domain's inputs, owned; [`compile`] builds the domain.
+    struct Fixture {
+        topo: Topology,
+        r: Vec<RouterId>,
+        spec: SrDomainSpec,
+        spf: DomainSpf,
+    }
+
+    impl Fixture {
+        fn new(topo: Topology, r: Vec<RouterId>, spec: SrDomainSpec) -> Fixture {
+            let spf = DomainSpf::for_members(&topo, &spec.members);
+            Fixture { topo, r, spec, spf }
+        }
+    }
+
+    /// The domain, compiled into throwaway tables (every member has an
+    /// SRLB, so no label pool is needed).
+    fn compile<'a>(topo: &Topology, spec: &'a SrDomainSpec, spf: &'a DomainSpf) -> SrDomain<'a> {
+        let no_pools: &mut [DynamicLabelPool] = &mut [];
+        let mut tables = vec![MplsTables::default(); spf.members().len()];
+        SrDomain::build(topo, spec, spf, no_pools, &mut tables)
+    }
+
+    fn fig3() -> Fixture {
         let mut topo = Topology::new();
         let asn = AsNumber(65_030);
         let names = ["A", "B", "C", "D", "E", "F", "G", "H"];
@@ -207,23 +231,16 @@ mod tests {
         }
         let spec = SrDomainSpec {
             members: routers.clone(),
-            configs: routers
-                .iter()
-                .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![
+                SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) };
+                routers.len()
+            ],
             extra_prefix_sids: vec![],
             php: false,
             install_node_ftn: true,
             node_sid_base: 101, // A=101 … H=108, echoing Fig. 3's numbering
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        (topo, routers, domain)
+        Fixture::new(topo, routers, spec)
     }
 
     fn d_to_e_iface(topo: &Topology, d: RouterId, e: RouterId) -> IfaceId {
@@ -235,7 +252,8 @@ mod tests {
 
     #[test]
     fn fig3_policy_compiles_to_three_label_stack() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let (a, d, e, h) = (r[0], r[3], r[4], r[7]);
         let adj_iface = d_to_e_iface(&topo, d, e);
         let policy = SrPolicy::new(
@@ -264,7 +282,8 @@ mod tests {
 
     #[test]
     fn leading_self_segment_is_skipped() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let policy = SrPolicy::new(
             r[0],
             "198.51.100.0/24".parse().unwrap(),
@@ -276,7 +295,8 @@ mod tests {
 
     #[test]
     fn headend_adjacency_first_segment_pushes_no_label() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let (a, b) = (r[0], r[1]);
         let iface = d_to_e_iface(&topo, a, b);
         let policy = SrPolicy::new(
@@ -292,7 +312,8 @@ mod tests {
 
     #[test]
     fn foreign_adjacency_requires_path_presence() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let (a, d, e) = (r[0], r[3], r[4]);
         let iface = d_to_e_iface(&topo, d, e);
         // Asking for D's adjacency without first steering to D fails.
@@ -309,7 +330,8 @@ mod tests {
 
     #[test]
     fn empty_policy_is_an_error() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let policy = SrPolicy::new(r[0], "198.51.100.0/24".parse().unwrap(), vec![]);
         assert_eq!(policy.compile(&topo, &domain).unwrap_err(), PolicyError::Empty);
         let noop =
@@ -319,7 +341,8 @@ mod tests {
 
     #[test]
     fn unknown_member_is_rejected() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let policy = SrPolicy::new(
             r[0],
             "198.51.100.0/24".parse().unwrap(),
@@ -333,7 +356,8 @@ mod tests {
 
     #[test]
     fn service_sids_ride_the_stack_bottom() {
-        let (topo, r, domain) = fig3();
+        let Fixture { topo, r, spec, spf } = fig3();
+        let domain = compile(&topo, &spec, &spf);
         let service = Label::new(15_900).unwrap();
         let mut policy =
             SrPolicy::new(r[0], "198.51.100.0/24".parse().unwrap(), vec![Segment::Node(r[7])]);

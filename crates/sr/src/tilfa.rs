@@ -58,7 +58,7 @@ impl TilfaTable {
 /// Computes TI-LFA protection for every IGP adjacency of every domain
 /// member: the adjacency-SID chain along the post-convergence path
 /// from the PLR to the far end of the protected link.
-pub fn compute_tilfa(topo: &Topology, domain: &SrDomain) -> TilfaTable {
+pub fn compute_tilfa(topo: &Topology, domain: &SrDomain<'_>) -> TilfaTable {
     let member_set: HashSet<RouterId> = domain.members().iter().copied().collect();
     let mut table = TilfaTable::default();
 
@@ -117,6 +117,8 @@ mod tests {
     use super::*;
     use crate::block::{cisco_srgb, cisco_srlb};
     use crate::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
+    use arest_mpls::pool::DynamicLabelPool;
+    use arest_mpls::tables::MplsTables;
     use arest_topo::ids::AsNumber;
     use arest_topo::spf::DomainSpf;
     use arest_topo::vendor::Vendor;
@@ -124,7 +126,30 @@ mod tests {
 
     /// A square: r0—r1—r2, r0—r3—r2 (two disjoint paths), plus the
     /// r1—r2 link we protect.
-    fn square() -> (Topology, Vec<RouterId>, SrDomain) {
+    /// A domain's inputs, owned; [`compile`] builds the domain.
+    struct Fixture {
+        topo: Topology,
+        r: Vec<RouterId>,
+        spec: SrDomainSpec,
+        spf: DomainSpf,
+    }
+
+    impl Fixture {
+        fn new(topo: Topology, r: Vec<RouterId>, spec: SrDomainSpec) -> Fixture {
+            let spf = DomainSpf::for_members(&topo, &spec.members);
+            Fixture { topo, r, spec, spf }
+        }
+    }
+
+    /// The domain, compiled into throwaway tables (every member has an
+    /// SRLB, so no label pool is needed).
+    fn compile<'a>(topo: &Topology, spec: &'a SrDomainSpec, spf: &'a DomainSpf) -> SrDomain<'a> {
+        let no_pools: &mut [DynamicLabelPool] = &mut [];
+        let mut tables = vec![MplsTables::default(); spf.members().len()];
+        SrDomain::build(topo, spec, spf, no_pools, &mut tables)
+    }
+
+    fn square() -> Fixture {
         let mut topo = Topology::new();
         let asn = AsNumber(65_080);
         let r: Vec<RouterId> = (0..4)
@@ -148,23 +173,13 @@ mod tests {
         }
         let spec = SrDomainSpec {
             members: r.clone(),
-            configs: r
-                .iter()
-                .map(|&x| (x, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; r.len()],
             extra_prefix_sids: vec![],
             php: false,
             node_sid_base: 100,
             install_node_ftn: true,
         };
-        let mut pools = std::collections::HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        (topo, r, domain)
+        Fixture::new(topo, r, spec)
     }
 
     fn iface_between(topo: &Topology, a: RouterId, b: RouterId) -> IfaceId {
@@ -176,7 +191,8 @@ mod tests {
 
     #[test]
     fn every_adjacency_on_a_ring_is_protected() {
-        let (topo, r, domain) = square();
+        let Fixture { topo, r, spec, spf } = square();
+        let domain = compile(&topo, &spec, &spf);
         let table = compute_tilfa(&topo, &domain);
         // 4 links × 2 directions = 8 protected adjacencies.
         assert_eq!(table.len(), 8);
@@ -190,7 +206,8 @@ mod tests {
 
     #[test]
     fn repair_path_avoids_the_protected_link() {
-        let (topo, r, domain) = square();
+        let Fixture { topo, r, spec, spf } = square();
+        let domain = compile(&topo, &spec, &spf);
         let table = compute_tilfa(&topo, &domain);
         // Protecting r1→r2: the repair must head back through r0, r3.
         let protected = iface_between(&topo, r[1], r[2]);
@@ -230,23 +247,14 @@ mod tests {
         }
         let spec = SrDomainSpec {
             members: r.clone(),
-            configs: r
-                .iter()
-                .map(|&x| (x, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; r.len()],
             extra_prefix_sids: vec![],
             php: false,
             node_sid_base: 100,
             install_node_ftn: true,
         };
-        let mut pools = std::collections::HashMap::new();
-        let domain = SrDomain::build(
-            &topo,
-            &spec,
-            &DomainSpf::for_members(&topo, &spec.members),
-            &mut pools,
-        );
-        let table = compute_tilfa(&topo, &domain);
+        let spf = DomainSpf::for_members(&topo, &spec.members);
+        let table = compute_tilfa(&topo, &compile(&topo, &spec, &spf));
         assert!(table.is_empty(), "chains have only cut edges");
     }
 }

@@ -365,6 +365,37 @@ impl DomainSpf {
         &self.graph.members
     }
 
+    /// The dense slot of `r` — its index in [`DomainSpf::members`] —
+    /// or `None` when `r` is not a member. Control planes compile
+    /// their per-member state into slot-indexed vectors.
+    pub fn slot(&self, r: RouterId) -> Option<usize> {
+        self.graph.slot(r).map(|s| s as usize)
+    }
+
+    /// The cell of slots `(from, to)`, when `to` is reached from
+    /// `from` (itself included).
+    fn slot_cell(&self, from: usize, to: usize) -> Option<&Cell> {
+        let cell = &self.cells[from * self.graph.members.len() + to];
+        (from == to || cell.pred != NONE).then_some(cell)
+    }
+
+    /// Whether slot `to` is reachable from slot `from` within the
+    /// domain (a slot always reaches itself).
+    pub fn reaches(&self, from: usize, to: usize) -> bool {
+        self.slot_cell(from, to).is_some()
+    }
+
+    /// [`DomainSpf::next_hop`] over slots: the primary first hop from
+    /// slot `from` toward slot `to`, as the egress interface and the
+    /// neighbour's slot.
+    pub fn next_hop_slot(&self, from: usize, to: usize) -> Option<(IfaceId, usize)> {
+        let k = self.slot_cell(from, to)?.hops[0];
+        (k != NO_HOP).then(|| {
+            let e = self.graph.out_edges(from as u32)[usize::from(k)];
+            (e.iface, e.to as usize)
+        })
+    }
+
     fn row(&self, from: RouterId) -> Option<Row<'_>> {
         let src = self.graph.slot(from)?;
         let n = self.graph.members.len();
@@ -603,6 +634,26 @@ mod tests {
         let b = SpfTree::compute(&topo, r[3], |_| true);
         for &dst in &r {
             assert_eq!(a.next_hops(dst), b.next_hops(dst));
+        }
+    }
+
+    #[test]
+    fn slot_queries_agree_with_router_queries() {
+        let (topo, r) = fig3_topology();
+        let spf = DomainSpf::for_members(&topo, &[r[0], r[1], r[3], r[4], r[6], r[7]]);
+        assert_eq!(spf.slot(r[2]), None, "C is not a member");
+        for &from in &r {
+            for &to in &r {
+                let (Some(a), Some(b)) = (spf.slot(from), spf.slot(to)) else {
+                    continue;
+                };
+                assert_eq!(spf.members()[a], from);
+                assert_eq!(spf.reaches(a, b), spf.distance(from, to).is_some());
+                assert_eq!(
+                    spf.next_hop_slot(a, b).map(|(iface, s)| (iface, spf.members()[s])),
+                    spf.next_hop(from, to)
+                );
+            }
         }
     }
 

@@ -17,6 +17,7 @@
 use arest_suite::core::detect::{detect_segments, DetectorConfig};
 use arest_suite::core::model::{AugmentedHop, AugmentedTrace};
 use arest_suite::mpls::pool::DynamicLabelPool;
+use arest_suite::mpls::tables::MplsTables;
 use arest_suite::simnet::Network;
 use arest_suite::sr::block::{cisco_srgb, cisco_srlb};
 use arest_suite::sr::domain::{SrDomain, SrDomainSpec, SrNodeConfig};
@@ -27,7 +28,6 @@ use arest_suite::topo::ids::{AsNumber, LinkId, RouterId};
 use arest_suite::topo::prefix::Prefix;
 use arest_suite::topo::spf::DomainSpf;
 use arest_suite::topo::vendor::Vendor;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 const ASN: AsNumber = AsNumber(65_099);
@@ -80,28 +80,19 @@ fn converge(topo: Topology, routers: &[RouterId], customer: Prefix) -> Network {
     let egress = routers[4]; // r3
     let spec = SrDomainSpec {
         members: members.clone(),
-        configs: members
-            .iter()
-            .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-            .collect(),
+        configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; members.len()],
         extra_prefix_sids: vec![PrefixSidSpec { prefix: customer, egress, index: SidIndex(2_042) }],
         php: false,
         node_sid_base: 100,
         install_node_ftn: true,
     };
-    let mut pools: HashMap<RouterId, DynamicLabelPool> = HashMap::new();
-    let domain =
-        SrDomain::build(&topo, &spec, &DomainSpf::for_members(&topo, &spec.members), &mut pools);
+    let spf = DomainSpf::for_members(&topo, &spec.members);
     let mut net = Network::new(topo);
     net.register_igp(ASN, DomainSpf::for_as(net.topo(), ASN));
     net.anchor_prefix(customer, egress);
-    let (lfibs, ftns) = domain.into_tables();
-    for (r, lfib) in lfibs {
-        net.plane_mut(r).merge_lfib(lfib);
-    }
-    for (r, ftn) in ftns {
-        net.plane_mut(r).merge_ftn(ftn);
-    }
+    let (topo, mut planes) = net.domain_planes_mut(spf.members());
+    let no_pools: &mut [DynamicLabelPool] = &mut [];
+    SrDomain::build(topo, &spec, &spf, no_pools, &mut planes);
     net
 }
 
@@ -166,10 +157,10 @@ fn main() {
         let members: Vec<RouterId> = routers[1..].to_vec();
         let spec = SrDomainSpec {
             members: members.clone(),
-            configs: members
-                .iter()
-                .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                .collect(),
+            configs: vec![
+                SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) };
+                members.len()
+            ],
             extra_prefix_sids: vec![PrefixSidSpec {
                 prefix: customer,
                 egress: routers[4],
@@ -179,13 +170,12 @@ fn main() {
             node_sid_base: 100,
             install_node_ftn: true,
         };
-        let mut pools = HashMap::new();
-        let domain = SrDomain::build(
-            net.topo(),
-            &spec,
-            &DomainSpf::for_members(net.topo(), &spec.members),
-            &mut pools,
-        );
+        // The planes already hold this domain's tables; compile into
+        // throwaway ones just to read the SIDs TI-LFA stacks.
+        let spf = DomainSpf::for_members(net.topo(), &spec.members);
+        let no_pools: &mut [DynamicLabelPool] = &mut [];
+        let mut scratch = vec![MplsTables::default(); spf.members().len()];
+        let domain = SrDomain::build(net.topo(), &spec, &spf, no_pools, &mut scratch);
         let tilfa = arest_suite::sr::tilfa::compute_tilfa(net.topo(), &domain);
         for ((plr, protected), repair) in tilfa.iter() {
             net.plane_mut(*plr).install_protection(*protected, repair.clone());

@@ -19,7 +19,6 @@ use arest_suite::topo::ids::{AsNumber, RouterId};
 use arest_suite::topo::prefix::Prefix;
 use arest_suite::topo::spf::DomainSpf;
 use arest_suite::topo::vendor::Vendor;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 fn main() {
@@ -49,10 +48,7 @@ fn main() {
     let customer: Prefix = "203.0.113.0/24".parse().unwrap();
     let spec = SrDomainSpec {
         members: members.clone(),
-        configs: members
-            .iter()
-            .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-            .collect(),
+        configs: vec![SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }; members.len()],
         extra_prefix_sids: vec![PrefixSidSpec {
             prefix: customer,
             egress: *routers.last().unwrap(),
@@ -62,21 +58,16 @@ fn main() {
         node_sid_base: 100,
         install_node_ftn: true,
     };
-    let mut pools: HashMap<RouterId, DynamicLabelPool> = HashMap::new();
-    let domain =
-        SrDomain::build(&topo, &spec, &DomainSpf::for_members(&topo, &spec.members), &mut pools);
+    let spf = DomainSpf::for_members(&topo, &spec.members);
 
-    // ---- 3. Wire the control plane into the simulator ----
+    // ---- 3. Compile the control plane straight into the simulator ----
     let mut net = Network::new(topo);
     net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
     net.anchor_prefix(customer, *routers.last().unwrap());
-    let (lfibs, ftns) = domain.into_tables();
-    for (router, lfib) in lfibs {
-        net.plane_mut(router).merge_lfib(lfib);
-    }
-    for (router, ftn) in ftns {
-        net.plane_mut(router).merge_ftn(ftn);
-    }
+    let (topo, mut planes) = net.domain_planes_mut(spf.members());
+    // Every member has an SRLB, so no dynamic label pool is needed.
+    let no_pools: &mut [DynamicLabelPool] = &mut [];
+    SrDomain::build(topo, &spec, &spf, no_pools, &mut planes);
 
     // ---- 4. Traceroute a customer address through the tunnel ----
     let trace = trace_route(

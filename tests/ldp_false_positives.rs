@@ -23,7 +23,6 @@ use arest_suite::topo::prefix::Prefix;
 use arest_suite::topo::spf::DomainSpf;
 use arest_suite::topo::vendor::Vendor;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Builds a chain of `n` routers (plus the chords) with an LDP
@@ -77,31 +76,22 @@ fn build(n: usize, chords: &[(usize, usize)], php: bool) -> (Network, Vec<Router
     let customer: Prefix = "100.210.0.0/24".parse().expect("prefix literal");
     let egress = *routers.last().expect("n >= 2");
     let members: Vec<RouterId> = routers[1..].to_vec();
-    let mut pools: HashMap<RouterId, DynamicLabelPool> = routers
+    let spf = DomainSpf::for_members(&topo, &members);
+    let mut pools: Vec<DynamicLabelPool> = routers
         .iter()
         .enumerate()
+        .filter(|(_, r)| members.contains(r))
         .map(|(i, &r)| {
             let floor = 24_000 + 1_000 * i as u32;
-            (r, DynamicLabelPool::new(floor, floor + 999, u64::from(r.0) * 17 + 5))
+            DynamicLabelPool::new(floor, floor + 999, u64::from(r.0) * 17 + 5)
         })
         .collect();
-    let (lfibs, ftns) = LdpDomain::build(
-        &DomainSpf::for_members(&topo, &members),
-        &[LdpFec { prefix: customer, egress }],
-        &mut pools,
-        php,
-    )
-    .into_tables();
+    let domain = LdpDomain::build(&spf, &[LdpFec { prefix: customer, egress }], &mut pools, php);
 
     let mut net = Network::new(topo);
     net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
     net.anchor_prefix(customer, egress);
-    for (r, lfib) in lfibs {
-        net.plane_mut(r).merge_lfib(lfib);
-    }
-    for (r, ftn) in ftns {
-        net.plane_mut(r).merge_ftn(ftn);
-    }
+    domain.install(&mut net.domain_planes_mut(spf.members()).1, |_| &[]);
     for &r in &routers {
         net.plane_mut(r).ttl_propagate = true;
         net.plane_mut(r).rfc4950 = true;

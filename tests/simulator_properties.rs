@@ -16,7 +16,6 @@ use arest_suite::topo::spf::DomainSpf;
 use arest_suite::topo::vendor::Vendor;
 use arest_suite::wire::icmp::IcmpMessage;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 #[derive(Debug, Clone, Copy)]
@@ -58,27 +57,30 @@ fn build(
     let customer: Prefix = "100.200.0.0/24".parse().unwrap();
     let egress = *routers.last().unwrap();
     let members: Vec<RouterId> = routers[1..].to_vec();
-    let mut pools: HashMap<RouterId, DynamicLabelPool> =
-        members.iter().map(|&r| (r, DynamicLabelPool::sr_aware(u64::from(r.0) * 31 + 1))).collect();
+    let spf = DomainSpf::for_members(&topo, &members);
+    let mut pools: Vec<DynamicLabelPool> = spf
+        .members()
+        .iter()
+        .map(|&r| DynamicLabelPool::sr_aware(u64::from(r.0) * 31 + 1))
+        .collect();
 
-    let tables = match plane {
-        Plane::Ip => None,
-        Plane::Ldp { php } => Some(
-            LdpDomain::build(
-                &DomainSpf::for_members(&topo, &members),
-                &[LdpFec { prefix: customer, egress }],
-                &mut pools,
-                php,
-            )
-            .into_tables(),
-        ),
+    let mut net = Network::new(topo);
+    net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
+    net.anchor_prefix(customer, egress);
+    let (topo, mut planes) = net.domain_planes_mut(spf.members());
+    match plane {
+        Plane::Ip => {}
+        Plane::Ldp { php } => {
+            LdpDomain::build(&spf, &[LdpFec { prefix: customer, egress }], &mut pools, php)
+                .install(&mut planes, |_| &[]);
+        }
         Plane::Sr { php } => {
             let spec = SrDomainSpec {
                 members: members.clone(),
-                configs: members
-                    .iter()
-                    .map(|&r| (r, SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) }))
-                    .collect(),
+                configs: vec![
+                    SrNodeConfig { srgb: cisco_srgb(), srlb: Some(cisco_srlb()) };
+                    members.len()
+                ],
                 extra_prefix_sids: vec![PrefixSidSpec {
                     prefix: customer,
                     egress,
@@ -88,27 +90,7 @@ fn build(
                 node_sid_base: 100,
                 install_node_ftn: false,
             };
-            Some(
-                SrDomain::build(
-                    &topo,
-                    &spec,
-                    &DomainSpf::for_members(&topo, &spec.members),
-                    &mut pools,
-                )
-                .into_tables(),
-            )
-        }
-    };
-
-    let mut net = Network::new(topo);
-    net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
-    net.anchor_prefix(customer, egress);
-    if let Some((lfibs, ftns)) = tables {
-        for (r, lfib) in lfibs {
-            net.plane_mut(r).merge_lfib(lfib);
-        }
-        for (r, ftn) in ftns {
-            net.plane_mut(r).merge_ftn(ftn);
+            SrDomain::build(topo, &spec, &spf, &mut pools, &mut planes);
         }
     }
     for &r in &routers {

@@ -14,7 +14,6 @@ use arest_suite::topo::vendor::Vendor;
 use arest_suite::wire::icmp::{IcmpMessage, IcmpPacket, IcmpType, ORIGINAL_DATAGRAM_MIN_LEN};
 use arest_suite::wire::ipv4::Ipv4Packet;
 use arest_suite::wire::udp::UdpPacket;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 fn ldp_testbed() -> (Network, Vec<RouterId>, Ipv4Addr) {
@@ -36,10 +35,11 @@ fn ldp_testbed() -> (Network, Vec<RouterId>, Ipv4Addr) {
     }
     let customer: Prefix = "203.0.113.0/24".parse().unwrap();
     let members = routers[1..].to_vec();
-    let mut pools: HashMap<RouterId, DynamicLabelPool> =
-        members.iter().map(|&r| (r, DynamicLabelPool::classic(u64::from(r.0)))).collect();
+    let spf = DomainSpf::for_members(&topo, &members);
+    let mut pools: Vec<DynamicLabelPool> =
+        spf.members().iter().map(|&r| DynamicLabelPool::classic(u64::from(r.0))).collect();
     let domain = LdpDomain::build(
-        &DomainSpf::for_members(&topo, &members),
+        &spf,
         &[LdpFec { prefix: customer, egress: *routers.last().unwrap() }],
         &mut pools,
         false, // no PHP: every LSR quotes
@@ -47,13 +47,7 @@ fn ldp_testbed() -> (Network, Vec<RouterId>, Ipv4Addr) {
     let mut net = Network::new(topo);
     net.register_igp(asn, DomainSpf::for_as(net.topo(), asn));
     net.anchor_prefix(customer, *routers.last().unwrap());
-    let (lfibs, ftns) = domain.into_tables();
-    for (r, lfib) in lfibs {
-        net.plane_mut(r).merge_lfib(lfib);
-    }
-    for (r, ftn) in ftns {
-        net.plane_mut(r).merge_ftn(ftn);
-    }
+    domain.install(&mut net.domain_planes_mut(spf.members()).1, |_| &[]);
     (net, routers, Ipv4Addr::new(203, 0, 113, 77))
 }
 
