@@ -25,8 +25,7 @@ use arest_ledger::snapshot::{AddrEntry, RunSnapshot, RunTotals};
 use arest_ledger::{
     fnv64, AuxRecord, CommitOptions, CommitReceipt, Ledger, LedgerError, LedgerResult,
 };
-use std::collections::{BTreeMap, HashSet};
-use std::net::Ipv4Addr;
+use std::collections::HashSet;
 
 /// Digest of the full pipeline configuration (every knob that shapes
 /// the campaign, via its `Debug` rendering — the config is a plain
@@ -165,18 +164,11 @@ pub fn commit_incremental(
 
     // Address union, address-sorted like every committed snapshot:
     // carried ASes keep their base entries, fresh evidence wins any
-    // collision.
+    // collision. Both row lists are address-sorted, so one merge pass
+    // keeps the order.
     let carried_set: HashSet<u32> = carried_asns.iter().copied().collect();
-    let mut merged_addrs: BTreeMap<Ipv4Addr, AddrEntry> = BTreeMap::new();
-    for entry in base.snapshot.addrs {
-        if carried_set.contains(&entry.asn) {
-            merged_addrs.insert(entry.addr, entry);
-        }
-    }
-    for entry in fresh.addrs {
-        merged_addrs.insert(entry.addr, entry);
-    }
-    let addrs: Vec<AddrEntry> = merged_addrs.into_values().collect();
+    let carried = base.snapshot.addrs.into_iter().filter(|e| carried_set.contains(&e.asn));
+    let addrs = merge_by_addr(carried, fresh.addrs);
 
     let raw = raw_traces.iter().map(|(_, raw)| raw).sum();
     let totals = RunTotals::new(&ases, &addrs, raw, vantage_points);
@@ -192,9 +184,45 @@ pub fn commit_incremental(
     Ok(IncrementalCommit { receipt, base_serial, fresh: fresh_asns, carried: carried_asns })
 }
 
+/// Merges two address-sorted row lists into one, keeping `fresh`'s row
+/// where both hold an address.
+fn merge_by_addr(
+    carried: impl Iterator<Item = AddrEntry>,
+    fresh: Vec<AddrEntry>,
+) -> Vec<AddrEntry> {
+    let mut carried = carried.peekable();
+    let mut merged = Vec::with_capacity(fresh.len() + carried.size_hint().1.unwrap_or(0));
+    for entry in fresh {
+        while let Some(kept) = carried.next_if(|c| c.addr <= entry.addr) {
+            if kept.addr < entry.addr {
+                merged.push(kept);
+            }
+        }
+        merged.push(entry);
+    }
+    merged.extend(carried);
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merged_addresses_stay_sorted_and_fresh_rows_win() {
+        let row = |last: u8, asn: u32| AddrEntry {
+            addr: std::net::Ipv4Addr::new(10, 0, 0, last),
+            asn,
+            fingerprint: None,
+            fingerprint_source: None,
+            detections: Vec::new(),
+        };
+        let carried = vec![row(1, 1), row(3, 1), row(4, 1), row(9, 1)];
+        let fresh = vec![row(2, 2), row(3, 2), row(7, 2)];
+        let merged = merge_by_addr(carried.into_iter(), fresh);
+        let rows: Vec<(u8, u32)> = merged.iter().map(|e| (e.addr.octets()[3], e.asn)).collect();
+        assert_eq!(rows, [(1, 1), (2, 2), (3, 2), (4, 1), (7, 2), (9, 1)]);
+    }
 
     #[test]
     fn config_digest_tracks_the_knobs() {

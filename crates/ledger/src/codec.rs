@@ -72,7 +72,9 @@ impl<'a> Reader<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> LedgerResult<u8> {
-        Ok(self.take(1)?[0])
+        let byte = *self.bytes.get(self.pos).ok_or(LedgerError::Truncated)?;
+        self.pos += 1;
+        Ok(byte)
     }
 
     /// Reads a strict boolean byte: anything but 0 or 1 is malformed.
@@ -126,14 +128,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> LedgerResult<String> {
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> LedgerResult<&'a str> {
         let len = self.varint()?;
         let len =
             usize::try_from(len).map_err(|_| LedgerError::Malformed("string length overflow"))?;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| LedgerError::Malformed("string is not valid UTF-8"))
+        std::str::from_utf8(raw).map_err(|_| LedgerError::Malformed("string is not valid UTF-8"))
     }
 }
 

@@ -106,6 +106,16 @@ pub(crate) fn decode_sized_header(
     Ok(RunMeta::from_fields(fields))
 }
 
+/// Verifies a complete snapshot file's header checksum, payload
+/// length and payload digest, and borrows its payload.
+pub(crate) fn open_payload(
+    bytes: &[u8],
+    expected_serial: Option<u64>,
+) -> LedgerResult<(RunMeta, &[u8])> {
+    let (fields, payload) = FRAME.open(bytes, expected_serial)?;
+    Ok((RunMeta::from_fields(fields), payload))
+}
+
 /// Decodes a complete snapshot file, verifying the header checksum,
 /// the payload length, and the payload digest before touching the
 /// payload structure.
@@ -113,8 +123,8 @@ pub fn decode_file(
     bytes: &[u8],
     expected_serial: Option<u64>,
 ) -> LedgerResult<(RunMeta, RunSnapshot)> {
-    let (fields, payload) = FRAME.open(bytes, expected_serial)?;
-    Ok((RunMeta::from_fields(fields), decode_payload(payload)?))
+    let (meta, payload) = open_payload(bytes, expected_serial)?;
+    Ok((meta, decode_payload(payload)?))
 }
 
 #[cfg(test)]

@@ -12,15 +12,17 @@
 //!
 //! Loading re-verifies everything: the header checksum, the serial
 //! against the file name, the payload digest, and the payload
-//! structure. Every failure is a typed [`LedgerError`]; no input —
-//! truncated, bit-flipped, renamed, or hostile — panics.
+//! structure. [`Ledger::summary`] and [`Ledger::diff`] verify the same
+//! way through the same parser, and fail with the same error. Every
+//! failure is a typed [`LedgerError`]; no input — truncated,
+//! bit-flipped, renamed, or hostile — panics.
 
 use crate::aux::{decode_aux_file, encode_aux_file, AuxRecord};
-use crate::delta::{self, DetectionDelta};
+use crate::delta::{self, DetectionDelta, PayloadView};
 use crate::error::{LedgerError, LedgerResult};
-use crate::file::{decode_file, decode_sized_header, seal_file, RunMeta, HEADER_LEN};
+use crate::file::{decode_file, decode_sized_header, open_payload, seal_file, RunMeta, HEADER_LEN};
 use crate::obs::{record_us, METRICS, TRACER};
-use crate::snapshot::RunSnapshot;
+use crate::snapshot::{payload_totals, RunSnapshot, RunTotals};
 use arest_conc::thread;
 use std::fs::File;
 use std::io::Read;
@@ -242,36 +244,69 @@ impl Ledger {
         decode_sized_header(&header, file_len, Some(serial))
     }
 
+    /// Reads and fully verifies one run, as [`Ledger::load`] does, and
+    /// returns its header and campaign totals without building the
+    /// snapshot: every check [`Ledger::load`] makes fails here the
+    /// same way.
+    pub fn summary(&self, serial: u64) -> LedgerResult<(RunMeta, RunTotals)> {
+        let result = self.read_run(serial).and_then(|bytes| {
+            let (meta, payload) = open_payload(&bytes, Some(serial))?;
+            Ok((meta, payload_totals(payload)?))
+        });
+        if result.is_err() {
+            METRICS.errors.inc();
+        }
+        result
+    }
+
     /// The bytes of one serial's run file.
     fn read_run(&self, serial: u64) -> LedgerResult<Vec<u8>> {
         read(&self.path_of(serial))?.ok_or(LedgerError::UnknownSerial(serial))
     }
 
-    /// Loads runs `a` and `b` and computes the announce/withdraw
-    /// delta from `a` to `b`. The `ledger.diff` span records the entry
-    /// counts and how many address rows the diff walked and found
-    /// differing.
+    /// Reads one serial's run file into `bytes`, verifies it as
+    /// [`Ledger::load`] does, and parses its payload into a view
+    /// borrowing `bytes`.
+    fn view<'a>(
+        &self,
+        serial: u64,
+        bytes: &'a mut Vec<u8>,
+    ) -> LedgerResult<(RunMeta, PayloadView<'a>)> {
+        *bytes = self.read_run(serial)?;
+        let bytes: &'a Vec<u8> = bytes;
+        let (meta, payload) = open_payload(bytes, Some(serial))?;
+        Ok((meta, PayloadView::parse(payload)?))
+    }
+
+    /// Computes the announce/withdraw delta from run `a` to run `b`.
+    /// Each run is read, verified exactly as [`Ledger::load`] verifies
+    /// it, and parsed into a view of its payload bytes; no snapshot is
+    /// decoded. The `ledger.diff` span records the entry counts and how
+    /// many address rows the diff walked and found differing.
     ///
-    /// `b` loads on a scoped thread while `a` loads on the caller's,
-    /// and the two runs are released the same way. When `a` fails its
-    /// error is returned, whether or not `b` failed too.
+    /// `b` is read and parsed on a scoped thread while `a` is on the
+    /// caller's. When `a` fails its error is returned, whether or not
+    /// `b` failed too.
     pub fn diff(&self, a: u64, b: u64) -> LedgerResult<DetectionDelta> {
         let started = Instant::now();
         let mut span = TRACER.span("ledger.diff");
+        let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+        let slot_b = &mut bytes_b;
         let (from, to) = thread::scope(|s| {
-            let to = s.spawn(|| self.load(b));
-            let from = self.load(a);
+            let to = s.spawn(move || self.view(b, slot_b));
+            let from = self.view(a, &mut bytes_a);
             (from, to.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         });
-        let (from, to) = (from?, to?);
+        let ((from_meta, from), (to_meta, to)) = match (from, to) {
+            (Ok(from), Ok(to)) => (from, to),
+            (Err(e), _) | (_, Err(e)) => {
+                METRICS.errors.inc();
+                return Err(e);
+            }
+        };
         let compute_started = Instant::now();
-        let (delta, work) =
-            delta::compute_counted(from.meta, &from.snapshot, to.meta, &to.snapshot);
+        let (delta, work) = delta::walk(from_meta, &from, to_meta, &to);
         record_us(&METRICS.delta_us, compute_started.elapsed());
-        thread::scope(|s| {
-            s.spawn(move || drop(to));
-            drop(from);
-        });
         METRICS.diffs.inc();
         record_us(&METRICS.diff_us, started.elapsed());
         span.record("from", a);

@@ -12,9 +12,17 @@
 //! * [`RunSnapshot`] — per-AS summaries, per-address evidence, every
 //!   detection with full provenance, campaign totals;
 //! * [`Ledger`] — the directory store: `commit` (atomic rename),
-//!   `load` (fully verified), `meta` (header only), `diff`;
+//!   `load` (fully verified and decoded), `summary` (fully verified,
+//!   header and totals only), `meta` (header only), `diff`;
 //! * [`DetectionDelta`] — announced / withdrawn / changed detections
-//!   keyed by (ASN, address, segment), with per-AS rollups.
+//!   keyed by (ASN, address, segment), with per-AS rollups. A diff
+//!   parses both encoded runs into borrowed views and compares their
+//!   records by content; it decodes no snapshot.
+//!
+//! Every payload is read by one validating parser that feeds a sink:
+//! `load` decodes through it, `summary` keeps only the totals, and
+//! `diff` keeps a borrowed view, so a damaged run fails each of them
+//! with the same [`LedgerError`].
 //!
 //! ## Durability
 //!

@@ -29,13 +29,14 @@ pub(crate) struct Metrics {
     pub(crate) commit_us: Histogram,
     /// `ledger.load.us` — read + verify + decode latency.
     pub(crate) load_us: Histogram,
-    /// `ledger.diff.us` — two loads + delta computation latency.
+    /// `ledger.diff.us` — two reads, verifications and payload parses
+    /// plus the delta computation.
     pub(crate) diff_us: Histogram,
     /// `ledger.encode.us` — snapshot encoding latency, the part of a
     /// commit before the write.
     pub(crate) encode_us: Histogram,
     /// `ledger.delta.us` — delta computation latency alone, the part
-    /// of a diff after both loads.
+    /// of a diff after both runs are read and parsed.
     pub(crate) delta_us: Histogram,
 }
 

@@ -10,11 +10,11 @@
 //! A detection is one segment of one trace and covers several
 //! addresses. In memory it exists once, as an `Arc<DetectionRecord>`
 //! that every covering [`AddrEntry`] shares; decoding hands out clones
-//! of one `Arc` per detection-table row, so loading, merging, and
-//! diffing never deep-copy a record per address. A record's strings
-//! (vantage point, destination, flag, fingerprint, chain) are
-//! `Arc<str>` for the same reason: a decoded snapshot holds one
-//! allocation per string-table entry, however many records repeat it.
+//! of one `Arc` per detection-table row, so loading and merging never
+//! deep-copy a record per address. A record's strings (vantage point,
+//! destination, flag, fingerprint, chain) are `Arc<str>` for the same
+//! reason: a decoded snapshot holds one allocation per string-table
+//! entry, however many records repeat it.
 //!
 //! ## Encoding
 //!
@@ -41,6 +41,16 @@
 //! content lookup gave that same string.
 //! Everything integer is a LEB128 varint except addresses, which stay
 //! fixed 4-byte big-endian like the rest of `arest-wire`.
+//!
+//! ## Parsing
+//!
+//! One validating parser reads a payload: `parse_payload` checks every
+//! count, index, 32-bit field, boolean, UTF-8 string, the address
+//! order and the trailing bytes, and feeds what it read to a sink.
+//! [`decode_payload`] is one sink and builds the snapshot in the same
+//! pass. The diff's borrowed view (`delta`) and the totals-only
+//! summary are the others, so every malformed payload fails each of
+//! them with the same typed error.
 
 use crate::codec::{put_bool, put_str, put_varint, Reader};
 use crate::error::{LedgerError, LedgerResult};
@@ -362,16 +372,32 @@ impl<'a> StringTable<'a> {
 
 /// A detection record as fixed-width words in wire order: its scalars
 /// and the string-table indices of its strings (the fingerprint as
-/// index + 1, 0 for none). Indices are equal exactly when the strings
-/// are, so two records are equal exactly when their keys are.
-type RecordKey = [u64; 18];
+/// index + 1, 0 for none). Within one payload indices are equal exactly
+/// when the strings are, so two records of one payload are equal
+/// exactly when their keys are. The encoder interns records by this key
+/// and the parser hands each detection-table row out as one.
+pub(crate) type RecordKey = [u64; 18];
 
-/// The [`RecordKey`] positions that are not varints on the wire: the
-/// star count is one raw byte, the flags are booleans.
-const KEY_STARS: usize = 4;
-const KEY_SUFFIX_BASED: usize = 8;
-const KEY_IN_VENDOR_RANGE: usize = 15;
-const KEY_SUFFIX_MATCHED: usize = 16;
+/// [`RecordKey`] positions. The star count is one raw byte on the wire
+/// and the three flags are booleans; every other word is a varint.
+pub(crate) const KEY_ASN: usize = 0;
+pub(crate) const KEY_VP: usize = 1;
+pub(crate) const KEY_DST: usize = 2;
+pub(crate) const KEY_FLAG: usize = 3;
+pub(crate) const KEY_STARS: usize = 4;
+pub(crate) const KEY_START: usize = 5;
+pub(crate) const KEY_END: usize = 6;
+pub(crate) const KEY_LABEL: usize = 7;
+pub(crate) const KEY_SUFFIX_BASED: usize = 8;
+const KEY_TRIGGER_HOP: usize = 9;
+const KEY_RUN_LEN: usize = 10;
+const KEY_DISTINCT_ADDRS: usize = 11;
+const KEY_LSES_CONSULTED: usize = 12;
+const KEY_EFFECTIVE_DEPTH: usize = 13;
+pub(crate) const KEY_FINGERPRINT: usize = 14;
+pub(crate) const KEY_IN_VENDOR_RANGE: usize = 15;
+pub(crate) const KEY_SUFFIX_MATCHED: usize = 16;
+pub(crate) const KEY_CHAIN: usize = 17;
 
 fn record_key<'a>(d: &'a DetectionRecord, strings: &mut StringTable<'a>) -> RecordKey {
     let p = &d.provenance;
@@ -440,7 +466,7 @@ impl DetectionTable {
 }
 
 /// One address row with its string indices resolved.
-struct AddrRow {
+struct AddrIndices {
     fingerprint: u64,
     fingerprint_source: u64,
     detections: Vec<u64>,
@@ -478,7 +504,7 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
             [strings.intern(&a.name), strings.intern(&a.astype), strings.intern(&a.confirmation)]
         })
         .collect();
-    let mut addr_rows: Vec<AddrRow> = Vec::with_capacity(snapshot.addrs.len());
+    let mut addr_rows: Vec<AddrIndices> = Vec::with_capacity(snapshot.addrs.len());
     for entry in &snapshot.addrs {
         let fingerprint = strings.intern_opt(entry.fingerprint.as_deref());
         let fingerprint_source = strings.intern_opt(entry.fingerprint_source.as_deref());
@@ -489,7 +515,7 @@ pub fn encode_payload(snapshot: &RunSnapshot) -> Vec<u8> {
                 .or_insert_with(|| detections.row(record_key(shared, &mut strings)));
             indices.push(index);
         }
-        addr_rows.push(AddrRow { fingerprint, fingerprint_source, detections: indices });
+        addr_rows.push(AddrIndices { fingerprint, fingerprint_source, detections: indices });
     }
 
     // Pass 2: emit.
@@ -570,147 +596,168 @@ fn read_flags(reader: &mut Reader<'_>) -> LedgerResult<FlagTotals> {
     })
 }
 
-/// The shared string at `index`: a clone of the table's `Arc`.
-fn table_arc(table: &[Arc<str>], index: u64, what: &'static str) -> LedgerResult<Arc<str>> {
-    usize::try_from(index)
-        .ok()
-        .and_then(|i| table.get(i))
-        .cloned()
-        .ok_or(LedgerError::Malformed(what))
+/// One AS row as parsed: the record with its three strings left empty,
+/// and their string-table indices (name, type, confirmation).
+#[derive(Debug)]
+pub(crate) struct AsRow {
+    pub(crate) record: AsRecord,
+    pub(crate) names: [usize; 3],
 }
 
-/// `None` for index 0, else the shared string at `index - 1`.
-fn table_opt_arc(
-    table: &[Arc<str>],
-    index: u64,
-    what: &'static str,
-) -> LedgerResult<Option<Arc<str>>> {
-    if index == 0 {
-        return Ok(None);
+/// One address row as parsed, its strings as optional string-table
+/// indices; the detection indices travel beside it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AddrRow {
+    pub(crate) addr: Ipv4Addr,
+    pub(crate) asn: u32,
+    pub(crate) fingerprint: Option<usize>,
+    pub(crate) fingerprint_source: Option<usize>,
+}
+
+/// What [`parse_payload`] hands out, section by section in wire order.
+/// Every value arrives checked: indices are in range, ASNs and labels
+/// fit 32 bits, booleans are strict and addresses increase. A sink
+/// cannot fail, so a malformed payload stops the parse with the same
+/// typed error whichever sink listens. Each method ignores its section
+/// unless a sink overrides it.
+pub(crate) trait PayloadSink<'a> {
+    /// The string table, borrowed from the payload.
+    fn strings(&mut self, _table: Vec<&'a str>) {}
+    /// One detection-table row.
+    fn detection(&mut self, _key: &RecordKey) {}
+    /// One AS row.
+    fn as_row(&mut self, _row: AsRow) {}
+    /// One address row and its detection-table indices.
+    fn addr(&mut self, _row: AddrRow, _listed: &[usize]) {}
+    /// The campaign totals.
+    fn totals(&mut self, _totals: RunTotals) {}
+}
+
+/// `value` when it is below `bound`, else the malformed `fault`.
+fn below(value: u64, bound: u64, fault: &'static str) -> LedgerResult<u64> {
+    if value < bound {
+        Ok(value)
+    } else {
+        Err(LedgerError::Malformed(fault))
     }
-    table_arc(table, index - 1, what).map(Some)
 }
 
-/// An owned copy of the string at `index`, for the per-AS and
-/// per-address rows, which keep `String`s.
-fn table_str(table: &[Arc<str>], index: u64, what: &'static str) -> LedgerResult<String> {
-    table_arc(table, index, what).map(|s| s.to_string())
+/// Reads one detection-table row in [`RecordKey`] order, checking each
+/// word as it is read. Inlined, like the decoder's per-row sink
+/// methods, so that decoding through the sink runs as one loop; out
+/// of line, a default-run `Ledger::load` took about 10% longer.
+#[inline(always)]
+fn read_record(r: &mut Reader<'_>, strings: u64) -> LedgerResult<RecordKey> {
+    let wide = 1 << 32;
+    Ok([
+        below(r.varint()?, wide, "detection ASN exceeds 32 bits")?,
+        below(r.varint()?, strings, "detection vp index out of range")?,
+        below(r.varint()?, strings, "detection dst index out of range")?,
+        below(r.varint()?, strings, "detection flag index out of range")?,
+        u64::from(r.u8()?),
+        r.varint()?,
+        r.varint()?,
+        below(r.varint()?, wide, "detection label exceeds 32 bits")?,
+        u64::from(r.bool()?),
+        r.varint()?,
+        r.varint()?,
+        r.varint()?,
+        r.varint()?,
+        r.varint()?,
+        // Stored as index + 1, 0 for none.
+        below(r.varint()?, strings + 1, "provenance fingerprint index out of range")?,
+        u64::from(r.bool()?),
+        u64::from(r.bool()?),
+        below(r.varint()?, strings, "provenance chain index out of range")?,
+    ])
 }
 
-fn table_opt_str(
-    table: &[Arc<str>],
-    index: u64,
-    what: &'static str,
-) -> LedgerResult<Option<String>> {
-    table_opt_arc(table, index, what).map(|s| s.map(|s| s.to_string()))
-}
-
-fn narrow(value: u64, what: &'static str) -> LedgerResult<u32> {
-    u32::try_from(value).map_err(|_| LedgerError::Malformed(what))
-}
-
-/// Decodes payload bytes back into a snapshot. Trailing bytes after
-/// the totals are malformed — a payload is exactly one snapshot.
-pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
+/// The one validating payload parser: reads `bytes` once, in wire
+/// order, and feeds every checked section to `sink`. Trailing bytes
+/// after the totals are malformed — a payload is exactly one snapshot.
+pub(crate) fn parse_payload<'a>(
+    bytes: &'a [u8],
+    sink: &mut impl PayloadSink<'a>,
+) -> LedgerResult<()> {
     let mut reader = Reader::new(bytes);
     let limit = bytes.len();
 
     let string_count = reader.count(limit)?;
-    let mut strings: Vec<Arc<str>> = Vec::with_capacity(string_count.min(4096));
+    let mut strings = Vec::with_capacity(string_count.min(4096));
     for _ in 0..string_count {
-        strings.push(reader.str()?.into());
+        strings.push(reader.str()?);
     }
+    sink.strings(strings);
+    let index = |value: u64, what: &'static str| {
+        usize::try_from(value)
+            .ok()
+            .filter(|&i| i < string_count)
+            .ok_or(LedgerError::Malformed(what))
+    };
+    let opt_index = |value: u64, what: &'static str| match value {
+        0 => Ok(None),
+        _ => index(value - 1, what).map(Some),
+    };
 
     let detection_count = reader.count(limit)?;
-    let mut detections = Vec::with_capacity(detection_count.min(4096));
     for _ in 0..detection_count {
-        let asn = narrow(reader.varint()?, "detection ASN exceeds 32 bits")?;
-        let vp = table_arc(&strings, reader.varint()?, "detection vp index out of range")?;
-        let dst = table_arc(&strings, reader.varint()?, "detection dst index out of range")?;
-        let flag = table_arc(&strings, reader.varint()?, "detection flag index out of range")?;
-        let stars = reader.u8()?;
-        let start = reader.varint()?;
-        let end = reader.varint()?;
-        let label = narrow(reader.varint()?, "detection label exceeds 32 bits")?;
-        let suffix_based = reader.bool()?;
-        let provenance = ProvenanceRecord {
-            trigger_hop: reader.varint()?,
-            run_len: reader.varint()?,
-            distinct_addrs: reader.varint()?,
-            lses_consulted: reader.varint()?,
-            effective_depth: reader.varint()?,
-            fingerprint: table_opt_arc(
-                &strings,
-                reader.varint()?,
-                "provenance fingerprint index out of range",
-            )?,
-            label_in_vendor_range: reader.bool()?,
-            suffix_matched: reader.bool()?,
-            chain: table_arc(&strings, reader.varint()?, "provenance chain index out of range")?,
-        };
-        detections.push(Arc::new(DetectionRecord {
-            asn,
-            vp,
-            dst,
-            flag,
-            stars,
-            start,
-            end,
-            label,
-            suffix_based,
-            provenance,
-        }));
+        sink.detection(&read_record(&mut reader, string_count as u64)?);
     }
 
     let as_count = reader.count(limit)?;
-    let mut ases = Vec::with_capacity(as_count.min(4096));
     for _ in 0..as_count {
-        ases.push(AsRecord {
-            id: reader.u8()?,
-            asn: narrow(reader.varint()?, "AS record ASN exceeds 32 bits")?,
-            name: table_str(&strings, reader.varint()?, "AS name index out of range")?,
-            astype: table_str(&strings, reader.varint()?, "AS type index out of range")?,
-            confirmation: table_str(
-                &strings,
-                reader.varint()?,
-                "AS confirmation index out of range",
-            )?,
+        let id = reader.u8()?;
+        let asn = narrow(reader.varint()?, "AS record ASN exceeds 32 bits")?;
+        let names = [
+            index(reader.varint()?, "AS name index out of range")?,
+            index(reader.varint()?, "AS type index out of range")?,
+            index(reader.varint()?, "AS confirmation index out of range")?,
+        ];
+        let record = AsRecord {
+            id,
+            asn,
+            name: String::new(),
+            astype: String::new(),
+            confirmation: String::new(),
             analyzed: reader.bool()?,
             targets_probed: reader.varint()?,
             traces: reader.varint()?,
             addresses: reader.varint()?,
             fingerprinted: reader.varint()?,
             flags: read_flags(&mut reader)?,
-        });
+        };
+        sink.as_row(AsRow { record, names });
     }
 
     let addr_count = reader.count(limit)?;
-    let mut addrs = Vec::with_capacity(addr_count.min(4096));
+    let mut previous = None;
+    let mut listed = Vec::new();
     for _ in 0..addr_count {
         let octets: [u8; 4] = reader.take(4)?.try_into().expect("take(4) returned 4 bytes");
         let addr = Ipv4Addr::from(octets);
-        if addrs.last().is_some_and(|prev: &AddrEntry| prev.addr >= addr) {
+        if previous.is_some_and(|prev| prev >= addr) {
             return Err(LedgerError::Malformed("address rows out of order"));
         }
-        let asn = narrow(reader.varint()?, "address ASN exceeds 32 bits")?;
-        let fingerprint =
-            table_opt_str(&strings, reader.varint()?, "address fingerprint index out of range")?;
-        let fingerprint_source = table_opt_str(
-            &strings,
-            reader.varint()?,
-            "address fingerprint source index out of range",
-        )?;
+        previous = Some(addr);
+        let row = AddrRow {
+            addr,
+            asn: narrow(reader.varint()?, "address ASN exceeds 32 bits")?,
+            fingerprint: opt_index(reader.varint()?, "address fingerprint index out of range")?,
+            fingerprint_source: opt_index(
+                reader.varint()?,
+                "address fingerprint source index out of range",
+            )?,
+        };
         let index_count = reader.count(limit)?;
-        let mut listed = Vec::with_capacity(index_count.min(4096));
+        listed.clear();
         for _ in 0..index_count {
-            let index = reader.varint()?;
-            let detection = usize::try_from(index)
+            let detection = usize::try_from(reader.varint()?)
                 .ok()
-                .and_then(|i| detections.get(i))
+                .filter(|&i| i < detection_count)
                 .ok_or(LedgerError::Malformed("detection index out of range"))?;
-            listed.push(Arc::clone(detection));
+            listed.push(detection);
         }
-        addrs.push(AddrEntry { addr, asn, fingerprint, fingerprint_source, detections: listed });
+        sink.addr(row, &listed);
     }
 
     let totals = RunTotals {
@@ -727,7 +774,109 @@ pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
     if !reader.is_empty() {
         return Err(LedgerError::Malformed("trailing bytes after the totals"));
     }
-    Ok(RunSnapshot { ases, addrs, totals })
+    sink.totals(totals);
+    Ok(())
+}
+
+fn narrow(value: u64, what: &'static str) -> LedgerResult<u32> {
+    u32::try_from(value).map_err(|_| LedgerError::Malformed(what))
+}
+
+/// The sink [`decode_payload`] builds a snapshot with: one `Arc<str>`
+/// per string-table entry and one `Arc<DetectionRecord>` per
+/// detection-table row, shared by every record and address that
+/// refers to them.
+#[derive(Default)]
+struct Decoder {
+    strings: Vec<Arc<str>>,
+    detections: Vec<Arc<DetectionRecord>>,
+    snapshot: RunSnapshot,
+}
+
+impl Decoder {
+    fn string(&self, index: u64) -> Arc<str> {
+        Arc::clone(&self.strings[index as usize])
+    }
+
+    fn owned(&self, index: Option<usize>) -> Option<String> {
+        index.map(|i| self.strings[i].to_string())
+    }
+}
+
+impl<'a> PayloadSink<'a> for Decoder {
+    fn strings(&mut self, table: Vec<&'a str>) {
+        self.strings = table.into_iter().map(Arc::from).collect();
+    }
+
+    #[inline(always)]
+    fn detection(&mut self, key: &RecordKey) {
+        let fingerprint = key[KEY_FINGERPRINT].checked_sub(1).map(|i| self.string(i));
+        self.detections.push(Arc::new(DetectionRecord {
+            asn: key[KEY_ASN] as u32,
+            vp: self.string(key[KEY_VP]),
+            dst: self.string(key[KEY_DST]),
+            flag: self.string(key[KEY_FLAG]),
+            stars: key[KEY_STARS] as u8,
+            start: key[KEY_START],
+            end: key[KEY_END],
+            label: key[KEY_LABEL] as u32,
+            suffix_based: key[KEY_SUFFIX_BASED] != 0,
+            provenance: ProvenanceRecord {
+                trigger_hop: key[KEY_TRIGGER_HOP],
+                run_len: key[KEY_RUN_LEN],
+                distinct_addrs: key[KEY_DISTINCT_ADDRS],
+                lses_consulted: key[KEY_LSES_CONSULTED],
+                effective_depth: key[KEY_EFFECTIVE_DEPTH],
+                fingerprint,
+                label_in_vendor_range: key[KEY_IN_VENDOR_RANGE] != 0,
+                suffix_matched: key[KEY_SUFFIX_MATCHED] != 0,
+                chain: self.string(key[KEY_CHAIN]),
+            },
+        }));
+    }
+
+    fn as_row(&mut self, row: AsRow) {
+        let [name, astype, confirmation] = row.names.map(|i| self.strings[i].to_string());
+        self.snapshot.ases.push(AsRecord { name, astype, confirmation, ..row.record });
+    }
+
+    #[inline(always)]
+    fn addr(&mut self, row: AddrRow, listed: &[usize]) {
+        self.snapshot.addrs.push(AddrEntry {
+            addr: row.addr,
+            asn: row.asn,
+            fingerprint: self.owned(row.fingerprint),
+            fingerprint_source: self.owned(row.fingerprint_source),
+            detections: listed.iter().map(|&i| Arc::clone(&self.detections[i])).collect(),
+        });
+    }
+
+    fn totals(&mut self, totals: RunTotals) {
+        self.snapshot.totals = totals;
+    }
+}
+
+/// Decodes payload bytes back into a snapshot, through
+/// `parse_payload` in one pass.
+pub fn decode_payload(bytes: &[u8]) -> LedgerResult<RunSnapshot> {
+    let mut decoder = Decoder::default();
+    parse_payload(bytes, &mut decoder)?;
+    Ok(decoder.snapshot)
+}
+
+/// The sink that keeps only the totals.
+impl PayloadSink<'_> for RunTotals {
+    fn totals(&mut self, totals: RunTotals) {
+        *self = totals;
+    }
+}
+
+/// A payload's totals after the whole payload has been verified through
+/// [`parse_payload`]; nothing else is kept.
+pub(crate) fn payload_totals(bytes: &[u8]) -> LedgerResult<RunTotals> {
+    let mut totals = RunTotals::default();
+    parse_payload(bytes, &mut totals)?;
+    Ok(totals)
 }
 
 #[cfg(test)]

@@ -11,16 +11,19 @@
 //! (edited, or the same records in another order), some of them as
 //! one edited row inside a long run of untouched ones.
 
+use arest_ledger::codec::{put_bool, put_str, put_varint};
 use arest_ledger::delta::{compute, AsDelta, ChangedEntry, DeltaEntry, DeltaKey, DetectionDelta};
 use arest_ledger::snapshot::{
-    encode_payload, AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord,
-    RunSnapshot, RunTotals,
+    decode_payload, encode_payload, AddrEntry, AsRecord, DetectionRecord, FlagTotals,
+    ProvenanceRecord, RunSnapshot, RunTotals,
 };
-use arest_ledger::{CommitOptions, Ledger, RunMeta};
+use arest_ledger::{CommitOptions, Ledger, RunMeta, HEADER_LEN};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+mod common;
 
 /// SplitMix64: the deterministic stream behind the generated pairs.
 struct Mix(u64);
@@ -234,6 +237,11 @@ fn meta(serial: u64) -> RunMeta {
     }
 }
 
+/// The delta between the encodings of two generated snapshots.
+fn delta(from: &RunSnapshot, to: &RunSnapshot) -> DetectionDelta {
+    compute(meta(1), &encode_payload(from), meta(2), &encode_payload(to)).expect("valid payloads")
+}
+
 /// The delta as a `BTreeMap` per run, one owned key per
 /// (address, detection), later inserts replacing earlier ones.
 fn oracle(from: &RunSnapshot, to: &RunSnapshot) -> DetectionDelta {
@@ -377,9 +385,9 @@ proptest! {
     #[test]
     fn delta_matches_the_btreemap_oracle(seed: u64) {
         let (from, to) = pair(seed);
-        prop_assert_eq!(compute(meta(1), &from, meta(2), &to), oracle(&from, &to));
-        prop_assert_eq!(compute(meta(1), &to, meta(2), &from), oracle(&to, &from));
-        prop_assert!(compute(meta(1), &from, meta(2), &from).is_empty());
+        prop_assert_eq!(delta(&from, &to), oracle(&from, &to));
+        prop_assert_eq!(delta(&to, &from), oracle(&to, &from));
+        prop_assert!(delta(&from, &from).is_empty());
     }
 
     /// Payload bytes depend only on content: sharing records, copying
@@ -398,7 +406,7 @@ proptest! {
             // Content-equal records in one `Arc` each, whose equal
             // strings are distinct allocations.
             prop_assert_eq!(&bytes, &encode_payload(&fully_share(&copied)));
-            let decoded = arest_ledger::snapshot::decode_payload(&bytes).expect("decode");
+            let decoded = decode_payload(&bytes).expect("decode");
             prop_assert_eq!(&decoded, s);
         }
     }
@@ -492,4 +500,190 @@ fn encode_and_delta_latencies_are_recorded() {
     assert_eq!(field("addrs"), from.addrs.len() as u64, "a quiet pair keeps every address");
     assert_eq!(field("addrs_differing"), 1, "only the edited row takes the slow path");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `snapshot`'s payload written by hand the long way round: the string
+/// table and the detection table in reverse sorted and reverse
+/// first-use order, and the most listed record stored in two rows,
+/// every other listing of it pointing at the copy. It decodes to
+/// `snapshot`, but few of its table indices match the canonical
+/// encoding's.
+fn encode_permuted(snapshot: &RunSnapshot) -> Vec<u8> {
+    let mut strings: Vec<&str> = Vec::new();
+    for a in &snapshot.ases {
+        strings.extend([a.name.as_str(), &a.astype, &a.confirmation]);
+    }
+    let mut records: Vec<&DetectionRecord> = Vec::new();
+    for entry in &snapshot.addrs {
+        strings.extend(entry.fingerprint.as_deref());
+        strings.extend(entry.fingerprint_source.as_deref());
+        for d in &entry.detections {
+            strings.extend([&*d.vp, &*d.dst, &*d.flag, &*d.provenance.chain]);
+            strings.extend(d.provenance.fingerprint.as_deref());
+            if !records.contains(&&**d) {
+                records.push(d);
+            }
+        }
+    }
+    strings.sort_unstable();
+    strings.dedup();
+    strings.reverse();
+    records.reverse();
+    let listings = |r: &DetectionRecord| {
+        snapshot.addrs.iter().flat_map(|e| &e.detections).filter(|d| ***d == *r).count()
+    };
+    let doubled = (0..records.len()).max_by_key(|&row| listings(records[row])).expect("a record");
+    assert!(listings(records[doubled]) >= 2, "the copied row must be listed");
+    let copy = records.len();
+    records.push(records[doubled]);
+    let index = |s: &str| strings.iter().position(|&t| t == s).expect("interned") as u64;
+    let opt_index = |s: Option<&str>| s.map_or(0, |s| index(s) + 1);
+
+    let mut out = Vec::new();
+    put_varint(&mut out, strings.len() as u64);
+    for s in &strings {
+        put_str(&mut out, s);
+    }
+    put_varint(&mut out, records.len() as u64);
+    for d in &records {
+        let p = &d.provenance;
+        for word in [u64::from(d.asn), index(&d.vp), index(&d.dst), index(&d.flag)] {
+            put_varint(&mut out, word);
+        }
+        out.push(d.stars);
+        for word in [d.start, d.end, u64::from(d.label)] {
+            put_varint(&mut out, word);
+        }
+        put_bool(&mut out, d.suffix_based);
+        for word in [
+            p.trigger_hop,
+            p.run_len,
+            p.distinct_addrs,
+            p.lses_consulted,
+            p.effective_depth,
+            opt_index(p.fingerprint.as_deref()),
+        ] {
+            put_varint(&mut out, word);
+        }
+        put_bool(&mut out, p.label_in_vendor_range);
+        put_bool(&mut out, p.suffix_matched);
+        put_varint(&mut out, index(&p.chain));
+    }
+    let flags = |out: &mut Vec<u8>, f: &FlagTotals| {
+        for v in [f.cvr, f.co, f.lsvr, f.lvr, f.lso] {
+            put_varint(out, v);
+        }
+    };
+    put_varint(&mut out, snapshot.ases.len() as u64);
+    for a in &snapshot.ases {
+        out.push(a.id);
+        for word in [u64::from(a.asn), index(&a.name), index(&a.astype), index(&a.confirmation)] {
+            put_varint(&mut out, word);
+        }
+        put_bool(&mut out, a.analyzed);
+        for word in [a.targets_probed, a.traces, a.addresses, a.fingerprinted] {
+            put_varint(&mut out, word);
+        }
+        flags(&mut out, &a.flags);
+    }
+    put_varint(&mut out, snapshot.addrs.len() as u64);
+    let mut doubled_listings = 0;
+    for entry in &snapshot.addrs {
+        out.extend_from_slice(&entry.addr.octets());
+        put_varint(&mut out, u64::from(entry.asn));
+        put_varint(&mut out, opt_index(entry.fingerprint.as_deref()));
+        put_varint(&mut out, opt_index(entry.fingerprint_source.as_deref()));
+        put_varint(&mut out, entry.detections.len() as u64);
+        for d in &entry.detections {
+            let mut row = records.iter().position(|r| *r == &**d).expect("tabled");
+            if row == doubled {
+                doubled_listings += 1;
+                if doubled_listings % 2 == 0 {
+                    row = copy;
+                }
+            }
+            put_varint(&mut out, row as u64);
+        }
+    }
+    let t = &snapshot.totals;
+    for word in [
+        t.ases,
+        t.analyzed,
+        t.sr_deployed,
+        t.addresses,
+        t.fingerprinted,
+        t.raw_traces,
+        t.intra_as_traces,
+        t.vantage_points,
+    ] {
+        put_varint(&mut out, word);
+    }
+    flags(&mut out, &t.flags);
+    out
+}
+
+/// Two payloads that intern the same snapshot in different orders,
+/// one of them with a duplicated detection row, diff as equal: content
+/// decides, not table indices. Editing one record's chain string in
+/// the permuted encoding shows up as that record's `changed` entries,
+/// exactly as the oracle has them.
+#[test]
+fn diff_compares_content_not_table_indices() {
+    // A run with some record listed at several addresses.
+    let snapshot = (0u64..)
+        .map(|seed| pair(seed).0)
+        .find(|s| {
+            let listed: Vec<&DetectionRecord> =
+                s.addrs.iter().flat_map(|e| &e.detections).map(|d| &**d).collect();
+            let distinct: std::collections::HashSet<&DetectionRecord> =
+                listed.iter().copied().collect();
+            listed.len() >= distinct.len() + 2 && s.addrs.len() >= 4
+        })
+        .expect("some seed lists a record more than once");
+    let canonical = encode_payload(&snapshot);
+    let permuted = encode_permuted(&snapshot);
+    assert_ne!(canonical, permuted);
+    assert_eq!(decode_payload(&permuted).expect("the hand encoding decodes"), snapshot);
+
+    // Through the ledger: serial 2's file carries the permuted payload,
+    // resealed.
+    let dir = scratch_dir("permuted");
+    let ledger = Ledger::open(&dir).expect("open");
+    for _ in 0..2 {
+        ledger.commit(&snapshot, &CommitOptions::default()).expect("commit");
+    }
+    let mut file = std::fs::read(ledger.path_of(2)).expect("read run 2");
+    file.truncate(HEADER_LEN);
+    file.extend_from_slice(&permuted);
+    common::reseal(&mut file);
+    std::fs::write(ledger.path_of(2), &file).expect("write run 2");
+    for (a, b) in [(1, 2), (2, 1), (2, 2)] {
+        let delta = ledger.diff(a, b).expect("diff");
+        assert!(delta.is_empty() && delta.per_as.is_empty(), "diff({a}, {b}) must be empty");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    // One record's chain edited, wherever it is listed.
+    let target = snapshot.addrs.iter().find_map(|e| e.detections.first()).expect("a record");
+    let target = (**target).clone();
+    let mut edited = snapshot.clone();
+    for d in edited.addrs.iter_mut().flat_map(|e| &mut e.detections) {
+        if **d == target {
+            let mut moved = target.clone();
+            moved.provenance.chain = "trigger_hop=0 edited".into();
+            *d = Arc::new(moved);
+        }
+    }
+    let edited_bytes = encode_permuted(&edited);
+    let forward = compute(meta(1), &canonical, meta(2), &edited_bytes).expect("diff");
+    assert_eq!(forward, oracle(&snapshot, &edited));
+    assert!(!forward.changed.is_empty(), "the edited record must come out as changed");
+    assert!(forward.announced.is_empty() && forward.withdrawn.is_empty());
+    for c in &forward.changed {
+        let key = (c.key.asn, &*c.key.vp, &*c.key.dst, c.key.start, c.key.end);
+        assert_eq!(key, (target.asn, &*target.vp, &*target.dst, target.start, target.end));
+        assert_eq!((&c.before_flag, c.before_label), (&c.after_flag, c.after_label));
+    }
+    let backward = compute(meta(1), &edited_bytes, meta(2), &canonical).expect("diff");
+    assert_eq!(backward, oracle(&edited, &snapshot));
 }

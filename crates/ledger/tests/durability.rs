@@ -19,6 +19,8 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+mod common;
+
 /// SplitMix64: the deterministic stream behind the generated
 /// snapshots.
 struct Mix(u64);
@@ -287,6 +289,88 @@ fn meta_matches_a_full_load_on_header_and_length_faults() {
     *corrupt.last_mut().expect("non-empty payload") ^= 0x40;
     assert!(matches!(decode_file(&corrupt, Some(3)), Err(LedgerError::PayloadDigest)));
     assert_eq!(meta_of(&corrupt).expect("payload bytes are not read"), expected);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `load`, `summary` and `diff` verify a run through one frame check
+/// and one payload parser, so they fail alike. Over every truncation
+/// and every single-byte flip of a small committed run, raw and with
+/// the payload resealed so that the damage reaches the parser,
+/// `diff(bad, good)` and `diff(good, bad)` return exactly `load(bad)`'s
+/// error, and so does `summary(bad)`. A flip the parser accepts (a
+/// scalar changed to another valid value) loads, and diffs, cleanly.
+#[test]
+fn load_and_diff_report_the_same_error_for_every_corruption() {
+    // A few ASes, with a detection listed at more than one address.
+    let snapshot = (0u64..)
+        .map(generated_snapshot)
+        .find(|s| {
+            let listed = s.addrs.iter().map(|e| e.detections.len()).sum::<usize>();
+            s.ases.len() >= 3 && listed >= 4
+        })
+        .expect("some seed has a few ASes");
+    let dir = scratch_dir("load-diff-agree");
+    let ledger = Ledger::open(&dir).expect("open");
+    for _ in 0..2 {
+        ledger.commit(&snapshot, &CommitOptions::default()).expect("commit");
+    }
+    // Serial 1 stays good; serial 2's file takes every damaged form.
+    let good = std::fs::read(ledger.path_of(2)).expect("read run 2");
+    let mut cases: Vec<(Vec<u8>, bool)> = Vec::new();
+    for len in 0..good.len() {
+        cases.push((good[..len].to_vec(), false));
+        if len >= HEADER_LEN {
+            cases.push((good[..len].to_vec(), true));
+        }
+    }
+    for at in 0..good.len() {
+        for bit in 0..8 {
+            let mut flipped = good.clone();
+            flipped[at] ^= 1 << bit;
+            // Raw, one bit per byte: past the header every raw flip
+            // is a digest mismatch.
+            if bit == at % 8 {
+                cases.push((flipped.clone(), false));
+            }
+            if at >= HEADER_LEN {
+                cases.push((flipped, true));
+            }
+        }
+    }
+
+    let mut errors = std::collections::BTreeSet::new();
+    let mut accepted = 0;
+    for (mut bytes, resealed) in cases {
+        if resealed {
+            common::reseal(&mut bytes);
+        }
+        std::fs::write(ledger.path_of(2), &bytes).expect("write run 2");
+        match ledger.load(2) {
+            Err(error) => {
+                let error = error.to_string();
+                let diff_error =
+                    |a, b| ledger.diff(a, b).expect_err("diff of a bad run").to_string();
+                assert_eq!(diff_error(2, 1), error, "diff(bad, good), {} bytes", bytes.len());
+                assert_eq!(diff_error(1, 2), error, "diff(good, bad), {} bytes", bytes.len());
+                let summary = ledger.summary(2).expect_err("summary of a bad run").to_string();
+                assert_eq!(summary, error, "summary(bad), {} bytes", bytes.len());
+                errors.insert(error);
+            }
+            Ok(run) => {
+                assert!(resealed, "only a resealed payload can load");
+                ledger.diff(2, 1).expect("diff(accepted, good)");
+                ledger.diff(1, 2).expect("diff(good, accepted)");
+                let (meta, totals) = ledger.summary(2).expect("summary of an accepted run");
+                assert_eq!((meta, totals), (run.meta, run.snapshot.totals));
+                accepted += 1;
+            }
+        }
+    }
+    // The frame's errors and many of the parser's own.
+    let malformed = errors.iter().filter(|e| e.starts_with("malformed")).count();
+    assert!(malformed >= 10, "the resealed cases must reach the parser: {errors:#?}");
+    assert!(errors.iter().any(|e| e.contains("digest")), "{errors:#?}");
+    assert!(accepted > 0, "some resealed flips change only a value");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

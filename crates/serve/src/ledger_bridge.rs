@@ -9,8 +9,8 @@
 use crate::json::Json;
 use crate::store::{totals_json, Store};
 use crate::store_cell::RunOrigin;
-use arest_ledger::snapshot::RunSnapshot;
-use arest_ledger::{AuxRecord, DeltaEntry, DetectionDelta, RunMeta, StoredRun, HEADER_LEN};
+use arest_ledger::snapshot::{RunSnapshot, RunTotals};
+use arest_ledger::{AuxRecord, DeltaEntry, DetectionDelta, RunMeta, HEADER_LEN};
 use std::sync::Arc;
 
 /// A copy of the snapshot `store` indexes.
@@ -66,17 +66,16 @@ pub fn runs_json(metas: &[RunMeta]) -> Json {
 /// committed campaign totals, and — when the serial carries a
 /// carry-forward sidecar — the fresh/carried origin breakdown.
 #[must_use]
-pub fn run_json(run: &StoredRun, aux: Option<&AuxRecord>) -> Json {
-    let t = &run.snapshot.totals;
+pub fn run_json(meta: &RunMeta, totals: &RunTotals, aux: Option<&AuxRecord>) -> Json {
     let origin = aux.map_or(Json::Null, |aux| {
-        let origin = RunOrigin::new(aux, &run.snapshot);
+        let origin = RunOrigin::new(aux, totals);
         Json::obj(vec![
             ("base_serial", origin.base_serial.map_or(Json::Null, Json::U64)),
             ("fresh_ases", Json::U64(origin.fresh)),
             ("carried_ases", Json::U64(origin.carried)),
         ])
     });
-    Json::obj(vec![("meta", meta_json(&run.meta)), ("totals", totals_json(t)), ("origin", origin)])
+    Json::obj(vec![("meta", meta_json(meta)), ("totals", totals_json(totals)), ("origin", origin)])
 }
 
 fn key_json(key: &arest_ledger::DeltaKey) -> Json {

@@ -36,8 +36,11 @@ pub fn refresh(cell: &StoreCell, ledger: &Ledger) -> LedgerResult<Option<u64>> {
     let run = ledger.load(latest)?;
     // A missing or unreadable sidecar only costs the origin
     // breakdown; the run itself still serves.
-    let origin =
-        ledger.load_aux(latest).ok().flatten().map(|aux| RunOrigin::new(&aux, &run.snapshot));
+    let origin = ledger
+        .load_aux(latest)
+        .ok()
+        .flatten()
+        .map(|aux| RunOrigin::new(&aux, &run.snapshot.totals));
     let stamp = LedgerStamp {
         serial: run.meta.serial,
         payload_digest: run.meta.payload_digest,

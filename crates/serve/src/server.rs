@@ -443,10 +443,10 @@ impl<'r> Server<'r> {
         let Some(ledger) = &self.ledger else {
             return Response::error(404, "no ledger attached");
         };
-        match ledger.load(serial) {
-            Ok(run) => {
+        match ledger.summary(serial) {
+            Ok((meta, totals)) => {
                 let aux = ledger.load_aux(serial).ok().flatten();
-                Response::json(200, ledger_bridge::run_json(&run, aux.as_ref()).render())
+                Response::json(200, ledger_bridge::run_json(&meta, &totals, aux.as_ref()).render())
             }
             Err(LedgerError::UnknownSerial(_)) => Response::error(404, "no such run"),
             Err(_) => Response::error(500, "run failed verification"),

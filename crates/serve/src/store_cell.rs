@@ -24,7 +24,7 @@
 
 use crate::store::Store;
 use arest_conc::sync::RwLock;
-use arest_ledger::snapshot::RunSnapshot;
+use arest_ledger::snapshot::RunTotals;
 use arest_ledger::AuxRecord;
 use std::sync::Arc;
 
@@ -42,12 +42,13 @@ pub struct RunOrigin {
 }
 
 impl RunOrigin {
-    /// The origin `aux` records: every AS not carried was re-probed.
-    pub(crate) fn new(aux: &AuxRecord, snapshot: &RunSnapshot) -> RunOrigin {
+    /// The origin `aux` records for a run with `totals`: every AS not
+    /// carried was re-probed.
+    pub(crate) fn new(aux: &AuxRecord, totals: &RunTotals) -> RunOrigin {
         let carried = aux.carried.len() as u64;
         RunOrigin {
             base_serial: aux.base_serial,
-            fresh: snapshot.totals.ases.saturating_sub(carried),
+            fresh: totals.ases.saturating_sub(carried),
             carried,
         }
     }
