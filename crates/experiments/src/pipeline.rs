@@ -399,8 +399,6 @@ struct ProcessedTrace {
     restricted: Trace,
     augmented: AugmentedTrace,
     segments: Vec<DetectedSegment>,
-    /// Addresses annotated to the AS, in hop order (may repeat).
-    discovered: Vec<Ipv4Addr>,
 }
 
 /// The generation barrier's output.
@@ -676,12 +674,19 @@ impl StreamEngine<'_> {
         );
         result.raw_traces = raw_count;
         let mut per_vp: HashMap<Arc<str>, HashSet<Ipv4Addr>> = HashMap::new();
+        let mut discovered = Vec::new();
         for trace in raw {
-            let outcome =
-                process_trace(trace, &annotator, asn, &fingerprints, &self.config.detector);
+            let outcome = process_trace(
+                trace,
+                &annotator,
+                asn,
+                &fingerprints,
+                &self.config.detector,
+                &mut discovered,
+            );
             let Some(processed) = outcome else { continue };
             let vp_set = per_vp.entry(processed.restricted.vp.clone()).or_default();
-            for addr in processed.discovered {
+            for addr in discovered.drain(..) {
                 result.discovered.insert(addr);
                 vp_set.insert(addr);
             }
@@ -969,14 +974,21 @@ impl Dataset {
 /// collapse the no-PHP extra-hop artifact, augment with fingerprints,
 /// and run the detector. Consumes the trace (hops are restricted in
 /// place — no span copy).
+///
+/// The addresses annotated to `asn` are pushed onto `discovered` (hop
+/// order, repeats included) by the same pass that finds the span; a
+/// trace that never enters the AS pushes none.
 fn process_trace(
     trace: Trace,
     annotator: &AsAnnotator,
     asn: AsNumber,
     fingerprints: &HashMap<Ipv4Addr, (VendorEvidence, FingerprintSource)>,
     detector: &DetectorConfig,
+    discovered: &mut Vec<Ipv4Addr>,
 ) -> Option<ProcessedTrace> {
-    let (first, last) = annotator.intra_as_span(trace.hops.iter().map(|h| h.addr), asn)?;
+    let hop_addrs = trace.hops.iter().map(|h| h.addr);
+    let (first, last) =
+        annotator.intra_as_span_with(hop_addrs, asn, |addr| discovered.push(addr))?;
     let Trace { vp, src, dst, mut hops, reached } = trace;
     hops.truncate(last + 1);
     hops.drain(..first);
@@ -985,18 +997,10 @@ fn process_trace(
     // post-processing, keeping the first reply (it carries the fuller
     // RFC 4950 quote).
     hops.dedup_by(|b, a| a.addr.is_some() && a.addr == b.addr);
-    let mut discovered = Vec::new();
-    for hop in &hops {
-        if let Some(addr) = hop.addr {
-            if annotator.annotate(addr) == Some(asn) {
-                discovered.push(addr);
-            }
-        }
-    }
     let restricted = Trace { vp, src, dst, hops, reached };
     let augmented = augment(&restricted, fingerprints);
     let segments = detect_segments(&augmented, detector);
-    Some(ProcessedTrace { restricted, augmented, segments, discovered })
+    Some(ProcessedTrace { restricted, augmented, segments })
 }
 
 /// Converts a restricted TNT trace into AReST's input form, attaching

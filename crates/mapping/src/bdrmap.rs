@@ -97,6 +97,21 @@ impl AsAnnotator {
     where
         I: IntoIterator<Item = Option<Ipv4Addr>>,
     {
+        self.intra_as_span_with(addrs, asn, |_| {})
+    }
+
+    /// [`AsAnnotator::intra_as_span`], also handing each address
+    /// annotated to `asn` to `in_as` (hop order, repeats included), so
+    /// a caller collecting the AS's addresses annotates every hop once.
+    pub fn intra_as_span_with<I>(
+        &self,
+        addrs: I,
+        asn: AsNumber,
+        mut in_as: impl FnMut(Ipv4Addr),
+    ) -> Option<(usize, usize)>
+    where
+        I: IntoIterator<Item = Option<Ipv4Addr>>,
+    {
         let mut first = None;
         let mut last = None;
         for (idx, addr) in addrs.into_iter().enumerate() {
@@ -106,6 +121,7 @@ impl AsAnnotator {
                         first = Some(idx);
                     }
                     last = Some(idx);
+                    in_as(addr);
                 }
             }
         }
@@ -185,6 +201,11 @@ mod tests {
         ];
         assert_eq!(a.intra_as_span(addrs.iter().copied(), AsNumber(200)), Some((1, 3)));
         assert_eq!(a.intra_as_span(addrs.iter().copied(), AsNumber(100)), Some((4, 4)));
-        assert_eq!(a.intra_as_span(addrs, AsNumber(999)), None);
+        assert_eq!(a.intra_as_span(addrs.iter().copied(), AsNumber(999)), None);
+
+        let mut in_as = Vec::new();
+        let span = a.intra_as_span_with(addrs, AsNumber(200), |addr| in_as.push(addr));
+        assert_eq!(span, Some((1, 3)));
+        assert_eq!(in_as, [Ipv4Addr::new(10, 2, 0, 1), Ipv4Addr::new(10, 2, 0, 9)]);
     }
 }

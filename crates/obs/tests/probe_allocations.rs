@@ -11,6 +11,9 @@
 //! 1. a hop without an RFC 4950 extension allocates nothing;
 //! 2. a labelled hop allocates at most 2.
 //!
+//! The walk itself, which resolves every TTL of the flow once, is held
+//! to a fixed ceiling per walk.
+//!
 //! The counting allocator lives in `common`.
 
 mod common;
@@ -31,6 +34,11 @@ use std::net::Ipv4Addr;
 /// Probes per measured loop: a per-probe allocation shows up this many
 /// times, harness noise a couple of times at most.
 const ROUNDS: u64 = 1_000;
+
+/// What one walk of the chain over TTLs 1..=8 allocates: one expiry
+/// list, reserved for the whole TTL range, and the label stacks it
+/// pushes and quotes.
+const WALK_CEILING: u64 = 6;
 
 /// A 5-router chain: plain IP from the first router, then an LDP
 /// tunnel without PHP (every LSR quotes its received stack) to the
@@ -82,6 +90,15 @@ fn a_hop_allocates_only_its_quoted_stack() {
         },
     };
     let walk = net.walk(&probe(1), 1..=8);
+    let walk_allocations = min_allocations(|| {
+        for _ in 0..ROUNDS {
+            drop(net.walk(&probe(1), 1..=8));
+        }
+    });
+    assert!(
+        walk_allocations <= WALK_CEILING * ROUNDS,
+        "a walk made {walk_allocations} allocations in {ROUNDS} walks"
+    );
     let mut reply_bytes = Vec::new();
 
     let (mut unlabelled, mut labelled) = (0, 0);

@@ -143,7 +143,9 @@ impl Network {
         let hi = i32::from(*ttls.end());
         // The lowest TTL not yet resolved; pending TTLs are next..=hi.
         let mut next = i32::from(*ttls.start());
-        let mut expiries: Vec<Expiry> = Vec::new();
+        // Each expiry resolves at least one TTL of the range, so one
+        // reservation holds them all.
+        let mut expiries: Vec<Expiry> = Vec::with_capacity(ttls.len());
         let dst = flow.dst;
         let mut ip = SymTtl::PROBE;
         let mut stack: SymStack = Vec::new();

@@ -1,8 +1,10 @@
-//! IPv4 prefixes and a binary-trie longest-prefix-match map.
+//! IPv4 prefixes and a longest-prefix-match map kept as one sorted
+//! range table.
 //!
 //! [`PrefixMap`] backs every routing decision in the reproduction:
-//! router FIBs, the synthetic BGP view Anaximander consumes, and the
-//! prefix-to-AS ownership table bdrmapIT-style annotation relies on.
+//! router FIBs and FTNs, the simulator's anchor and exit tables, and
+//! the prefix-to-AS ownership table bdrmapIT-style annotation relies
+//! on.
 
 use core::fmt;
 use core::str::FromStr;
@@ -119,8 +121,8 @@ impl FromStr for Prefix {
     }
 }
 
-/// A longest-prefix-match map from [`Prefix`] to `T`, implemented as a
-/// binary trie over address bits.
+/// A longest-prefix-match map from [`Prefix`] to `T`, kept as one
+/// sorted range table over the address space.
 ///
 /// ```
 /// use arest_topo::prefix::{Prefix, PrefixMap};
@@ -134,24 +136,36 @@ impl FromStr for Prefix {
 /// assert_eq!(prefix.len(), 16);
 /// ```
 ///
-/// Lookups walk at most 32 nodes; inserts allocate one node per
-/// distinct bit-path. This is the FIB structure every simulated router
-/// uses, so it favours lookup simplicity over memory compaction.
+/// The stored prefixes cut the address space into at most `2n + 1`
+/// ranges, each with one answer: the most specific prefix covering
+/// it, or none. An insert splits the table at the prefix's first
+/// address and one past its last, then takes over every range inside
+/// it whose owner is shorter or absent; a lookup is one binary search
+/// over the range starts. [`PrefixMap::iter`] yields entries in
+/// first-insertion order, and re-inserting a prefix replaces its value
+/// in place. All state is built by [`PrefixMap::insert`], so a shared
+/// map is read-only (DESIGN.md §17).
 #[derive(Debug, Clone)]
 pub struct PrefixMap<T> {
-    nodes: Vec<Node<T>>,
-    len: usize,
+    /// The entries, in first-insertion order.
+    entries: Vec<(Prefix, T)>,
+    /// Every entry's prefix with its index into `entries`, sorted by
+    /// prefix: the exact-match index.
+    keys: Vec<(Prefix, u32)>,
+    /// Ascending range starts, `starts[0] == 0` once an entry exists.
+    starts: Vec<u32>,
+    /// Per range `starts[i]..starts[i + 1]`, the index of its most
+    /// specific covering entry, or [`NO_OWNER`].
+    owners: Vec<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct Node<T> {
-    children: [Option<u32>; 2],
-    value: Option<(Prefix, T)>,
-}
+/// The owner of a range no stored prefix covers. `entries` never
+/// reaches this length, so indexing with it finds nothing.
+const NO_OWNER: u32 = u32::MAX;
 
 impl<T> Default for PrefixMap<T> {
     fn default() -> PrefixMap<T> {
-        PrefixMap { nodes: vec![Node { children: [None, None], value: None }], len: 0 }
+        PrefixMap { entries: Vec::new(), keys: Vec::new(), starts: Vec::new(), owners: Vec::new() }
     }
 }
 
@@ -163,79 +177,92 @@ impl<T> PrefixMap<T> {
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the map holds no prefixes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Inserts `value` under `prefix`, returning the previous value if
-    /// the exact prefix was already present.
+    /// the exact prefix was already present (its position in
+    /// [`PrefixMap::iter`] is kept).
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let mut node = 0usize;
-        let bits = u32::from(prefix.network());
-        for depth in 0..prefix.len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            node = match self.nodes[node].children[bit] {
-                Some(child) => child as usize,
-                None => {
-                    let child = self.nodes.len() as u32;
-                    self.nodes.push(Node { children: [None, None], value: None });
-                    self.nodes[node].children[bit] = Some(child);
-                    child as usize
-                }
-            };
+        let slot = match self.keys.binary_search_by(|(p, _)| p.cmp(&prefix)) {
+            Ok(i) => {
+                let entry = &mut self.entries[self.keys[i].1 as usize];
+                return Some(std::mem::replace(&mut entry.1, value));
+            }
+            Err(slot) => slot,
+        };
+        let index = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&i| i != NO_OWNER)
+            .expect("a PrefixMap holds fewer than 2^32 - 1 entries");
+        self.entries.push((prefix, value));
+        self.keys.insert(slot, (prefix, index));
+
+        if self.starts.is_empty() {
+            self.starts.push(0);
+            self.owners.push(NO_OWNER);
         }
-        let old = self.nodes[node].value.replace((prefix, value));
-        match old {
-            Some((_, v)) => Some(v),
-            None => {
-                self.len += 1;
-                None
+        let first = self.split_at(prefix.bits);
+        let end = u64::from(prefix.bits) + (1u64 << (32 - prefix.len));
+        let last = match u32::try_from(end) {
+            Ok(end) => self.split_at(end),
+            Err(_) => self.starts.len(),
+        };
+        let entries = &self.entries;
+        for owner in &mut self.owners[first..last] {
+            match entries.get(*owner as usize) {
+                Some((held, _)) if held.len >= prefix.len => {}
+                _ => *owner = index,
             }
         }
+        None
+    }
+
+    /// Makes `at` the start of a range (the new range inherits the
+    /// owner of the one it was cut from) and returns its position.
+    fn split_at(&mut self, at: u32) -> usize {
+        let i = self.starts.partition_point(|&start| start <= at);
+        if self.starts[i - 1] == at {
+            return i - 1;
+        }
+        self.starts.insert(i, at);
+        self.owners.insert(i, self.owners[i - 1]);
+        i
     }
 
     /// Longest-prefix-match lookup: the most specific entry covering
     /// `addr`, with the matched prefix.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<(&Prefix, &T)> {
-        let bits = u32::from(addr);
-        let mut node = 0usize;
-        let mut best = self.nodes[0].value.as_ref();
-        for depth in 0..32 {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            match self.nodes[node].children[bit] {
-                Some(child) => {
-                    node = child as usize;
-                    if let Some(entry) = self.nodes[node].value.as_ref() {
-                        best = Some(entry);
-                    }
-                }
-                None => break,
-            }
+        let addr = u32::from(addr);
+        // The last range starting at or below `addr`, found without a
+        // data-dependent branch.
+        let mut base = 0;
+        let mut size = self.starts.len();
+        while size > 1 {
+            let half = size / 2;
+            base = if self.starts[base + half] <= addr { base + half } else { base };
+            size -= half;
         }
-        best.map(|(p, v)| (p, v))
+        let owner = *self.owners.get(base)?;
+        let (prefix, value) = self.entries.get(owner as usize)?;
+        Some((prefix, value))
     }
 
     /// Exact-match lookup for a stored prefix.
     pub fn get(&self, prefix: &Prefix) -> Option<&T> {
-        let bits = u32::from(prefix.network());
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            node = self.nodes[node].children[bit]? as usize;
-        }
-        match &self.nodes[node].value {
-            Some((p, v)) if p == prefix => Some(v),
-            _ => None,
-        }
+        let i = self.keys.binary_search_by(|(p, _)| p.cmp(prefix)).ok()?;
+        Some(&self.entries[self.keys[i].1 as usize].1)
     }
 
-    /// Iterates over all stored `(prefix, value)` pairs in trie order.
+    /// Iterates over all stored `(prefix, value)` pairs in
+    /// first-insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &T)> {
-        self.nodes.iter().filter_map(|n| n.value.as_ref().map(|(p, v)| (p, v)))
+        self.entries.iter().map(|(p, v)| (p, v))
     }
 }
 
@@ -334,18 +361,129 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_all_entries() {
-        let entries = vec![(p("10.0.0.0/8"), 1), (p("10.1.0.0/16"), 2), (p("0.0.0.0/0"), 3)];
-        let map: PrefixMap<i32> = entries.iter().copied().collect();
+    fn iter_yields_entries_in_first_insertion_order() {
+        let entries = [(p("10.1.0.0/16"), 1), (p("10.0.0.0/8"), 2), (p("0.0.0.0/0"), 3)];
+        let mut map: PrefixMap<i32> = entries.into_iter().collect();
         assert_eq!(map.len(), 3);
-        let mut got: Vec<_> = map.iter().map(|(p, v)| (*p, *v)).collect();
-        got.sort();
-        let mut want = entries;
-        want.sort();
-        assert_eq!(got, want);
+        assert_eq!(map.insert(p("10.1.0.0/16"), 4), Some(1));
+        let got: Vec<_> = map.iter().map(|(p, v)| (*p, *v)).collect();
+        assert_eq!(got, vec![(p("10.1.0.0/16"), 4), (p("10.0.0.0/8"), 2), (p("0.0.0.0/0"), 3)]);
+    }
+
+    #[test]
+    fn empty_map_answers_nothing() {
+        let map: PrefixMap<()> = PrefixMap::new();
+        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
+        assert!(map.lookup(Ipv4Addr::UNSPECIFIED).is_none());
+        assert!(map.lookup(Ipv4Addr::BROADCAST).is_none());
+        assert!(map.get(&Prefix::DEFAULT).is_none());
+        assert_eq!(map.iter().count(), 0);
+    }
+
+    #[test]
+    fn address_space_edges() {
+        let q = |map: &PrefixMap<&'static str>, a: Ipv4Addr| map.lookup(a).map(|(_, v)| *v);
+        let top = Prefix::host(Ipv4Addr::BROADCAST);
+        let bottom = Prefix::host(Ipv4Addr::UNSPECIFIED);
+        let mut map = PrefixMap::new();
+        map.insert(top, "top");
+        assert_eq!(q(&map, Ipv4Addr::BROADCAST), Some("top"));
+        assert_eq!(q(&map, Ipv4Addr::new(255, 255, 255, 254)), None);
+        assert_eq!(q(&map, Ipv4Addr::UNSPECIFIED), None);
+
+        map.insert(bottom, "bottom");
+        map.insert(p("128.0.0.0/1"), "upper half");
+        map.insert(Prefix::DEFAULT, "default");
+        assert_eq!(q(&map, Ipv4Addr::UNSPECIFIED), Some("bottom"));
+        assert_eq!(q(&map, Ipv4Addr::new(0, 0, 0, 1)), Some("default"));
+        assert_eq!(q(&map, Ipv4Addr::new(127, 255, 255, 255)), Some("default"));
+        assert_eq!(q(&map, Ipv4Addr::new(128, 0, 0, 0)), Some("upper half"));
+        assert_eq!(q(&map, Ipv4Addr::new(255, 255, 255, 254)), Some("upper half"));
+        assert_eq!(q(&map, Ipv4Addr::BROADCAST), Some("top"));
+        assert_eq!(map.get(&Prefix::DEFAULT), Some(&"default"));
+        assert_eq!(map.get(&top), Some(&"top"));
+        assert_eq!(map.len(), 4);
+    }
+
+    /// Nested prefixes for the properties below: each op either
+    /// re-inserts an earlier prefix, inserts an address-space edge, or
+    /// draws a prefix under one of a few short parents, so covering
+    /// and covered prefixes arrive in every order.
+    fn nested_prefix(
+        parents: &[(u32, u8)],
+        (kind, pick, bits, extra): (u8, usize, u32, u8),
+    ) -> Prefix {
+        let edges = [
+            Prefix::DEFAULT,
+            Prefix::host(Ipv4Addr::BROADCAST),
+            Prefix::host(Ipv4Addr::UNSPECIFIED),
+            Prefix::new(Ipv4Addr::new(128, 0, 0, 0), 1).unwrap(),
+        ];
+        if kind == 0 {
+            return edges[pick % edges.len()];
+        }
+        let (parent_bits, parent_len) = parents[pick % parents.len()];
+        let len = (parent_len + extra).min(32);
+        let inside = (parent_bits & mask(parent_len)) | (bits & !mask(parent_len));
+        Prefix::new(Ipv4Addr::from(inside), len).unwrap()
+    }
+
+    /// The linear-scan oracle: the longest stored prefix containing `addr`.
+    fn oracle(list: &[(Prefix, usize)], addr: Ipv4Addr) -> Option<(Prefix, usize)> {
+        list.iter().filter(|(p, _)| p.contains(addr)).max_by_key(|(p, _)| p.len()).copied()
     }
 
     proptest! {
+        #[test]
+        fn prop_nested_map_matches_linear_scan(
+            parents in prop::collection::vec((any::<u32>(), 0u8..=12), 1..4),
+            ops in prop::collection::vec((0u8..8, 0usize..1000, any::<u32>(), 0u8..=24), 0..200),
+            randoms in prop::collection::vec(any::<u32>(), 0..20),
+        ) {
+            let mut map = PrefixMap::new();
+            let mut list: Vec<(Prefix, usize)> = Vec::new();
+            for (i, &(kind, pick, bits, extra)) in ops.iter().enumerate() {
+                let prefix = if kind == 1 && !list.is_empty() {
+                    list[pick % list.len()].0
+                } else {
+                    nested_prefix(&parents, (kind, pick, bits, extra))
+                };
+                let previous = list.iter_mut().find(|(p, _)| *p == prefix);
+                let expected = previous.as_ref().map(|(_, v)| *v);
+                match previous {
+                    Some(entry) => entry.1 = i,
+                    None => list.push((prefix, i)),
+                }
+                prop_assert_eq!(map.insert(prefix, i), expected);
+            }
+
+            prop_assert_eq!(map.len(), list.len());
+            prop_assert_eq!(map.is_empty(), list.is_empty());
+            let iterated: Vec<(Prefix, usize)> = map.iter().map(|(p, v)| (*p, *v)).collect();
+            prop_assert_eq!(&iterated, &list);
+
+            let mut queries: Vec<u32> = randoms;
+            queries.extend([0, u32::MAX]);
+            for (prefix, value) in &list {
+                prop_assert_eq!(map.get(prefix), Some(value));
+                let first = u32::from(prefix.network());
+                let last = first | !mask(prefix.len());
+                queries.extend([first.wrapping_sub(1), first, first.wrapping_add(1)]);
+                queries.extend([last.wrapping_sub(1), last, last.wrapping_add(1)]);
+                if prefix.len() < 32 {
+                    let longer = Prefix::new(prefix.network(), prefix.len() + 1).unwrap();
+                    let stored = list.iter().find(|(p, _)| *p == longer).map(|(_, v)| v);
+                    prop_assert_eq!(map.get(&longer), stored);
+                }
+            }
+            for q in queries {
+                let addr = Ipv4Addr::from(q);
+                let got = map.lookup(addr).map(|(p, v)| (*p, *v));
+                prop_assert_eq!(got, oracle(&list, addr));
+            }
+        }
+
         #[test]
         fn prop_lookup_matches_linear_scan(
             entries in prop::collection::vec((any::<u32>(), 0u8..=32), 1..40),
@@ -356,18 +494,15 @@ mod tests {
             for (i, (bits, len)) in entries.iter().enumerate() {
                 let prefix = Prefix::new(Ipv4Addr::from(*bits), *len).unwrap();
                 map.insert(prefix, i);
-                list.retain(|(p, _)| p != &prefix);
-                list.push((prefix, i));
+                match list.iter_mut().find(|(p, _)| *p == prefix) {
+                    Some(entry) => entry.1 = i,
+                    None => list.push((prefix, i)),
+                }
             }
             for q in queries {
                 let addr = Ipv4Addr::from(q);
-                let expected = list
-                    .iter()
-                    .filter(|(p, _)| p.contains(addr))
-                    .max_by_key(|(p, _)| p.len())
-                    .map(|(_, v)| *v);
-                let got = map.lookup(addr).map(|(_, v)| *v);
-                prop_assert_eq!(got, expected);
+                let got = map.lookup(addr).map(|(p, v)| (*p, *v));
+                prop_assert_eq!(got, oracle(&list, addr));
             }
         }
 
