@@ -10,8 +10,8 @@
 //! * [`ids`] — small typed identifiers for routers, interfaces and ASes.
 //! * [`vendor`] — the hardware vendor vocabulary used by fingerprinting
 //!   and by the SR label-block tables.
-//! * [`prefix`] — IPv4 prefixes and a binary-trie longest-prefix-match
-//!   map used for FIBs and AS ownership.
+//! * [`prefix`] — IPv4 prefixes and a longest-prefix-match map, one
+//!   sorted range table, used for FIBs, FTNs and AS ownership.
 //! * [`graph`] — the topology itself with its builder API.
 //! * [`spf`] — deterministic Dijkstra shortest-path-first used as the
 //!   IGP (IS-IS/OSPF stand-in).
