@@ -1,5 +1,5 @@
-//! The FNV-1a hasher and the deployed-tables digest shared by the
-//! netgen integration tests.
+//! The FNV-1a hasher, the deployed-tables digest and the IGP-answers
+//! digest shared by the netgen integration tests.
 //!
 //! `RouterPlane` and `AsLabelRecord` hold hash maps, so their bytes
 //! are fed to the hash in a canonical order: LFIB entries by label,
@@ -16,6 +16,7 @@ use arest_netgen::internet::Internet;
 use arest_sr::block::LabelBlock;
 use arest_topo::ids::RouterId;
 use arest_topo::prefix::Prefix;
+use arest_topo::spf::DomainSpf;
 use std::collections::HashMap;
 
 /// FNV-1a, 64-bit.
@@ -141,6 +142,56 @@ pub fn tables_digest(internet: &Internet) -> u64 {
                 h.u32(index);
             }
             None => h.bytes(&[0]),
+        }
+    }
+    h.0
+}
+
+/// The FNV-1a 64 of every IGP answer a generated Internet's domains
+/// give: for each AS in catalog order, the SPF over its routers and
+/// over its LDP and SR subsets (as the deploy step computes them),
+/// every member pair's ordered ECMP set, reachability and primary slot
+/// hop, then the distance and primary path from the first, middle and
+/// last member toward every member.
+pub fn igp_digest(internet: &Internet) -> u64 {
+    let topo = internet.net.topo();
+    let mut h = Fnv::new();
+    for plan in &internet.plans {
+        h.u32(plan.asn.0);
+        for members in [&plan.routers, &plan.ldp_members, &plan.sr_members] {
+            let spf = DomainSpf::for_members(topo, members);
+            let members = spf.members();
+            h.len(members.len());
+            for (a, &from) in members.iter().enumerate() {
+                for (b, &to) in members.iter().enumerate() {
+                    let hops = spf.next_hops(from, to);
+                    h.len(hops.len());
+                    for (iface, next) in hops.iter() {
+                        h.u32(iface.0);
+                        h.u32(next.0);
+                    }
+                    h.bytes(&[u8::from(spf.reaches(a, b))]);
+                    match spf.next_hop_slot(a, b) {
+                        Some((iface, slot)) => {
+                            h.u32(iface.0);
+                            h.len(slot);
+                        }
+                        None => h.bytes(&[0xff]),
+                    }
+                }
+            }
+            let mut sources = vec![0, members.len() / 2, members.len().saturating_sub(1)];
+            sources.dedup();
+            for &from in sources.iter().filter_map(|&s| members.get(s)) {
+                for &to in members {
+                    h.u32(spf.distance(from, to).unwrap_or(u32::MAX));
+                    let path = spf.path(from, to).unwrap_or_default();
+                    h.len(path.len());
+                    for r in path {
+                        h.u32(r.0);
+                    }
+                }
+            }
         }
     }
     h.0

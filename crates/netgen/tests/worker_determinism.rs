@@ -2,10 +2,12 @@
 //! step runs on the shared pool and its outputs install in catalog
 //! order, so a 1-worker and a 4-worker build are the same Internet.
 //!
-//! The planes are compared twice: by the deployed-tables digest (every
-//! LFIB, FTN, protection map and label record, in a canonical order),
-//! and by behaviour — every VP probes a sample of targets at every
-//! TTL, and the two networks must answer each probe identically.
+//! The planes are compared three times: by the deployed-tables digest
+//! (every LFIB, FTN, protection map and label record, in a canonical
+//! order), by the IGP-answers digest (every domain's ECMP sets, paths
+//! and distances), and by behaviour — every VP probes a sample of
+//! targets at every TTL, and the two networks must answer each probe
+//! identically.
 
 mod common;
 
@@ -55,6 +57,7 @@ fn assert_same(a: &Internet, b: &Internet, what: &str) {
         common::tables_digest(b),
         "{what}: deployed tables differ"
     );
+    assert_eq!(common::igp_digest(a), common::igp_digest(b), "{what}: IGP answers differ");
     let mut delivered = 0;
     for spec in probe_set(a) {
         let (mut a_bytes, mut b_bytes) = (Vec::new(), Vec::new());
