@@ -12,7 +12,9 @@
 //! 2. a labelled hop allocates at most 2.
 //!
 //! The walk itself, which resolves every TTL of the flow once, is held
-//! to a fixed ceiling per walk.
+//! to a fixed ceiling per walk. A whole `trace_route` allocates its
+//! walk, its hops' stacks, its reply buffer and one hop vector, sized
+//! exactly to the hops it keeps.
 //!
 //! The counting allocator lives in `common`.
 
@@ -22,7 +24,7 @@ use arest_mpls::ldp::{LdpDomain, LdpFec};
 use arest_mpls::pool::DynamicLabelPool;
 use arest_simnet::packet::{ProbeSpec, TransportPayload};
 use arest_simnet::Network;
-use arest_tnt::tracer::probe_hop;
+use arest_tnt::tracer::{probe_hop, trace_route, TraceConfig};
 use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, RouterId};
 use arest_topo::prefix::Prefix;
@@ -30,6 +32,7 @@ use arest_topo::spf::DomainSpf;
 use arest_topo::vendor::Vendor;
 use common::min_allocations;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Probes per measured loop: a per-probe allocation shows up this many
 /// times, harness noise a couple of times at most.
@@ -102,6 +105,7 @@ fn a_hop_allocates_only_its_quoted_stack() {
     let mut reply_bytes = Vec::new();
 
     let (mut unlabelled, mut labelled) = (0, 0);
+    let mut hop_allocations = [0; 9];
     for ttl in 1..=8u8 {
         let spec = probe(ttl);
         // Warm-up: grows the buffer to this reply's size and registers
@@ -115,6 +119,7 @@ fn a_hop_allocates_only_its_quoted_stack() {
                 drop(probe_hop(&net, &walk, &spec, &mut reply_bytes));
             }
         });
+        hop_allocations[usize::from(ttl)] = allocations;
         if hop.stack.is_none() {
             unlabelled += 1;
             assert_eq!(allocations, 0, "ttl {ttl}: an unlabelled hop must not allocate");
@@ -127,4 +132,29 @@ fn a_hop_allocates_only_its_quoted_stack() {
         }
     }
     assert!(unlabelled >= 2 && labelled >= 2, "{unlabelled} unlabelled, {labelled} labelled hops");
+
+    // A whole trace over the default TTL range: what its walk and its
+    // hops allocate, plus the reply buffer and the hop vector.
+    let vp: Arc<str> = Arc::from("vp");
+    let config = TraceConfig::default();
+    let src = probe(1).src;
+    let trace = trace_route(&net, &vp, entry, src, dst, &config);
+    assert!(trace.reached && trace.hops.len() <= 8, "{} hops", trace.hops.len());
+    assert_eq!(trace.hops.capacity(), trace.hops.len(), "the hop vector keeps spare capacity");
+    let walk_allocations = min_allocations(|| {
+        for _ in 0..ROUNDS {
+            drop(net.walk(&probe(1), 1..=config.max_ttl));
+        }
+    });
+    let hops: u64 = trace.hops.iter().map(|hop| hop_allocations[usize::from(hop.ttl)]).sum();
+    let ceiling = walk_allocations + hops + 2 * ROUNDS;
+    let trace_allocations = min_allocations(|| {
+        for _ in 0..ROUNDS {
+            drop(trace_route(&net, &vp, entry, src, dst, &config));
+        }
+    });
+    assert!(
+        trace_allocations <= ceiling,
+        "{ROUNDS} traces made {trace_allocations} allocations, over the ceiling of {ceiling}"
+    );
 }

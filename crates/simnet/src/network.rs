@@ -1494,6 +1494,22 @@ mod tests {
             let reply = net.reply(&walk, &spec, &mut walked);
             assert_eq!(reply, net.forward(&spec, &mut forwarded), "walk, ttl {ttl}, {flow:?}");
             assert_eq!(walked, forwarded, "walk bytes, ttl {ttl}, {flow:?}");
+            // Below the terminal TTL a probe expires: it is answered
+            // with a time-exceeded or silenced at the expiring router.
+            let expires = matches!(
+                reply,
+                ProbeReply::TimeExceeded { .. }
+                    | ProbeReply::Silent(DropReason::IcmpDisabled | DropReason::ReplyUnencodable)
+            );
+            let past_terminal = walk.terminal_ttl().is_some_and(|t| ttl >= t);
+            assert!(expires || past_terminal, "ttl {ttl} ends the walk early, {flow:?}");
+            assert!(
+                !matches!(reply, ProbeReply::TimeExceeded { .. }) || !past_terminal,
+                "ttl {ttl} expires past the terminal TTL, {flow:?}"
+            );
+            if past_terminal && walk.is_dropped() {
+                assert!(matches!(reply, ProbeReply::Silent(_)), "ttl {ttl} past a drop, {flow:?}");
+            }
         }
         for ttl in [0u8, 1, 32, 255] {
             let spec = ProbeSpec { ttl, ..flow };

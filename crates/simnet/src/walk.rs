@@ -177,6 +177,23 @@ impl FlowWalk {
             && self.ttls.contains(&spec.ttl)
     }
 
+    /// The first TTL of the range that outlives every expiry and so
+    /// shares the walk's terminal outcome (delivery or a drop), or
+    /// `None` when every TTL in range expires.
+    pub fn terminal_ttl(&self) -> Option<u8> {
+        let first = match self.expiries.last() {
+            Some(expiry) => expiry.last_ttl.checked_add(1)?,
+            None => *self.ttls.start(),
+        };
+        (first <= *self.ttls.end()).then_some(first)
+    }
+
+    /// Whether the walk ends in a drop, so that no TTL from
+    /// [`terminal_ttl`](FlowWalk::terminal_ttl) on is answered.
+    pub fn is_dropped(&self) -> bool {
+        matches!(self.terminal, Some(Terminal::Dropped(_)))
+    }
+
     /// The outcome for a probe TTL in range.
     pub(crate) fn outcome(&self, ttl: u8) -> Outcome<'_> {
         let idx = self.expiries.partition_point(|e| e.last_ttl < ttl);

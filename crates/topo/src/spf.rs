@@ -17,13 +17,17 @@
 //! A domain's members are sorted by [`RouterId`] into dense *slots*,
 //! and their in-domain adjacencies are laid out once as a CSR list
 //! (per-slot offsets into one flat edge array, each router's edges in
-//! [`Topology::adjacencies`] order). Every (source, destination) pair
-//! is one 16-byte cell: distance, predecessor slot, and the ECMP set
-//! as up to four 16-bit indices into the *source's* edge list. The
-//! Dijkstra inner loop therefore neither hashes nor allocates, and
-//! because slot order is `RouterId` order, the heap's `(dist, slot)`
-//! order and the predecessor tie-break are exactly those of a
-//! `(dist, RouterId)` formulation.
+//! [`Topology::adjacencies`] order). Dijkstra runs over 12-byte cells
+//! — distance, predecessor slot, and the ECMP set as up to four 8-bit
+//! indices into the *source's* edge list — so its inner loop neither
+//! hashes nor allocates, and because slot order is `RouterId` order,
+//! the heap's `(dist, slot)` order and the predecessor tie-break are
+//! exactly those of a `(dist, RouterId)` formulation.
+//!
+//! [`DomainSpf`] keeps only what forwarding reads: one 4-byte ECMP set
+//! per (source, destination) pair. Its Dijkstra runs in one scratch
+//! row of full cells reused for every source; distances and paths are
+//! cold queries that rerun one source over the shared CSR graph.
 
 use crate::graph::Topology;
 use crate::ids::{AsNumber, IfaceId, LinkId, RouterId};
@@ -38,8 +42,14 @@ pub const MAX_ECMP: usize = 4;
 
 /// "No slot": an unset predecessor, or a router outside the domain.
 const NONE: u32 = u32::MAX;
-/// An unused entry of a cell's ECMP set.
-const NO_HOP: u16 = u16::MAX;
+/// An unused entry of an ECMP set.
+const NO_HOP: u8 = u8::MAX;
+
+/// Equal-cost first hops as indices into the source's edges, primary
+/// first, [`NO_HOP`]-padded. Empty at the source and when unreached.
+type Hops = [u8; MAX_ECMP];
+
+const NO_HOPS: Hops = [NO_HOP; MAX_ECMP];
 
 /// One in-domain adjacency in the CSR edge array.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +79,8 @@ impl Graph {
     /// order are irrelevant).
     ///
     /// # Panics
-    /// Panics if a router has 65,535 or more in-domain adjacencies:
-    /// ECMP sets index a source's edges with 16 bits.
+    /// Panics if a router has 255 or more in-domain adjacencies: ECMP
+    /// sets index a source's edges with 8 bits.
     fn new(topo: &Topology, mut members: Vec<RouterId>) -> Graph {
         members.sort_unstable();
         members.dedup();
@@ -104,6 +114,19 @@ impl Graph {
         let s = slot as usize;
         &self.edges[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
+
+    /// The first hops `hops` of slot `src` as `(egress interface,
+    /// neighbour)` pairs.
+    fn next_hops(&self, src: u32, hops: &Hops) -> NextHops {
+        let mut out = NextHops::EMPTY;
+        let edges = self.out_edges(src);
+        for &k in hops.iter().take_while(|&&k| k != NO_HOP) {
+            let e = edges[usize::from(k)];
+            out.hops[out.len] = (e.iface, self.members[e.to as usize]);
+            out.len += 1;
+        }
+        out
+    }
 }
 
 /// One (source, destination) entry of a shortest-path tree.
@@ -113,12 +136,10 @@ struct Cell {
     /// Slot of the primary predecessor; [`NONE`] when unreached (and
     /// at the source itself).
     pred: u32,
-    /// Equal-cost first hops as indices into the source's edges,
-    /// primary first, [`NO_HOP`]-padded.
-    hops: [u16; MAX_ECMP],
+    hops: Hops,
 }
 
-const UNREACHED: Cell = Cell { dist: u32::MAX, pred: NONE, hops: [NO_HOP; MAX_ECMP] };
+const UNREACHED: Cell = Cell { dist: u32::MAX, pred: NONE, hops: NO_HOPS };
 
 /// Runs Dijkstra from slot `src` into `row` (one cell per slot, all
 /// [`UNREACHED`] on entry), skipping `avoid`. `heap` is scratch space
@@ -146,8 +167,8 @@ fn dijkstra(
                 continue;
             }
             let first_hops = if u == src {
-                let mut own = [NO_HOP; MAX_ECMP];
-                own[0] = k as u16;
+                let mut own = NO_HOPS;
+                own[0] = k as u8;
                 own
             } else {
                 via_u
@@ -177,8 +198,8 @@ fn dijkstra(
 
 /// `first` then `then`, deduplicated keeping first occurrences and
 /// capped at [`MAX_ECMP`].
-fn merge_hops(first: [u16; MAX_ECMP], then: [u16; MAX_ECMP]) -> [u16; MAX_ECMP] {
-    let mut out = [NO_HOP; MAX_ECMP];
+fn merge_hops(first: Hops, then: Hops) -> Hops {
+    let mut out = NO_HOPS;
     let mut len = 0;
     for hop in first.into_iter().chain(then).filter(|&h| h != NO_HOP) {
         if len == MAX_ECMP {
@@ -213,51 +234,6 @@ impl Deref for NextHops {
     }
 }
 
-/// Read access to one source's row of cells.
-#[derive(Clone, Copy)]
-struct Row<'a> {
-    graph: &'a Graph,
-    src: u32,
-    cells: &'a [Cell],
-}
-
-impl Row<'_> {
-    /// The reached cell of `dst`, with its slot.
-    fn cell(&self, dst: RouterId) -> Option<(u32, &Cell)> {
-        let slot = self.graph.slot(dst)?;
-        let cell = &self.cells[slot as usize];
-        (slot == self.src || cell.pred != NONE).then_some((slot, cell))
-    }
-
-    fn distance(&self, dst: RouterId) -> Option<u32> {
-        self.cell(dst).map(|(_, c)| c.dist)
-    }
-
-    fn next_hops(&self, dst: RouterId) -> NextHops {
-        let mut out = NextHops::EMPTY;
-        if let Some((_, cell)) = self.cell(dst) {
-            let edges = self.graph.out_edges(self.src);
-            for &k in cell.hops.iter().take_while(|&&k| k != NO_HOP) {
-                let e = edges[usize::from(k)];
-                out.hops[out.len] = (e.iface, self.graph.members[e.to as usize]);
-                out.len += 1;
-            }
-        }
-        out
-    }
-
-    fn path(&self, dst: RouterId) -> Option<Vec<RouterId>> {
-        let (mut cur, _) = self.cell(dst)?;
-        let mut path = vec![dst];
-        while cur != self.src {
-            cur = self.cells[cur as usize].pred;
-            path.push(self.graph.members[cur as usize]);
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
 /// The shortest-path tree rooted at one router.
 #[derive(Debug, Clone)]
 pub struct SpfTree {
@@ -281,40 +257,54 @@ impl SpfTree {
         let members =
             topo.routers().map(|r| r.id).filter(|&r| in_domain(r) || r == source).collect();
         SpfTree::over(Arc::new(Graph::new(topo, members)), source, None)
+            .expect("the source is a domain member")
     }
 
-    fn over(graph: Arc<Graph>, source: RouterId, avoid: Option<LinkId>) -> SpfTree {
-        let src = graph.slot(source).expect("the source is a domain member");
+    /// The tree from `source` over `graph` with `avoid` excluded, or
+    /// `None` when `source` is not a member.
+    fn over(graph: Arc<Graph>, source: RouterId, avoid: Option<LinkId>) -> Option<SpfTree> {
+        let src = graph.slot(source)?;
         let mut cells = vec![UNREACHED; graph.members.len()];
         dijkstra(&graph, src, avoid, &mut cells, &mut BinaryHeap::new());
-        SpfTree { source, graph, src, cells }
+        Some(SpfTree { source, graph, src, cells })
     }
 
-    fn row(&self) -> Row<'_> {
-        Row { graph: &self.graph, src: self.src, cells: &self.cells }
+    /// The reached cell of `dst`, with its slot.
+    fn cell(&self, dst: RouterId) -> Option<(u32, &Cell)> {
+        let slot = self.graph.slot(dst)?;
+        let cell = &self.cells[slot as usize];
+        (slot == self.src || cell.pred != NONE).then_some((slot, cell))
     }
 
     /// IGP distance to `dst`, if reachable.
     pub fn distance(&self, dst: RouterId) -> Option<u32> {
-        self.row().distance(dst)
+        self.cell(dst).map(|(_, c)| c.dist)
     }
 
     /// The primary first hop from the source toward `dst` (control
     /// planes install this one). `None` when unreachable or
     /// `dst == source`.
     pub fn next_hop(&self, dst: RouterId) -> Option<(IfaceId, RouterId)> {
-        self.row().next_hops(dst).first().copied()
+        self.next_hops(dst).first().copied()
     }
 
     /// All equal-cost first hops toward `dst`, primary first. The data
     /// plane hashes a flow over this set (ECMP).
     pub fn next_hops(&self, dst: RouterId) -> NextHops {
-        self.row().next_hops(dst)
+        self.cell(dst)
+            .map_or(NextHops::EMPTY, |(_, cell)| self.graph.next_hops(self.src, &cell.hops))
     }
 
     /// The full router path `source..=dst`, or `None` if unreachable.
     pub fn path(&self, dst: RouterId) -> Option<Vec<RouterId>> {
-        self.row().path(dst)
+        let (mut cur, _) = self.cell(dst)?;
+        let mut path = vec![dst];
+        while cur != self.src {
+            cur = self.cells[cur as usize].pred;
+            path.push(self.graph.members[cur as usize]);
+        }
+        path.reverse();
+        Some(path)
     }
 }
 
@@ -327,8 +317,8 @@ impl SpfTree {
 #[derive(Debug, Clone)]
 pub struct DomainSpf {
     graph: Arc<Graph>,
-    /// `n × n` cells, row-major by source slot.
-    cells: Arc<Vec<Cell>>,
+    /// `n × n` ECMP sets, row-major by source slot.
+    hops: Arc<Vec<Hops>>,
 }
 
 impl DomainSpf {
@@ -350,14 +340,19 @@ impl DomainSpf {
             registry.counter("topo.spf.domains").inc();
             registry.counter("topo.spf.trees").add(n as u64);
         }
-        let mut cells = vec![UNREACHED; n * n];
+        let mut hops = vec![NO_HOPS; n * n];
+        let mut row = vec![UNREACHED; n];
         let mut heap = BinaryHeap::new();
         if n > 0 {
-            for (src, row) in cells.chunks_exact_mut(n).enumerate() {
-                dijkstra(&graph, src as u32, None, row, &mut heap);
+            for (src, out) in hops.chunks_exact_mut(n).enumerate() {
+                row.fill(UNREACHED);
+                dijkstra(&graph, src as u32, None, &mut row, &mut heap);
+                for (set, cell) in out.iter_mut().zip(&row) {
+                    *set = cell.hops;
+                }
             }
         }
-        DomainSpf { graph: Arc::new(graph), cells: Arc::new(cells) }
+        DomainSpf { graph: Arc::new(graph), hops: Arc::new(hops) }
     }
 
     /// The domain's members, sorted by id.
@@ -372,35 +367,26 @@ impl DomainSpf {
         self.graph.slot(r).map(|s| s as usize)
     }
 
-    /// The cell of slots `(from, to)`, when `to` is reached from
-    /// `from` (itself included).
-    fn slot_cell(&self, from: usize, to: usize) -> Option<&Cell> {
-        let cell = &self.cells[from * self.graph.members.len() + to];
-        (from == to || cell.pred != NONE).then_some(cell)
+    /// The ECMP set of slots `(from, to)`.
+    fn slot_hops(&self, from: usize, to: usize) -> &Hops {
+        &self.hops[from * self.graph.members.len() + to]
     }
 
     /// Whether slot `to` is reachable from slot `from` within the
     /// domain (a slot always reaches itself).
     pub fn reaches(&self, from: usize, to: usize) -> bool {
-        self.slot_cell(from, to).is_some()
+        from == to || self.slot_hops(from, to)[0] != NO_HOP
     }
 
     /// [`DomainSpf::next_hop`] over slots: the primary first hop from
     /// slot `from` toward slot `to`, as the egress interface and the
     /// neighbour's slot.
     pub fn next_hop_slot(&self, from: usize, to: usize) -> Option<(IfaceId, usize)> {
-        let k = self.slot_cell(from, to)?.hops[0];
+        let k = self.slot_hops(from, to)[0];
         (k != NO_HOP).then(|| {
             let e = self.graph.out_edges(from as u32)[usize::from(k)];
             (e.iface, e.to as usize)
         })
-    }
-
-    fn row(&self, from: RouterId) -> Option<Row<'_>> {
-        let src = self.graph.slot(from)?;
-        let n = self.graph.members.len();
-        let start = src as usize * n;
-        Some(Row { graph: &self.graph, src, cells: &self.cells[start..start + n] })
     }
 
     /// Primary next hop from `from` toward `to` within the domain.
@@ -410,17 +396,22 @@ impl DomainSpf {
 
     /// All equal-cost next hops from `from` toward `to` (ECMP set).
     pub fn next_hops(&self, from: RouterId, to: RouterId) -> NextHops {
-        self.row(from).map_or(NextHops::EMPTY, |row| row.next_hops(to))
+        let (Some(src), Some(dst)) = (self.graph.slot(from), self.graph.slot(to)) else {
+            return NextHops::EMPTY;
+        };
+        self.graph.next_hops(src, self.slot_hops(src as usize, dst as usize))
     }
 
-    /// IGP distance between two domain routers.
+    /// IGP distance between two domain routers. Cold: reruns the
+    /// source's Dijkstra.
     pub fn distance(&self, from: RouterId, to: RouterId) -> Option<u32> {
-        self.row(from)?.distance(to)
+        self.tree(from, None)?.distance(to)
     }
 
-    /// The primary router path `from..=to` within the domain.
+    /// The primary router path `from..=to` within the domain. Cold:
+    /// reruns the source's Dijkstra.
     pub fn path(&self, from: RouterId, to: RouterId) -> Option<Vec<RouterId>> {
-        self.row(from)?.path(to)
+        self.tree(from, None)?.path(to)
     }
 
     /// The tree from `source` with `link` excluded — the
@@ -428,8 +419,11 @@ impl DomainSpf {
     /// the adjacencies this domain was computed on. `None` when
     /// `source` is not a member.
     pub fn tree_avoiding(&self, source: RouterId, link: LinkId) -> Option<SpfTree> {
-        self.graph.slot(source)?;
-        Some(SpfTree::over(Arc::clone(&self.graph), source, Some(link)))
+        self.tree(source, Some(link))
+    }
+
+    fn tree(&self, source: RouterId, avoid: Option<LinkId>) -> Option<SpfTree> {
+        SpfTree::over(Arc::clone(&self.graph), source, avoid)
     }
 }
 
@@ -625,6 +619,49 @@ mod tests {
         assert_eq!(tree.next_hop(r[3]), Some(hops[0]));
         // Unreachable targets expose an empty set.
         assert!(tree.next_hops(RouterId(99)).is_empty());
+    }
+
+    /// A hub router with `leaves` single-link neighbours, all cost 1.
+    fn star(leaves: u32) -> (Topology, AsNumber, RouterId, Vec<RouterId>) {
+        let mut topo = Topology::new();
+        let asn = AsNumber(65_004);
+        let hub = topo.add_router("hub", asn, Vendor::Cisco, Ipv4Addr::new(10, 252, 255, 1));
+        let leaves: Vec<RouterId> = (0..leaves)
+            .map(|i| {
+                let leaf = topo.add_router(
+                    format!("leaf{i}"),
+                    asn,
+                    Vendor::Cisco,
+                    Ipv4Addr::from(0x0afd_0000 + i),
+                );
+                let link = 0x0afc_0000 + 4 * i;
+                topo.add_link(hub, Ipv4Addr::from(link), leaf, Ipv4Addr::from(link + 1), 1);
+                leaf
+            })
+            .collect();
+        (topo, asn, hub, leaves)
+    }
+
+    #[test]
+    fn a_router_with_254_adjacencies_reaches_its_last_edge() {
+        let (topo, asn, hub, leaves) = star(254);
+        let spf = DomainSpf::for_as(&topo, asn);
+        for &leaf in &leaves {
+            let (iface, next) = spf.next_hop(hub, leaf).expect("every leaf is adjacent");
+            assert_eq!((topo.iface(iface).router, next), (hub, leaf));
+        }
+        let last = *leaves.last().unwrap();
+        assert_eq!(spf.path(last, leaves[0]), Some(vec![last, hub, leaves[0]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "R0 has 255 in-domain adjacencies")]
+    fn a_router_with_255_adjacencies_is_refused() {
+        // ECMP sets index the hub's edges with 8 bits, below the
+        // padding value.
+        let (topo, asn, hub, _) = star(255);
+        assert_eq!(hub, RouterId(0));
+        DomainSpf::for_as(&topo, asn);
     }
 
     #[test]
